@@ -21,8 +21,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -30,8 +32,21 @@ from . import downlink as dl
 from . import face as df
 from . import splitting as sp
 from . import uplink as ul
-from .prob import LawError, UplinkSpec, build_downlink_joint, build_uplink_joint
-from .specio import SpecFileError, load_spec, spec_to_dict
+from .prob import (
+    CORNER_MATCH_TOL,
+    DEDUP_TOL,
+    FACE_TOL,
+    INVERT_TOL,
+    MEMBERSHIP_TOL,
+    MERGE_TOL,
+    MI_ZERO_TOL,
+    TELESCOPE_TOL,
+    LawError,
+    UplinkSpec,
+    build_downlink_joint,
+    build_uplink_joint,
+)
+from .specio import SpecFileError, load_spec
 from .suites import SUITES, run_suites
 
 SCHEMA_VERSION = 1
@@ -64,11 +79,18 @@ def _emit(report: dict):
     print(json.dumps(report, sort_keys=True, indent=2))
 
 
-def _parse_floats(text: str, what: str):
+def _parse_float(text: str, what: str) -> float:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        val = float(text)
     except ValueError as e:
         raise UsageError(f"cannot parse {what} {text!r}: {e}") from e
+    if not math.isfinite(val):
+        raise UsageError(f"{what} must be finite, got {text!r}")
+    return val
+
+
+def _parse_floats(text: str, what: str):
+    return [_parse_float(x, what) for x in text.split(",") if x.strip() != ""]
 
 
 def _parse_int_set(text: str, what: str):
@@ -89,17 +111,27 @@ def _point_from_arg(text: str, K: int, L: int) -> ul.RateFronthaulPoint:
     return ul.RateFronthaulPoint.from_vector(np.array(vals), K, L)
 
 
-def cmd_corners(args) -> int:
-    t0 = time.monotonic()
-    spec = load_spec(args.spec)
+def _region(spec):
+    """The direction's (enumerate, verify, member) functions, bound to its joint law."""
     if isinstance(spec, UplinkSpec):
         law = build_uplink_joint(spec)
-        enum = ul.enumerate_corners(law, dedup_tol=args.dedup_tol)
-        verify = lambda p: ul.verify_corner(law, p)
+        fns = (ul.enumerate_corners, ul.verify_corner, ul.in_jd_region)
     else:
         law = build_downlink_joint(spec)
-        enum = dl.downlink_enumerate_corners(law, dedup_tol=args.dedup_tol)
-        verify = lambda p: dl.verify_downlink_corner(law, p)
+        fns = (dl.downlink_enumerate_corners, dl.verify_downlink_corner, dl.in_je_region)
+    return tuple(partial(fn, law) for fn in fns)
+
+
+def cmd_corners(args) -> int:
+    t0 = time.monotonic()
+    if not args.dedup_tol >= 0:
+        raise UsageError(f"--dedup-tol must be >= 0, got {args.dedup_tol!r}")
+    spec = load_spec(args.spec)
+    enumerate_corners, verify, _ = _region(spec)
+    try:
+        enum = enumerate_corners(dedup_tol=args.dedup_tol)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     rows = []
     all_ok = True
     for order, point in enum.corners:
@@ -115,16 +147,11 @@ def cmd_corners(args) -> int:
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
-        labels = [f"R{i}" for i in range(1, spec.K + 1)] + [
-            f"C{j}" for j in range(1, spec.L + 1)
-        ]
-        w.writerow(["permutation"] + labels + ["is_corner"])
-        seen = set()
-        for row in rows:
-            key = tuple(round(v, 9) for v in row["point"])
-            if args.dedup and key in seen:
+        w.writerow(["permutation"] + ul.coord_labels(spec.K, spec.L) + ["is_corner"])
+        vertices = {id(p) for p in enum.vertices}
+        for (_, point), row in zip(enum.corners, rows):
+            if args.dedup and id(point) not in vertices:
                 continue
-            seen.add(key)
             w.writerow([row["permutation"]] + row["point"] + [row["is_corner"]])
         sys.stdout.write(buf.getvalue())
     else:
@@ -162,7 +189,11 @@ def cmd_verify(args) -> int:
             passed,
             t0,
             seed=args.seed,
-            tolerances={"corner_match": 1e-9, "membership": 1e-9, "face": 1e-8},
+            tolerances={
+                "corner_match": CORNER_MATCH_TOL,
+                "membership": MEMBERSHIP_TOL,
+                "face": FACE_TOL,
+            },
         )
     )
     return EXIT_OK if passed else EXIT_FAIL
@@ -197,10 +228,12 @@ def cmd_psi(args) -> int:
                 results,
                 True,
                 t0,
-                tolerances={"merge": 1e-12, "telescope": 1e-9},
+                tolerances={"merge": MERGE_TOL, "telescope": TELESCOPE_TOL},
             )
         )
         return EXIT_OK
+    if args.max_iters < 1:
+        raise UsageError(f"--max-iters must be >= 1, got {args.max_iters}")
     target = _point_from_arg(args.invert, spec.K, spec.L)
     try:
         res = sp.invert_psi(
@@ -228,7 +261,7 @@ def cmd_psi(args) -> int:
             res.converged,
             t0,
             seed=args.seed,
-            tolerances={"residual": args.tol, "face": 1e-8},
+            tolerances={"residual": args.tol, "face": FACE_TOL},
         )
     )
     return EXIT_OK if res.converged else EXIT_NO_CONVERGE
@@ -271,7 +304,11 @@ def cmd_face(args) -> int:
             results,
             results["on_dominant_face"],
             t0,
-            tolerances={"membership": 1e-9, "face": 1e-8, "mi_zero": 1e-10},
+            tolerances={
+                "membership": MEMBERSHIP_TOL,
+                "face": FACE_TOL,
+                "mi_zero": MI_ZERO_TOL,
+            },
         )
     )
     return EXIT_OK if results["on_dominant_face"] else EXIT_FAIL
@@ -279,9 +316,13 @@ def cmd_face(args) -> int:
 
 def cmd_slice(args) -> int:
     """CSV plot data: region membership on a grid over two free coordinates."""
+    if args.steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {args.steps}")
+    if not (math.isfinite(args.min) and math.isfinite(args.max)):
+        raise UsageError(f"--min and --max must be finite, got {args.min}, {args.max}")
     spec = load_spec(args.spec)
     K, L = spec.K, spec.L
-    labels = [f"R{i}" for i in range(1, K + 1)] + [f"C{j}" for j in range(1, L + 1)]
+    labels = ul.coord_labels(K, L)
     vary = [s.strip() for s in args.vary.split(",")]
     if len(vary) != 2 or any(v not in labels for v in vary) or vary[0] == vary[1]:
         raise UsageError(
@@ -296,17 +337,11 @@ def cmd_slice(args) -> int:
             name = name.strip()
             if name not in labels or name in vary:
                 raise UsageError(f"--fixed names a bad coordinate {name!r}")
-            fixed[name] = float(val)
+            fixed[name] = _parse_float(val, f"--fixed {name}")
     missing = [n for n in labels if n not in vary and n not in fixed]
     if missing:
         raise UsageError(f"coordinates {missing} need --fixed values")
-
-    if isinstance(spec, UplinkSpec):
-        law = build_uplink_joint(spec)
-        member = lambda p: ul.in_jd_region(law, p)
-    else:
-        law = build_downlink_joint(spec)
-        member = lambda p: dl.in_je_region(law, p)
+    _, _, member = _region(spec)
 
     grid = np.linspace(args.min, args.max, args.steps)
     buf = io.StringIO()
@@ -335,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corners", help="enumerate and verify corner points")
     p.add_argument("spec")
-    p.add_argument("--dedup-tol", type=float, default=ul.DEDUP_TOL)
+    p.add_argument("--dedup-tol", type=float, default=DEDUP_TOL)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--dedup", action="store_true",
                    help="in csv mode, drop duplicate points")
@@ -354,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--alpha", help="comma-separated parameter vector in [0,1]^(K+L-1)")
     p.add_argument("--invert", help="comma-separated target point R1,..,CL")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=INVERT_TOL)
     p.add_argument("--max-iters", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_psi)

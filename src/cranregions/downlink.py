@@ -19,28 +19,31 @@ clamped, so the iterative/closed-form equality stays exact.
 
 from __future__ import annotations
 
-import itertools
-import math
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .prob import JointLaw, LawError, entropy, mutual_info, subsets
-from .uplink import (
-    ACTIVE_TOL,
+from .prob import (
+    CLAMP_TOL,
     DEDUP_TOL,
-    MAX_ENUM,
     MEMBERSHIP_TOL,
-    PIVOT_TOL,
+    JointLaw,
+    LawError,
+    entropy,
+    mutual_info,
+)
+from .uplink import (
     CornerEnumeration,
+    CornerReport,
     RateFronthaulPoint,
     SolveOrder,
-    _row_rank,
-    dedup_points,
+    check_corner,
+    check_permutation,
+    enumerate_orders,
+    min_slack,
 )
-
-NEGATIVE_RATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,19 +55,7 @@ class EncodeOrder:
     L: int
 
     def __post_init__(self):
-        expected = {f"U{i}" for i in range(1, self.K + 1)} | {
-            f"X{j}" for j in range(1, self.L + 1)
-        }
-        if set(self.labels) != expected or len(self.labels) != self.K + self.L:
-            raise ValueError(
-                f"labels {self.labels} are not a permutation of {sorted(expected)}"
-            )
-
-    @classmethod
-    def from_labels(cls, labels) -> "EncodeOrder":
-        labels = tuple(labels)
-        K = sum(1 for s in labels if s.startswith("U"))
-        return cls(labels, K, len(labels) - K)
+        check_permutation(self, "U", "X")
 
 
 def downlink_dims(law: JointLaw) -> tuple[int, int]:
@@ -93,7 +84,7 @@ def istar(law: JointLaw, names) -> float:
     if not names:
         return 0.0
     val = sum(entropy(law, [n]) for n in names) - entropy(law, names)
-    if abs(val) <= 1e-12:
+    if abs(val) <= CLAMP_TOL:
         return max(val, 0.0)
     return val
 
@@ -110,19 +101,8 @@ def je_slack(law: JointLaw, point: RateFronthaulPoint, S, T) -> float:
     return point.c_sum(T) - point.r_sum(S) - rhs
 
 
-def min_je_slack(law: JointLaw, point: RateFronthaulPoint):
-    K, L = downlink_dims(law)
-    best, arg = math.inf, (set(), set())
-    for S in subsets(range(1, K + 1)):
-        for T in subsets(range(1, L + 1)):
-            s = je_slack(law, point, S, T)
-            if s < best:
-                best, arg = s, (set(S), set(T))
-    return best, arg
-
-
 def in_je_region(law: JointLaw, point: RateFronthaulPoint, tol: float = MEMBERSHIP_TOL) -> bool:
-    return min_je_slack(law, point)[0] >= -tol
+    return min_slack(partial(je_slack, law), *downlink_dims(law), point)[0] >= -tol
 
 
 def se_corner(law: JointLaw, order: EncodeOrder) -> RateFronthaulPoint:
@@ -213,71 +193,15 @@ def solve_order_to_encode_order(order: SolveOrder) -> EncodeOrder:
     return EncodeOrder(tuple(labels), order.K, order.L)
 
 
-@dataclass(frozen=True)
-class DownlinkCornerReport:
-    point: RateFronthaulPoint
-    min_slack: float
-    in_region: bool
-    active: tuple
-    rank: int
-    is_corner: bool
-    negative_coords: tuple  # coordinate labels below -1e-9
-
-    @property
-    def in_nonnegative_orthant(self) -> bool:
-        return not self.negative_coords
-
-
-def verify_downlink_corner(
-    law: JointLaw,
-    point: RateFronthaulPoint,
-    membership_tol: float = MEMBERSHIP_TOL,
-    active_tol: float = ACTIVE_TOL,
-    pivot_tol: float = PIVOT_TOL,
-) -> DownlinkCornerReport:
-    K, L = downlink_dims(law)
-    active = []
-    normals = []
-    min_slack = math.inf
-    for S in subsets(range(1, K + 1)):
-        for T in subsets(range(1, L + 1)):
-            s = je_slack(law, point, S, T)
-            min_slack = min(min_slack, s)
-            if abs(s) <= active_tol and (S or T):
-                active.append((tuple(S), tuple(T)))
-                n = np.zeros(K + L)
-                for i in S:
-                    n[i - 1] = -1.0
-                for j in T:
-                    n[K + j - 1] = 1.0
-                normals.append(n)
-    rank = _row_rank(normals, pivot_tol)
-    in_region = min_slack >= -membership_tol
-    negative = tuple(
-        [f"R{i + 1}" for i in range(K) if point.R[i] < -NEGATIVE_RATE_TOL]
-        + [f"C{j + 1}" for j in range(L) if point.C[j] < -NEGATIVE_RATE_TOL]
-    )
-    return DownlinkCornerReport(
-        point=point,
-        min_slack=min_slack,
-        in_region=in_region,
-        active=tuple(active),
-        rank=rank,
-        is_corner=in_region and rank >= K + L,
-        negative_coords=negative,
-    )
+def verify_downlink_corner(law: JointLaw, point: RateFronthaulPoint) -> CornerReport:
+    """Corner-hood of `point` in the joint-encoding region."""
+    return check_corner(partial(je_slack, law), *downlink_dims(law), point)
 
 
 def downlink_enumerate_corners(
     law: JointLaw, dedup_tol: float = DEDUP_TOL
 ) -> CornerEnumeration:
-    K, L = downlink_dims(law)
-    if K + L > MAX_ENUM:
-        raise ValueError(f"K+L = {K + L} exceeds enumeration guard {MAX_ENUM}")
-    labels = [f"R{i}" for i in range(1, K + 1)] + [f"C{j}" for j in range(1, L + 1)]
-    corners = []
-    for perm in itertools.permutations(labels):
-        order = SolveOrder(perm, K, L)
-        corners.append((order, downlink_corner_closed(law, order)))
-    vertices = dedup_points([p for _, p in corners], dedup_tol)
-    return CornerEnumeration(tuple(corners), tuple(vertices))
+    """All (K+L)! downlink corner points, one per solve order, plus the distinct vertices."""
+    return enumerate_orders(
+        partial(downlink_corner_closed, law), *downlink_dims(law), dedup_tol
+    )

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prob import JointLaw, mutual_info, subsets
+from .prob import FACE_TOL, MEMBERSHIP_TOL, MI_ZERO_TOL, JointLaw, mutual_info, subsets
 from .uplink import (
-    MEMBERSHIP_TOL,
-    PIVOT_TOL,
     RateFronthaulPoint,
     _row_rank,
     _xs,
@@ -34,9 +32,6 @@ from .uplink import (
     in_jd_region,
     uplink_dims,
 )
-
-FACE_TOL = 1e-8
-MI_ZERO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -59,6 +54,28 @@ class FaceQuery:
             raise ValueError("face query needs S u T nonempty")
         if not (Sc | Tc):
             raise ValueError("face query needs S^c u T^c nonempty")
+
+    def mask(self, K: int, L: int) -> np.ndarray:
+        """Boolean mask of the R_S and C_T coordinates in a (K+L)-vector."""
+        m = np.zeros(K + L, dtype=bool)
+        m[[i - 1 for i in self.S]] = True
+        m[[K + j - 1 for j in self.T]] = True
+        return m
+
+
+def _within_bounds(point: RateFronthaulPoint, users, relays, bounds, tol: float) -> bool:
+    """True iff lb - tol <= C(B) - R(A) <= ub + tol for all A in users, B in relays.
+
+    `bounds(A, B)` gives the (lb, ub) pair of one subset pair.
+    """
+    for A in subsets(users):
+        for B in subsets(relays):
+            A_, B_ = set(A), set(B)
+            gap = point.c_sum(B_) - point.r_sum(A_)
+            lb, ub = bounds(A_, B_)
+            if gap < lb - tol or gap > ub + tol:
+                return False
+    return True
 
 
 def face_gap(law: JointLaw, point: RateFronthaulPoint) -> float:
@@ -87,19 +104,16 @@ def on_dominant_face_alt(
     """
     K, L = uplink_dims(law)
     allx = _xs(range(1, K + 1))
-    for S in subsets(range(1, K + 1)):
-        for T in subsets(range(1, L + 1)):
-            S_, T_ = set(S), set(T)
-            Sc = set(range(1, K + 1)) - S_
-            Tc = set(range(1, L + 1)) - T_
-            gap = point.c_sum(T_) - point.r_sum(S_)
-            lb = mutual_info(law, _ys(T_), _yhs(T_), allx) - mutual_info(
-                law, _xs(S_), _yhs(Tc), _xs(Sc)
-            )
-            ub = mutual_info(law, _ys(T_), _yhs(T_), _xs(S_))
-            if gap < lb - tol or gap > ub + tol:
-                return False
-    return True
+
+    def bounds(S, T):
+        Sc = set(range(1, K + 1)) - S
+        Tc = set(range(1, L + 1)) - T
+        lb = mutual_info(law, _ys(T), _yhs(T), allx) - mutual_info(
+            law, _xs(S), _yhs(Tc), _xs(Sc)
+        )
+        return lb, mutual_info(law, _ys(T), _yhs(T), _xs(S))
+
+    return _within_bounds(point, range(1, K + 1), range(1, L + 1), bounds, tol)
 
 
 def in_face_FST(
@@ -130,17 +144,14 @@ def in_sub_face_DST(
     K, L = uplink_dims(law)
     q.validate(K, L)
     S, T = q.S, q.T
-    for A in subsets(S):
-        for B in subsets(T):
-            A_, B_ = set(A), set(B)
-            gap = point.c_sum(B_) - point.r_sum(A_)
-            lb = mutual_info(law, _ys(B_), _yhs(B_), _xs(S) + _yhs(T - B_)) - mutual_info(
-                law, _xs(A_), _yhs(T - B_), _xs(S - A_)
-            )
-            ub = mutual_info(law, _ys(B_), _yhs(B_), _xs(A_))
-            if gap < lb - tol or gap > ub + tol:
-                return False
-    return True
+
+    def bounds(A, B):
+        lb = mutual_info(law, _ys(B), _yhs(B), _xs(S) + _yhs(T - B)) - mutual_info(
+            law, _xs(A), _yhs(T - B), _xs(S - A)
+        )
+        return lb, mutual_info(law, _ys(B), _yhs(B), _xs(A))
+
+    return _within_bounds(point, S, T, bounds, tol)
 
 
 def in_sub_face_cond(
@@ -159,24 +170,20 @@ def in_sub_face_cond(
     S, T = set(q.S), set(q.T)
     Sc = set(range(1, K + 1)) - S
     Tc = set(range(1, L + 1)) - T
-    for A in subsets(Sc):
-        for B in subsets(Tc):
-            A_, B_ = set(A), set(B)
-            gap = point.c_sum(B_) - point.r_sum(A_)
-            lb = mutual_info(
-                law,
-                _ys(B_),
-                _yhs(B_),
-                _xs(range(1, K + 1)) + _yhs((Tc - B_) | T),
-            ) - mutual_info(
-                law, _xs(A_), _yhs((Tc - B_) | T), _xs((Sc - A_) | S)
-            )
-            ub = mutual_info(
-                law, _ys(B_), _yhs(B_), _xs(A_ | S) + _yhs(T)
-            ) - mutual_info(law, _xs(A_), _yhs(T), _xs(S))
-            if gap < lb - tol or gap > ub + tol:
-                return False
-    return True
+
+    def bounds(A, B):
+        lb = mutual_info(
+            law,
+            _ys(B),
+            _yhs(B),
+            _xs(range(1, K + 1)) + _yhs((Tc - B) | T),
+        ) - mutual_info(law, _xs(A), _yhs((Tc - B) | T), _xs((Sc - A) | S))
+        ub = mutual_info(
+            law, _ys(B), _yhs(B), _xs(A | S) + _yhs(T)
+        ) - mutual_info(law, _xs(A), _yhs(T), _xs(S))
+        return lb, ub
+
+    return _within_bounds(point, Sc, Tc, bounds, tol)
 
 
 def sample_face_points(law: JointLaw, n: int, rng: np.random.Generator):
@@ -237,13 +244,7 @@ def check_face_decomposition(
         if not (in_sub_face_DST(law, p, q, tol) and in_sub_face_cond(law, p, q, tol)):
             forward_failures += 1
 
-    # Coordinate mask for the (S, T) block of the full vector.
-    mask = np.zeros(K + L, dtype=bool)
-    for i in q.S:
-        mask[i - 1] = True
-    for j in q.T:
-        mask[K + j - 1] = True
-
+    mask = q.mask(K, L)
     converse_failures = 0
     n_product = 0
     for _ in range(samples):
@@ -258,9 +259,7 @@ def check_face_decomposition(
     )
 
 
-def degeneracy_condition(
-    law: JointLaw, q: FaceQuery, tol: float = MI_ZERO_TOL
-) -> bool:
+def degeneracy_condition(law: JointLaw, q: FaceQuery) -> bool:
     """True iff the (S, T) block decouples: both cross informations vanish."""
     K, L = uplink_dims(law)
     q.validate(K, L)
@@ -269,12 +268,10 @@ def degeneracy_condition(
     Tc = set(range(1, L + 1)) - T
     a = mutual_info(law, _xs(S), _yhs(Tc), _xs(Sc))
     b = mutual_info(law, _xs(Sc), _yhs(T), _xs(S))
-    return a <= tol and b <= tol
+    return a <= MI_ZERO_TOL and b <= MI_ZERO_TOL
 
 
-def check_degenerate_factorization(
-    law: JointLaw, q: FaceQuery, tol: float = FACE_TOL
-) -> bool:
+def check_degenerate_factorization(law: JointLaw, q: FaceQuery) -> bool:
     """Check D = D_{S,T} x D_{S^c,T^c} via corner sets.
 
     Under factorization the corner set of D equals the Cartesian product
@@ -285,22 +282,10 @@ def check_degenerate_factorization(
     q.validate(K, L)
     vertices = enumerate_corners(law).vertices
     mat = np.array([v.as_vector() for v in vertices])
-    mask = np.zeros(K + L, dtype=bool)
-    for i in q.S:
-        mask[i - 1] = True
-    for j in q.T:
-        mask[K + j - 1] = True
-
-    def dedup_rows(rows):
-        out = []
-        for r in rows:
-            if not any(np.max(np.abs(r - o)) <= tol for o in out):
-                out.append(r)
-        return out
-
-    proj_a = dedup_rows(list(mat[:, mask]))
-    proj_b = dedup_rows(list(mat[:, ~mask]))
-    full = dedup_rows(list(mat))
+    mask = q.mask(K, L)
+    proj_a = dedup_points(mat[:, mask], FACE_TOL)
+    proj_b = dedup_points(mat[:, ~mask], FACE_TOL)
+    full = np.array(dedup_points(mat, FACE_TOL))
     if len(full) != len(proj_a) * len(proj_b):
         return False
     for ra in proj_a:
@@ -308,16 +293,15 @@ def check_degenerate_factorization(
             vec = np.empty(K + L)
             vec[mask] = ra
             vec[~mask] = rb
-            if not any(np.max(np.abs(vec - f)) <= tol for f in full):
+            if not np.any(np.max(np.abs(full - vec), axis=1) <= FACE_TOL):
                 return False
     return True
 
 
-def dominant_face_dimension(law: JointLaw, pivot_tol: float = PIVOT_TOL) -> int:
+def dominant_face_dimension(law: JointLaw) -> int:
     """Affine dimension of the dominant face from its enumerated corners."""
-    vertices = dedup_points(enumerate_corners(law).vertices)
-    mat = np.array([v.as_vector() for v in vertices])
+    mat = np.array([v.as_vector() for v in enumerate_corners(law).vertices])
     if len(mat) <= 1:
         return 0
     diffs = mat[1:] - mat[0]
-    return _row_rank(list(diffs), pivot_tol)
+    return _row_rank(list(diffs))

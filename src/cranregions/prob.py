@@ -5,11 +5,21 @@ All entropies and mutual informations are in bits.  Target scale is small
 (a handful of variables with alphabet sizes <= 4), so exact tensor sums
 are used throughout; there is no sampling or sparsity anywhere.
 
-Tolerance conventions used across the package:
-    normalization checks   1e-12 (internally constructed tensors)
-    user-supplied inputs   1e-9
-    identity checks        1e-10
-    region membership      1e-9
+Every tolerance of the package is defined here and imported from here:
+
+    INPUT_NORM_TOL      1e-9   sum-to-one check of user-supplied pmfs and rows
+    CLAMP_TOL           1e-12  information values this close to zero clamp to >= 0
+    MEMBERSHIP_TOL      1e-9   least slack a region member may have
+    ACTIVE_TOL          1e-8   |slack| at which a constraint counts as tight
+    PIVOT_TOL           1e-7   smallest pivot of the rank computations
+    DEDUP_TOL           1e-8   infinity-norm distance below which points coincide
+    NEGATIVE_RATE_TOL   1e-9   coordinates below minus this are flagged negative
+    CORNER_MATCH_TOL    1e-9   agreement of the two corner procedures
+    FACE_TOL            1e-8   dominant-face and sub-face predicates
+    MI_ZERO_TOL         1e-10  a mutual information this small counts as zero
+    MERGE_TOL           1e-12  virtual joint merged back onto the original
+    TELESCOPE_TOL       1e-9   telescoping gap of a splitting-map point
+    INVERT_TOL          1e-4   default residual bound of the splitting-map inversion
 """
 
 from __future__ import annotations
@@ -19,10 +29,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-NORMALIZATION_TOL = 1e-12
 INPUT_NORM_TOL = 1e-9
-IDENTITY_TOL = 1e-10
+CLAMP_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
+ACTIVE_TOL = 1e-8
+PIVOT_TOL = 1e-7
+DEDUP_TOL = 1e-8
+NEGATIVE_RATE_TOL = 1e-9
+CORNER_MATCH_TOL = 1e-9
+FACE_TOL = 1e-8
+MI_ZERO_TOL = 1e-10
+MERGE_TOL = 1e-12
+TELESCOPE_TOL = 1e-9
+INVERT_TOL = 1e-4
 
 
 class LawError(ValueError):
@@ -52,11 +71,7 @@ class JointLaw:
             )
         if len(set(names)) != len(names):
             raise LawError(f"duplicate variable names in {names}")
-        if np.any(probs < 0):
-            raise LawError("negative probability entries")
-        total = probs.sum()
-        if abs(total - 1.0) > INPUT_NORM_TOL:
-            raise LawError(f"non-normalized joint law (sum = {total!r})")
+        _check_pmf(probs, "joint law")
         probs.setflags(write=False)
 
     @property
@@ -97,8 +112,8 @@ def mutual_info(law: JointLaw, a, b, c=()) -> float:
     """Conditional mutual information I(a; b | c) in bits.
 
     `a`, `b`, `c` are iterables of variable names.  `a` and `b` must be
-    disjoint from each other and from `c`.  Values within 1e-12 of zero
-    are clamped to be nonnegative.
+    disjoint from each other and from `c`.  Values within CLAMP_TOL of
+    zero are clamped to be nonnegative.
     """
     a, b, c = set(a), set(b), set(c)
     overlap = (a & b) | (a & c) | (b & c)
@@ -110,12 +125,14 @@ def mutual_info(law: JointLaw, a, b, c=()) -> float:
         - entropy(law, a | b | c)
         - entropy(law, c)
     )
-    if abs(val) <= 1e-12:
+    if abs(val) <= CLAMP_TOL:
         return max(val, 0.0)
     return val
 
 
 def _check_pmf(p: np.ndarray, what: str):
+    if not np.all(np.isfinite(p)):
+        raise LawError(f"non-finite entries in {what}")
     if np.any(p < 0):
         raise LawError(f"negative entries in {what}")
     s = p.sum()
@@ -124,7 +141,11 @@ def _check_pmf(p: np.ndarray, what: str):
 
 
 def _check_rows(t: np.ndarray, n_in: int, what: str):
-    """Each row (fixed first n_in axes) of a conditional tensor must sum to 1."""
+    """Each row (fixed first n_in axes) of a conditional tensor must be a pmf."""
+    if not np.all(np.isfinite(t)):
+        raise LawError(f"non-finite entries in {what}")
+    if np.any(t < 0):
+        raise LawError(f"negative entries in {what}")
     sums = t.sum(axis=tuple(range(n_in, t.ndim)))
     bad = np.abs(sums - 1.0) > INPUT_NORM_TOL
     if np.any(bad):
@@ -169,8 +190,6 @@ class UplinkSpec:
                     f"channel axis X{k} has size {channel.shape[k - 1]}, "
                     f"input pmf has size {len(p)}"
                 )
-        if np.any(channel < 0):
-            raise LawError("negative entries in channel tensor")
         _check_rows(channel, self.K, "channel p(y|x)")
         for l, t in enumerate(tcs, start=1):
             if t.ndim != 2:
@@ -180,8 +199,6 @@ class UplinkSpec:
                     f"test channel axis Y{l} has size {t.shape[0]}, "
                     f"channel output has size {channel.shape[self.K + l - 1]}"
                 )
-            if np.any(t < 0):
-                raise LawError(f"negative entries in test channel for relay {l}")
             _check_rows(t, 1, f"test channel p(yhat{l}|y{l})")
 
     @property
@@ -215,19 +232,13 @@ class DownlinkSpec:
             raise LawError(
                 f"channel tensor has {channel.ndim} axes, expected L+K = {self.K + self.L}"
             )
-        if np.any(aux < 0):
-            raise LawError("negative entries in aux joint")
-        s = aux.sum()
-        if abs(s - 1.0) > INPUT_NORM_TOL:
-            raise LawError(f"non-normalized aux joint (sum = {s!r})")
+        _check_pmf(aux, "aux joint")
         for l in range(self.L):
             if channel.shape[l] != aux.shape[self.K + l]:
                 raise LawError(
                     f"channel axis X{l + 1} has size {channel.shape[l]}, "
                     f"aux joint has size {aux.shape[self.K + l]}"
                 )
-        if np.any(channel < 0):
-            raise LawError("negative entries in channel tensor")
         _check_rows(channel, self.L, "channel p(y|x)")
 
 

@@ -25,11 +25,17 @@ from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from .face import on_dominant_face
-from .prob import JointLaw, LawError, build_uplink_joint, mutual_info, UplinkSpec
+from .prob import (
+    FACE_TOL,
+    INVERT_TOL,
+    MERGE_TOL,
+    JointLaw,
+    LawError,
+    UplinkSpec,
+    build_uplink_joint,
+    mutual_info,
+)
 from .uplink import RateFronthaulPoint
-
-MERGE_TOL = 1e-12
-TELESCOPE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -362,7 +368,7 @@ class InversionResult:
 def invert_psi(
     spec: UplinkSpec,
     target: RateFronthaulPoint,
-    tol: float = 1e-4,
+    tol: float = INVERT_TOL,
     max_iters: int = 5000,
     restarts: int = 20,
     seed: int = 0,
@@ -377,7 +383,7 @@ def invert_psi(
     is reported in the result.
     """
     law = build_uplink_joint(spec)
-    if not on_dominant_face(law, target, tol=1e-8):
+    if not on_dominant_face(law, target, tol=FACE_TOL):
         raise NotOnDominantFaceError(
             f"target {target.as_vector().tolist()} is not on the dominant face"
         )

@@ -10,6 +10,7 @@ contents.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -18,11 +19,13 @@ from . import face as df
 from . import splitting as sp
 from . import uplink as ul
 from .prob import (
+    CORNER_MATCH_TOL,
+    FACE_TOL,
+    TELESCOPE_TOL,
     DownlinkSpec,
     UplinkSpec,
     build_downlink_joint,
     build_uplink_joint,
-    mutual_info,
 )
 
 UPLINK_SUITES = (
@@ -36,12 +39,6 @@ UPLINK_SUITES = (
     "telescope",
 )
 DOWNLINK_SUITES = ("lemma7", "lemma8", "thm3")
-
-
-def _all_solve_orders(K, L):
-    labels = [f"R{i}" for i in range(1, K + 1)] + [f"C{j}" for j in range(1, L + 1)]
-    for perm in itertools.permutations(labels):
-        yield ul.SolveOrder(perm, K, L)
 
 
 def _admissible_queries(K, L):
@@ -70,11 +67,11 @@ def _random_box_points(law, n, rng):
 def suite_lemma1(spec: UplinkSpec, seed=0, samples=100):
     law = build_uplink_joint(spec)
     worst = 0.0
-    for order in _all_solve_orders(spec.K, spec.L):
+    for order in ul.solve_orders(spec.K, spec.L):
         a = ul.corner_iterative(law, order).as_vector()
         b = ul.corner_closed(law, order).as_vector()
         worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst <= 1e-9, {"max_deviation": worst, "tolerance": 1e-9}
+    return worst <= CORNER_MATCH_TOL, {"max_deviation": worst, "tolerance": CORNER_MATCH_TOL}
 
 
 def suite_lemma2(spec: UplinkSpec, seed=0, samples=100):
@@ -84,7 +81,7 @@ def suite_lemma2(spec: UplinkSpec, seed=0, samples=100):
         rep = ul.verify_corner(law, point)
         if not rep.is_corner:
             failures.append(",".join(order.labels))
-    return not failures, {"n_corners": _fact(spec.K + spec.L), "failures": failures}
+    return not failures, {"n_corners": math.factorial(spec.K + spec.L), "failures": failures}
 
 
 def suite_lemma3(spec: UplinkSpec, seed=0, samples=500):
@@ -142,18 +139,15 @@ def suite_thm1(spec: UplinkSpec, seed=0, samples=100):
     law = build_uplink_joint(spec)
     worst = 0.0
     members = True
-    for order in _all_solve_orders(spec.K, spec.L):
+    for order in ul.solve_orders(spec.K, spec.L):
         corner = ul.corner_closed(law, order)
         sd = ul.sd_corner(law, ul.solve_order_to_decode_order(order))
         worst = max(worst, float(np.max(np.abs(corner.as_vector() - sd.as_vector()))))
-    labels = [f"X{i}" for i in range(1, spec.K + 1)] + [
-        f"Yh{j}" for j in range(1, spec.L + 1)
-    ]
-    for perm in itertools.permutations(labels):
+    for perm in itertools.permutations(ul.coord_labels(spec.K, spec.L, "X", "Yh")):
         sd = ul.sd_corner(law, ul.DecodeOrder(tuple(perm), spec.K, spec.L))
-        if not ul.in_jd_region(law, sd, tol=1e-9):
+        if not ul.in_jd_region(law, sd):
             members = False
-    return worst <= 1e-9 and members, {
+    return worst <= CORNER_MATCH_TOL and members, {
         "max_deviation": worst,
         "all_sd_corners_in_region": members,
     }
@@ -169,9 +163,9 @@ def suite_telescope(spec: UplinkSpec, seed=0, samples=100):
         alpha = rng.uniform(0.0, 1.0, size=d)
         point = sp.psi(spec, alpha)
         worst_gap = max(worst_gap, abs(df.face_gap(law, point)))
-        if not df.on_dominant_face(law, point, tol=1e-8):
+        if not df.on_dominant_face(law, point, tol=FACE_TOL):
             all_on_face = False
-    return worst_gap <= 1e-9 and all_on_face, {
+    return worst_gap <= TELESCOPE_TOL and all_on_face, {
         "samples": samples,
         "max_telescoping_gap": worst_gap,
         "all_on_dominant_face": all_on_face,
@@ -181,11 +175,11 @@ def suite_telescope(spec: UplinkSpec, seed=0, samples=100):
 def suite_lemma7(spec: DownlinkSpec, seed=0, samples=100):
     law = build_downlink_joint(spec)
     worst = 0.0
-    for order in _all_solve_orders(spec.K, spec.L):
+    for order in ul.solve_orders(spec.K, spec.L):
         a = dl.downlink_corner_iterative(law, order).as_vector()
         b = dl.downlink_corner_closed(law, order).as_vector()
         worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst <= 1e-9, {"max_deviation": worst, "tolerance": 1e-9}
+    return worst <= CORNER_MATCH_TOL, {"max_deviation": worst, "tolerance": CORNER_MATCH_TOL}
 
 
 def suite_lemma8(spec: DownlinkSpec, seed=0, samples=100):
@@ -199,7 +193,7 @@ def suite_lemma8(spec: DownlinkSpec, seed=0, samples=100):
         if rep.negative_coords:
             negatives.append(",".join(order.labels))
     return not failures, {
-        "n_corners": _fact(spec.K + spec.L),
+        "n_corners": math.factorial(spec.K + spec.L),
         "failures": failures,
         "orders_with_negative_coords": negatives,
     }
@@ -209,23 +203,16 @@ def suite_thm3(spec: DownlinkSpec, seed=0, samples=100):
     law = build_downlink_joint(spec)
     worst = 0.0
     members = True
-    for order in _all_solve_orders(spec.K, spec.L):
+    for order in ul.solve_orders(spec.K, spec.L):
         corner = dl.downlink_corner_closed(law, order)
         se = dl.se_corner(law, dl.solve_order_to_encode_order(order))
         worst = max(worst, float(np.max(np.abs(corner.as_vector() - se.as_vector()))))
-        if not dl.in_je_region(law, se, tol=1e-9):
+        if not dl.in_je_region(law, se):
             members = False
-    return worst <= 1e-9 and members, {
+    return worst <= CORNER_MATCH_TOL and members, {
         "max_deviation": worst,
         "all_se_corners_in_region": members,
     }
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 SUITES = {

@@ -15,6 +15,12 @@ The corner equivalences assume each relay observes its own channel
 output: p(y_1..y_L | x) must factor as a product over relays (each
 factor may depend on all inputs).  With cross-relay noise correlation
 the two procedures genuinely disagree.
+
+The downlink joint-encoding region has the same form with another
+right-hand side, so the direction-free core lives here and serves both:
+a region is given by its per-pair slack function `slack(point, S, T)`,
+`min_slack` scans it for membership, `check_corner` for corner-hood, and
+`enumerate_orders` applies a corner procedure to every solve order.
 """
 
 from __future__ import annotations
@@ -23,15 +29,21 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .prob import JointLaw, LawError, mutual_info, subsets
+from .prob import (
+    ACTIVE_TOL,
+    DEDUP_TOL,
+    MEMBERSHIP_TOL,
+    NEGATIVE_RATE_TOL,
+    PIVOT_TOL,
+    JointLaw,
+    mutual_info,
+    subsets,
+)
 
-MEMBERSHIP_TOL = 1e-9
-ACTIVE_TOL = 1e-8
-PIVOT_TOL = 1e-7
-DEDUP_TOL = 1e-8
 MAX_ENUM = 8  # guard: (K+L)! enumeration only up to K+L = 8
 
 
@@ -70,7 +82,21 @@ class RateFronthaulPoint:
 
 
 _RATE_LABEL = re.compile(r"^R(\d+)$")
-_FRONT_LABEL = re.compile(r"^C(\d+)$")
+
+
+def coord_labels(K: int, L: int, rate: str = "R", front: str = "C") -> list[str]:
+    """Labels R1..RK, C1..CL of the coordinates, or of the variables with
+    other prefixes (X/Yh for decoding, U/X for encoding)."""
+    return [f"{rate}{i}" for i in range(1, K + 1)] + [f"{front}{j}" for j in range(1, L + 1)]
+
+
+def check_permutation(order, rate: str, front: str):
+    """Raise ValueError unless `order.labels` is a permutation of the K+L labels."""
+    expected = coord_labels(order.K, order.L, rate, front)
+    if set(order.labels) != set(expected) or len(order.labels) != len(expected):
+        raise ValueError(
+            f"labels {order.labels} are not a permutation of {sorted(expected)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -86,13 +112,7 @@ class SolveOrder:
     L: int
 
     def __post_init__(self):
-        expected = {f"R{i}" for i in range(1, self.K + 1)} | {
-            f"C{j}" for j in range(1, self.L + 1)
-        }
-        if set(self.labels) != expected or len(self.labels) != self.K + self.L:
-            raise ValueError(
-                f"labels {self.labels} are not a permutation of {sorted(expected)}"
-            )
+        check_permutation(self, "R", "C")
 
     @classmethod
     def from_labels(cls, labels) -> "SolveOrder":
@@ -125,19 +145,15 @@ class DecodeOrder:
     L: int
 
     def __post_init__(self):
-        expected = {f"X{i}" for i in range(1, self.K + 1)} | {
-            f"Yh{j}" for j in range(1, self.L + 1)
-        }
-        if set(self.labels) != expected or len(self.labels) != self.K + self.L:
-            raise ValueError(
-                f"labels {self.labels} are not a permutation of {sorted(expected)}"
-            )
+        check_permutation(self, "X", "Yh")
 
-    @classmethod
-    def from_labels(cls, labels) -> "DecodeOrder":
-        labels = tuple(labels)
-        K = sum(1 for s in labels if not s.startswith("Yh"))
-        return cls(labels, K, len(labels) - K)
+
+def solve_orders(K: int, L: int):
+    """All (K+L)! solve orders, refused above the MAX_ENUM guard."""
+    if K + L > MAX_ENUM:
+        raise ValueError(f"K+L = {K + L} exceeds enumeration guard {MAX_ENUM}")
+    for perm in itertools.permutations(coord_labels(K, L)):
+        yield SolveOrder(perm, K, L)
 
 
 def uplink_dims(law: JointLaw) -> tuple[int, int]:
@@ -174,16 +190,20 @@ def jd_slack(law: JointLaw, point: RateFronthaulPoint, S, T) -> float:
     return point.c_sum(T) - point.r_sum(S) - rhs
 
 
-def min_jd_slack(law: JointLaw, point: RateFronthaulPoint):
-    """Minimum slack over all 2^K * 2^L (S, T) pairs and its argmin."""
-    K, L = uplink_dims(law)
+def min_slack(slack, K: int, L: int, point: RateFronthaulPoint):
+    """Minimum of slack(point, S, T) over all 2^K * 2^L (S, T) pairs and its argmin."""
     best, arg = math.inf, (set(), set())
     for S in subsets(range(1, K + 1)):
         for T in subsets(range(1, L + 1)):
-            s = jd_slack(law, point, S, T)
+            s = slack(point, S, T)
             if s < best:
                 best, arg = s, (set(S), set(T))
     return best, arg
+
+
+def min_jd_slack(law: JointLaw, point: RateFronthaulPoint):
+    """Minimum joint-decoding slack over all (S, T) pairs and its argmin."""
+    return min_slack(partial(jd_slack, law), *uplink_dims(law), point)
 
 
 def in_jd_region(law: JointLaw, point: RateFronthaulPoint, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -286,8 +306,8 @@ def solve_order_to_decode_order(order: SolveOrder) -> DecodeOrder:
     return DecodeOrder(tuple(labels), order.K, order.L)
 
 
-def _row_rank(rows, pivot_tol: float = PIVOT_TOL) -> int:
-    """Rank by Gaussian elimination with column pivoting at `pivot_tol`."""
+def _row_rank(rows) -> int:
+    """Rank by Gaussian elimination with column pivoting at PIVOT_TOL."""
     if not rows:
         return 0
     a = np.array(rows, dtype=float)
@@ -296,7 +316,7 @@ def _row_rank(rows, pivot_tol: float = PIVOT_TOL) -> int:
         if rank >= a.shape[0]:
             break
         pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if abs(a[pivot, col]) <= pivot_tol:
+        if abs(a[pivot, col]) <= PIVOT_TOL:
             continue
         a[[rank, pivot]] = a[[pivot, rank]]
         a[rank] /= a[rank, col]
@@ -315,30 +335,29 @@ class CornerReport:
     active: tuple  # tuples (S, T) with |slack| <= ACTIVE_TOL
     rank: int
     is_corner: bool
+    negative_coords: tuple  # coordinate labels below -NEGATIVE_RATE_TOL
+
+    @property
+    def in_nonnegative_orthant(self) -> bool:
+        return not self.negative_coords
 
 
-def verify_corner(
-    law: JointLaw,
-    point: RateFronthaulPoint,
-    membership_tol: float = MEMBERSHIP_TOL,
-    active_tol: float = ACTIVE_TOL,
-    pivot_tol: float = PIVOT_TOL,
-) -> CornerReport:
+def check_corner(slack, K: int, L: int, point: RateFronthaulPoint) -> CornerReport:
     """Check corner-hood: region membership plus K+L independent tight constraints.
 
     The normal of constraint (S, T) carries -1 on rates in S and +1 on
     capacities in T; a true corner needs normals of full rank K+L among
-    the active constraints.
+    the active constraints.  Negative coordinates are flagged, not
+    clamped.
     """
-    K, L = uplink_dims(law)
     active = []
     normals = []
-    min_slack = math.inf
+    lowest = math.inf
     for S in subsets(range(1, K + 1)):
         for T in subsets(range(1, L + 1)):
-            s = jd_slack(law, point, S, T)
-            min_slack = min(min_slack, s)
-            if abs(s) <= active_tol and (S or T):
+            s = slack(point, S, T)
+            lowest = min(lowest, s)
+            if abs(s) <= ACTIVE_TOL and (S or T):
                 active.append((tuple(S), tuple(T)))
                 n = np.zeros(K + L)
                 for i in S:
@@ -346,16 +365,27 @@ def verify_corner(
                 for j in T:
                     n[K + j - 1] = 1.0
                 normals.append(n)
-    rank = _row_rank(normals, pivot_tol)
-    in_region = min_slack >= -membership_tol
+    rank = _row_rank(normals)
+    in_region = lowest >= -MEMBERSHIP_TOL
+    negative = tuple(
+        lab
+        for lab, v in zip(coord_labels(K, L), point.as_vector())
+        if v < -NEGATIVE_RATE_TOL
+    )
     return CornerReport(
         point=point,
-        min_slack=min_slack,
+        min_slack=lowest,
         in_region=in_region,
         active=tuple(active),
         rank=rank,
         is_corner=in_region and rank >= K + L,
+        negative_coords=negative,
     )
+
+
+def verify_corner(law: JointLaw, point: RateFronthaulPoint) -> CornerReport:
+    """Corner-hood of `point` in the joint-decoding region."""
+    return check_corner(partial(jd_slack, law), *uplink_dims(law), point)
 
 
 @dataclass(frozen=True)
@@ -365,26 +395,40 @@ class CornerEnumeration:
 
 
 def dedup_points(points, tol: float = DEDUP_TOL):
-    """Deduplicate points in the infinity norm, keeping first occurrences."""
+    """Deduplicate in the infinity norm, keeping first occurrences.
+
+    `points` are RateFronthaulPoints or 1-D arrays of one length; a point
+    is kept when it lies farther than `tol` from every point kept before.
+    """
+    points = list(points)
     out = []
-    for p in points:
-        v = p.as_vector()
-        if not any(np.max(np.abs(v - q.as_vector())) <= tol for q in out):
+    if not points:
+        return out
+    vecs = np.array(
+        [p.as_vector() if isinstance(p, RateFronthaulPoint) else p for p in points],
+        dtype=float,
+    )
+    kept = np.empty_like(vecs)
+    for p, v in zip(points, vecs):
+        if not np.any(np.max(np.abs(kept[: len(out)] - v), axis=1) <= tol):
+            kept[len(out)] = v
             out.append(p)
     return out
+
+
+def enumerate_orders(corner, K: int, L: int, dedup_tol: float) -> CornerEnumeration:
+    """corner(order) for every solve order, plus the distinct vertices.
+
+    Each corner is one permutation applied greedily, as in Edmonds'
+    greedy algorithm on polymatroids, so one loop serves both directions.
+    """
+    corners = tuple((order, corner(order)) for order in solve_orders(K, L))
+    vertices = dedup_points([p for _, p in corners], dedup_tol)
+    return CornerEnumeration(corners, tuple(vertices))
 
 
 def enumerate_corners(
     law: JointLaw, dedup_tol: float = DEDUP_TOL
 ) -> CornerEnumeration:
     """All (K+L)! corner points, one per solve order, plus the distinct vertices."""
-    K, L = uplink_dims(law)
-    if K + L > MAX_ENUM:
-        raise ValueError(f"K+L = {K + L} exceeds enumeration guard {MAX_ENUM}")
-    labels = [f"R{i}" for i in range(1, K + 1)] + [f"C{j}" for j in range(1, L + 1)]
-    corners = []
-    for perm in itertools.permutations(labels):
-        order = SolveOrder(perm, K, L)
-        corners.append((order, corner_closed(law, order)))
-    vertices = dedup_points([p for _, p in corners], dedup_tol)
-    return CornerEnumeration(tuple(corners), tuple(vertices))
+    return enumerate_orders(partial(corner_closed, law), *uplink_dims(law), dedup_tol)

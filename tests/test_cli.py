@@ -2,11 +2,13 @@
 spec-file round-trips."""
 
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
+from cranregions import DownlinkSpec
 from cranregions.cli import main
 from cranregions.specio import SpecFileError, load_spec, save_spec, spec_to_dict
 
@@ -46,6 +48,13 @@ class TestCorners:
         code, _, err = run(capsys, "corners", str(bad))
         assert code == 2
         assert "line" in err
+
+    @pytest.mark.parametrize("tol", [[], ["--dedup-tol", "10"]], ids=["default", "tol-10"])
+    def test_csv_dedup_prints_one_row_per_vertex(self, capsys, tol):
+        _, out, _ = run(capsys, "corners", K2L2, *tol)
+        n_vertices = json.loads(out)["results"]["n_vertices"]
+        _, out, _ = run(capsys, "corners", K2L2, "--format", "csv", "--dedup", *tol)
+        assert len(out.strip().splitlines()) == 1 + n_vertices
 
     def test_missing_field_named(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -156,6 +165,54 @@ class TestSlice:
     def test_missing_fixed_exit_2(self, capsys):
         code, _, _ = run(capsys, "slice", K2L2, "--vary", "R1,C1")
         assert code == 2
+
+
+def _bad_spec_docs():
+    """Spec documents that must be refused, keyed by the placeholder naming them."""
+    nan_pmf = spec_to_dict(identity_chain_spec())
+    nan_pmf["input_pmfs"] = [[math.nan, math.nan]]
+    inf_channel = spec_to_dict(identity_chain_spec())
+    inf_channel["channel"][0][0] = math.inf
+    nan_aux = spec_to_dict(downlink_k1l1_spec())
+    nan_aux["aux_joint"][0][0] = math.nan
+    # K+L = 9, one above the (K+L)! enumeration guard
+    above_guard = spec_to_dict(
+        DownlinkSpec(K=5, L=4, aux_joint=np.full((2,) * 9, 2.0**-9),
+                     channel=np.full((2,) * 9, 2.0**-5))
+    )
+    return {"{nan_pmf}": nan_pmf, "{inf_channel}": inf_channel,
+            "{nan_aux}": nan_aux, "{above_guard}": above_guard}
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["slice", K2L2, "--vary", "R1,C1", "--fixed", "R2=abc,C2=0.5"], "--fixed R2"),
+        (["slice", IDENT, "--vary", "R1,C1", "--steps", "-1"], "--steps"),
+        (["psi", K2L2, "--invert", "nan,1,1,1"], "point"),
+        (["psi", IDENT, "--invert", "1,1", "--max-iters", "0"], "--max-iters"),
+        (["face", IDENT, "--point", "inf,1"], "point"),
+        (["corners", IDENT, "--dedup-tol", "-1"], "--dedup-tol"),
+        (["corners", "{above_guard}"], "enumeration guard"),
+        (["corners", "{nan_pmf}"], "input pmf"),
+        (["corners", "{inf_channel}"], "channel"),
+        (["verify", "{nan_aux}"], "aux joint"),
+    ],
+    ids=["fixed-not-a-number", "negative-steps", "nan-invert-target", "zero-max-iters",
+         "inf-face-point", "negative-dedup-tol", "above-enumeration-guard",
+         "nan-input-pmf", "inf-channel", "nan-aux-joint"],
+)
+def test_bad_input_exits_2_without_traceback(capsys, tmp_path, argv, named):
+    argv = list(argv)
+    for placeholder, doc in _bad_spec_docs().items():
+        if placeholder in argv:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(doc))
+            argv[argv.index(placeholder)] = str(path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and named in err
+    assert "Traceback" not in err
 
 
 class TestSpecRoundTrip:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cranregions import JointLaw, LawError, entropy, mutual_info
+from cranregions import DownlinkSpec, JointLaw, LawError, UplinkSpec, entropy, mutual_info
 from cranregions.prob import build_uplink_joint
 
 from conftest import bsc, bsc_chain_spec, identity_chain_spec, random_uplink_spec
@@ -131,6 +131,37 @@ class TestValidation:
                 channel=chan,
                 test_channels=(np.eye(2),),
             )
+
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (
+                lambda: UplinkSpec(
+                    K=1, L=1, input_pmfs=([math.nan, math.nan],),
+                    channel=np.eye(2), test_channels=(np.eye(2),),
+                ),
+                "input pmf",
+            ),
+            (
+                lambda: UplinkSpec(
+                    K=1, L=1, input_pmfs=([0.5, 0.5],),
+                    channel=[[math.inf, 0.0], [0.0, 1.0]], test_channels=(np.eye(2),),
+                ),
+                "channel",
+            ),
+            (
+                lambda: DownlinkSpec(
+                    K=1, L=1, aux_joint=[[math.nan, 0.5], [0.0, 0.5]], channel=np.eye(2)
+                ),
+                "aux joint",
+            ),
+        ],
+        ids=["nan-input-pmf", "inf-channel", "nan-aux-joint"],
+    )
+    def test_non_finite_entries_rejected(self, make, field):
+        with pytest.raises(LawError, match=f"non-finite entries in {field}"):
+            make()
 
 
 def test_uplink_joint_normalized_and_shaped():
