@@ -175,6 +175,8 @@ def cmd_corners(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
+    if args.samples is not None and args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     spec = load_spec(args.spec)
     names = args.suite.split(",") if args.suite != "all" else ["all"]
     try:
@@ -234,6 +236,8 @@ def cmd_psi(args) -> int:
         return EXIT_OK
     if args.max_iters < 1:
         raise UsageError(f"--max-iters must be >= 1, got {args.max_iters}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be finite and >= 0, got {args.tol!r}")
     target = _point_from_arg(args.invert, spec.K, spec.L)
     try:
         res = sp.invert_psi(

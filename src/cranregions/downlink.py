@@ -7,10 +7,10 @@ The joint-encoding region is cut out by
                    + Istar(U_S) + Istar(X_T)
 
 where Istar is the multivariate correlation sum_j H(.) - H(joint).  The
-corner procedures mirror the uplink ones with the roles of the index
-sets swapped: a rate step tightens the constraint with S = I_k u {b_k},
-T = J_k.  Unlike the uplink, the encoding order achieving a corner is
-the solve order itself (no reversal).
+iterative corner procedure is the uplink's greedy solution
+(`uplink.greedy_corner`) applied to this region's slack `je_slack`; the
+closed form is this direction's own.  Unlike the uplink, the encoding
+order achieving a corner is the solve order itself (no reversal).
 
 Computed rates R_k = I(U_k;Y_k) - I(U_k; prior) can be negative for
 poorly matched auxiliary joints; they are reported raw and flagged, not
@@ -19,7 +19,6 @@ clamped, so the iterative/closed-form equality stays exact.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import partial
 
@@ -41,7 +40,9 @@ from .uplink import (
     SolveOrder,
     check_corner,
     check_permutation,
+    count_labels,
     enumerate_orders,
+    greedy_corner,
     min_slack,
 )
 
@@ -59,9 +60,7 @@ class EncodeOrder:
 
 
 def downlink_dims(law: JointLaw) -> tuple[int, int]:
-    K = sum(1 for n in law.names if re.match(r"^U\d+$", n))
-    L = sum(1 for n in law.names if re.match(r"^X\d+$", n))
-    return K, L
+    return count_labels(law.names, "U"), count_labels(law.names, "X")
 
 
 def _us(idx):
@@ -90,15 +89,20 @@ def istar(law: JointLaw, names) -> float:
 
 
 def je_slack(law: JointLaw, point: RateFronthaulPoint, S, T) -> float:
-    """Slack of the joint-encoding constraint for user set S, relay set T."""
+    """Slack of the joint-encoding constraint for user set S, relay set T.
+
+    The terms are added left to right in the order the corner procedure
+    of the paper solves them, as in `uplink.jd_slack`.
+    """
     S, T = set(S), set(T)
-    rhs = (
-        mutual_info(law, _us(S), _xs(T))
-        - sum(mutual_info(law, [f"U{k}"], [f"Y{k}"]) for k in S)
-        + istar(law, _us(S))
-        + istar(law, _xs(T))
+    return (
+        point.c_sum(T)
+        - point.r_sum(S)
+        + sum(mutual_info(law, [f"U{k}"], [f"Y{k}"]) for k in S)
+        - istar(law, _us(S))
+        - istar(law, _xs(T))
+        - mutual_info(law, _us(S), _xs(T))
     )
-    return point.c_sum(T) - point.r_sum(S) - rhs
 
 
 def in_je_region(law: JointLaw, point: RateFronthaulPoint, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -125,43 +129,8 @@ def se_corner(law: JointLaw, order: EncodeOrder) -> RateFronthaulPoint:
 
 
 def downlink_corner_iterative(law: JointLaw, order: SolveOrder) -> RateFronthaulPoint:
-    """Corner point solved coordinate by coordinate against tight constraints.
-
-    A rate step tightens the constraint with S = I_k u {b_k}, T = J_k; a
-    fronthaul step tightens S = I_k, T = J_k u {b_k}.
-    """
-    K, L = order.K, order.L
-    R = np.zeros(K)
-    C = np.zeros(L)
-    a, b = order.a, order.b
-    for k in range(1, K + L + 1):
-        I, J = order.index_sets(k)
-        bk = b[k - 1]
-        r_sum = float(sum(R[i - 1] for i in I))
-        c_sum = float(sum(C[j - 1] for j in J))
-        if a[k - 1] == 1:
-            S = I | {bk}
-            val = (
-                c_sum
-                - r_sum
-                + sum(mutual_info(law, [f"U{i}"], [f"Y{i}"]) for i in S)
-                - istar(law, _us(S))
-                - istar(law, _xs(J))
-                - mutual_info(law, _us(S), _xs(J))
-            )
-            R[bk - 1] = val
-        else:
-            T = J | {bk}
-            val = (
-                r_sum
-                - c_sum
-                - sum(mutual_info(law, [f"U{i}"], [f"Y{i}"]) for i in I)
-                + istar(law, _us(I))
-                + istar(law, _xs(T))
-                + mutual_info(law, _us(I), _xs(T))
-            )
-            C[bk - 1] = val
-    return RateFronthaulPoint(R, C)
+    """Joint-encoding corner solved one coordinate at a time, in the given order."""
+    return greedy_corner(partial(je_slack, law), order)
 
 
 def downlink_corner_closed(law: JointLaw, order: SolveOrder) -> RateFronthaulPoint:

@@ -30,6 +30,7 @@ from .uplink import (
     dedup_points,
     enumerate_corners,
     in_jd_region,
+    jd_slack,
     uplink_dims,
 )
 
@@ -79,12 +80,13 @@ def _within_bounds(point: RateFronthaulPoint, users, relays, bounds, tol: float)
 
 
 def face_gap(law: JointLaw, point: RateFronthaulPoint) -> float:
-    """C([L]) - R([K]) minus the face level I(Y_all; Yh_all | X_all)."""
+    """C([L]) - R([K]) minus the face level I(Y_all; Yh_all | X_all).
+
+    That level is the joint-decoding right-hand side f([K], [L]), so the
+    gap is the slack of the ([K], [L]) constraint.
+    """
     K, L = uplink_dims(law)
-    level = mutual_info(
-        law, _ys(range(1, L + 1)), _yhs(range(1, L + 1)), _xs(range(1, K + 1))
-    )
-    return float(point.C.sum() - point.R.sum() - level)
+    return jd_slack(law, point, range(1, K + 1), range(1, L + 1))
 
 
 def on_dominant_face(
@@ -281,19 +283,18 @@ def check_degenerate_factorization(law: JointLaw, q: FaceQuery) -> bool:
     K, L = uplink_dims(law)
     q.validate(K, L)
     vertices = enumerate_corners(law).vertices
-    mat = np.array([v.as_vector() for v in vertices])
+    mat = np.array([v.as_vector() for v in vertices])  # distinct at DEDUP_TOL = FACE_TOL
     mask = q.mask(K, L)
     proj_a = dedup_points(mat[:, mask], FACE_TOL)
     proj_b = dedup_points(mat[:, ~mask], FACE_TOL)
-    full = np.array(dedup_points(mat, FACE_TOL))
-    if len(full) != len(proj_a) * len(proj_b):
+    if len(mat) != len(proj_a) * len(proj_b):
         return False
     for ra in proj_a:
         for rb in proj_b:
             vec = np.empty(K + L)
             vec[mask] = ra
             vec[~mask] = rb
-            if not np.any(np.max(np.abs(full - vec), axis=1) <= FACE_TOL):
+            if not np.any(np.max(np.abs(mat - vec), axis=1) <= FACE_TOL):
                 return False
     return True
 

@@ -37,6 +37,8 @@ from .prob import (
 )
 from .uplink import RateFronthaulPoint
 
+RESTARTS = 20  # Nelder-Mead restarts of invert_psi, from its best-scored starts
+
 
 @dataclass(frozen=True)
 class RateSplit:
@@ -158,15 +160,6 @@ class SplitConfig:
     j: dict  # row i (2..K+L) -> active subinterval index
     epsilon: dict  # row i (2..K+L) -> split parameter
     order: tuple[str, ...]  # permutation of P = {1, 2a, 2b, .., 1c, 1d, ..}
-
-
-def _virtual_labels(K: int, L: int):
-    labels = ["1"]
-    for i in range(2, K + 1):
-        labels += [f"{i}a", f"{i}b"]
-    for l in range(1, L + 1):
-        labels += [f"{l}c", f"{l}d"]
-    return labels
 
 
 def decode_order_from_alpha(K: int, L: int, alpha) -> SplitConfig:
@@ -370,7 +363,6 @@ def invert_psi(
     target: RateFronthaulPoint,
     tol: float = INVERT_TOL,
     max_iters: int = 5000,
-    restarts: int = 20,
     seed: int = 0,
 ) -> InversionResult:
     """Numerically invert psi: find alpha with psi(alpha) near `target`.
@@ -408,8 +400,8 @@ def invert_psi(
     if 2**d <= 64:
         starts += [np.array(v, dtype=float) for v in np.ndindex(*(2,) * d)]
     sob = qmc.Sobol(d, scramble=True, seed=seed)
-    n_sobol = 1 << (max(restarts, 1) - 1).bit_length()  # power of two for balance
-    starts += list(sob.random(n_sobol)[: max(restarts, 1)])
+    n_sobol = 1 << (RESTARTS - 1).bit_length()  # power of two for balance
+    starts += list(sob.random(n_sobol)[:RESTARTS])
 
     scored = []
     for s in starts:
@@ -422,7 +414,7 @@ def invert_psi(
             return InversionResult(best_alpha, best_res, count, True)
     scored.sort(key=lambda t: t[0])
 
-    for _, s in scored[:restarts]:
+    for _, s in scored[:RESTARTS]:
         if count >= max_iters or best_res <= tol:
             break
         budget = max_iters - count
@@ -434,7 +426,7 @@ def invert_psi(
             method="Nelder-Mead",
             bounds=[(0.0, 1.0)] * d,
             options={
-                "maxfev": min(budget, max(200, max_iters // max(restarts, 1))),
+                "maxfev": min(budget, max(200, max_iters // RESTARTS)),
                 "fatol": tol / 10,
                 "xatol": 1e-7,
             },

@@ -7,9 +7,11 @@ subset S and a relay subset T,
     C(T) - R(S) >= I(Y_T; Yh_T | X_[K]) - I(X_S; Yh_{T^c} | X_{S^c}),
 
 and has (K+L)! corner points, one per permutation of the coordinates.
-Each corner can be computed either by the iterative procedure (solving
-one coordinate at a time against the tight constraint) or by a one-shot
-closed form; the two must agree to 1e-9, which the tests verify.
+Each corner can be computed either by the iterative procedure or by a
+one-shot closed form; the two must agree to 1e-9, which the tests verify.
+The iterative procedure is the greedy solution of the region's own
+slack (Edmonds' greedy algorithm on polymatroids): each step of a solve
+order sets one constraint to equality and solves it for one coordinate.
 
 The corner equivalences assume each relay observes its own channel
 output: p(y_1..y_L | x) must factor as a product over relays (each
@@ -19,15 +21,15 @@ the two procedures genuinely disagree.
 The downlink joint-encoding region has the same form with another
 right-hand side, so the direction-free core lives here and serves both:
 a region is given by its per-pair slack function `slack(point, S, T)`,
-`min_slack` scans it for membership, `check_corner` for corner-hood, and
-`enumerate_orders` applies a corner procedure to every solve order.
+`min_slack` scans it for membership, `check_corner` for corner-hood,
+`greedy_corner` solves it greedily for the corner of one solve order,
+and `enumerate_orders` applies a corner procedure to every solve order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from functools import partial
 
@@ -81,9 +83,6 @@ class RateFronthaulPoint:
         return float(sum(self.C[l - 1] for l in T))
 
 
-_RATE_LABEL = re.compile(r"^R(\d+)$")
-
-
 def coord_labels(K: int, L: int, rate: str = "R", front: str = "C") -> list[str]:
     """Labels R1..RK, C1..CL of the coordinates, or of the variables with
     other prefixes (X/Yh for decoding, U/X for encoding)."""
@@ -117,7 +116,7 @@ class SolveOrder:
     @classmethod
     def from_labels(cls, labels) -> "SolveOrder":
         labels = tuple(labels)
-        K = sum(1 for s in labels if _RATE_LABEL.match(s))
+        K = sum(1 for s in labels if s.startswith("R"))
         L = len(labels) - K
         return cls(labels, K, L)
 
@@ -156,10 +155,13 @@ def solve_orders(K: int, L: int):
         yield SolveOrder(perm, K, L)
 
 
+def count_labels(names, prefix: str) -> int:
+    """How many of `names` are `prefix` followed by an index, as X3 is for X."""
+    return sum(1 for n in names if n.startswith(prefix) and n[len(prefix):].isdigit())
+
+
 def uplink_dims(law: JointLaw) -> tuple[int, int]:
-    K = sum(1 for n in law.names if re.match(r"^X\d+$", n))
-    L = sum(1 for n in law.names if re.match(r"^Yh\d+$", n))
-    return K, L
+    return count_labels(law.names, "X"), count_labels(law.names, "Yh")
 
 
 def _xs(idx):
@@ -178,16 +180,20 @@ def jd_slack(law: JointLaw, point: RateFronthaulPoint, S, T) -> float:
     """Slack of the joint-decoding constraint for user set S, relay set T.
 
     Nonnegative slack for every (S, T) pair means the point is in the
-    joint-decoding region.
+    joint-decoding region.  The terms are added left to right in the order
+    the corner procedure of the paper solves them, so `greedy_corner`
+    reproduces that procedure bit for bit.
     """
     K, L = uplink_dims(law)
     S, T = set(S), set(T)
     Sc = set(range(1, K + 1)) - S
     Tc = set(range(1, L + 1)) - T
-    rhs = mutual_info(law, _ys(T), _yhs(T), _xs(range(1, K + 1))) - mutual_info(
-        law, _xs(S), _yhs(Tc), _xs(Sc)
+    return (
+        point.c_sum(T)
+        - point.r_sum(S)
+        - mutual_info(law, _ys(T), _yhs(T), _xs(range(1, K + 1)))
+        + mutual_info(law, _xs(S), _yhs(Tc), _xs(Sc))
     )
-    return point.c_sum(T) - point.r_sum(S) - rhs
 
 
 def min_slack(slack, K: int, L: int, point: RateFronthaulPoint):
@@ -234,41 +240,30 @@ def sd_corner(law: JointLaw, order: DecodeOrder) -> RateFronthaulPoint:
     return RateFronthaulPoint(R, C)
 
 
-def corner_iterative(law: JointLaw, order: SolveOrder) -> RateFronthaulPoint:
-    """Corner point solved one coordinate at a time, in the given order.
+def greedy_corner(slack, order: SolveOrder) -> RateFronthaulPoint:
+    """Corner of the region {slack(point, S, T) >= 0} for one solve order.
 
-    Step k sets the joint-decoding constraint with S = I_k u {b_k},
-    T = J_k (rate step) or S = I_k, T = J_k u {b_k} (fronthaul step) to
-    equality, substituting the coordinates already solved.
+    Step k sets the constraint with S = I_k u {b_k}, T = J_k (rate step)
+    or S = I_k, T = J_k u {b_k} (fronthaul step) to equality.  The slack
+    is read at the point solved so far, with the new coordinate still 0:
+    the rate is that slack, the capacity minus it.
     """
     K, L = order.K, order.L
-    allx = _xs(range(1, K + 1))
-    R = np.zeros(K)
-    C = np.zeros(L)
-    a, b = order.a, order.b
-    for k, lab in enumerate(order.labels, start=1):
+    vec = np.zeros(K + L)
+    for k, (a, b) in enumerate(zip(order.a, order.b), start=1):
         I, J = order.index_sets(k)
-        Ic = set(range(1, K + 1)) - I
-        Jc = set(range(1, L + 1)) - J
-        r_sum = float(sum(R[i - 1] for i in I))
-        c_sum = float(sum(C[j - 1] for j in J))
-        if a[k - 1] == 1:
-            val = (
-                c_sum
-                - r_sum
-                - mutual_info(law, _ys(J), _yhs(J), allx)
-                + mutual_info(law, _xs(I | {b[k - 1]}), _yhs(Jc), _xs(Ic - {b[k - 1]}))
-            )
-            R[b[k - 1] - 1] = val
+        # RateFronthaulPoint freezes its arrays, so it gets a copy, not a view
+        point = RateFronthaulPoint.from_vector(vec.copy(), K, L)
+        if a == 1:
+            vec[b - 1] = slack(point, I | {b}, J)
         else:
-            val = (
-                r_sum
-                - c_sum
-                + mutual_info(law, _ys(J | {b[k - 1]}), _yhs(J | {b[k - 1]}), allx)
-                - mutual_info(law, _xs(I), _yhs(Jc - {b[k - 1]}), _xs(Ic))
-            )
-            C[b[k - 1] - 1] = val
-    return RateFronthaulPoint(R, C)
+            vec[K + b - 1] = -slack(point, I, J | {b})
+    return RateFronthaulPoint.from_vector(vec, K, L)
+
+
+def corner_iterative(law: JointLaw, order: SolveOrder) -> RateFronthaulPoint:
+    """Joint-decoding corner solved one coordinate at a time, in the given order."""
+    return greedy_corner(partial(jd_slack, law), order)
 
 
 def corner_closed(law: JointLaw, order: SolveOrder) -> RateFronthaulPoint:

@@ -191,6 +191,9 @@ def _bad_spec_docs():
         (["slice", IDENT, "--vary", "R1,C1", "--steps", "-1"], "--steps"),
         (["psi", K2L2, "--invert", "nan,1,1,1"], "point"),
         (["psi", IDENT, "--invert", "1,1", "--max-iters", "0"], "--max-iters"),
+        (["psi", IDENT, "--invert", "1,1", "--max-iters", "50", "--tol", "-1"], "--tol"),
+        (["psi", IDENT, "--invert", "1,1", "--max-iters", "50", "--tol", "nan"], "--tol"),
+        (["verify", IDENT, "--suite", "telescope,lemma3", "--samples", "-1"], "--samples"),
         (["face", IDENT, "--point", "inf,1"], "point"),
         (["corners", IDENT, "--dedup-tol", "-1"], "--dedup-tol"),
         (["corners", "{above_guard}"], "enumeration guard"),
@@ -199,6 +202,7 @@ def _bad_spec_docs():
         (["verify", "{nan_aux}"], "aux joint"),
     ],
     ids=["fixed-not-a-number", "negative-steps", "nan-invert-target", "zero-max-iters",
+         "negative-invert-tol", "nan-invert-tol", "negative-verify-samples",
          "inf-face-point", "negative-dedup-tol", "above-enumeration-guard",
          "nan-input-pmf", "inf-channel", "nan-aux-joint"],
 )

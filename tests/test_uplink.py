@@ -24,7 +24,7 @@ from cranregions import (
     verify_corner,
 )
 from cranregions.prob import build_uplink_joint
-from cranregions.uplink import uplink_dims
+from cranregions.uplink import greedy_corner, uplink_dims
 
 from conftest import (
     bsc,
@@ -87,6 +87,22 @@ class TestSlack:
         )
         assert best == pytest.approx(-1.0)
         assert S == {1}
+
+
+class TestGreedyCorner:
+    """The greedy core on a modular slack, with no entropies involved."""
+
+    def test_modular_slack_gives_its_own_point_for_every_order(self):
+        # f(S, T) = c*(T) - r*(S); dyadic values keep every sum exact
+        star = RateFronthaulPoint(np.array([0.5, 0.25]), np.array([1.0, 0.75]))
+
+        def slack(point, S, T):
+            return point.c_sum(T) - point.r_sum(S) - (star.c_sum(T) - star.r_sum(S))
+
+        for order in all_solve_orders(2, 2):
+            corner = greedy_corner(slack, order)
+            assert corner.R.tolist() == star.R.tolist(), order.labels
+            assert corner.C.tolist() == star.C.tolist(), order.labels
 
 
 class TestCornerEquivalence:
