@@ -124,8 +124,8 @@ def _region(spec):
 
 def cmd_corners(args) -> int:
     t0 = time.monotonic()
-    if not args.dedup_tol >= 0:
-        raise UsageError(f"--dedup-tol must be >= 0, got {args.dedup_tol!r}")
+    if not (math.isfinite(args.dedup_tol) and args.dedup_tol >= 0):
+        raise UsageError(f"--dedup-tol must be finite and >= 0, got {args.dedup_tol!r}")
     spec = load_spec(args.spec)
     enumerate_corners, verify, _ = _region(spec)
     try:
@@ -177,6 +177,8 @@ def cmd_verify(args) -> int:
     t0 = time.monotonic()
     if args.samples is not None and args.samples < 1:
         raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     spec = load_spec(args.spec)
     names = args.suite.split(",") if args.suite != "all" else ["all"]
     try:
@@ -206,6 +208,8 @@ def cmd_psi(args) -> int:
     spec = load_spec(args.spec)
     if not isinstance(spec, UplinkSpec):
         raise UsageError("psi requires an uplink spec")
+    if spec.K + spec.L > ul.MAX_ENUM:
+        raise UsageError(f"K+L = {spec.K + spec.L} exceeds enumeration guard {ul.MAX_ENUM}")
     if (args.alpha is None) == (args.invert is None):
         raise UsageError("psi needs exactly one of --alpha or --invert")
     if args.alpha is not None:
@@ -238,6 +242,8 @@ def cmd_psi(args) -> int:
         raise UsageError(f"--max-iters must be >= 1, got {args.max_iters}")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     target = _point_from_arg(args.invert, spec.K, spec.L)
     try:
         res = sp.invert_psi(
@@ -322,8 +328,9 @@ def cmd_slice(args) -> int:
     """CSV plot data: region membership on a grid over two free coordinates."""
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
-    if not (math.isfinite(args.min) and math.isfinite(args.max)):
-        raise UsageError(f"--min and --max must be finite, got {args.min}, {args.max}")
+    if not math.isfinite(args.max - args.min):
+        # also catches a finite pair whose span overflows, which would put inf in the grid
+        raise UsageError(f"--min, --max and their span must be finite, got {args.min}, {args.max}")
     spec = load_spec(args.spec)
     K, L = spec.K, spec.L
     labels = ul.coord_labels(K, L)

@@ -202,9 +202,6 @@ def sample_face_points(law: JointLaw, n: int, rng: np.random.Generator):
 
 @dataclass(frozen=True)
 class FaceDecompositionReport:
-    query: FaceQuery
-    n_face_points: int
-    n_product_points: int
     forward_failures: int
     converse_failures: int
 
@@ -234,7 +231,7 @@ def check_face_decomposition(
         v for v in enumerate_corners(law).vertices if in_face_FST(law, v, q, tol)
     ]
     if not face_corners:
-        return FaceDecompositionReport(q, 0, 0, 0, 0)
+        return FaceDecompositionReport(0, 0)
     mat = np.array([v.as_vector() for v in face_corners])
     points = list(face_corners)
     for _ in range(samples):
@@ -248,17 +245,13 @@ def check_face_decomposition(
 
     mask = q.mask(K, L)
     converse_failures = 0
-    n_product = 0
     for _ in range(samples):
         w1 = rng.dirichlet(np.ones(len(face_corners)))
         w2 = rng.dirichlet(np.ones(len(face_corners)))
         vec = np.where(mask, w1 @ mat, w2 @ mat)
-        n_product += 1
         if not in_face_FST(law, RateFronthaulPoint.from_vector(vec, K, L), q, tol):
             converse_failures += 1
-    return FaceDecompositionReport(
-        q, len(points), n_product, forward_failures, converse_failures
-    )
+    return FaceDecompositionReport(forward_failures, converse_failures)
 
 
 def degeneracy_condition(law: JointLaw, q: FaceQuery) -> bool:

@@ -74,10 +74,6 @@ class JointLaw:
         _check_pmf(probs, "joint law")
         probs.setflags(write=False)
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return self.probs.shape
-
     def axes(self, names) -> tuple[int, ...]:
         idx = []
         for n in names:

@@ -45,6 +45,8 @@ def parse_spec(doc: dict):
     if not (isinstance(K, int) and isinstance(L, int) and K >= 1 and L >= 1):
         raise SpecFileError("fields 'K' and 'L' must be positive integers")
     alphabets = _require(doc, "alphabets")
+    if not isinstance(alphabets, dict):
+        raise SpecFileError("field 'alphabets' must be an object")
     try:
         if direction == "uplink":
             pmfs = [np.asarray(p, dtype=float) for p in _require(doc, "input_pmfs")]

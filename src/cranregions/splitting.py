@@ -35,24 +35,21 @@ from .prob import (
     build_uplink_joint,
     mutual_info,
 )
-from .uplink import RateFronthaulPoint
+from .uplink import MAX_ENUM, RateFronthaulPoint
 
 RESTARTS = 20  # Nelder-Mead restarts of invert_psi, from its best-scored starts
 
 
 @dataclass(frozen=True)
 class RateSplit:
-    """Binary split of a Bern(alpha_x) input into independent U, V with f = max."""
+    """Binary split of a Bern(alpha_x) input into independent U, V merged by max."""
 
-    alpha_x: float
-    epsilon: float
     p_u: np.ndarray  # pmf of U over {0, 1}
     p_v: np.ndarray  # pmf of V over {0, 1}
-    f: np.ndarray  # merge table, f[u, v] = max(u, v)
 
 
 def make_rate_split(alpha_x: float, epsilon: float) -> RateSplit:
-    """Binary rate split: U ~ Bern(a*e), V ~ Bern(a(1-e)/(1-a*e)), f = max.
+    """Binary rate split: U ~ Bern(a*e), V ~ Bern(a(1-e)/(1-a*e)), merged by max.
 
     The pushforward of p_U p_V through max is Bern(alpha_x) for every
     epsilon; epsilon = 0 makes the merge independent of U, epsilon = 1
@@ -68,19 +65,12 @@ def make_rate_split(alpha_x: float, epsilon: float) -> RateSplit:
         )
     pu1 = alpha_x * epsilon
     pv1 = alpha_x * (1.0 - epsilon) / denom
-    f = np.maximum.outer(np.arange(2), np.arange(2))
-    return RateSplit(
-        alpha_x=alpha_x,
-        epsilon=epsilon,
-        p_u=np.array([1.0 - pu1, pu1]),
-        p_v=np.array([1.0 - pv1, pv1]),
-        f=f,
-    )
+    return RateSplit(p_u=np.array([1.0 - pu1, pu1]), p_v=np.array([1.0 - pv1, pv1]))
 
 
 @dataclass(frozen=True)
 class QuantSplit:
-    """Binary split of a quantizer output into descriptions (U, V), g = max.
+    """Binary split of a quantizer output into descriptions (U, V) merged by max.
 
     Construction: with (Y, Yh) drawn from the source law and an
     independent latent T ~ Bern(epsilon), set (U, V) = (0, Yh) when
@@ -88,10 +78,8 @@ class QuantSplit:
     max(U, V) = Yh exactly.
     """
 
-    epsilon: float
     p_uv_given_yhat: np.ndarray  # shape (2, 2, 2): [yhat, u, v]
     p_uv_given_y: np.ndarray  # shape (|Y|, 2, 2)
-    g: np.ndarray
 
 
 def make_quant_split(p_y, test_channel, epsilon: float) -> QuantSplit:
@@ -106,10 +94,7 @@ def make_quant_split(p_y, test_channel, epsilon: float) -> QuantSplit:
         p_uv_yh[yh, 0, yh] += 1.0 - epsilon  # T = 0: (U, V) = (0, Yh)
         p_uv_yh[yh, yh, 0] += epsilon  # T = 1: (U, V) = (Yh, 0)
     p_uv_y = np.einsum("yh,huv->yuv", w, p_uv_yh)
-    g = np.maximum.outer(np.arange(2), np.arange(2))
-    return QuantSplit(
-        epsilon=epsilon, p_uv_given_yhat=p_uv_yh, p_uv_given_y=p_uv_y, g=g
-    )
+    return QuantSplit(p_uv_given_yhat=p_uv_yh, p_uv_given_y=p_uv_y)
 
 
 def generalized_order(n: int):
@@ -118,8 +103,8 @@ def generalized_order(n: int):
     Labels are (row, column) pairs; the sequence for n interleaves row
     n's columns (odd positions) with the sequence for n-1 (even positions).
     """
-    if not 1 <= n <= 8:
-        raise ValueError(f"generalized order supports 1 <= n <= 8, got {n}")
+    if not 1 <= n <= MAX_ENUM:
+        raise ValueError(f"generalized order supports 1 <= n <= {MAX_ENUM}, got {n}")
     order = [(1, 1)]
     for i in range(2, n + 1):
         row = [(i, c) for c in range(1, 2 ** (i - 1) + 1)]
@@ -156,7 +141,6 @@ class SplitConfig:
 
     K: int
     L: int
-    alpha: tuple[float, ...]
     j: dict  # row i (2..K+L) -> active subinterval index
     epsilon: dict  # row i (2..K+L) -> split parameter
     order: tuple[str, ...]  # permutation of P = {1, 2a, 2b, .., 1c, 1d, ..}
@@ -196,7 +180,7 @@ def decode_order_from_alpha(K: int, L: int, alpha) -> SplitConfig:
         else:
             order.append(f"{row - K}{'c' if occurrence == 0 else 'd'}")
     assert len(order) == 2 * (K + L) - 1
-    return SplitConfig(K=K, L=L, alpha=alpha, j=js, epsilon=eps, order=tuple(order))
+    return SplitConfig(K=K, L=L, j=js, epsilon=eps, order=tuple(order))
 
 
 @dataclass(frozen=True)
@@ -211,7 +195,6 @@ class VirtualCran:
     K: int
     L: int
     joint: JointLaw
-    config: SplitConfig
 
     def merged_joint(self) -> np.ndarray:
         """Pushforward through the merge maps, axes (X_1..X_K, Y, Yh_1..Yh_L)."""
@@ -288,18 +271,10 @@ def build_virtual_cran(spec: UplinkSpec, config: SplitConfig) -> VirtualCran:
             name for l in range(1, L + 1) for name in (f"Yh{l}c", f"Yh{l}d")
         )
     )
-    vc = VirtualCran(K=K, L=L, joint=JointLaw(names, full), config=config)
+    vc = VirtualCran(K=K, L=L, joint=JointLaw(names, full))
     if np.max(np.abs(vc.merged_joint() - orig.probs)) > MERGE_TOL:
         raise LawError("virtual joint does not merge back to the original joint")
     return vc
-
-
-def _input_var(label: str) -> str:
-    return "X1" if label == "1" else f"X{label}"
-
-
-def _quant_var(label: str) -> str:
-    return f"Yh{label}"
 
 
 def beta_rates(vc: VirtualCran, config: SplitConfig):
@@ -316,12 +291,11 @@ def beta_rates(vc: VirtualCran, config: SplitConfig):
     decoded: list[str] = []
     for lab in config.order:
         if lab == "1" or lab[-1] in "ab":
-            var = _input_var(lab)
+            var = f"X{lab}"
             betas[lab] = mutual_info(law, [var], decoded)
         else:
-            l = int(lab[:-1])
-            var = _quant_var(lab)
-            betas[lab] = mutual_info(law, [f"Y{l}"], [var], decoded)
+            var = f"Yh{lab}"
+            betas[lab] = mutual_info(law, [f"Y{lab[:-1]}"], [var], decoded)
         decoded.append(var)
     R = np.zeros(K)
     C = np.zeros(L)

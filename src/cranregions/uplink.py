@@ -184,7 +184,7 @@ def jd_slack(law: JointLaw, point: RateFronthaulPoint, S, T) -> float:
     the corner procedure of the paper solves them, so `greedy_corner`
     reproduces that procedure bit for bit.
     """
-    K, L = uplink_dims(law)
+    K, L = len(point.R), len(point.C)
     S, T = set(S), set(T)
     Sc = set(range(1, K + 1)) - S
     Tc = set(range(1, L + 1)) - T
@@ -324,10 +324,7 @@ def _row_rank(rows) -> int:
 
 @dataclass(frozen=True)
 class CornerReport:
-    point: RateFronthaulPoint
-    min_slack: float
     in_region: bool
-    active: tuple  # tuples (S, T) with |slack| <= ACTIVE_TOL
     rank: int
     is_corner: bool
     negative_coords: tuple  # coordinate labels below -NEGATIVE_RATE_TOL
@@ -345,7 +342,6 @@ def check_corner(slack, K: int, L: int, point: RateFronthaulPoint) -> CornerRepo
     the active constraints.  Negative coordinates are flagged, not
     clamped.
     """
-    active = []
     normals = []
     lowest = math.inf
     for S in subsets(range(1, K + 1)):
@@ -353,7 +349,6 @@ def check_corner(slack, K: int, L: int, point: RateFronthaulPoint) -> CornerRepo
             s = slack(point, S, T)
             lowest = min(lowest, s)
             if abs(s) <= ACTIVE_TOL and (S or T):
-                active.append((tuple(S), tuple(T)))
                 n = np.zeros(K + L)
                 for i in S:
                     n[i - 1] = -1.0
@@ -368,10 +363,7 @@ def check_corner(slack, K: int, L: int, point: RateFronthaulPoint) -> CornerRepo
         if v < -NEGATIVE_RATE_TOL
     )
     return CornerReport(
-        point=point,
-        min_slack=lowest,
         in_region=in_region,
-        active=tuple(active),
         rank=rank,
         is_corner=in_region and rank >= K + L,
         negative_coords=negative,

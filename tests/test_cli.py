@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from cranregions import DownlinkSpec
+from cranregions import DownlinkSpec, UplinkSpec
 from cranregions.cli import main
 from cranregions.specio import SpecFileError, load_spec, save_spec, spec_to_dict
 
@@ -175,13 +175,20 @@ def _bad_spec_docs():
     inf_channel["channel"][0][0] = math.inf
     nan_aux = spec_to_dict(downlink_k1l1_spec())
     nan_aux["aux_joint"][0][0] = math.nan
+    number_alphabets = spec_to_dict(identity_chain_spec())
+    number_alphabets["alphabets"] = math.nan
     # K+L = 9, one above the (K+L)! enumeration guard
     above_guard = spec_to_dict(
         DownlinkSpec(K=5, L=4, aux_joint=np.full((2,) * 9, 2.0**-9),
                      channel=np.full((2,) * 9, 2.0**-5))
     )
+    above_guard_up = spec_to_dict(
+        UplinkSpec(K=5, L=4, input_pmfs=[[0.5, 0.5]] * 5,
+                   channel=np.full((2,) * 9, 2.0**-4), test_channels=[np.eye(2)] * 4)
+    )
     return {"{nan_pmf}": nan_pmf, "{inf_channel}": inf_channel,
-            "{nan_aux}": nan_aux, "{above_guard}": above_guard}
+            "{nan_aux}": nan_aux, "{above_guard}": above_guard,
+            "{above_guard_up}": above_guard_up, "{number_alphabets}": number_alphabets}
 
 
 @pytest.mark.parametrize(
@@ -197,6 +204,12 @@ def _bad_spec_docs():
         (["face", IDENT, "--point", "inf,1"], "point"),
         (["corners", IDENT, "--dedup-tol", "-1"], "--dedup-tol"),
         (["corners", "{above_guard}"], "enumeration guard"),
+        (["corners", IDENT, "--dedup-tol", "inf"], "--dedup-tol"),
+        (["psi", IDENT, "--invert", "1,1", "--seed", "-1"], "--seed"),
+        (["verify", IDENT, "--suite", "telescope", "--seed", "-1"], "--seed"),
+        (["psi", "{above_guard_up}", "--alpha", ",".join(["0.5"] * 8)], "enumeration guard"),
+        (["slice", IDENT, "--vary", "R1,C1", "--min=-1e308", "--max=1e308"], "span"),
+        (["corners", "{number_alphabets}"], "alphabets"),
         (["corners", "{nan_pmf}"], "input pmf"),
         (["corners", "{inf_channel}"], "channel"),
         (["verify", "{nan_aux}"], "aux joint"),
@@ -204,6 +217,8 @@ def _bad_spec_docs():
     ids=["fixed-not-a-number", "negative-steps", "nan-invert-target", "zero-max-iters",
          "negative-invert-tol", "nan-invert-tol", "negative-verify-samples",
          "inf-face-point", "negative-dedup-tol", "above-enumeration-guard",
+         "inf-dedup-tol", "negative-invert-seed", "negative-verify-seed",
+         "psi-above-enumeration-guard", "overflowing-slice-span", "number-alphabets",
          "nan-input-pmf", "inf-channel", "nan-aux-joint"],
 )
 def test_bad_input_exits_2_without_traceback(capsys, tmp_path, argv, named):
