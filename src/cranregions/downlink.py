@@ -37,13 +37,14 @@ from .uplink import (
     CornerEnumeration,
     CornerReport,
     RateFronthaulPoint,
+    Region,
     SolveOrder,
     check_corner,
     check_permutation,
     count_labels,
     enumerate_orders,
     greedy_corner,
-    min_slack,
+    slack_region,
 )
 
 
@@ -105,8 +106,13 @@ def je_slack(law: JointLaw, point: RateFronthaulPoint, S, T) -> float:
     )
 
 
+def je_region(law: JointLaw) -> Region:
+    """The joint-encoding region of `law`, built once per law."""
+    return law.memo("je region", lambda: slack_region(law, je_slack, *downlink_dims(law)))
+
+
 def in_je_region(law: JointLaw, point: RateFronthaulPoint, tol: float = MEMBERSHIP_TOL) -> bool:
-    return min_slack(partial(je_slack, law), *downlink_dims(law), point)[0] >= -tol
+    return je_region(law).contains(point, tol)
 
 
 def se_corner(law: JointLaw, order: EncodeOrder) -> RateFronthaulPoint:
@@ -164,13 +170,13 @@ def solve_order_to_encode_order(order: SolveOrder) -> EncodeOrder:
 
 def verify_downlink_corner(law: JointLaw, point: RateFronthaulPoint) -> CornerReport:
     """Corner-hood of `point` in the joint-encoding region."""
-    return check_corner(partial(je_slack, law), *downlink_dims(law), point)
+    return check_corner(je_region(law), point)
 
 
 def downlink_enumerate_corners(
     law: JointLaw, dedup_tol: float = DEDUP_TOL
 ) -> CornerEnumeration:
-    """All (K+L)! downlink corner points, one per solve order, plus the distinct vertices."""
-    return enumerate_orders(
-        partial(downlink_corner_closed, law), *downlink_dims(law), dedup_tol
-    )
+    """All (K+L)! downlink corner points, one per solve order, plus the distinct
+    vertices, computed once per law and `dedup_tol`."""
+    return law.memo(("je corners", dedup_tol), lambda: enumerate_orders(
+        partial(downlink_corner_closed, law), *downlink_dims(law), dedup_tol))

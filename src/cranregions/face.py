@@ -11,7 +11,8 @@ sub-networks.
 
 All sub-face predicates are evaluated as conditional mutual informations
 on the single master joint law; the marginal channels of the two
-sub-problems are never materialized.
+sub-problems are never materialized.  The two-sided bounds of a predicate
+form one `Region`, built once per law and query (`JointLaw.memo`).
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prob import FACE_TOL, MEMBERSHIP_TOL, MI_ZERO_TOL, JointLaw, mutual_info, subsets
+from .prob import FACE_TOL, MEMBERSHIP_TOL, MI_ZERO_TOL, JointLaw, mutual_info
 from .uplink import (
     RateFronthaulPoint,
     _row_rank,
     _xs,
     _yhs,
     _ys,
+    build_region,
     dedup_points,
     enumerate_corners,
     in_jd_region,
@@ -62,21 +64,6 @@ class FaceQuery:
         m[[i - 1 for i in self.S]] = True
         m[[K + j - 1 for j in self.T]] = True
         return m
-
-
-def _within_bounds(point: RateFronthaulPoint, users, relays, bounds, tol: float) -> bool:
-    """True iff lb - tol <= C(B) - R(A) <= ub + tol for all A in users, B in relays.
-
-    `bounds(A, B)` gives the (lb, ub) pair of one subset pair.
-    """
-    for A in subsets(users):
-        for B in subsets(relays):
-            A_, B_ = set(A), set(B)
-            gap = point.c_sum(B_) - point.r_sum(A_)
-            lb, ub = bounds(A_, B_)
-            if gap < lb - tol or gap > ub + tol:
-                return False
-    return True
 
 
 def face_gap(law: JointLaw, point: RateFronthaulPoint) -> float:
@@ -115,7 +102,8 @@ def on_dominant_face_alt(
         )
         return lb, mutual_info(law, _ys(T), _yhs(T), _xs(S))
 
-    return _within_bounds(point, range(1, K + 1), range(1, L + 1), bounds, tol)
+    region = law.memo("alt", lambda: build_region(K, L, range(1, K + 1), range(1, L + 1), bounds))
+    return region.contains(point, tol)
 
 
 def in_face_FST(
@@ -153,7 +141,7 @@ def in_sub_face_DST(
         )
         return lb, mutual_info(law, _ys(B), _yhs(B), _xs(A))
 
-    return _within_bounds(point, S, T, bounds, tol)
+    return law.memo(("DST", q), lambda: build_region(K, L, S, T, bounds)).contains(point, tol)
 
 
 def in_sub_face_cond(
@@ -185,7 +173,7 @@ def in_sub_face_cond(
         ) - mutual_info(law, _xs(A), _yhs(T), _xs(S))
         return lb, ub
 
-    return _within_bounds(point, Sc, Tc, bounds, tol)
+    return law.memo(("cond", q), lambda: build_region(K, L, Sc, Tc, bounds)).contains(point, tol)
 
 
 def sample_face_points(law: JointLaw, n: int, rng: np.random.Generator):

@@ -53,12 +53,14 @@ class JointLaw:
     """Dense joint probability tensor over named finite-alphabet variables.
 
     `names[i]` labels axis `i` of `probs`.  Immutable after construction;
-    all queries are pure functions of the tensor.
+    all queries are pure functions of the tensor, so what is derived from
+    the law alone (entropies, regions, corner enumerations) is cached on it.
     """
 
     names: tuple[str, ...]
     probs: np.ndarray
     _entropy_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(self.names)
@@ -73,6 +75,12 @@ class JointLaw:
             raise LawError(f"duplicate variable names in {names}")
         _check_pmf(probs, "joint law")
         probs.setflags(write=False)
+
+    def memo(self, key, build):
+        """build(), computed once per `key` for this law and kept."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def axes(self, names) -> tuple[int, ...]:
         idx = []

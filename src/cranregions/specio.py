@@ -36,6 +36,17 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
+def _tensor(doc: dict, field: str, per_entry: bool = False):
+    """The field's nested numbers as one float array, or one array per entry."""
+    value = _require(doc, field)
+    try:
+        if per_entry:
+            return tuple(np.asarray(v, dtype=float) for v in value)
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise SpecFileError(f"field {field!r}: {e}") from e
+
+
 def parse_spec(doc: dict):
     direction = _require(doc, "direction")
     if direction not in ("uplink", "downlink"):
@@ -49,30 +60,19 @@ def parse_spec(doc: dict):
         raise SpecFileError("field 'alphabets' must be an object")
     try:
         if direction == "uplink":
-            pmfs = [np.asarray(p, dtype=float) for p in _require(doc, "input_pmfs")]
-            channel = np.asarray(_require(doc, "channel"), dtype=float)
-            tcs = [np.asarray(t, dtype=float) for t in _require(doc, "test_channels")]
-            spec = UplinkSpec(K=K, L=L, input_pmfs=tuple(pmfs), channel=channel,
-                              test_channels=tuple(tcs))
-            declared = (
-                tuple(alphabets.get("X", ())),
-                tuple(alphabets.get("Y", ())),
-                tuple(alphabets.get("Yhat", ())),
-            )
+            spec = UplinkSpec(K=K, L=L, input_pmfs=_tensor(doc, "input_pmfs", per_entry=True),
+                              channel=_tensor(doc, "channel"),
+                              test_channels=_tensor(doc, "test_channels", per_entry=True))
+            groups = ("X", "Y", "Yhat")
             actual = (
                 tuple(len(p) for p in spec.input_pmfs),
                 spec.channel.shape[K:],
                 spec.quantizer_sizes,
             )
         else:
-            aux = np.asarray(_require(doc, "aux_joint"), dtype=float)
-            channel = np.asarray(_require(doc, "channel"), dtype=float)
-            spec = DownlinkSpec(K=K, L=L, aux_joint=aux, channel=channel)
-            declared = (
-                tuple(alphabets.get("U", ())),
-                tuple(alphabets.get("X", ())),
-                tuple(alphabets.get("Y", ())),
-            )
+            spec = DownlinkSpec(K=K, L=L, aux_joint=_tensor(doc, "aux_joint"),
+                                channel=_tensor(doc, "channel"))
+            groups = ("U", "X", "Y")
             actual = (
                 spec.aux_joint.shape[:K],
                 spec.aux_joint.shape[K:],
@@ -81,9 +81,14 @@ def parse_spec(doc: dict):
     except LawError as e:
         raise SpecFileError(str(e)) from e
     except (TypeError, ValueError) as e:
+        # a SpecFileError of _tensor or _require is a ValueError too
         raise SpecFileError(f"malformed tensor data: {e}") from e
-    for name, d, a in zip(("first", "second", "third"), declared, actual):
-        if d and tuple(d) != tuple(a):
+    for name, group, a in zip(("first", "second", "third"), groups, actual):
+        try:
+            d = tuple(alphabets.get(group, ()))
+        except TypeError as e:
+            raise SpecFileError(f"field 'alphabets.{group}' must be a list of sizes") from e
+        if d and d != tuple(a):
             raise SpecFileError(
                 f"field 'alphabets' ({name} group) declares sizes {tuple(d)} "
                 f"but tensors have sizes {tuple(a)}"

@@ -20,16 +20,15 @@ the two procedures genuinely disagree.
 
 The downlink joint-encoding region has the same form with another
 right-hand side, so the direction-free core lives here and serves both:
-a region is given by its per-pair slack function `slack(point, S, T)`,
-`min_slack` scans it for membership, `check_corner` for corner-hood,
-`greedy_corner` solves it greedily for the corner of one solve order,
-and `enumerate_orders` applies a corner procedure to every solve order.
+a `Region` (0/+-1 normals A of the (S, T) pairs, bounds lb <= A x <= ub)
+is built once per law, `check_corner` reads corner-hood off its tight rows,
+`greedy_corner` solves the slack for the corner of one solve order, and
+`enumerate_orders` applies a corner procedure to every solve order.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -196,24 +195,65 @@ def jd_slack(law: JointLaw, point: RateFronthaulPoint, S, T) -> float:
     )
 
 
-def min_slack(slack, K: int, L: int, point: RateFronthaulPoint):
-    """Minimum of slack(point, S, T) over all 2^K * 2^L (S, T) pairs and its argmin."""
-    best, arg = math.inf, (set(), set())
-    for S in subsets(range(1, K + 1)):
-        for T in subsets(range(1, L + 1)):
-            s = slack(point, S, T)
-            if s < best:
-                best, arg = s, (set(S), set(T))
-    return best, arg
+@dataclass(frozen=True, eq=False)
+class Region:
+    """The points x = (R_1..R_K, C_1..C_L) with lb <= A x <= ub.
+
+    Row i of A is the normal of the pair (S, T) = pairs[i]: -1 on the rates
+    in S and +1 on the capacities in T, so (A x)_i = C(T) - R(S).
+    """
+
+    pairs: tuple
+    A: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray  # +inf for a one-sided region
+
+    def slacks(self, point: RateFronthaulPoint) -> np.ndarray:
+        """min(A x - lb, ub - A x) per row; a NaN slack (inf - inf) reads as -inf."""
+        with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates overflow
+            ax = self.A @ point.as_vector()
+            s = np.fmin(ax - self.lb, self.ub - ax)  # fmin skips the NaN of inf - inf
+        return np.where(np.isnan(s), -np.inf, s)
+
+    def contains(self, point: RateFronthaulPoint, tol: float) -> bool:
+        return bool(self.slacks(point).min() >= -tol)
+
+
+def build_region(K: int, L: int, users, relays, bounds) -> Region:
+    """Rows (S, T) for S a subset of `users` and T of `relays`, S outer and T
+    inner in `subsets` order; bounds(S, T) gives one row's (lb, ub), S and T as sets."""
+    pairs = tuple((S, T) for S in subsets(users) for T in subsets(relays))
+    A = np.zeros((len(pairs), K + L))
+    for row, (S, T) in zip(A, pairs):
+        row[[i - 1 for i in S]] = -1.0
+        row[[K + j - 1 for j in T]] = 1.0
+    lb, ub = np.array([bounds(set(S), set(T)) for S, T in pairs], dtype=float).T
+    return Region(pairs, A, lb, ub)
+
+
+def slack_region(law: JointLaw, slack, K: int, L: int) -> Region:
+    """The region where every slack(law, x, S, T) = C(T) - R(S) - f(S, T) is >= 0;
+    lb = f is minus the slack at the origin, so each f stays written once."""
+    origin = RateFronthaulPoint(np.zeros(K), np.zeros(L))
+    return build_region(K, L, range(1, K + 1), range(1, L + 1),
+                        lambda S, T: (-slack(law, origin, S, T), np.inf))
+
+
+def jd_region(law: JointLaw) -> Region:
+    """The joint-decoding region of `law`, built once per law."""
+    return law.memo("jd region", lambda: slack_region(law, jd_slack, *uplink_dims(law)))
 
 
 def min_jd_slack(law: JointLaw, point: RateFronthaulPoint):
-    """Minimum joint-decoding slack over all (S, T) pairs and its argmin."""
-    return min_slack(partial(jd_slack, law), *uplink_dims(law), point)
+    """Minimum joint-decoding slack over all (S, T) pairs and its first argmin."""
+    region = jd_region(law)
+    s = region.slacks(point)
+    i = int(np.argmin(s))
+    return float(s[i]), tuple(set(x) for x in region.pairs[i])
 
 
 def in_jd_region(law: JointLaw, point: RateFronthaulPoint, tol: float = MEMBERSHIP_TOL) -> bool:
-    return min_jd_slack(law, point)[0] >= -tol
+    return jd_region(law).contains(point, tol)
 
 
 def sd_corner(law: JointLaw, order: DecodeOrder) -> RateFronthaulPoint:
@@ -303,7 +343,7 @@ def solve_order_to_decode_order(order: SolveOrder) -> DecodeOrder:
 
 def _row_rank(rows) -> int:
     """Rank by Gaussian elimination with column pivoting at PIVOT_TOL."""
-    if not rows:
+    if len(rows) == 0:
         return 0
     a = np.array(rows, dtype=float)
     rank = 0
@@ -334,29 +374,18 @@ class CornerReport:
         return not self.negative_coords
 
 
-def check_corner(slack, K: int, L: int, point: RateFronthaulPoint) -> CornerReport:
+def check_corner(region: Region, point: RateFronthaulPoint) -> CornerReport:
     """Check corner-hood: region membership plus K+L independent tight constraints.
 
-    The normal of constraint (S, T) carries -1 on rates in S and +1 on
-    capacities in T; a true corner needs normals of full rank K+L among
-    the active constraints.  Negative coordinates are flagged, not
-    clamped.
+    A true corner needs the normals of the tight rows of A (the zero row
+    of (S, T) = (empty, empty) left out) to have full rank K+L.  Negative
+    coordinates are flagged, not clamped.
     """
-    normals = []
-    lowest = math.inf
-    for S in subsets(range(1, K + 1)):
-        for T in subsets(range(1, L + 1)):
-            s = slack(point, S, T)
-            lowest = min(lowest, s)
-            if abs(s) <= ACTIVE_TOL and (S or T):
-                n = np.zeros(K + L)
-                for i in S:
-                    n[i - 1] = -1.0
-                for j in T:
-                    n[K + j - 1] = 1.0
-                normals.append(n)
-    rank = _row_rank(normals)
-    in_region = lowest >= -MEMBERSHIP_TOL
+    K, L = len(point.R), len(point.C)
+    s = region.slacks(point)
+    tight = (np.abs(s) <= ACTIVE_TOL) & region.A.any(axis=1)
+    rank = _row_rank(region.A[tight])
+    in_region = bool(s.min() >= -MEMBERSHIP_TOL)
     negative = tuple(
         lab
         for lab, v in zip(coord_labels(K, L), point.as_vector())
@@ -372,7 +401,7 @@ def check_corner(slack, K: int, L: int, point: RateFronthaulPoint) -> CornerRepo
 
 def verify_corner(law: JointLaw, point: RateFronthaulPoint) -> CornerReport:
     """Corner-hood of `point` in the joint-decoding region."""
-    return check_corner(partial(jd_slack, law), *uplink_dims(law), point)
+    return check_corner(jd_region(law), point)
 
 
 @dataclass(frozen=True)
@@ -417,5 +446,7 @@ def enumerate_orders(corner, K: int, L: int, dedup_tol: float) -> CornerEnumerat
 def enumerate_corners(
     law: JointLaw, dedup_tol: float = DEDUP_TOL
 ) -> CornerEnumeration:
-    """All (K+L)! corner points, one per solve order, plus the distinct vertices."""
-    return enumerate_orders(partial(corner_closed, law), *uplink_dims(law), dedup_tol)
+    """All (K+L)! corner points, one per solve order, plus the distinct vertices,
+    computed once per law and `dedup_tol`."""
+    return law.memo(("jd corners", dedup_tol), lambda: enumerate_orders(
+        partial(corner_closed, law), *uplink_dims(law), dedup_tol))

@@ -177,6 +177,10 @@ def _bad_spec_docs():
     nan_aux["aux_joint"][0][0] = math.nan
     number_alphabets = spec_to_dict(identity_chain_spec())
     number_alphabets["alphabets"] = math.nan
+    number_alphabet_sizes = spec_to_dict(identity_chain_spec())
+    number_alphabet_sizes["alphabets"]["X"] = 2
+    number_input_pmfs = spec_to_dict(identity_chain_spec())
+    number_input_pmfs["input_pmfs"] = 0.5
     # K+L = 9, one above the (K+L)! enumeration guard
     above_guard = spec_to_dict(
         DownlinkSpec(K=5, L=4, aux_joint=np.full((2,) * 9, 2.0**-9),
@@ -188,7 +192,9 @@ def _bad_spec_docs():
     )
     return {"{nan_pmf}": nan_pmf, "{inf_channel}": inf_channel,
             "{nan_aux}": nan_aux, "{above_guard}": above_guard,
-            "{above_guard_up}": above_guard_up, "{number_alphabets}": number_alphabets}
+            "{above_guard_up}": above_guard_up, "{number_alphabets}": number_alphabets,
+            "{number_alphabet_sizes}": number_alphabet_sizes,
+            "{number_input_pmfs}": number_input_pmfs}
 
 
 @pytest.mark.parametrize(
@@ -213,13 +219,16 @@ def _bad_spec_docs():
         (["corners", "{nan_pmf}"], "input pmf"),
         (["corners", "{inf_channel}"], "channel"),
         (["verify", "{nan_aux}"], "aux joint"),
+        (["corners", "{number_alphabet_sizes}"], "alphabets.X"),
+        (["corners", "{number_input_pmfs}"], "input_pmfs"),
     ],
     ids=["fixed-not-a-number", "negative-steps", "nan-invert-target", "zero-max-iters",
          "negative-invert-tol", "nan-invert-tol", "negative-verify-samples",
          "inf-face-point", "negative-dedup-tol", "above-enumeration-guard",
          "inf-dedup-tol", "negative-invert-seed", "negative-verify-seed",
          "psi-above-enumeration-guard", "overflowing-slice-span", "number-alphabets",
-         "nan-input-pmf", "inf-channel", "nan-aux-joint"],
+         "nan-input-pmf", "inf-channel", "nan-aux-joint", "number-alphabet-sizes",
+         "number-input-pmfs"],
 )
 def test_bad_input_exits_2_without_traceback(capsys, tmp_path, argv, named):
     argv = list(argv)
