@@ -43,8 +43,6 @@ from .prob import (
     TELESCOPE_TOL,
     LawError,
     UplinkSpec,
-    build_downlink_joint,
-    build_uplink_joint,
 )
 from .specio import SpecFileError, load_spec
 from .suites import SUITES, run_suites
@@ -114,12 +112,10 @@ def _point_from_arg(text: str, K: int, L: int) -> ul.RateFronthaulPoint:
 def _region(spec):
     """The direction's (enumerate, verify, member) functions, bound to its joint law."""
     if isinstance(spec, UplinkSpec):
-        law = build_uplink_joint(spec)
         fns = (ul.enumerate_corners, ul.verify_corner, ul.in_jd_region)
     else:
-        law = build_downlink_joint(spec)
         fns = (dl.downlink_enumerate_corners, dl.verify_downlink_corner, dl.in_je_region)
-    return tuple(partial(fn, law) for fn in fns)
+    return tuple(partial(fn, spec.law) for fn in fns)
 
 
 def cmd_corners(args) -> int:
@@ -282,7 +278,7 @@ def cmd_face(args) -> int:
     spec = load_spec(args.spec)
     if not isinstance(spec, UplinkSpec):
         raise UsageError("face requires an uplink spec")
-    law = build_uplink_joint(spec)
+    law = spec.law
     point = _point_from_arg(args.point, spec.K, spec.L)
     results = {
         "point": [float(v) for v in point.as_vector()],

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -163,7 +164,8 @@ class UplinkSpec:
 
     input_pmfs[k] is the pmf of X_{k+1}; `channel` has shape
     (|X_1|,...,|X_K|, |Y_1|,...,|Y_L|); test_channels[l] has shape
-    (|Y_{l+1}|, |Yhat_{l+1}|).
+    (|Y_{l+1}|, |Yhat_{l+1}|).  The arrays are read-only copies of the
+    inputs, so the joint law `law`, built once on first use, stays valid.
     """
 
     K: int
@@ -173,9 +175,11 @@ class UplinkSpec:
     test_channels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        pmfs = tuple(np.asarray(p, dtype=float) for p in self.input_pmfs)
-        channel = np.asarray(self.channel, dtype=float)
-        tcs = tuple(np.asarray(t, dtype=float) for t in self.test_channels)
+        pmfs = tuple(np.array(p, dtype=float) for p in self.input_pmfs)
+        channel = np.array(self.channel, dtype=float)
+        tcs = tuple(np.array(t, dtype=float) for t in self.test_channels)
+        for a in (*pmfs, channel, *tcs):
+            a.setflags(write=False)
         object.__setattr__(self, "input_pmfs", pmfs)
         object.__setattr__(self, "channel", channel)
         object.__setattr__(self, "test_channels", tcs)
@@ -209,13 +213,18 @@ class UplinkSpec:
     def quantizer_sizes(self) -> tuple[int, ...]:
         return tuple(t.shape[1] for t in self.test_channels)
 
+    @cached_property
+    def law(self) -> JointLaw:
+        return build_uplink_joint(self)
+
 
 @dataclass(frozen=True)
 class DownlinkSpec:
     """Description of a K-user, L-relay downlink.
 
     `aux_joint` has shape (|U_1|,...,|U_K|, |X_1|,...,|X_L|); `channel` has
-    shape (|X_1|,...,|X_L|, |Y_1|,...,|Y_K|).
+    shape (|X_1|,...,|X_L|, |Y_1|,...,|Y_K|).  As for the uplink, the
+    arrays are read-only copies and `law` is built once on first use.
     """
 
     K: int
@@ -224,8 +233,10 @@ class DownlinkSpec:
     channel: np.ndarray
 
     def __post_init__(self):
-        aux = np.asarray(self.aux_joint, dtype=float)
-        channel = np.asarray(self.channel, dtype=float)
+        aux = np.array(self.aux_joint, dtype=float)
+        channel = np.array(self.channel, dtype=float)
+        aux.setflags(write=False)
+        channel.setflags(write=False)
         object.__setattr__(self, "aux_joint", aux)
         object.__setattr__(self, "channel", channel)
         if aux.ndim != self.K + self.L:
@@ -244,6 +255,10 @@ class DownlinkSpec:
                     f"aux joint has size {aux.shape[self.K + l]}"
                 )
         _check_rows(channel, self.L, "channel p(y|x)")
+
+    @cached_property
+    def law(self) -> JointLaw:
+        return build_downlink_joint(self)
 
 
 def build_uplink_joint(spec: UplinkSpec) -> JointLaw:

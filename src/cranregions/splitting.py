@@ -32,7 +32,6 @@ from .prob import (
     JointLaw,
     LawError,
     UplinkSpec,
-    build_uplink_joint,
     mutual_info,
 )
 from .uplink import MAX_ENUM, RateFronthaulPoint
@@ -82,10 +81,9 @@ class QuantSplit:
     p_uv_given_y: np.ndarray  # shape (|Y|, 2, 2)
 
 
-def make_quant_split(p_y, test_channel, epsilon: float) -> QuantSplit:
-    p_y = np.asarray(p_y, dtype=float)
+def make_quant_split(test_channel, epsilon: float) -> QuantSplit:
     w = np.asarray(test_channel, dtype=float)
-    if p_y.shape != (2,) or w.shape != (2, 2):
+    if w.shape != (2, 2):
         raise LawError("quantization split requires binary source and quantizer alphabets")
     if not 0.0 <= epsilon <= 1.0:
         raise LawError(f"epsilon={epsilon} outside [0,1]")
@@ -229,7 +227,7 @@ def build_virtual_cran(spec: UplinkSpec, config: SplitConfig) -> VirtualCran:
     ):
         raise LawError("virtual C-RAN construction requires binary alphabets")
 
-    orig = build_uplink_joint(spec)
+    orig = spec.law
     n_in = 2 * K - 1
     n = n_in + L + 2 * L
 
@@ -256,8 +254,7 @@ def build_virtual_cran(spec: UplinkSpec, config: SplitConfig) -> VirtualCran:
         joint.reshape(joint.shape + (1,) * (2 * L)), (2,) * n
     ).copy()
     for l in range(1, L + 1):
-        p_yl = orig.marginal([f"Y{l}"])
-        qs = make_quant_split(p_yl, spec.test_channels[l - 1], config.epsilon[K + l])
+        qs = make_quant_split(spec.test_channels[l - 1], config.epsilon[K + l])
         shape = [1] * n
         shape[n_in + l - 1] = 2
         shape[n_in + L + 2 * (l - 1)] = 2
@@ -348,8 +345,7 @@ def invert_psi(
     evaluations.  Never returns a silent wrong answer: non-convergence
     is reported in the result.
     """
-    law = build_uplink_joint(spec)
-    if not on_dominant_face(law, target, tol=FACE_TOL):
+    if not on_dominant_face(spec.law, target, tol=FACE_TOL):
         raise NotOnDominantFaceError(
             f"target {target.as_vector().tolist()} is not on the dominant face"
         )

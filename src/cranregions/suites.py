@@ -23,8 +23,6 @@ from .prob import (
     TELESCOPE_TOL,
     DownlinkSpec,
     UplinkSpec,
-    build_downlink_joint,
-    build_uplink_joint,
 )
 
 
@@ -51,25 +49,23 @@ def _random_box_points(law, n, rng):
     return pts
 
 
-def _corner_procedures_agree(law, K, L, iterative, closed):
+def _corner_procedures_agree(spec, iterative, closed):
     """Whether the iterative and the closed-form corners agree on every solve order,
     with the largest coordinate gap between them."""
     worst = 0.0
-    for order in ul.solve_orders(K, L):
-        a = iterative(law, order).as_vector()
-        b = closed(law, order).as_vector()
+    for order in ul.solve_orders(spec.K, spec.L):
+        a = iterative(spec.law, order).as_vector()
+        b = closed(spec.law, order).as_vector()
         worst = max(worst, float(np.max(np.abs(a - b))))
     return worst <= CORNER_MATCH_TOL, {"max_deviation": worst, "tolerance": CORNER_MATCH_TOL}
 
 
 def suite_lemma1(spec: UplinkSpec, seed=0, samples=100):
-    return _corner_procedures_agree(
-        build_uplink_joint(spec), spec.K, spec.L, ul.corner_iterative, ul.corner_closed
-    )
+    return _corner_procedures_agree(spec, ul.corner_iterative, ul.corner_closed)
 
 
 def suite_lemma2(spec: UplinkSpec, seed=0, samples=100):
-    law = build_uplink_joint(spec)
+    law = spec.law
     failures = []
     for order, point in ul.enumerate_corners(law).corners:
         rep = ul.verify_corner(law, point)
@@ -79,7 +75,7 @@ def suite_lemma2(spec: UplinkSpec, seed=0, samples=100):
 
 
 def suite_lemma3(spec: UplinkSpec, seed=0, samples=500):
-    law = build_uplink_joint(spec)
+    law = spec.law
     rng = np.random.default_rng(seed)
     pts = list(ul.enumerate_corners(law).vertices)
     pts += df.sample_face_points(law, samples // 2, rng)
@@ -92,7 +88,7 @@ def suite_lemma3(spec: UplinkSpec, seed=0, samples=500):
 
 
 def suite_lemma4(spec: UplinkSpec, seed=0, samples=200):
-    law = build_uplink_joint(spec)
+    law = spec.law
     results = {}
     ok = True
     for q in _admissible_queries(spec.K, spec.L):
@@ -107,7 +103,7 @@ def suite_lemma4(spec: UplinkSpec, seed=0, samples=200):
 
 
 def suite_lemma5(spec: UplinkSpec, seed=0, samples=100):
-    law = build_uplink_joint(spec)
+    law = spec.law
     results = {}
     ok = True
     for q in _admissible_queries(spec.K, spec.L):
@@ -120,7 +116,7 @@ def suite_lemma5(spec: UplinkSpec, seed=0, samples=100):
 
 
 def suite_lemma6(spec: UplinkSpec, seed=0, samples=100):
-    law = build_uplink_joint(spec)
+    law = spec.law
     dim = df.dominant_face_dimension(law)
     any_degen = any(
         df.degeneracy_condition(law, q) for q in _admissible_queries(spec.K, spec.L)
@@ -130,7 +126,7 @@ def suite_lemma6(spec: UplinkSpec, seed=0, samples=100):
 
 
 def suite_thm1(spec: UplinkSpec, seed=0, samples=100):
-    law = build_uplink_joint(spec)
+    law = spec.law
     worst = 0.0
     members = True
     # solve_order_to_decode_order is a bijection onto the decode orders,
@@ -148,7 +144,7 @@ def suite_thm1(spec: UplinkSpec, seed=0, samples=100):
 
 
 def suite_telescope(spec: UplinkSpec, seed=0, samples=100):
-    law = build_uplink_joint(spec)
+    law = spec.law
     rng = np.random.default_rng(seed)
     d = spec.K + spec.L - 1
     worst_gap = 0.0
@@ -167,17 +163,11 @@ def suite_telescope(spec: UplinkSpec, seed=0, samples=100):
 
 
 def suite_lemma7(spec: DownlinkSpec, seed=0, samples=100):
-    return _corner_procedures_agree(
-        build_downlink_joint(spec),
-        spec.K,
-        spec.L,
-        dl.downlink_corner_iterative,
-        dl.downlink_corner_closed,
-    )
+    return _corner_procedures_agree(spec, dl.downlink_corner_iterative, dl.downlink_corner_closed)
 
 
 def suite_lemma8(spec: DownlinkSpec, seed=0, samples=100):
-    law = build_downlink_joint(spec)
+    law = spec.law
     failures = []
     negatives = []
     for order, point in dl.downlink_enumerate_corners(law).corners:
@@ -194,7 +184,7 @@ def suite_lemma8(spec: DownlinkSpec, seed=0, samples=100):
 
 
 def suite_thm3(spec: DownlinkSpec, seed=0, samples=100):
-    law = build_downlink_joint(spec)
+    law = spec.law
     worst = 0.0
     members = True
     for order in ul.solve_orders(spec.K, spec.L):

@@ -75,11 +75,12 @@ class RateFronthaulPoint:
             raise ValueError(f"expected vector of length {K + L}, got {vec.shape}")
         return cls(vec[:K], vec[K:])
 
+    # Python floats, unlike numpy scalars, overflow to +-inf without a warning
     def r_sum(self, S) -> float:
-        return float(sum(self.R[i - 1] for i in S))
+        return float(sum(float(self.R[i - 1]) for i in S))
 
     def c_sum(self, T) -> float:
-        return float(sum(self.C[l - 1] for l in T))
+        return float(sum(float(self.C[l - 1]) for l in T))
 
 
 def coord_labels(K: int, L: int, rate: str = "R", front: str = "C") -> list[str]:

@@ -155,7 +155,7 @@ def test_c07_split_law_invariants():
         p_max1 = 1.0 - rs.p_u[0] * rs.p_v[0]
         ok = ok and abs(p_max1 - 0.3) <= 1e-12
 
-        qs = cr.make_quant_split(p_y, w, float(eps))
+        qs = cr.make_quant_split(w, float(eps))
         merged = np.zeros((2, 2))
         for u in range(2):
             for v in range(2):
@@ -167,8 +167,8 @@ def test_c07_split_law_invariants():
     # endpoint degeneracies hold exactly
     ok = ok and cr.make_rate_split(0.3, 0.0).p_u[1] == 0.0
     ok = ok and cr.make_rate_split(0.3, 1.0).p_v[1] == 0.0
-    ok = ok and np.all(cr.make_quant_split(p_y, w, 0.0).p_uv_given_yhat[:, 1, :] == 0.0)
-    ok = ok and np.all(cr.make_quant_split(p_y, w, 1.0).p_uv_given_yhat[:, :, 1] == 0.0)
+    ok = ok and np.all(cr.make_quant_split(w, 0.0).p_uv_given_yhat[:, 1, :] == 0.0)
+    ok = ok and np.all(cr.make_quant_split(w, 1.0).p_uv_given_yhat[:, :, 1] == 0.0)
     report(7, "split laws preserved over the epsilon grid", ok)
 
 

@@ -255,3 +255,16 @@ def test_overflowing_face_point_is_outside_and_warns_nothing(capsys, spec, point
     assert (res["in_region"], res["on_dominant_face"], res["on_dominant_face_alt"]) == (
         False, False, False)
     assert code == 1
+
+
+def test_overflowing_sum_inside_the_region_warns_nothing(capsys):
+    # in the region, so on_dominant_face reaches face_gap, whose C - R sum overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["face", str(SPECS / "uplink_k2l2.json"), "--point=-1e308,-1e308,1,1"])
+    out = capsys.readouterr()
+    assert out.err == ""
+    res = json.loads(out.out)["results"]
+    assert (res["in_region"], res["on_dominant_face"], res["on_dominant_face_alt"]) == (
+        True, False, False)
+    assert code == 1

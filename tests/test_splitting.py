@@ -64,7 +64,7 @@ class TestQuantSplit:
     def _joint(self, eps):
         p_y = np.array([0.6, 0.4])
         w = bsc(0.1)
-        qs = make_quant_split(p_y, w, eps)
+        qs = make_quant_split(w, eps)
         # law over (Y, U, V)
         p = p_y[:, None, None] * qs.p_uv_given_y
         return qs, JointLaw(("Y", "U", "V"), p)
@@ -74,7 +74,7 @@ class TestQuantSplit:
         """(Y, max(U, V)) has exactly the source law (Y, Yh)."""
         p_y = np.array([0.6, 0.4])
         w = bsc(0.1)
-        qs = make_quant_split(p_y, w, float(eps))
+        qs = make_quant_split(w, float(eps))
         merged = np.zeros((2, 2))
         for u in range(2):
             for v in range(2):
@@ -86,21 +86,21 @@ class TestQuantSplit:
         """Y - Yh - (U,V): conditioned on Yh the descriptions forget Y."""
         p_y = np.array([0.6, 0.4])
         w = bsc(0.1)
-        qs = make_quant_split(p_y, w, eps)
+        qs = make_quant_split(w, eps)
         p = np.einsum("y,yh,huv->yhuv", p_y, w, qs.p_uv_given_yhat)
         law = JointLaw(("Y", "Yh", "U", "V"), p)
         assert mutual_info(law, ["Y"], ["U", "V"], ["Yh"]) <= 1e-10
 
     def test_endpoints_exact(self):
-        qs0 = make_quant_split(np.array([0.5, 0.5]), bsc(0.2), 0.0)
+        qs0 = make_quant_split(bsc(0.2), 0.0)
         # eps = 0: U constant 0, V carries Yh
         assert np.all(qs0.p_uv_given_yhat[:, 1, :] == 0.0)
-        qs1 = make_quant_split(np.array([0.5, 0.5]), bsc(0.2), 1.0)
+        qs1 = make_quant_split(bsc(0.2), 1.0)
         assert np.all(qs1.p_uv_given_yhat[:, :, 1] == 0.0)
 
     def test_nonbinary_rejected(self):
         with pytest.raises(LawError):
-            make_quant_split(np.array([0.3, 0.3, 0.4]), np.eye(3), 0.5)
+            make_quant_split(np.eye(3), 0.5)
 
 
 class TestGeneralizedOrder:
