@@ -238,13 +238,9 @@ def cmd_psi(args) -> int:
         raise UsageError(f"--max-iters must be >= 1, got {args.max_iters}")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"--tol must be finite and >= 0, got {args.tol!r}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     target = _point_from_arg(args.invert, spec.K, spec.L)
     try:
-        res = sp.invert_psi(
-            spec, target, tol=args.tol, max_iters=args.max_iters, seed=args.seed
-        )
+        res = sp.invert_psi(spec, target, tol=args.tol, max_iters=args.max_iters)
     except sp.NotOnDominantFaceError as e:
         raise UsageError(str(e)) from e
     results = {
@@ -266,7 +262,6 @@ def cmd_psi(args) -> int:
             results,
             res.converged,
             t0,
-            seed=args.seed,
             tolerances={"residual": args.tol, "face": FACE_TOL},
         )
     )
@@ -398,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invert", help="comma-separated target point R1,..,CL")
     p.add_argument("--tol", type=float, default=INVERT_TOL)
     p.add_argument("--max-iters", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_psi)
 
     p = sub.add_parser("face", help="dominant-face membership at one point")

@@ -17,12 +17,11 @@ degeneracies) are exactly checkable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .face import on_dominant_face
 from .prob import (
@@ -34,9 +33,11 @@ from .prob import (
     UplinkSpec,
     mutual_info,
 )
-from .uplink import MAX_ENUM, RateFronthaulPoint
+from .uplink import MAX_ENUM, DecodeOrder, RateFronthaulPoint, sd_corner
 
-RESTARTS = 20  # Nelder-Mead restarts of invert_psi, from its best-scored starts
+CORNER_ROWS = 1 << 16  # corner points scored per batch of cells
+CELL_STEPS = 10  # damped Newton steps on one cell before the next is tried
+EPS_MARGIN = 1e-9  # eps stays this far inside (0, 1), so a 12-digit alpha keeps its cell
 
 
 @dataclass(frozen=True)
@@ -329,77 +330,102 @@ class InversionResult:
     converged: bool
 
 
-def invert_psi(
-    spec: UplinkSpec,
-    target: RateFronthaulPoint,
-    tol: float = INVERT_TOL,
-    max_iters: int = 5000,
-    seed: int = 0,
-) -> InversionResult:
+def _corner_points(spec: UplinkSpec, cells: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """psi at each eps-corner of each cell, (cells, 2^d, K+L), with no psi call.  At corner e
+    of cell j, row i's variable is decoded whole at column j_i + 1 - e_i (eps_i = 1 leaves only
+    the earlier half), so psi there is sd_corner of the order those columns induce."""
+    K, L, n = spec.K, spec.L, spec.K + spec.L
+    pos = np.zeros((n + 1, 2 ** (n - 1) + 1), dtype=int)
+    pos[tuple(np.array(generalized_order(n)).T)] = np.arange(2**n - 1)
+    cols = pos[np.arange(2, n + 1), cells[:, None, :] + 1 - corners]
+    keys = np.concatenate([np.full(cols.shape[:2] + (1,), pos[1, 1]), cols], axis=2)
+    codes, inv = np.unique(np.argsort(keys, axis=2) @ n ** np.arange(n), return_inverse=True)
+    orders = codes[:, None] // n ** np.arange(n) % n  # the base-n digits of each code
+    labels = [f"X{k}" for k in range(1, K + 1)] + [f"Yh{l}" for l in range(1, L + 1)]
+    points = [spec.law.memo(("sd corner", tuple(o)), lambda o=o: sd_corner(
+        spec.law, DecodeOrder(tuple(labels[v] for v in o), K, L)).as_vector()) for o in orders]
+    return np.array(points)[inv.ravel()].reshape(cols.shape[:2] + (n,))
+
+
+def _multilinear(G: np.ndarray, corners: np.ndarray, x: np.ndarray):
+    """Multilinear interpolant of corner values G at x, and its Jacobian in x."""
+    f = np.where(corners == 1, x[:, None, :], 1.0 - x[:, None, :])
+    jac = [np.einsum("cv,cvn->cn", np.delete(f, i, axis=2).prod(axis=2) * (2 * corners[:, i] - 1),
+                     G) for i in range(x.shape[1])]
+    return np.einsum("cv,cvn->cn", f.prod(axis=2), G), np.stack(jac, axis=2)
+
+
+def _rank_cells(spec: UplinkSpec, tvec: np.ndarray):
+    """Cells j, best first, with the eps where their corner interpolant comes nearest the target.
+    Cells with more eps_i that move no corner point go later; only the batch-full whose corner
+    box lies nearest the target is ranked by the interpolant, which bounds time and memory."""
+    d = spec.K + spec.L - 1
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))
+    batch = max(1, CORNER_ROWS >> d)
+    cells = itertools.product(*(range(1, 2**i) for i in range(1, d + 1)))
+    js, flat, gap = np.empty((0, d), dtype=int), np.empty(0, dtype=int), np.empty(0)
+    while chunk := list(itertools.islice(cells, batch)):
+        G = _corner_points(spec, np.array(chunk), corners)
+        cube = G.reshape((len(G),) + (2,) * d + (-1,))  # one axis per eps_i
+        f = sum(~np.diff(cube, axis=i).reshape(len(G), -1).any(axis=1) for i in range(1, d + 1))
+        out = np.maximum(G.min(axis=1) - tvec, tvec - G.max(axis=1)).clip(min=0).max(axis=1)
+        js, flat, gap = (np.concatenate(p) for p in ((js, chunk), (flat, f), (gap, out)))
+        top = np.lexsort((gap, flat))[:batch]
+        js, flat, gap = js[top], flat[top], gap[top]
+    G, x = _corner_points(spec, js, corners), np.full(js.shape, 0.5)
+    for _ in range(8):  # Gauss-Newton steps on the interpolant, inside [0, 1]^d
+        val, jac = _multilinear(G, corners, x)
+        A, g = np.einsum("cni,cnj->cij", jac, jac), np.einsum("cni,cn->ci", jac, val - tvec)
+        x = np.clip(x - np.linalg.solve(A + 1e-9 * np.eye(d), g[..., None])[..., 0], 0, 1)
+    rank = np.lexsort((np.max(np.abs(_multilinear(G, corners, x)[0] - tvec), axis=1), flat))
+    return js[rank], x[rank]
+
+
+def minimize(residual, x, tol: float, budget: int):
+    """Damped Newton (Levenberg-Marquardt) on residual(x), x in [EPS_MARGIN, 1 - EPS_MARGIN]^d,
+    with forward-difference Jacobians.  Stops within `tol`, after CELL_STEPS steps, when no
+    damping reduces the residual, or at `budget` residual calls.  Returns (x, r(x), calls)."""
+    x = np.clip(x, EPS_MARGIN, 1.0 - EPS_MARGIN)
+    r, calls, lam, d = residual(x), 1, 1e-3, len(x)
+    for _ in range(CELL_STEPS):
+        if np.max(np.abs(r)) <= tol or calls + d + 1 > budget or lam > 1e8:
+            break
+        h = np.where(x < 0.5, 1e-7, -1e-7)  # forward differences, stepping inward
+        J = np.column_stack([(residual(x + h * e) - r) / h[i] for i, e in enumerate(np.eye(d))])
+        calls += d
+        A, g = J.T @ J, J.T @ r
+        while lam <= 1e8 and calls < budget:
+            step = np.linalg.solve(A + lam * np.diag(np.diag(A) + 1e-12), g)
+            y = np.clip(x - step, EPS_MARGIN, 1.0 - EPS_MARGIN)
+            ry, calls = residual(y), calls + 1
+            if ry @ ry < r @ r:
+                x, r, lam = y, ry, max(lam / 10, 1e-9)
+                break
+            lam *= 10
+    return x, r, calls
+
+
+def invert_psi(spec: UplinkSpec, target: RateFronthaulPoint, tol: float = INVERT_TOL,
+               max_iters: int = 5000) -> InversionResult:
     """Numerically invert psi: find alpha with psi(alpha) near `target`.
 
-    psi is continuous but only piecewise smooth (the active subinterval
-    index jumps), so the search is derivative free: the hypercube
-    vertices and a Sobol batch seed multistart Nelder-Mead on the
-    infinity-norm residual within a total budget of `max_iters` psi
-    evaluations.  Never returns a silent wrong answer: non-convergence
-    is reported in the result.
+    psi is smooth inside a cell of alpha (one fixed j, eps free) and jumps
+    between cells, so the cells are ranked from their corners (`_rank_cells`)
+    and solved by `minimize` in that order, within a total budget of
+    `max_iters` psi evaluations.  Never returns a silent wrong answer:
+    non-convergence is reported in the result.
     """
-    if not on_dominant_face(spec.law, target, tol=FACE_TOL):
-        raise NotOnDominantFaceError(
-            f"target {target.as_vector().tolist()} is not on the dominant face"
-        )
-    d = spec.K + spec.L - 1
     tvec = target.as_vector()
-    count = 0
-
-    def objective(alpha):
-        nonlocal count
-        count += 1
-        a = np.clip(alpha, 0.0, 1.0)
-        return float(np.max(np.abs(psi(spec, a).as_vector() - tvec)))
-
-    best_alpha, best_res = None, math.inf
-
-    def consider(alpha, res):
-        nonlocal best_alpha, best_res
-        if res < best_res:
-            best_alpha, best_res = tuple(np.clip(alpha, 0.0, 1.0)), res
-
-    starts = []
-    if 2**d <= 64:
-        starts += [np.array(v, dtype=float) for v in np.ndindex(*(2,) * d)]
-    sob = qmc.Sobol(d, scramble=True, seed=seed)
-    n_sobol = 1 << (RESTARTS - 1).bit_length()  # power of two for balance
-    starts += list(sob.random(n_sobol)[:RESTARTS])
-
-    scored = []
-    for s in starts:
-        if count >= max_iters:
-            break
-        r = objective(s)
-        consider(s, r)
-        scored.append((r, s))
-        if best_res <= tol:
-            return InversionResult(best_alpha, best_res, count, True)
-    scored.sort(key=lambda t: t[0])
-
-    for _, s in scored[:RESTARTS]:
+    if not on_dominant_face(spec.law, target, tol=FACE_TOL):
+        raise NotOnDominantFaceError(f"target {tvec.tolist()} is not on the dominant face")
+    m = 2.0 ** np.arange(1, spec.K + spec.L) - 1  # subintervals of rows 2..K+L
+    count, best_alpha, best_res = 0, None, math.inf
+    for j, x in zip(*_rank_cells(spec, tvec)):
         if count >= max_iters or best_res <= tol:
             break
-        budget = max_iters - count
-        # starting on the hypercube boundary degenerates the initial simplex
-        s = np.clip(s, 0.02, 0.98)
-        res = minimize(
-            objective,
-            s,
-            method="Nelder-Mead",
-            bounds=[(0.0, 1.0)] * d,
-            options={
-                "maxfev": min(budget, max(200, max_iters // RESTARTS)),
-                "fatol": tol / 10,
-                "xatol": 1e-7,
-            },
-        )
-        consider(res.x, float(res.fun))
+        x, r, calls = minimize(lambda e: psi(spec, (j - 1 + e) / m).as_vector() - tvec,
+                               x, tol, max_iters - count)
+        count += calls
+        if np.max(np.abs(r)) < best_res:
+            best_alpha, best_res = tuple((j - 1 + x) / m), float(np.max(np.abs(r)))
     return InversionResult(best_alpha, best_res, count, best_res <= tol)

@@ -213,7 +213,7 @@ def test_c10_psi_surjectivity():
             )
         targets = targets[:20]
         for t in targets:
-            res = cr.invert_psi(spec, t, tol=1e-4, max_iters=5000, seed=0)
+            res = cr.invert_psi(spec, t, tol=1e-4, max_iters=5000)
             ok = ok and res.converged and res.n_evals <= 5000
     elapsed = time.monotonic() - t0
     report(10, "inverse splitting map", ok and elapsed <= 300.0)

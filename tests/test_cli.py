@@ -3,7 +3,10 @@ spec-file round-trips."""
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +130,17 @@ class TestPsi:
         assert code == 3
         assert not json.loads(out)["results"]["converged"]
 
+    def test_invert_needs_no_scipy(self):
+        """The inverter is numpy only: with scipy blocked, psi --invert still exits 0."""
+        code = ("import sys; sys.modules['scipy'] = None; from cranregions.cli import main; "
+                f"sys.exit(main(['psi', {IDENT!r}, '--invert', '1,1']))")
+        src = str(SPECS.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_both_modes_rejected(self, capsys):
         code, _, _ = run(capsys, "psi", IDENT, "--alpha", "0.5", "--invert", "1,1")
         assert code == 2
@@ -211,7 +225,6 @@ def _bad_spec_docs():
         (["corners", IDENT, "--dedup-tol", "-1"], "--dedup-tol"),
         (["corners", "{above_guard}"], "enumeration guard"),
         (["corners", IDENT, "--dedup-tol", "inf"], "--dedup-tol"),
-        (["psi", IDENT, "--invert", "1,1", "--seed", "-1"], "--seed"),
         (["verify", IDENT, "--suite", "telescope", "--seed", "-1"], "--seed"),
         (["psi", "{above_guard_up}", "--alpha", ",".join(["0.5"] * 8)], "enumeration guard"),
         (["slice", IDENT, "--vary", "R1,C1", "--min=-1e308", "--max=1e308"], "span"),
@@ -225,7 +238,7 @@ def _bad_spec_docs():
     ids=["fixed-not-a-number", "negative-steps", "nan-invert-target", "zero-max-iters",
          "negative-invert-tol", "nan-invert-tol", "negative-verify-samples",
          "inf-face-point", "negative-dedup-tol", "above-enumeration-guard",
-         "inf-dedup-tol", "negative-invert-seed", "negative-verify-seed",
+         "inf-dedup-tol", "negative-verify-seed",
          "psi-above-enumeration-guard", "overflowing-slice-span", "number-alphabets",
          "nan-input-pmf", "inf-channel", "nan-aux-joint", "number-alphabet-sizes",
          "number-input-pmfs"],

@@ -104,7 +104,7 @@ COMMANDS = st.one_of(
         st.one_of(_flags(required=[("alpha", ALPHAS)]), _flags(required=[("invert", POINTS)]),
                   _flags(alpha=ALPHAS, invert=POINTS)),
         _flags(required=[("max-iters", _mostly(["1", "50"], ["-1", "0", "abc"]))],
-               tol=FLOATS, seed=SEEDS),
+               tol=FLOATS),
     ).map(_concat)),
     st.tuples(st.just("face"), _flags(
         required=[("point", POINTS)], S=SUBSETS, T=SUBSETS,

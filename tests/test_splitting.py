@@ -1,6 +1,10 @@
 """Rate/quantization splits, the generalized decoding order, the virtual
 network assembly, and the forward/inverse parameter map."""
 
+import dataclasses
+import itertools
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -24,8 +28,13 @@ from cranregions import (
 )
 from cranregions.prob import JointLaw, build_uplink_joint
 from cranregions.face import face_gap
+from cranregions.specio import load_spec
+from cranregions.splitting import _corner_points
+from cranregions.uplink import DecodeOrder, sd_corner
 
 from conftest import bsc, identity_chain_spec, k2l2_bsc_spec, random_uplink_spec
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
 
 class TestRateSplit:
@@ -232,6 +241,36 @@ class TestPsi:
                 d2 = np.max(np.abs(psi(spec, c).as_vector() - psi(spec, a).as_vector()))
                 assert d2 <= 0.5 * d1 + 1e-6
 
+    @pytest.mark.parametrize("K, L, n_cells", [(2, 2, None), (2, 3, 45)])
+    def test_eps_corners_are_successive_corners(self, K, L, n_cells):
+        """At each eps in {0,1}^d of a cell (fixed j), psi is the successive-decoding
+        corner of the order the corner induces: row i's variable decoded whole at
+        column j_i (eps_i = 1) or j_i + 1 (eps_i = 0) of the generalized order.
+
+        Every cell at K = L = 2 (21); a seeded 45 of the 315 at K = 2, L = 3, whose
+        5040 corners would take about 12 s."""
+        rng = np.random.default_rng(7)
+        spec = k2l2_bsc_spec() if L == 2 else random_uplink_spec(rng, K, L)
+        n = K + L
+        position = {lab: k for k, lab in enumerate(generalized_order(n))}
+        names = [f"X{k}" for k in range(1, K + 1)] + [f"Yh{l}" for l in range(1, L + 1)]
+        m = [2 ** (i - 1) - 1 for i in range(2, n + 1)]
+        corners = list(itertools.product((0, 1), repeat=n - 1))
+        cells = list(itertools.product(*(range(1, mi + 1) for mi in m)))
+        if n_cells is not None:
+            cells = [cells[i] for i in rng.choice(len(cells), n_cells, replace=False)]
+        for j in cells:
+            cell = decode_order_from_alpha(K, L, [(ji - 0.5) / mi for ji, mi in zip(j, m)])
+            read = _corner_points(spec, np.array([j]), np.array(corners))[0]
+            for e, g in zip(corners, read):
+                config = dataclasses.replace(cell, epsilon=dict(zip(range(2, n + 1), e)))
+                point = beta_rates(build_virtual_cran(spec, config), config)[1].as_vector()
+                cols = [1] + [ji + 1 - ei for ji, ei in zip(j, e)]
+                order = sorted(range(n), key=lambda v: position[(v + 1, cols[v])])
+                sd = sd_corner(spec.law, DecodeOrder(tuple(names[v] for v in order), K, L))
+                assert np.max(np.abs(point - sd.as_vector())) <= 1e-12, (j, e)
+                assert np.max(np.abs(g - sd.as_vector())) <= 1e-12, (j, e)
+
 
 class TestInvertPsi:
     def test_corner_target(self):
@@ -258,6 +297,23 @@ class TestInvertPsi:
         law = build_uplink_joint(spec)
         targets = enumerate_corners(law).vertices[:3]
         for t in targets:
-            res = invert_psi(spec, t, seed=1)
+            res = invert_psi(spec, t)
             assert res.converged, (t.as_vector(), res.residual)
             assert res.n_evals <= 5000
+
+    def _assert_solved(self, spec, target):
+        res = invert_psi(spec, target)
+        assert res.converged and res.n_evals <= 5000, (res.residual, res.n_evals)
+        resid = psi(spec, np.round(res.alpha, 12)).as_vector() - target.as_vector()
+        assert np.max(np.abs(resid)) <= 1e-4
+
+    def test_shipped_k2l2_interior_target(self):
+        """A target that multistart Nelder-Mead left unsolved after 4112 evaluations."""
+        spec = load_spec(SPECS / "uplink_k2l2.json")
+        self._assert_solved(spec, psi(spec, [0.67583134, 0.2143232, 0.30945203]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_k2l3_targets(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = random_uplink_spec(rng, 2, 3)
+        self._assert_solved(spec, psi(spec, rng.uniform(size=4)))
