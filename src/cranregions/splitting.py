@@ -348,37 +348,55 @@ def _corner_points(spec: UplinkSpec, cells: np.ndarray, corners: np.ndarray) -> 
 
 
 def _multilinear(G: np.ndarray, corners: np.ndarray, x: np.ndarray):
-    """Multilinear interpolant of corner values G at x, and its Jacobian in x."""
+    """Multilinear interpolant of corner values G at x in (0, 1)^d, and its Jacobian in x."""
     f = np.where(corners == 1, x[:, None, :], 1.0 - x[:, None, :])
-    jac = [np.einsum("cv,cvn->cn", np.delete(f, i, axis=2).prod(axis=2) * (2 * corners[:, i] - 1),
-                     G) for i in range(x.shape[1])]
-    return np.einsum("cv,cvn->cn", f.prod(axis=2), G), np.stack(jac, axis=2)
+    w = f.prod(axis=2)
+    return (w[:, None, :] @ G)[:, 0], G.transpose(0, 2, 1) @ (w[..., None] / f * (2 * corners - 1))
 
 
-def _rank_cells(spec: UplinkSpec, tvec: np.ndarray):
-    """Cells j, best first, with the eps where their corner interpolant comes nearest the target.
-    Cells with more eps_i that move no corner point go later; only the batch-full whose corner
-    box lies nearest the target is ranked by the interpolant, which bounds time and memory."""
-    d = spec.K + spec.L - 1
-    corners = np.array(list(itertools.product((0, 1), repeat=d)))
-    batch = max(1, CORNER_ROWS >> d)
-    cells = itertools.product(*(range(1, 2**i) for i in range(1, d + 1)))
-    js, flat, gap = np.empty((0, d), dtype=int), np.empty(0, dtype=int), np.empty(0)
-    while chunk := list(itertools.islice(cells, batch)):
+def _live_cells(n: int, i: int, js: tuple, centres: tuple, need: dict):
+    """Cells j = (j_2, .., j_n) with no still row, rows n..i+1 fixed in js.  A row is still when
+    no other active element lies between its two, and psi then ignores its eps.  In the binary
+    tree walked in order by generalized_order(n), row i's elements are the (2 j_i -+ 1) w-th,
+    w = 2^(n-i); between them lie the element at c = 2 j_i w (the root, or an end of the row r
+    it belongs to, which `need` then binds) and the ends of deeper rows centred within w of c."""
+    if i == 1:
+        yield js[::-1]
+        return
+    w = 1 << (n - i)
+    for j in sorted(need.get(i, range(1, 2 ** (i - 1)))):
+        c, bound = 2 * j * w, need
+        if c != 1 << (n - 1) and all(abs(c - ck) > w for ck in centres):
+            r, odd = n + 1 - (c & -c).bit_length(), c // (c & -c)
+            bound = {**need, r: {(odd - 1) // 2, (odd + 1) // 2} & set(
+                need.get(r, range(1, 2 ** (r - 1))))}
+        yield from _live_cells(n, i - 1, js + (j,), centres + (c,), bound)
+
+
+def _rank_cells(spec: UplinkSpec, tvec: np.ndarray, max_iters: int):
+    """Live cells, best first, with the eps where their corner interpolant comes nearest the
+    target.  At most one batch is read per psi call of the budget and the `max_iters` best
+    cells are kept (a solve costs a call).  An interpolant lies in its corners' hull, so a cell
+    whose corner box misses the target by more than the worst kept cell is dropped unfitted."""
+    n = spec.K + spec.L
+    corners = np.array(list(itertools.product((0, 1), repeat=n - 1)))
+    cells, batch = _live_cells(n, n, (), (), {}), max(1, CORNER_ROWS >> (n - 1))
+    js, xs, miss = np.empty((0, n - 1), dtype=int), np.empty((0, n - 1)), np.empty(0)
+    for _, chunk in zip(range(max_iters), iter(lambda: list(itertools.islice(cells, batch)), [])):
         G = _corner_points(spec, np.array(chunk), corners)
-        cube = G.reshape((len(G),) + (2,) * d + (-1,))  # one axis per eps_i
-        f = sum(~np.diff(cube, axis=i).reshape(len(G), -1).any(axis=1) for i in range(1, d + 1))
-        out = np.maximum(G.min(axis=1) - tvec, tvec - G.max(axis=1)).clip(min=0).max(axis=1)
-        js, flat, gap = (np.concatenate(p) for p in ((js, chunk), (flat, f), (gap, out)))
-        top = np.lexsort((gap, flat))[:batch]
-        js, flat, gap = js[top], flat[top], gap[top]
-    G, x = _corner_points(spec, js, corners), np.full(js.shape, 0.5)
-    for _ in range(8):  # Gauss-Newton steps on the interpolant, inside [0, 1]^d
-        val, jac = _multilinear(G, corners, x)
-        A, g = np.einsum("cni,cnj->cij", jac, jac), np.einsum("cni,cn->ci", jac, val - tvec)
-        x = np.clip(x - np.linalg.solve(A + 1e-9 * np.eye(d), g[..., None])[..., 0], 0, 1)
-    rank = np.lexsort((np.max(np.abs(_multilinear(G, corners, x)[0] - tvec), axis=1), flat))
-    return js[rank], x[rank]
+        gap = np.max(np.maximum(G.min(axis=1) - tvec, tvec - G.max(axis=1)), axis=1)
+        fit = gap <= (miss[-1] if len(miss) == max_iters else np.inf)
+        chunk, G, x = np.array(chunk)[fit], G[fit], np.full((fit.sum(), n - 1), 0.5)
+        for _ in range(4):  # Gauss-Newton steps on the interpolant, inside the margin
+            val, jac = _multilinear(G, corners, x)
+            step = np.linalg.solve(jac.transpose(0, 2, 1) @ jac + 1e-9 * np.eye(n - 1),
+                                   jac.transpose(0, 2, 1) @ (val - tvec)[..., None])[..., 0]
+            x = np.clip(x - step, EPS_MARGIN, 1.0 - EPS_MARGIN)
+        m = np.max(np.abs(_multilinear(G, corners, x)[0] - tvec), axis=1)
+        js, xs, miss = (np.concatenate(p) for p in ((js, chunk), (xs, x), (miss, m)))
+        top = np.argsort(miss, kind="stable")[:max_iters]
+        js, xs, miss = js[top], xs[top], miss[top]
+    return js, xs
 
 
 def minimize(residual, x, tol: float, budget: int):
@@ -410,17 +428,17 @@ def invert_psi(spec: UplinkSpec, target: RateFronthaulPoint, tol: float = INVERT
     """Numerically invert psi: find alpha with psi(alpha) near `target`.
 
     psi is smooth inside a cell of alpha (one fixed j, eps free) and jumps
-    between cells, so the cells are ranked from their corners (`_rank_cells`)
-    and solved by `minimize` in that order, within a total budget of
-    `max_iters` psi evaluations.  Never returns a silent wrong answer:
-    non-convergence is reported in the result.
+    between cells, so the live cells are ranked from their corners
+    (`_rank_cells`) and solved by `minimize` in that order, within a total
+    budget of `max_iters` psi evaluations.  Never returns a silent wrong
+    answer: non-convergence is reported in the result.
     """
     tvec = target.as_vector()
     if not on_dominant_face(spec.law, target, tol=FACE_TOL):
         raise NotOnDominantFaceError(f"target {tvec.tolist()} is not on the dominant face")
     m = 2.0 ** np.arange(1, spec.K + spec.L) - 1  # subintervals of rows 2..K+L
     count, best_alpha, best_res = 0, None, math.inf
-    for j, x in zip(*_rank_cells(spec, tvec)):
+    for j, x in zip(*_rank_cells(spec, tvec, max_iters)):
         if count >= max_iters or best_res <= tol:
             break
         x, r, calls = minimize(lambda e: psi(spec, (j - 1 + e) / m).as_vector() - tvec,

@@ -29,7 +29,8 @@ from cranregions import (
 from cranregions.prob import JointLaw, build_uplink_joint
 from cranregions.face import face_gap
 from cranregions.specio import load_spec
-from cranregions.splitting import _corner_points
+from cranregions import splitting
+from cranregions.splitting import _corner_points, _live_cells, _rank_cells
 from cranregions.uplink import DecodeOrder, sd_corner
 
 from conftest import bsc, identity_chain_spec, k2l2_bsc_spec, random_uplink_spec
@@ -272,6 +273,65 @@ class TestPsi:
                 assert np.max(np.abs(g - sd.as_vector())) <= 1e-12, (j, e)
 
 
+def _still_rows(j):
+    """Rows i of cell j (j_2, .., j_n) with no other active element of the generalized
+    order strictly between row i's two active elements (i, j_i) and (i, j_i + 1)."""
+    n = len(j) + 1
+    position = {lab: k for k, lab in enumerate(generalized_order(n))}
+    active = [position[(1, 1)]] + [position[(i, c)] for i, ji in enumerate(j, 2)
+                                   for c in (ji, ji + 1)]
+    return [i for i, ji in enumerate(j, 2)
+            if not any(position[(i, ji)] < a < position[(i, ji + 1)] for a in active)]
+
+
+class TestLiveCells:
+    """The cells of alpha without a still row, generated without a filter."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_generated_cells_are_the_filtered_cells(self, n):
+        cells = itertools.product(*(range(1, 2 ** (i - 1)) for i in range(2, n + 1)))
+        filtered = [j for j in cells if not _still_rows(j)]
+        live = list(_live_cells(n, n, (), (), {}))
+        assert len(live) == len(set(live)) and set(live) == set(filtered)
+        assert len(live) == {2: 1, 3: 3, 4: 15, 5: 117, 6: 1365}[n]
+
+    @pytest.mark.parametrize("K, L", [(2, 2), (2, 3)])
+    def test_psi_ignores_the_eps_of_a_still_row(self, K, L):
+        """So a cell that is not live adds nothing: its points are those of a face of a
+        neighbouring cell.  Checked on every such cell at K = L = 2 (6 of 21) and on a
+        seeded 20 of the 198 at K = 2, L = 3."""
+        rng = np.random.default_rng(5)
+        spec = load_spec(SPECS / "uplink_k2l2.json") if L == 2 else random_uplink_spec(rng, K, L)
+        m = 2.0 ** np.arange(1, K + L) - 1
+        cells = [j for j in itertools.product(*(range(1, int(mi) + 1) for mi in m))
+                 if _still_rows(j)]
+        assert len(cells) == {2: 6, 3: 198}[L]
+        for j in [cells[k] for k in rng.permutation(len(cells))[:20]]:
+            for i in _still_rows(j):
+                eps, moved = rng.uniform(size=(2, K + L - 1))
+                moved = np.where(np.arange(2, K + L + 1) == i, moved, eps)
+                a, b = (psi(spec, (np.array(j) - 1 + e) / m).as_vector() for e in (eps, moved))
+                assert np.max(np.abs(a - b)) <= 1e-12, (j, i)
+
+    def test_psi_is_continuous_across_cells_in_column_order(self):
+        """eps_i -> 0 in cell j and eps_i -> 1 in cell j + e_i both decode row i whole at
+        column j_i + 1, so psi is continuous in y_i = j_i + 1 - eps_i across cells, and a cell
+        with a still row has the points of a face of its neighbour along that row."""
+        rng = np.random.default_rng(6)
+        spec = random_uplink_spec(rng, 2, 3)
+        m = 2.0 ** np.arange(1, 5) - 1
+        for _ in range(50):
+            i = rng.integers(1, 4)  # rows 3..5, which have more than one cell
+            j = np.array([rng.integers(1, mi + 1) for mi in m])
+            j[i] = min(j[i], m[i] - 1)
+            eps = rng.uniform(size=4)
+            lo, hi = eps.copy(), eps.copy()
+            lo[i], hi[i] = 1e-12, 1 - 1e-12
+            step = np.eye(4, dtype=int)[i]
+            a, b = psi(spec, (j - 1 + lo) / m), psi(spec, (j + step - 1 + hi) / m)
+            assert np.max(np.abs(a.as_vector() - b.as_vector())) <= 1e-9, (j, i)
+
+
 class TestInvertPsi:
     def test_corner_target(self):
         spec = identity_chain_spec()
@@ -317,3 +377,37 @@ class TestInvertPsi:
         rng = np.random.default_rng(seed)
         spec = random_uplink_spec(rng, 2, 3)
         self._assert_solved(spec, psi(spec, rng.uniform(size=4)))
+
+    @pytest.mark.parametrize("K, L, seed", [(3, 3, 0), (2, 4, 1), (4, 3, 2)])
+    def test_targets_at_six_and_seven_users_and_relays(self, K, L, seed):
+        """K + L = 6 ranks all 1365 live cells in one batch; K + L = 7 reads 23115 in 23."""
+        rng = np.random.default_rng(seed)
+        spec = random_uplink_spec(rng, K, L)
+        self._assert_solved(spec, psi(spec, rng.uniform(size=K + L - 1)))
+
+    def test_batches_rank_as_one_pass(self, monkeypatch):
+        """Read 8 cells at a time, the 117 live cells at K = 2, L = 3 rank as in one pass, and
+        a budget of 15 keeps the best 15 although cells are then dropped unfitted."""
+        rng = np.random.default_rng(3)
+        spec = random_uplink_spec(rng, 2, 3)
+        tvec = psi(spec, rng.uniform(size=4)).as_vector()
+        js, xs = _rank_cells(spec, tvec, 5000)
+        monkeypatch.setattr(splitting, "CORNER_ROWS", 8 * 16)
+        js8, xs8 = _rank_cells(spec, tvec, 5000)
+        assert len(js) == 117 and np.array_equal(js, js8) and np.allclose(xs, xs8, atol=1e-12)
+        js15, xs15 = _rank_cells(spec, tvec, 15)
+        assert np.array_equal(js15, js[:15]) and np.allclose(xs15, xs[:15], atol=1e-12)
+
+    def test_scan_reads_one_batch_per_evaluation(self, monkeypatch):
+        """A budget of 3 psi calls reads 3 batches of cells and keeps the best 3 cells."""
+        spec = random_uplink_spec(np.random.default_rng(4), 2, 3)
+        read, corner_points = [], splitting._corner_points
+
+        def counted(spec, cells, corners):
+            read.append(len(cells))
+            return corner_points(spec, cells, corners)
+
+        monkeypatch.setattr(splitting, "CORNER_ROWS", 8 * 16)
+        monkeypatch.setattr(splitting, "_corner_points", counted)
+        js, _ = _rank_cells(spec, psi(spec, [0.3, 0.6, 0.2, 0.9]).as_vector(), 3)
+        assert read == [8, 8, 8] and len(js) == 3
