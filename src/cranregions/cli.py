@@ -353,12 +353,10 @@ def cmd_slice(args) -> int:
     for name, val in fixed.items():
         base[labels.index(name)] = val
     i0, i1 = labels.index(vary[0]), labels.index(vary[1])
-    for x in grid:
-        for y in grid:
-            vec = base.copy()
-            vec[i0], vec[i1] = x, y
-            p = ul.RateFronthaulPoint.from_vector(vec, K, L)
-            w.writerow([round(float(x), 12), round(float(y), 12), int(member(p))])
+    points = np.tile(base, (len(grid) ** 2, 1))  # the whole grid is one stack, one product
+    points[:, i0], points[:, i1] = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+    for (x, y), inside in zip(points[:, [i0, i1]], member(points)):  # x outer, y inner
+        w.writerow([round(float(x), 12), round(float(y), 12), int(inside)])
     sys.stdout.write(buf.getvalue())
     return EXIT_OK
 

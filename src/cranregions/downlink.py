@@ -111,7 +111,8 @@ def je_region(law: JointLaw) -> Region:
     return law.memo("je region", lambda: slack_region(law, je_slack, *downlink_dims(law)))
 
 
-def in_je_region(law: JointLaw, point: RateFronthaulPoint, tol: float = MEMBERSHIP_TOL) -> bool:
+def in_je_region(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
+    """Membership of one point, or of each point of an (n, K+L) stack."""
     return je_region(law).contains(point, tol)
 
 

@@ -12,7 +12,9 @@ sub-networks.
 All sub-face predicates are evaluated as conditional mutual informations
 on the single master joint law; the marginal channels of the two
 sub-problems are never materialized.  The two-sided bounds of a predicate
-form one `Region`, built once per law and query (`JointLaw.memo`).
+form one `Region`, built once per law and query (`JointLaw.memo`).  Every
+predicate takes one point, giving a bool, or an (n, K+L) stack of points,
+giving one bool per point from one product per region and STACK_CHUNK points.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from .prob import FACE_TOL, MEMBERSHIP_TOL, MI_ZERO_TOL, JointLaw, mutual_info
 from .uplink import (
     RateFronthaulPoint,
+    Region,
     _row_rank,
     _xs,
     _yhs,
@@ -32,6 +35,7 @@ from .uplink import (
     dedup_points,
     enumerate_corners,
     in_jd_region,
+    jd_region,
     jd_slack,
     uplink_dims,
 )
@@ -76,15 +80,17 @@ def face_gap(law: JointLaw, point: RateFronthaulPoint) -> float:
     return jd_slack(law, point, range(1, K + 1), range(1, L + 1))
 
 
-def on_dominant_face(
-    law: JointLaw, point: RateFronthaulPoint, tol: float = MEMBERSHIP_TOL
-) -> bool:
-    return in_jd_region(law, point, tol) and abs(face_gap(law, point)) <= tol
+def on_dominant_face(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
+    """In the region with no face gap; for a stack the gap is the slack of the
+    ([K], [L]) row, the last row of the joint-decoding region, held at 0."""
+    if isinstance(point, RateFronthaulPoint):
+        return in_jd_region(law, point, tol) and abs(face_gap(law, point)) <= tol
+    jd = jd_region(law)
+    face = Region(jd.pairs[-1:], jd.A[-1:], jd.lb[-1:], jd.lb[-1:])
+    return in_jd_region(law, point, tol) & face.contains(point, tol)
 
 
-def on_dominant_face_alt(
-    law: JointLaw, point: RateFronthaulPoint, tol: float = MEMBERSHIP_TOL
-) -> bool:
+def on_dominant_face_alt(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
     """Alternative description: two-sided constraint per (S, T) pair.
 
     For every S, T the gap C(T) - R(S) must sit between
@@ -106,27 +112,21 @@ def on_dominant_face_alt(
     return region.contains(point, tol)
 
 
-def in_face_FST(
-    law: JointLaw,
-    point: RateFronthaulPoint,
-    q: FaceQuery,
-    tol: float = FACE_TOL,
-) -> bool:
-    """Membership in F_{S,T}: on the dominant face with C(T) - R(S) at its cap."""
+def in_face_FST(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
+    """Membership in F_{S,T}: on the dominant face with C(T) - R(S) at its cap,
+    a one-row `Region` with lb = ub = I(Y_T; Yh_T | X_S)."""
     K, L = uplink_dims(law)
     q.validate(K, L)
-    if not on_dominant_face(law, point, tol):
-        return False
-    cap = mutual_info(law, _ys(q.T), _yhs(q.T), _xs(q.S))
-    return abs(point.c_sum(q.T) - point.r_sum(q.S) - cap) <= tol
+
+    def cap_row():
+        normal = q.mask(K, L) * np.repeat([-1.0, 1.0], [K, L])
+        cap = np.array([mutual_info(law, _ys(q.T), _yhs(q.T), _xs(q.S))])
+        return Region(((q.S, q.T),), normal[None], cap, cap)
+
+    return on_dominant_face(law, point, tol) & law.memo(("cap", q), cap_row).contains(point, tol)
 
 
-def in_sub_face_DST(
-    law: JointLaw,
-    point: RateFronthaulPoint,
-    q: FaceQuery,
-    tol: float = FACE_TOL,
-) -> bool:
+def in_sub_face_DST(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
     """Membership of the (S, T) coordinates in the leading sub-face factor.
 
     Only the R_S and C_T coordinates of `point` are read.
@@ -144,12 +144,7 @@ def in_sub_face_DST(
     return law.memo(("DST", q), lambda: build_region(K, L, S, T, bounds)).contains(point, tol)
 
 
-def in_sub_face_cond(
-    law: JointLaw,
-    point: RateFronthaulPoint,
-    q: FaceQuery,
-    tol: float = FACE_TOL,
-) -> bool:
+def in_sub_face_cond(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
     """Membership of the complement coordinates in the conditional sub-face.
 
     The conditional sub-problem sees (X_S, Yh_T) as decoder side
@@ -181,11 +176,8 @@ def sample_face_points(law: JointLaw, n: int, rng: np.random.Generator):
     vertices = enumerate_corners(law).vertices
     K, L = uplink_dims(law)
     mat = np.array([v.as_vector() for v in vertices])
-    out = []
-    for _ in range(n):
-        w = rng.dirichlet(np.ones(len(vertices)))
-        out.append(RateFronthaulPoint.from_vector(w @ mat, K, L))
-    return out
+    weights = rng.dirichlet(np.ones(len(vertices)), size=n)  # the draws of n calls, in order
+    return [RateFronthaulPoint.from_vector(w @ mat, K, L) for w in weights]
 
 
 @dataclass(frozen=True)
@@ -215,31 +207,17 @@ def check_face_decomposition(
     K, L = uplink_dims(law)
     q.validate(K, L)
     rng = np.random.default_rng(seed)
-    face_corners = [
-        v for v in enumerate_corners(law).vertices if in_face_FST(law, v, q, tol)
-    ]
-    if not face_corners:
+    vertices = np.array([v.as_vector() for v in enumerate_corners(law).vertices])
+    mat = vertices[in_face_FST(law, vertices, q, tol)]
+    if not len(mat):
         return FaceDecompositionReport(0, 0)
-    mat = np.array([v.as_vector() for v in face_corners])
-    points = list(face_corners)
-    for _ in range(samples):
-        w = rng.dirichlet(np.ones(len(face_corners)))
-        points.append(RateFronthaulPoint.from_vector(w @ mat, K, L))
-
-    forward_failures = 0
-    for p in points:
-        if not (in_sub_face_DST(law, p, q, tol) and in_sub_face_cond(law, p, q, tol)):
-            forward_failures += 1
-
-    mask = q.mask(K, L)
-    converse_failures = 0
-    for _ in range(samples):
-        w1 = rng.dirichlet(np.ones(len(face_corners)))
-        w2 = rng.dirichlet(np.ones(len(face_corners)))
-        vec = np.where(mask, w1 @ mat, w2 @ mat)
-        if not in_face_FST(law, RateFronthaulPoint.from_vector(vec, K, L), q, tol):
-            converse_failures += 1
-    return FaceDecompositionReport(forward_failures, converse_failures)
+    # each point set is one stack; the draws are those of one call per sample, in order
+    ones = np.ones(len(mat))
+    points = np.vstack([mat, rng.dirichlet(ones, size=samples) @ mat])
+    forward = in_sub_face_DST(law, points, q, tol) & in_sub_face_cond(law, points, q, tol)
+    w = rng.dirichlet(ones, size=(samples, 2))
+    converse = in_face_FST(law, np.where(q.mask(K, L), w[:, 0] @ mat, w[:, 1] @ mat), q, tol)
+    return FaceDecompositionReport(int(np.sum(~forward)), int(np.sum(~converse)))
 
 
 def degeneracy_condition(law: JointLaw, q: FaceQuery) -> bool:

@@ -77,6 +77,14 @@ class JointLaw:
         _check_pmf(probs, "joint law")
         probs.setflags(write=False)
 
+    def __eq__(self, other):  # the generated one compares the arrays elementwise and raises
+        if not isinstance(other, JointLaw):
+            return NotImplemented
+        return self.names == other.names and np.array_equal(self.probs, other.probs)
+
+    def __hash__(self):
+        return hash(self.names)
+
     def memo(self, key, build):
         """build(), computed once per `key` for this law and kept."""
         if key not in self._memo:

@@ -46,6 +46,7 @@ from .prob import (
 )
 
 MAX_ENUM = 8  # guard: (K+L)! enumeration only up to K+L = 8
+STACK_CHUNK = 4096  # points per product of Region.contains: bounds its (points, rows) slacks
 
 
 @dataclass(frozen=True)
@@ -209,15 +210,24 @@ class Region:
     lb: np.ndarray
     ub: np.ndarray  # +inf for a one-sided region
 
-    def slacks(self, point: RateFronthaulPoint) -> np.ndarray:
-        """min(A x - lb, ub - A x) per row; a NaN slack (inf - inf) reads as -inf."""
+    def slacks(self, points) -> np.ndarray:
+        """min(A x - lb, ub - A x) per row, for one point or per point of an
+        (n, K+L) stack; a NaN slack (inf - inf) reads as -inf."""
+        x = points.as_vector() if isinstance(points, RateFronthaulPoint) else np.transpose(points)
         with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates overflow
-            ax = self.A @ point.as_vector()
+            ax = (self.A @ x).T  # one product for the whole stack
             s = np.fmin(ax - self.lb, self.ub - ax)  # fmin skips the NaN of inf - inf
         return np.where(np.isnan(s), -np.inf, s)
 
-    def contains(self, point: RateFronthaulPoint, tol: float) -> bool:
-        return bool(self.slacks(point).min() >= -tol)
+    def contains(self, points, tol: float):
+        """A bool for one point; for a stack one bool per point, STACK_CHUNK at a time."""
+        if isinstance(points, RateFronthaulPoint):
+            return bool(self.slacks(points).min() >= -tol)
+        points = np.asarray(points)
+        inside = np.empty(len(points), dtype=bool)
+        for i in range(0, len(points), STACK_CHUNK):
+            inside[i:i + STACK_CHUNK] = self.slacks(points[i:i + STACK_CHUNK]).min(axis=1) >= -tol
+        return inside
 
 
 def build_region(K: int, L: int, users, relays, bounds) -> Region:
@@ -253,7 +263,8 @@ def min_jd_slack(law: JointLaw, point: RateFronthaulPoint):
     return float(s[i]), tuple(set(x) for x in region.pairs[i])
 
 
-def in_jd_region(law: JointLaw, point: RateFronthaulPoint, tol: float = MEMBERSHIP_TOL) -> bool:
+def in_jd_region(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
+    """Membership of one point, or of each point of an (n, K+L) stack."""
     return jd_region(law).contains(point, tol)
 
 

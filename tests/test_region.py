@@ -1,6 +1,9 @@
 """The matrix form of the regions (`uplink.Region`) against scalar loops,
-the per-law cache of regions and enumerations, and overflowing points."""
+stacked predicates against per-point calls, the per-law cache of regions
+and enumerations, law equality, and overflowing points."""
 
+import csv
+import io
 import json
 import math
 import pathlib
@@ -15,22 +18,41 @@ from cranregions import (
     RateFronthaulPoint,
     build_downlink_joint,
     build_uplink_joint,
+    check_face_decomposition,
     downlink_enumerate_corners,
     enumerate_corners,
+    in_face_FST,
+    in_jd_region,
+    in_je_region,
     je_slack,
     jd_slack,
     min_jd_slack,
     mutual_info,
+    on_dominant_face,
     on_dominant_face_alt,
     sample_face_points,
 )
+from cranregions import face as df
 from cranregions.cli import main
 from cranregions.downlink import je_region
-from cranregions.face import in_sub_face_cond, in_sub_face_DST
+from cranregions.face import FaceDecompositionReport, in_sub_face_cond, in_sub_face_DST
 from cranregions.prob import ACTIVE_TOL, FACE_TOL, MEMBERSHIP_TOL, NEGATIVE_RATE_TOL, subsets
-from cranregions.uplink import _row_rank, check_corner, coord_labels, jd_region
+from cranregions.uplink import (
+    STACK_CHUNK,
+    _row_rank,
+    check_corner,
+    coord_labels,
+    jd_region,
+    uplink_dims,
+)
 
-from conftest import k2l2_bsc_spec, product_spec, random_downlink_spec, random_uplink_spec
+from conftest import (
+    downlink_k1l1_spec,
+    k2l2_bsc_spec,
+    product_spec,
+    random_downlink_spec,
+    random_uplink_spec,
+)
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2), (1, 4), (4, 1)]
@@ -100,6 +122,13 @@ def test_min_slack_matches_scalar_loop(direction, K, L):
         ref_best, ref_arg = scalar_min_slack(law, slack, point)
         assert best == pytest.approx(ref_best, abs=1e-12)
         assert arg == ref_arg
+    # a stack of more than two chunks: each chunk's answers land in their own places
+    mat = np.array([p.as_vector() for p in enum.vertices])
+    stack = rng.uniform(mat.min(axis=0) - 0.25, mat.max(axis=0) + 0.25,
+                        size=(2 * STACK_CHUNK + 1, K + L))
+    inside = region.contains(stack, MEMBERSHIP_TOL)
+    assert np.array_equal(inside, region.slacks(stack).min(axis=1) >= -MEMBERSHIP_TOL)
+    assert set(inside.tolist()) == {True, False}
 
 
 @pytest.mark.parametrize("direction, K, L", CASES)
@@ -180,6 +209,46 @@ def _queries(K, L):
             yield FaceQuery(frozenset(S), frozenset(T))
 
 
+def scalar_in_face_FST(law, q, point):
+    cap = mutual_info(law, _ys(q.T), _yhs(q.T), _xs(q.S))
+    return (on_dominant_face(law, point, FACE_TOL)
+            and abs(point.c_sum(q.T) - point.r_sum(q.S) - cap) <= FACE_TOL)
+
+
+def per_point_face_decomposition(law, q, samples, seed, tol=FACE_TOL):
+    """Reference: `check_face_decomposition` with one predicate call per point."""
+    K, L = uplink_dims(law)
+    q.validate(K, L)
+    rng = np.random.default_rng(seed)
+    face_corners = [v for v in enumerate_corners(law).vertices if df.in_face_FST(law, v, q, tol)]
+    if not face_corners:
+        return FaceDecompositionReport(0, 0)
+    mat = np.array([v.as_vector() for v in face_corners])
+    points = list(face_corners)
+    for _ in range(samples):
+        w = rng.dirichlet(np.ones(len(face_corners)))
+        points.append(RateFronthaulPoint.from_vector(w @ mat, K, L))
+    forward_failures = 0
+    for p in points:
+        if not (df.in_sub_face_DST(law, p, q, tol) and df.in_sub_face_cond(law, p, q, tol)):
+            forward_failures += 1
+    mask = q.mask(K, L)
+    converse_failures = 0
+    for _ in range(samples):
+        w1 = rng.dirichlet(np.ones(len(face_corners)))
+        w2 = rng.dirichlet(np.ones(len(face_corners)))
+        vec = np.where(mask, w1 @ mat, w2 @ mat)
+        if not df.in_face_FST(law, RateFronthaulPoint.from_vector(vec, K, L), q, tol):
+            converse_failures += 1
+    return FaceDecompositionReport(forward_failures, converse_failures)
+
+
+def assert_stacked_matches(predicate, points, per_point):
+    """One call on the stacked points gives the per-point list, as numpy bools."""
+    got = predicate(np.array([p.as_vector() for p in points]))
+    assert got.dtype == bool and got.tolist() == per_point
+
+
 @pytest.mark.parametrize("K, L", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)])
 def test_face_families_match_scalar_loops(K, L):
     law, _, _, enum, rng = _case("uplink", K, L)
@@ -188,14 +257,55 @@ def test_face_families_match_scalar_loops(K, L):
     alt = [on_dominant_face_alt(law, p) for p in points]
     assert alt == [scalar_alt(law, K, L, p) for p in points]
     assert set(alt) == {True, False}
-    sub = []
+    assert_stacked_matches(lambda x: on_dominant_face_alt(law, x), points, alt)
+    for member in (in_jd_region, on_dominant_face):
+        assert_stacked_matches(lambda x: member(law, x), points, [member(law, p) for p in points])
+    down, _, _, down_enum, _ = _case("downlink", K, L)
+    down_points = list(down_enum.vertices) + _box_points(down_enum, 20, rng)
+    assert_stacked_matches(lambda x: in_je_region(down, x), down_points,
+                           [in_je_region(down, p) for p in down_points])
+    sub, fst = [], set()
     for q in _queries(K, L):
         for p in points:
             sub.append(in_sub_face_DST(law, p, q))
             assert sub[-1] == scalar_sub_face_DST(law, q, p)
             sub.append(in_sub_face_cond(law, p, q))
             assert sub[-1] == scalar_sub_face_cond(law, K, L, q, p)
-    assert set(sub) == {True, False}
+        for predicate in (in_sub_face_DST, in_sub_face_cond, in_face_FST):
+            per_point = [predicate(law, p, q) for p in points]
+            assert_stacked_matches(lambda x: predicate(law, x, q), points, per_point)
+        assert per_point == [scalar_in_face_FST(law, q, p) for p in points]  # in_face_FST's
+        fst.update(per_point)
+        for samples in (20, 200):
+            assert check_face_decomposition(law, q, samples, seed=0) == (
+                per_point_face_decomposition(law, q, samples, seed=0))
+    assert set(sub) == {True, False} and fst == {True, False}
+
+
+def test_face_decomposition_draws_the_reference_points(monkeypatch):
+    """With predicates that also reject the points inside a band of one coordinate,
+    there are failures to count, and the stacked check counts the reference's:
+    it draws the same points and gives each to the same predicates."""
+    law = _case("uplink", 2, 2)[0]
+    # the middle half between two middle distinct vertex values: no corner, and no
+    # point of a face on which the coordinate is constant, comes near its edges
+    bands = []
+    for column in np.array([v.as_vector() for v in enumerate_corners(law).vertices]).T:
+        values = np.unique(np.round(column, 9))
+        lo, hi = values[len(values) // 2 - 1], values[len(values) // 2]
+        bands.append((lo + (hi - lo) / 4, hi - (hi - lo) / 4))
+
+    def rejecting(predicate, i):
+        def patched(law, x, q, tol=FACE_TOL):
+            xi = x.as_vector()[i] if isinstance(x, RateFronthaulPoint) else x[:, i]
+            return predicate(law, x, q, tol) & ~((bands[i][0] < xi) & (xi < bands[i][1]))
+        return patched
+
+    for name, i in (("in_sub_face_DST", 0), ("in_sub_face_cond", 3), ("in_face_FST", 2)):
+        monkeypatch.setattr(df, name, rejecting(getattr(df, name), i))
+    reports = [check_face_decomposition(law, q, 50, seed=1) for q in _queries(2, 2)]
+    assert reports == [per_point_face_decomposition(law, q, 50, seed=1) for q in _queries(2, 2)]
+    assert any(r.forward_failures for r in reports) and any(r.converse_failures for r in reports)
 
 
 # --- the per-law cache ---
@@ -227,6 +337,16 @@ def test_laws_share_no_cached_structure():
     assert not np.array_equal(jd_region(a).lb, jd_region(b).lb)
 
 
+def test_laws_compare_by_names_and_probabilities():
+    laws = [build_uplink_joint(k2l2_bsc_spec()), build_uplink_joint(k2l2_bsc_spec()),
+            build_uplink_joint(product_spec()), build_downlink_joint(downlink_k1l1_spec())]
+    assert laws[0] == laws[1] and hash(laws[0]) == hash(laws[1])
+    assert laws[0] != laws[2] and laws[0] != laws[3] and laws[0] != laws[0].names
+    assert len(set(laws)) == 3
+    renamed = JointLaw(tuple(n + "_" for n in laws[0].names), laws[0].probs)
+    assert renamed != laws[0]
+
+
 def test_equality_and_repr_ignore_the_cache():
     law = build_uplink_joint(k2l2_bsc_spec())
     twin = JointLaw(law.names, law.probs)
@@ -243,14 +363,29 @@ def test_equality_and_repr_ignore_the_cache():
 
 @pytest.mark.parametrize(
     "spec, point",
-    [("identity_k1l1.json", "1e308,-1e308"), ("uplink_k2l2.json", "1e308,-1e308,-1e308,1e308")],
+    [("identity_k1l1.json", "1e308,-1e308"), ("uplink_k2l2.json", "1e308,-1e308,-1e308,1e308"),
+     ("downlink_k2l2.json", "R2=1e308,C2=-1e308")],
 )
 def test_overflowing_face_point_is_outside_and_warns_nothing(capsys, spec, point):
+    """`face` at the point; a downlink point fixes R2, C2 of a 3x3 `slice` grid,
+    whose stacked product overflows on every grid point."""
+    is_slice = "=" in point
+    argv = ["face", str(SPECS / spec), f"--point={point}"]
+    if is_slice:
+        argv = ["slice", str(SPECS / spec), "--vary=R1,C1", f"--fixed={point}", "--min=0",
+                "--max=1", "--steps=3"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["face", str(SPECS / spec), f"--point={point}"])
+        code = main(argv)
     out = capsys.readouterr()
     assert out.err == ""
+    if is_slice:
+        rows = list(csv.reader(io.StringIO(out.out)))
+        assert rows[0] == ["R1", "C1", "in_region"]
+        assert [r[:2] for r in rows[1:]] == [[x, y] for x in ("0.0", "0.5", "1.0")
+                                             for y in ("0.0", "0.5", "1.0")]
+        assert [r[2] for r in rows[1:]] == ["0"] * 9 and code == 0
+        return
     res = json.loads(out.out)["results"]
     assert (res["in_region"], res["on_dominant_face"], res["on_dominant_face_alt"]) == (
         False, False, False)
