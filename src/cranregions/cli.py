@@ -353,10 +353,14 @@ def cmd_slice(args) -> int:
     for name, val in fixed.items():
         base[labels.index(name)] = val
     i0, i1 = labels.index(vary[0]), labels.index(vary[1])
-    points = np.tile(base, (len(grid) ** 2, 1))  # the whole grid is one stack, one product
-    points[:, i0], points[:, i1] = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
-    for (x, y), inside in zip(points[:, [i0, i1]], member(points)):  # x outer, y inner
-        w.writerow([round(float(x), 12), round(float(y), 12), int(inside)])
+    n = len(grid)
+    for start in range(0, n * n, ul.STACK_CHUNK):  # one stack, one product, per chunk of the grid
+        k = np.arange(start, min(start + ul.STACK_CHUNK, n * n))
+        xs, ys = grid[k // n], grid[k % n]  # x outer, y inner
+        points = np.tile(base, (len(k), 1))
+        points[:, i0], points[:, i1] = xs, ys
+        for x, y, inside in zip(xs, ys, member(points)):
+            w.writerow([round(float(x), 12), round(float(y), 12), int(inside)])
     sys.stdout.write(buf.getvalue())
     return EXIT_OK
 

@@ -81,13 +81,14 @@ def face_gap(law: JointLaw, point: RateFronthaulPoint) -> float:
 
 
 def on_dominant_face(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
-    """In the region with no face gap; for a stack the gap is the slack of the
-    ([K], [L]) row, the last row of the joint-decoding region, held at 0."""
-    if isinstance(point, RateFronthaulPoint):
-        return in_jd_region(law, point, tol) and abs(face_gap(law, point)) <= tol
-    jd = jd_region(law)
-    face = Region(jd.pairs[-1:], jd.A[-1:], jd.lb[-1:], jd.lb[-1:])
-    return in_jd_region(law, point, tol) & face.contains(point, tol)
+    """In the region with no face gap: the gap is the slack of the ([K], [L])
+    row, the last row of the joint-decoding region, held at 0."""
+
+    def face_row():
+        jd = jd_region(law)
+        return Region(jd.pairs[-1:], jd.A[-1:], jd.lb[-1:], jd.lb[-1:])
+
+    return in_jd_region(law, point, tol) & law.memo("face", face_row).contains(point, tol)
 
 
 def on_dominant_face_alt(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):

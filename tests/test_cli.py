@@ -176,6 +176,14 @@ class TestSlice:
         assert rows[("0.0", "1.0")] == "1"
         assert rows[("1.0", "0.0")] == "0"
 
+    def test_grid_in_chunks_matches_one_stack(self, capsys, monkeypatch):
+        argv = ("slice", K2L2, "--vary", "R1,C1", "--fixed", "R2=0.2,C2=0.5",
+                "--max", "1", "--steps", "5")
+        whole = run(capsys, *argv)
+        assert sum(l.endswith(",1") for l in whole[1].splitlines()) == 5  # a mixed grid
+        monkeypatch.setattr("cranregions.uplink.STACK_CHUNK", 7)  # 25 points: 7, 7, 7, 4
+        assert run(capsys, *argv) == whole
+
     def test_missing_fixed_exit_2(self, capsys):
         code, _, _ = run(capsys, "slice", K2L2, "--vary", "R1,C1")
         assert code == 2

@@ -393,7 +393,7 @@ def test_overflowing_face_point_is_outside_and_warns_nothing(capsys, spec, point
 
 
 def test_overflowing_sum_inside_the_region_warns_nothing(capsys):
-    # in the region, so on_dominant_face reaches face_gap, whose C - R sum overflows
+    # in the region, so on_dominant_face reads the face row, whose C - R product overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["face", str(SPECS / "uplink_k2l2.json"), "--point=-1e308,-1e308,1,1"])
