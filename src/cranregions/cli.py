@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 from functools import partial
@@ -128,33 +129,23 @@ def cmd_corners(args) -> int:
         enum = enumerate_corners(dedup_tol=args.dedup_tol)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    rows = []
-    all_ok = True
-    for order, point in enum.corners:
-        rep = verify(point)
-        rows.append(
-            {
-                "permutation": ",".join(order.labels),
-                "point": [round(v, 12) for v in point.as_vector()],
-                "is_corner": rep.is_corner,
-            }
-        )
-        all_ok = all_ok and rep.is_corner
+    is_corner = verify(enum.points).is_corner.tolist()  # one batched check of every corner
+    all_ok = all(is_corner)
+    perms = enum.order_labels
+    points = np.round(enum.points, 12).tolist()
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["permutation"] + ul.coord_labels(spec.K, spec.L) + ["is_corner"])
-        vertices = {id(p) for p in enum.vertices}
-        for (_, point), row in zip(enum.corners, rows):
-            if args.dedup and id(point) not in vertices:
-                continue
-            w.writerow([row["permutation"]] + row["point"] + [row["is_corner"]])
+        for i in (enum.kept.tolist() if args.dedup else range(len(perms))):
+            w.writerow([perms[i]] + points[i] + [is_corner[i]])
         sys.stdout.write(buf.getvalue())
     else:
         results = {
-            "corners": rows,
-            "n_vertices": len(enum.vertices),
-            "vertices": [[round(v, 12) for v in p.as_vector()] for p in enum.vertices],
+            "corners": [{"permutation": p, "point": x, "is_corner": c}
+                        for p, x, c in zip(perms, points, is_corner)],
+            "n_vertices": len(enum.kept),
+            "vertices": [points[i] for i in enum.kept.tolist()],
         }
         _emit(
             _report(
@@ -365,8 +356,24 @@ def cmd_slice(args) -> int:
     return EXIT_OK
 
 
+_NUMBER = r"\s*[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|infinity|nan)\s*"
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that takes a negative number, or a comma list of
+    numbers, after an option as that option's value.  argparse's own test
+    (its `_negative_number_matcher`, read for every argument that starts
+    with '-') admits only plain forms like -1 and -0.5, so it refuses
+    `--min -1e-3` and `--point -0.001,1`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            rf"^-(?:{_NUMBER})?(?:,(?:{_NUMBER})?)*$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cranregions",
         description="Rate-fronthaul region computations for finite-alphabet relay networks.",
     )

@@ -41,9 +41,11 @@ from .uplink import (
     SolveOrder,
     check_corner,
     check_permutation,
+    closed_form_table,
     count_labels,
     enumerate_orders,
     greedy_corner,
+    read_corners,
     slack_region,
 )
 
@@ -140,22 +142,27 @@ def downlink_corner_iterative(law: JointLaw, order: SolveOrder) -> RateFronthaul
     return greedy_corner(partial(je_slack, law), order)
 
 
-def downlink_corner_closed(law: JointLaw, order: SolveOrder) -> RateFronthaulPoint:
-    """Closed-form corner; agrees with the iterative procedure to 1e-9."""
-    K, L = order.K, order.L
-    R = np.zeros(K)
-    C = np.zeros(L)
-    a, b = order.a, order.b
-    for k in range(1, K + L + 1):
-        I, J = order.index_sets(k)
-        bk = b[k - 1]
-        if a[k - 1] == 1:
-            R[bk - 1] = mutual_info(law, [f"U{bk}"], [f"Y{bk}"]) - mutual_info(
-                law, [f"U{bk}"], _us(I) + _xs(J)
+def downlink_corner_closed(law: JointLaw, orders):
+    """Closed-form corner of one solve order, or the corners of a stack of
+    permutations (see `uplink.read_corners`); agrees with the iterative
+    procedure to 1e-9."""
+    return read_corners(law.memo("je closed form", lambda: _je_closed_form(law)), orders)
+
+
+def _je_closed_form(law: JointLaw):
+    """R_b = I(U_b; Y_b) - I(U_b; U_I, X_J) and C_b = I(X_b; U_I, X_J) for I, J
+    solved before."""
+    K, L = downlink_dims(law)
+
+    def value(c, I, J):
+        if c < K:
+            b = c + 1
+            return mutual_info(law, [f"U{b}"], [f"Y{b}"]) - mutual_info(
+                law, [f"U{b}"], _us(I) + _xs(J)
             )
-        else:
-            C[bk - 1] = mutual_info(law, [f"X{bk}"], _us(I) + _xs(J))
-    return RateFronthaulPoint(R, C)
+        return mutual_info(law, [f"X{c - K + 1}"], _us(I) + _xs(J))
+
+    return closed_form_table(K, L, value)
 
 
 def solve_order_to_encode_order(order: SolveOrder) -> EncodeOrder:
@@ -169,9 +176,9 @@ def solve_order_to_encode_order(order: SolveOrder) -> EncodeOrder:
     return EncodeOrder(tuple(labels), order.K, order.L)
 
 
-def verify_downlink_corner(law: JointLaw, point: RateFronthaulPoint) -> CornerReport:
-    """Corner-hood of `point` in the joint-encoding region."""
-    return check_corner(je_region(law), point)
+def verify_downlink_corner(law: JointLaw, points) -> CornerReport:
+    """Corner-hood of one point, or of each point of a stack, in the joint-encoding region."""
+    return check_corner(je_region(law), points)
 
 
 def downlink_enumerate_corners(

@@ -174,11 +174,10 @@ def in_sub_face_cond(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
 
 def sample_face_points(law: JointLaw, n: int, rng: np.random.Generator):
     """Random dominant-face members: Dirichlet convex combinations of face corners."""
-    vertices = enumerate_corners(law).vertices
-    K, L = uplink_dims(law)
-    mat = np.array([v.as_vector() for v in vertices])
-    weights = rng.dirichlet(np.ones(len(vertices)), size=n)  # the draws of n calls, in order
-    return [RateFronthaulPoint.from_vector(w @ mat, K, L) for w in weights]
+    enum = enumerate_corners(law)
+    mat = enum.points[enum.kept]
+    weights = rng.dirichlet(np.ones(len(mat)), size=n)  # the draws of n calls, in order
+    return [RateFronthaulPoint.from_vector(w @ mat, enum.K, enum.L) for w in weights]
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,8 @@ def check_face_decomposition(
     K, L = uplink_dims(law)
     q.validate(K, L)
     rng = np.random.default_rng(seed)
-    vertices = np.array([v.as_vector() for v in enumerate_corners(law).vertices])
+    enum = enumerate_corners(law)
+    vertices = enum.points[enum.kept]
     mat = vertices[in_face_FST(law, vertices, q, tol)]
     if not len(mat):
         return FaceDecompositionReport(0, 0)
@@ -242,8 +242,8 @@ def check_degenerate_factorization(law: JointLaw, q: FaceQuery) -> bool:
     """
     K, L = uplink_dims(law)
     q.validate(K, L)
-    vertices = enumerate_corners(law).vertices
-    mat = np.array([v.as_vector() for v in vertices])  # distinct at DEDUP_TOL = FACE_TOL
+    enum = enumerate_corners(law)
+    mat = enum.points[enum.kept]  # distinct at DEDUP_TOL = FACE_TOL
     mask = q.mask(K, L)
     proj_a = dedup_points(mat[:, mask], FACE_TOL)
     proj_b = dedup_points(mat[:, ~mask], FACE_TOL)
@@ -261,8 +261,9 @@ def check_degenerate_factorization(law: JointLaw, q: FaceQuery) -> bool:
 
 def dominant_face_dimension(law: JointLaw) -> int:
     """Affine dimension of the dominant face from its enumerated corners."""
-    mat = np.array([v.as_vector() for v in enumerate_corners(law).vertices])
+    enum = enumerate_corners(law)
+    mat = enum.points[enum.kept]
     if len(mat) <= 1:
         return 0
     diffs = mat[1:] - mat[0]
-    return _row_rank(list(diffs))
+    return _row_rank(diffs)

@@ -39,7 +39,8 @@ def _admissible_queries(K, L):
 def _random_box_points(law, n, rng):
     """An (n, K+L) stack of random probe points in an inflated bounding box of
     the corners; the draws are those of one call per point, in order."""
-    mat = np.array([v.as_vector() for v in ul.enumerate_corners(law).vertices])
+    enum = ul.enumerate_corners(law)
+    mat = enum.points[enum.kept]
     lo = mat.min(axis=0) - 0.25
     hi = mat.max(axis=0) + 0.25
     return rng.uniform(lo, hi, size=(n, len(lo)))
@@ -62,11 +63,9 @@ def suite_lemma1(spec: UplinkSpec, seed=0, samples=100):
 
 def suite_lemma2(spec: UplinkSpec, seed=0, samples=100):
     law = spec.law
-    failures = []
-    for order, point in ul.enumerate_corners(law).corners:
-        rep = ul.verify_corner(law, point)
-        if not rep.is_corner:
-            failures.append(",".join(order.labels))
+    enum = ul.enumerate_corners(law)
+    rep = ul.verify_corner(law, enum.points)
+    failures = [o for o, ok in zip(enum.order_labels, rep.is_corner) if not ok]
     return not failures, {"n_corners": math.factorial(spec.K + spec.L), "failures": failures}
 
 
@@ -163,14 +162,10 @@ def suite_lemma7(spec: DownlinkSpec, seed=0, samples=100):
 
 def suite_lemma8(spec: DownlinkSpec, seed=0, samples=100):
     law = spec.law
-    failures = []
-    negatives = []
-    for order, point in dl.downlink_enumerate_corners(law).corners:
-        rep = dl.verify_downlink_corner(law, point)
-        if not rep.is_corner:
-            failures.append(",".join(order.labels))
-        if rep.negative_coords:
-            negatives.append(",".join(order.labels))
+    enum = dl.downlink_enumerate_corners(law)
+    rep = dl.verify_downlink_corner(law, enum.points)
+    failures = [o for o, ok in zip(enum.order_labels, rep.is_corner) if not ok]
+    negatives = [o for o, neg in zip(enum.order_labels, rep.negative_coords) if neg]
     return not failures, {
         "n_corners": math.factorial(spec.K + spec.L),
         "failures": failures,

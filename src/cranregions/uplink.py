@@ -24,13 +24,20 @@ a `Region` (0/+-1 normals A of the (S, T) pairs, bounds lb <= A x <= ub)
 is built once per law, `check_corner` reads corner-hood off its tight rows,
 `greedy_corner` solves the slack for the corner of one solve order, and
 `enumerate_orders` applies a corner procedure to every solve order.
+
+The closed form of a coordinate depends only on the set of coordinates
+solved before it, so `closed_form_table` holds all (K+L) 2^(K+L-1) values
+once per law and `read_corners` gathers the corners of any stack of solve
+orders from it.  `check_corner` and `dedup_points` work on the whole
+stack of corners at once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -47,6 +54,7 @@ from .prob import (
 
 MAX_ENUM = 8  # guard: (K+L)! enumeration only up to K+L = 8
 STACK_CHUNK = 4096  # points per product of Region.contains: bounds its (points, rows) slacks
+RANK_CHUNK = 1 << 18  # int64 entries per elimination stack of check_corner
 
 
 @dataclass(frozen=True)
@@ -129,6 +137,11 @@ class SolveOrder:
     def b(self) -> tuple[int, ...]:
         return tuple(int(s[1:]) for s in self.labels)
 
+    @property
+    def perm(self) -> tuple[int, ...]:
+        """The solved coordinates in order, R_1..R_K, C_1..C_L numbered 0..K+L-1."""
+        return tuple(b - 1 if a else self.K + b - 1 for a, b in zip(self.a, self.b))
+
     def index_sets(self, k: int) -> tuple[set, set]:
         """(I_k, J_k): user/relay indices solved strictly before step k (1-based)."""
         I = {int(s[1:]) for s in self.labels[: k - 1] if s.startswith("R")}
@@ -148,12 +161,19 @@ class DecodeOrder:
         check_permutation(self, "X", "Yh")
 
 
-def solve_orders(K: int, L: int):
-    """All (K+L)! solve orders, refused above the MAX_ENUM guard."""
+def solve_perms(K: int, L: int) -> np.ndarray:
+    """All (K+L)! solve orders as the rows of their `SolveOrder.perm`, in
+    lexicographic order, refused above the MAX_ENUM guard."""
     if K + L > MAX_ENUM:
         raise ValueError(f"K+L = {K + L} exceeds enumeration guard {MAX_ENUM}")
-    for perm in itertools.permutations(coord_labels(K, L)):
-        yield SolveOrder(perm, K, L)
+    return np.array(list(itertools.permutations(range(K + L))), dtype=np.intp)
+
+
+def solve_orders(K: int, L: int):
+    """All (K+L)! solve orders, in the order of `solve_perms`."""
+    labels = coord_labels(K, L)
+    for perm in solve_perms(K, L).tolist():
+        yield SolveOrder(tuple(labels[c] for c in perm), K, L)
 
 
 def count_labels(names, prefix: str) -> int:
@@ -318,24 +338,60 @@ def corner_iterative(law: JointLaw, order: SolveOrder) -> RateFronthaulPoint:
     return greedy_corner(partial(jd_slack, law), order)
 
 
-def corner_closed(law: JointLaw, order: SolveOrder) -> RateFronthaulPoint:
-    """Closed-form corner point; agrees with corner_iterative to 1e-9."""
-    K, L = order.K, order.L
-    R = np.zeros(K)
-    C = np.zeros(L)
-    a, b = order.a, order.b
-    for k in range(1, K + L + 1):
-        I, J = order.index_sets(k)
-        Ic = set(range(1, K + 1)) - I
-        Jc = set(range(1, L + 1)) - J
-        bk = b[k - 1]
-        if a[k - 1] == 1:
-            R[bk - 1] = mutual_info(law, [f"X{bk}"], _yhs(Jc), _xs(Ic - {bk}))
-        else:
-            C[bk - 1] = mutual_info(law, [f"Y{bk}"], [f"Yh{bk}"]) - mutual_info(
-                law, [f"Yh{bk}"], _xs(Ic) + _yhs(Jc - {bk})
-            )
-    return RateFronthaulPoint(R, C)
+def closed_form_table(K: int, L: int, value) -> np.ndarray:
+    """table[c, P] = value(c, I, J): the closed form of coordinate c (R_1..R_K,
+    C_1..C_L numbered 0..K+L-1) solved after the coordinates in the bitmask P,
+    whose users are I and relays J.  These (K+L) 2^(K+L-1) values serve all
+    (K+L)! solve orders; entries with c in P stay 0 and are never read."""
+    n = K + L
+    table = np.zeros((n, 1 << n))
+    for P in range(1 << n):
+        I = {c + 1 for c in range(K) if P >> c & 1}
+        J = {c - K + 1 for c in range(K, n) if P >> c & 1}
+        for c in range(n):
+            if not P >> c & 1:
+                table[c, P] = value(c, I, J)
+    table.setflags(write=False)
+    return table
+
+
+def read_corners(table: np.ndarray, orders):
+    """The corner of one SolveOrder, or the (n, K+L) corners of an (n, K+L) stack
+    of `SolveOrder.perm` rows, read off a `closed_form_table`: step k takes
+    table[perm[k], P] for P the bitmask of perm[:k], an exclusive prefix sum."""
+    if isinstance(orders, SolveOrder):
+        vec = read_corners(table, np.array([orders.perm]))[0]
+        return RateFronthaulPoint.from_vector(vec, orders.K, orders.L)
+    perms = np.asarray(orders)
+    bits = 1 << perms
+    points = np.empty(perms.shape)
+    np.put_along_axis(points, perms, table[perms, np.cumsum(bits, axis=1) - bits], axis=1)
+    return points
+
+
+def corner_closed(law: JointLaw, orders):
+    """Closed-form corner of one solve order, or the corners of a stack of
+    permutations (see `read_corners`); agrees with corner_iterative to 1e-9."""
+    return read_corners(law.memo("jd closed form", lambda: _jd_closed_form(law)), orders)
+
+
+def _jd_closed_form(law: JointLaw) -> np.ndarray:
+    """R_b = I(X_b; Yh_{J^c} | X_{I^c - b}) and
+    C_b = I(Y_b; Yh_b) - I(Yh_b; X_{I^c}, Yh_{J^c - b}) for I, J solved before."""
+    K, L = uplink_dims(law)
+    users, relays = set(range(1, K + 1)), set(range(1, L + 1))
+
+    def value(c, I, J):
+        Ic, Jc = users - I, relays - J
+        if c < K:
+            b = c + 1
+            return mutual_info(law, [f"X{b}"], _yhs(Jc), _xs(Ic - {b}))
+        b = c - K + 1
+        return mutual_info(law, [f"Y{b}"], [f"Yh{b}"]) - mutual_info(
+            law, [f"Yh{b}"], _xs(Ic) + _yhs(Jc - {b})
+        )
+
+    return closed_form_table(K, L, value)
 
 
 def solve_order_to_decode_order(order: SolveOrder) -> DecodeOrder:
@@ -367,15 +423,50 @@ def _row_rank(rows) -> int:
             continue
         a[[rank, pivot]] = a[[pivot, rank]]
         a[rank] /= a[rank, col]
-        for r in range(a.shape[0]):
-            if r != rank:
-                a[r] -= a[r, col] * a[rank]
+        rest = np.arange(a.shape[0]) != rank
+        a[rest] -= np.outer(a[rest, col], a[rank])  # every row reads the unchanged pivot row
         rank += 1
     return rank
 
 
+def _tight_ranks(normals: np.ndarray, tight: np.ndarray) -> np.ndarray:
+    """Exact rank of the rows normals[tight[i]] for each row i of the bool mask.
+
+    `normals` are 0/+-1 int64 rows.  Each point's tight rows go first in a
+    compact stack of RANK_CHUNK entries at most, eliminated without
+    fractions (Bareiss): every entry is then a minor of a 0/+-1 matrix with
+    at most MAX_ENUM columns, at most 8**4, and every division is exact.
+    """
+    count = tight.sum(axis=1)
+    width = int(count.max(initial=0))
+    ranks = np.zeros(len(tight), dtype=int)
+    if width == 0:
+        return ranks
+    rows = np.argsort(~tight, axis=1, kind="stable")[:, :width]
+    chunk = max(1, RANK_CHUNK // (width * normals.shape[1]))
+    for i in range(0, len(tight), chunk):
+        free = np.arange(width) < count[i:i + chunk, None]  # tight rows not yet a pivot
+        m = normals[rows[i:i + chunk]] * free[..., None]
+        at = np.arange(len(m))
+        prev = np.ones(len(m), dtype=np.int64)  # the previous pivot, 1 before the first
+        for c in range(normals.shape[1]):
+            col = m[:, :, c]
+            found = free & (col != 0)
+            has = found.any(axis=1)
+            p = found.argmax(axis=1)
+            pivot = m[at, p]
+            free[at[has], p[has]] = False
+            update = pivot[:, c, None, None] * m - col[..., None] * pivot[:, None, :]
+            m = np.where((free & has[:, None])[..., None], update // prev[:, None, None], m)
+            prev = np.where(has, pivot[:, c], prev)
+            ranks[i:i + chunk] += has
+    return ranks
+
+
 @dataclass(frozen=True)
 class CornerReport:
+    """Corner-hood of one point; for a stack, one entry per point in each field."""
+
     in_region: bool
     rank: int
     is_corner: bool
@@ -383,43 +474,85 @@ class CornerReport:
 
     @property
     def in_nonnegative_orthant(self) -> bool:
+        """For a report of one point."""
         return not self.negative_coords
 
 
-def check_corner(region: Region, point: RateFronthaulPoint) -> CornerReport:
+def check_corner(region: Region, points) -> CornerReport:
     """Check corner-hood: region membership plus K+L independent tight constraints.
 
     A true corner needs the normals of the tight rows of A (the zero row
-    of (S, T) = (empty, empty) left out) to have full rank K+L.  Negative
-    coordinates are flagged, not clamped.
+    of (S, T) = (empty, empty) left out) to have full rank K+L, an exact
+    integer rank.  Negative coordinates are flagged, not clamped.  An
+    (n, K+L) stack gets arrays of in_region, rank and is_corner and a tuple
+    of label tuples, from one product per STACK_CHUNK points.
     """
-    K, L = len(point.R), len(point.C)
-    s = region.slacks(point)
-    tight = (np.abs(s) <= ACTIVE_TOL) & region.A.any(axis=1)
-    rank = _row_rank(region.A[tight])
-    in_region = bool(s.min() >= -MEMBERSHIP_TOL)
-    negative = tuple(
-        lab
-        for lab, v in zip(coord_labels(K, L), point.as_vector())
-        if v < -NEGATIVE_RATE_TOL
-    )
-    return CornerReport(
-        in_region=in_region,
-        rank=rank,
-        is_corner=in_region and rank >= K + L,
-        negative_coords=negative,
-    )
+    single = isinstance(points, RateFronthaulPoint)
+    x = points.as_vector()[None] if single else np.asarray(points, dtype=float)
+    n, d = x.shape
+    normals = region.A.astype(np.int64)
+    nonzero = region.A.any(axis=1)
+    in_region = np.empty(n, dtype=bool)
+    rank = np.empty(n, dtype=int)
+    for i in range(0, n, STACK_CHUNK):
+        s = region.slacks(points if single else x[i:i + STACK_CHUNK]).reshape(-1, len(region.A))
+        in_region[i:i + STACK_CHUNK] = s.min(axis=1) >= -MEMBERSHIP_TOL
+        rank[i:i + STACK_CHUNK] = _tight_ranks(normals, (np.abs(s) <= ACTIVE_TOL) & nonzero)
+    is_corner = in_region & (rank >= d)
+    K = int(np.count_nonzero((region.A < 0).any(axis=0)))  # the rate columns
+    labels = coord_labels(K, d - K)
+    below = x < -NEGATIVE_RATE_TOL
+    negative = [()] * n
+    for i in np.flatnonzero(below.any(axis=1)):
+        negative[i] = tuple(labels[j] for j in np.flatnonzero(below[i]))
+    if single:
+        return CornerReport(bool(in_region[0]), int(rank[0]), bool(is_corner[0]), negative[0])
+    return CornerReport(in_region, rank, is_corner, tuple(negative))
 
 
-def verify_corner(law: JointLaw, point: RateFronthaulPoint) -> CornerReport:
-    """Corner-hood of `point` in the joint-decoding region."""
-    return check_corner(jd_region(law), point)
+def verify_corner(law: JointLaw, points) -> CornerReport:
+    """Corner-hood of one point, or of each point of a stack, in the joint-decoding region."""
+    return check_corner(jd_region(law), points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CornerEnumeration:
-    corners: tuple  # (SolveOrder, RateFronthaulPoint) per permutation
-    vertices: tuple  # deduplicated RateFronthaulPoints
+    """The corner of every solve order, as arrays, and the rows dedup keeps.
+
+    Row i of `perms` is a `SolveOrder.perm`, row i of `points` its corner;
+    `kept` lists the rows of the distinct vertices in order.  `corners` and
+    `vertices` give the same as objects, built on first use.
+    """
+
+    K: int
+    L: int
+    perms: np.ndarray
+    points: np.ndarray
+    kept: np.ndarray
+
+    @cached_property
+    def order_labels(self) -> list:
+        """Each solve order as its comma-separated labels, e.g. "R2,C1,R1,C2"."""
+        labels = coord_labels(self.K, self.L)
+        return [",".join(labels[c] for c in perm) for perm in self.perms.tolist()]
+
+    @cached_property
+    def vertices(self) -> tuple:
+        """The deduplicated RateFronthaulPoints."""
+        return tuple(RateFronthaulPoint.from_vector(self.points[i], self.K, self.L)
+                     for i in self.kept)
+
+    @cached_property
+    def corners(self) -> tuple:
+        """(SolveOrder, RateFronthaulPoint) per permutation; a vertex is the same object."""
+        labels = coord_labels(self.K, self.L)
+        shared = dict(zip(self.kept.tolist(), self.vertices))
+        return tuple(
+            (SolveOrder(tuple(labels[c] for c in perm), self.K, self.L),
+             shared[i] if i in shared
+             else RateFronthaulPoint.from_vector(self.points[i], self.K, self.L))
+            for i, perm in enumerate(self.perms.tolist())
+        )
 
 
 def dedup_points(points, tol: float = DEDUP_TOL):
@@ -427,32 +560,56 @@ def dedup_points(points, tol: float = DEDUP_TOL):
 
     `points` are RateFronthaulPoints or 1-D arrays of one length; a point
     is kept when it lies farther than `tol` from every point kept before.
+    Two points within `tol` have weighted means (positive weights of sum
+    1) within `tol` of each other, up to rounding.  So the kept points are
+    filed by mean in cells twice that width, and each point is compared
+    only with the kept points of its own cell and the two next to it.
+    Distinct weights keep apart the many corners that share a coordinate
+    sum.  A point with a non-finite coordinate is near no point.
     """
     points = list(points)
-    out = []
     if not points:
-        return out
+        return []
     vecs = np.array(
         [p.as_vector() if isinstance(p, RateFronthaulPoint) else p for p in points],
         dtype=float,
     )
-    kept = np.empty_like(vecs)
-    for p, v in zip(points, vecs):
-        if not np.any(np.max(np.abs(kept[: len(out)] - v), axis=1) <= tol):
-            kept[len(out)] = v
-            out.append(p)
+    d = vecs.shape[1]
+    weights = 1.0 / np.arange(2, d + 2)
+    weights /= weights.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = vecs @ weights  # a mean cannot overflow
+        scale = np.abs(vecs) @ weights
+    finite = np.isfinite(scale)
+    top = float(scale[finite].max(initial=0.0))  # Python floats overflow to inf without a warning
+    slack = 4 * (d + 1) * (math.ulp(1.0) * (tol + top) + math.ulp(0.0))  # twice the rounding
+    cell = 2 * (tol + slack)
+    kept = {}  # cell number -> rows of the kept points filed there
+    out = []
+    for i, (p, m, f) in enumerate(zip(points, means.tolist(), finite.tolist())):
+        if f:
+            c = math.floor(m / cell)
+            near = kept.get(c - 1, []) + kept.get(c, []) + kept.get(c + 1, [])
+            if near and np.any(np.max(np.abs(vecs[near] - vecs[i]), axis=1) <= tol):
+                continue
+            kept.setdefault(c, []).append(i)
+        out.append(p)
     return out
 
 
 def enumerate_orders(corner, K: int, L: int, dedup_tol: float) -> CornerEnumeration:
-    """corner(order) for every solve order, plus the distinct vertices.
+    """corner(perms) for the stack of every solve order, plus the rows dedup keeps.
 
     Each corner is one permutation applied greedily, as in Edmonds'
-    greedy algorithm on polymatroids, so one loop serves both directions.
+    greedy algorithm on polymatroids, so one routine serves both directions.
     """
-    corners = tuple((order, corner(order)) for order in solve_orders(K, L))
-    vertices = dedup_points([p for _, p in corners], dedup_tol)
-    return CornerEnumeration(corners, tuple(vertices))
+    perms = solve_perms(K, L)
+    points = corner(perms)
+    points.setflags(write=False)
+    rows = list(points)  # dedup_points hands back these very row objects
+    where = {id(r): i for i, r in enumerate(rows)}
+    kept = np.array([where[id(r)] for r in dedup_points(rows, dedup_tol)], dtype=np.intp)
+    return CornerEnumeration(K, L, perms, points, kept)
 
 
 def enumerate_corners(

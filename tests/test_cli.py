@@ -264,6 +264,47 @@ def test_bad_input_exits_2_without_traceback(capsys, tmp_path, argv, named):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, first",
+    [
+        (["slice", str(SPECS / "downlink_k2l2.json"), "--vary", "R1,C1", "--fixed", "R2=0,C2=2",
+          "--min", "-1e-3", "--max", "1", "--steps", "3"], 0, -0.001),
+        (["slice", IDENT, "--vary", "R1,C1", "--min", "-2.5E-1", "--steps", "2"], 0, -0.25),
+        (["face", IDENT, "--point", "-0.001,1"], 1, -0.001),
+        (["face", K2L2, "--point", "-1e-3,0.1,1,1"], 1, -0.001),
+        (["face", IDENT, "--point", "-0.5,1,"], 1, -0.5),
+    ],
+    ids=["slice-min-exponent", "slice-min-upper-exponent", "face-point-list",
+         "face-point-exponent", "face-point-trailing-comma"],
+)
+def test_negative_option_values_are_read(capsys, argv, code, first):
+    """A negative number, or a comma list of numbers, is the value of the option
+    before it, not an unknown option."""
+    got, out, err = run(capsys, *argv)
+    assert got == code, err
+    if argv[0] == "slice":
+        assert float(out.splitlines()[1].split(",")[0]) == first
+    else:
+        assert json.loads(out)["results"]["point"][0] == first
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["corners", IDENT, "--dedup-tol", "-1e-3"], "--dedup-tol"),
+        (["psi", K2L2, "--invert", "-0.001,0.1,1,1"], "not on the dominant face"),
+        (["slice", IDENT, "--vary", "R1,C1", "--min", "-inf"], "--min"),
+        (["psi", IDENT, "--invert", "1,1", "--tol", "-1e-3"], "--tol"),
+    ],
+    ids=["corners-dedup-tol", "psi-invert", "slice-min-inf", "psi-tol"],
+)
+def test_negative_option_values_reach_the_checks(capsys, argv, named):
+    got, _, err = run(capsys, *argv)
+    assert got == 2
+    assert "error:" in err and named in err
+    assert "usage:" not in err  # the program's own check, not argparse
+
+
 class TestSpecRoundTrip:
     @pytest.mark.parametrize(
         "spec", [identity_chain_spec(), k2l2_bsc_spec(), downlink_k1l1_spec()]
