@@ -26,6 +26,7 @@ import re
 import sys
 import time
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -75,7 +76,43 @@ def _report(command: str, args: dict, results, passed: bool, t0: float, seed=Non
 
 
 def _emit(report: dict):
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(_dumps(report))
+
+
+_SCALARS = {  # each plain type as the standard encoder writes it
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _dumps(o, indent: str = "") -> str:
+    """json.dumps(o, sort_keys=True, indent=2), byte for byte, at `indent`.
+
+    The standard encoder runs in pure Python when it indents, one generator
+    per level.  Here the plain types are dispatched on their exact type, and
+    a list of them is written in one comprehension.  Anything else, such as
+    a dict keyed by other than strings, goes to json.dumps whole.
+    """
+    if type(o) in _SCALARS:
+        return _SCALARS[type(o)](o)
+    inner = indent + "  "
+    if type(o) is dict and o and set(map(type, o)) == {str}:
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+                 for k, v in sorted(o.items())]
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if type(o) in (list, tuple) and o:
+        kinds = set(map(type, o))
+        if kinds == {float} and all(map(math.isfinite, o)):
+            parts = map(float.__repr__, o)
+        elif kinds <= _SCALARS.keys():
+            parts = [_SCALARS[type(v)](v) for v in o]
+        else:
+            parts = [_dumps(v, inner) for v in o]
+        return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}]"
+    return json.dumps(o, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 
 def _parse_float(text: str, what: str) -> float:

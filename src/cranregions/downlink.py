@@ -9,8 +9,9 @@ The joint-encoding region is cut out by
 where Istar is the multivariate correlation sum_j H(.) - H(joint).  The
 iterative corner procedure is the uplink's greedy solution
 (`uplink.greedy_corner`) applied to this region's slack `je_slack`; the
-closed form is this direction's own.  Unlike the uplink, the encoding
-order achieving a corner is the solve order itself (no reversal).
+closed form and the successive-encoding corners are this direction's own.
+Unlike the uplink, the encoding order achieving a corner is the solve
+order itself (no reversal).
 
 Computed rates R_k = I(U_k;Y_k) - I(U_k; prior) can be negative for
 poorly matched auxiliary joints; they are reported raw and flagged, not
@@ -21,26 +22,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
 from .prob import (
-    CLAMP_TOL,
     DEDUP_TOL,
     MEMBERSHIP_TOL,
     JointLaw,
     LawError,
+    clamp_info,
     entropy,
     mutual_info,
 )
 from .uplink import (
     CornerEnumeration,
     CornerReport,
+    Order,
     RateFronthaulPoint,
     Region,
     SolveOrder,
+    add_terms,
     check_corner,
-    check_permutation,
     closed_form_table,
     count_labels,
     enumerate_orders,
@@ -51,19 +54,23 @@ from .uplink import (
 
 
 @dataclass(frozen=True)
-class EncodeOrder:
+class EncodeOrder(Order):
     """Permutation of the variable labels (U_1..U_K, X_1..X_L)."""
 
-    labels: tuple[str, ...]
-    K: int
-    L: int
-
-    def __post_init__(self):
-        check_permutation(self, "U", "X")
+    prefixes: ClassVar[tuple] = ("U", "X")
 
 
 def downlink_dims(law: JointLaw) -> tuple[int, int]:
-    return count_labels(law.names, "U"), count_labels(law.names, "X")
+    """(K, L) of a law over exactly U1..UK, X1..XL, Y1..YK; LawError otherwise."""
+
+    def dims():
+        K, L = count_labels(law.names, "U"), count_labels(law.names, "X")
+        if law.names != tuple(_us(range(1, K + 1)) + _xs(range(1, L + 1))
+                              + [f"Y{k}" for k in range(1, K + 1)]):
+            raise LawError(f"not a downlink law over U1..UK, X1..XL, Y1..YK: {law.names}")
+        return K, L
+
+    return law.memo("downlink dims", dims)
 
 
 def _us(idx):
@@ -85,10 +92,18 @@ def istar(law: JointLaw, names) -> float:
         raise LawError(f"istar over mixed variable groups: {sorted(names)}")
     if not names:
         return 0.0
-    val = sum(entropy(law, [n]) for n in names) - entropy(law, names)
-    if abs(val) <= CLAMP_TOL:
-        return max(val, 0.0)
-    return val
+    return clamp_info(sum(entropy(law, [n]) for n in names) - entropy(law, names))
+
+
+def je_terms(law: JointLaw, K: int, L: int, S, T) -> tuple:
+    """-f(S, T) of the joint-encoding constraint as the signed terms that
+    `je_slack` adds to C(T) - R(S), in its order."""
+    return (
+        add_terms(0.0, (mutual_info(law, [f"U{k}"], [f"Y{k}"]) for k in sorted(S))),
+        -istar(law, _us(S)),
+        -istar(law, _xs(T)),
+        -mutual_info(law, _us(S), _xs(T)),
+    )
 
 
 def je_slack(law: JointLaw, point: RateFronthaulPoint, S, T) -> float:
@@ -97,15 +112,8 @@ def je_slack(law: JointLaw, point: RateFronthaulPoint, S, T) -> float:
     The terms are added left to right in the order the corner procedure
     of the paper solves them, as in `uplink.jd_slack`.
     """
-    S, T = set(S), set(T)
-    return (
-        point.c_sum(T)
-        - point.r_sum(S)
-        + sum(mutual_info(law, [f"U{k}"], [f"Y{k}"]) for k in S)
-        - istar(law, _us(S))
-        - istar(law, _xs(T))
-        - mutual_info(law, _us(S), _xs(T))
-    )
+    return add_terms(point.c_sum(T) - point.r_sum(S),
+                     je_terms(law, len(point.R), len(point.C), S, T))
 
 
 def je_region(law: JointLaw) -> Region:
@@ -118,28 +126,34 @@ def in_je_region(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
     return je_region(law).contains(point, tol)
 
 
-def se_corner(law: JointLaw, order: EncodeOrder) -> RateFronthaulPoint:
-    """Extreme point of the successive-encoding region for encode order pi."""
-    K, L = order.K, order.L
-    R = np.zeros(K)
-    C = np.zeros(L)
-    before: list[str] = []
-    for lab in order.labels:
-        if lab.startswith("U"):
-            k = int(lab[1:])
-            R[k - 1] = mutual_info(law, [lab], [f"Y{k}"]) - mutual_info(
-                law, [lab], before
-            )
-        else:
-            l = int(lab[1:])
-            C[l - 1] = mutual_info(law, [lab], before)
-        before.append(lab)
-    return RateFronthaulPoint(R, C)
+def se_corner(law: JointLaw, orders):
+    """Extreme point of the successive-encoding region for one EncodeOrder, or
+    the corners of an (n, K+L) stack of `EncodeOrder.perm` rows: a user
+    encoded after the set `before` gets R_k = I(U_k; Y_k) - I(U_k; before), a
+    relay input C_l = I(X_l; before).  One `closed_form_table` per law serves
+    every order (see `uplink.read_corners`)."""
+    return read_corners(law.memo("se table", lambda: _se_table(law)), orders)
 
 
-def downlink_corner_iterative(law: JointLaw, order: SolveOrder) -> RateFronthaulPoint:
-    """Joint-encoding corner solved one coordinate at a time, in the given order."""
-    return greedy_corner(partial(je_slack, law), order)
+def _se_table(law: JointLaw) -> np.ndarray:
+    K, L = downlink_dims(law)
+
+    def value(c, I, J):
+        before = _us(I) + _xs(J)
+        if c < K:
+            return mutual_info(law, [f"U{c + 1}"], [f"Y{c + 1}"]) - mutual_info(
+                law, [f"U{c + 1}"], before)
+        return mutual_info(law, [f"X{c - K + 1}"], before)
+
+    return closed_form_table(K, L, value)
+
+
+def downlink_corner_iterative(law: JointLaw, orders):
+    """Joint-encoding corner solved one coordinate at a time, for one solve order
+    or a stack of them (see `uplink.greedy_corner`)."""
+    region, (K, L) = je_region(law), downlink_dims(law)
+    terms = law.memo("je terms", lambda: np.array([je_terms(law, K, L, *r) for r in region.pairs]))
+    return greedy_corner(region, terms, orders)
 
 
 def downlink_corner_closed(law: JointLaw, orders):

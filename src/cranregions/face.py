@@ -32,11 +32,10 @@ from .uplink import (
     _yhs,
     _ys,
     build_region,
-    dedup_points,
+    dedup_index,
     enumerate_corners,
     in_jd_region,
     jd_region,
-    jd_slack,
     uplink_dims,
 )
 
@@ -70,25 +69,30 @@ class FaceQuery:
         return m
 
 
-def face_gap(law: JointLaw, point: RateFronthaulPoint) -> float:
-    """C([L]) - R([K]) minus the face level I(Y_all; Yh_all | X_all).
+def _face_row(law: JointLaw) -> Region:
+    """The ([K], [L]) row, the last of the joint-decoding region, held at its bound."""
+    jd = jd_region(law)
+    return Region(jd.pairs[-1:], jd.A[-1:], jd.lb[-1:], jd.lb[-1:])
+
+
+def face_gap(law: JointLaw, point):
+    """C([L]) - R([K]) minus the face level I(Y_all; Yh_all | X_all), for one
+    point or per point of an (n, K+L) stack.
 
     That level is the joint-decoding right-hand side f([K], [L]), so the
     gap is the slack of the ([K], [L]) constraint.
     """
-    K, L = uplink_dims(law)
-    return jd_slack(law, point, range(1, K + 1), range(1, L + 1))
+    row = law.memo("face", lambda: _face_row(law))
+    x = point.as_vector() if isinstance(point, RateFronthaulPoint) else np.asarray(point)
+    gap = x @ row.A[0] - row.lb[0]
+    return float(gap) if x.ndim == 1 else gap
 
 
 def on_dominant_face(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
     """In the region with no face gap: the gap is the slack of the ([K], [L])
     row, the last row of the joint-decoding region, held at 0."""
-
-    def face_row():
-        jd = jd_region(law)
-        return Region(jd.pairs[-1:], jd.A[-1:], jd.lb[-1:], jd.lb[-1:])
-
-    return in_jd_region(law, point, tol) & law.memo("face", face_row).contains(point, tol)
+    face = law.memo("face", lambda: _face_row(law))
+    return in_jd_region(law, point, tol) & face.contains(point, tol)
 
 
 def on_dominant_face_alt(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
@@ -113,18 +117,23 @@ def on_dominant_face_alt(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
     return region.contains(point, tol)
 
 
-def in_face_FST(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
-    """Membership in F_{S,T}: on the dominant face with C(T) - R(S) at its cap,
-    a one-row `Region` with lb = ub = I(Y_T; Yh_T | X_S)."""
+def _cap_row(law: JointLaw, q: FaceQuery) -> Region:
+    """C(T) - R(S) at its cap: one row with lb = ub = I(Y_T; Yh_T | X_S)."""
     K, L = uplink_dims(law)
     q.validate(K, L)
 
-    def cap_row():
+    def build():
         normal = q.mask(K, L) * np.repeat([-1.0, 1.0], [K, L])
         cap = np.array([mutual_info(law, _ys(q.T), _yhs(q.T), _xs(q.S))])
         return Region(((q.S, q.T),), normal[None], cap, cap)
 
-    return on_dominant_face(law, point, tol) & law.memo(("cap", q), cap_row).contains(point, tol)
+    return law.memo(("cap", q), build)
+
+
+def in_face_FST(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
+    """Membership in F_{S,T}: on the dominant face with C(T) - R(S) at its cap."""
+    cap = _cap_row(law, q)
+    return on_dominant_face(law, point, tol) & cap.contains(point, tol)
 
 
 def in_sub_face_DST(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
@@ -205,11 +214,13 @@ def check_face_decomposition(
     (a generic member of the product) lands back on F_{S,T}.
     """
     K, L = uplink_dims(law)
-    q.validate(K, L)
+    cap = _cap_row(law, q)
     rng = np.random.default_rng(seed)
     enum = enumerate_corners(law)
     vertices = enum.points[enum.kept]
-    mat = vertices[in_face_FST(law, vertices, q, tol)]
+    # in_face_FST on the vertices, with their face mask found once per law
+    on_face = law.memo(("face vertices", tol), lambda: on_dominant_face(law, vertices, tol))
+    mat = vertices[on_face & cap.contains(vertices, tol)]
     if not len(mat):
         return FaceDecompositionReport(0, 0)
     # each point set is one stack; the draws are those of one call per sample, in order
@@ -238,25 +249,26 @@ def check_degenerate_factorization(law: JointLaw, q: FaceQuery) -> bool:
 
     Under factorization the corner set of D equals the Cartesian product
     of its coordinate projections, which are exactly the corner sets of
-    the two independent sub-problems.
+    the two independent sub-problems.  Each vertex reads as the pair of
+    its projections' kept rows, so the set is that product when the pairs
+    are distinct and as many as the product has.
     """
     K, L = uplink_dims(law)
     q.validate(K, L)
-    enum = enumerate_corners(law)
-    mat = enum.points[enum.kept]  # distinct at DEDUP_TOL = FACE_TOL
     mask = q.mask(K, L)
-    proj_a = dedup_points(mat[:, mask], FACE_TOL)
-    proj_b = dedup_points(mat[:, ~mask], FACE_TOL)
-    if len(mat) != len(proj_a) * len(proj_b):
-        return False
-    for ra in proj_a:
-        for rb in proj_b:
-            vec = np.empty(K + L)
-            vec[mask] = ra
-            vec[~mask] = rb
-            if not np.any(np.max(np.abs(mat - vec), axis=1) <= FACE_TOL):
-                return False
-    return True
+    if not mask[0]:
+        mask = ~mask  # the complement query splits the coordinates the same way
+
+    def factorizes():
+        enum = enumerate_corners(law)
+        mat = enum.points[enum.kept]  # distinct at DEDUP_TOL = FACE_TOL
+        a = dedup_index(mat[:, mask], FACE_TOL)
+        b = dedup_index(mat[:, ~mask], FACE_TOL)
+        n = len(mat)
+        n_a, n_b = np.count_nonzero(a == np.arange(n)), np.count_nonzero(b == np.arange(n))
+        return bool(n == n_a * n_b and len(np.unique(a * n + b)) == n)
+
+    return law.memo(("factorizes", mask.tobytes()), factorizes)
 
 
 def dominant_face_dimension(law: JointLaw) -> int:

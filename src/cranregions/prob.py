@@ -114,11 +114,23 @@ def entropy(law: JointLaw, names) -> float:
         return cached
     if not key:
         return 0.0
-    p = law.marginal(key).ravel()
-    p = p[p > 0]
-    h = float(-(p @ np.log2(p)))
+    h = entropy_of(law.marginal(key))
     law._entropy_cache[key] = h
     return h
+
+
+def entropy_of(probs: np.ndarray) -> float:
+    """Entropy in bits of a probability tensor, over all its entries."""
+    p = probs.ravel()
+    p = p[p > 0]
+    return float(-(p @ np.log2(p)))
+
+
+def clamp_info(val: float) -> float:
+    """An information value, clamped to >= 0 within CLAMP_TOL of zero."""
+    if abs(val) <= CLAMP_TOL:
+        return max(val, 0.0)
+    return val
 
 
 def mutual_info(law: JointLaw, a, b, c=()) -> float:
@@ -132,15 +144,12 @@ def mutual_info(law: JointLaw, a, b, c=()) -> float:
     overlap = (a & b) | (a & c) | (b & c)
     if overlap:
         raise LawError(f"overlapping variable sets in mutual_info: {sorted(overlap)}")
-    val = (
+    return clamp_info(
         entropy(law, a | c)
         + entropy(law, b | c)
         - entropy(law, a | b | c)
         - entropy(law, c)
     )
-    if abs(val) <= CLAMP_TOL:
-        return max(val, 0.0)
-    return val
 
 
 def _check_pmf(p: np.ndarray, what: str):

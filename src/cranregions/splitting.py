@@ -17,6 +17,7 @@ degeneracies) are exactly checkable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,9 +32,10 @@ from .prob import (
     JointLaw,
     LawError,
     UplinkSpec,
-    mutual_info,
+    clamp_info,
+    entropy_of,
 )
-from .uplink import MAX_ENUM, DecodeOrder, RateFronthaulPoint, sd_corner
+from .uplink import MAX_ENUM, RateFronthaulPoint, sd_corner
 
 CORNER_ROWS = 1 << 16  # corner points scored per batch of cells
 CELL_STEPS = 10  # damped Newton steps on one cell before the next is tried
@@ -96,6 +98,7 @@ def make_quant_split(test_channel, epsilon: float) -> QuantSplit:
     return QuantSplit(p_uv_given_yhat=p_uv_yh, p_uv_given_y=p_uv_y)
 
 
+@functools.cache
 def generalized_order(n: int):
     """Recursively interleaved label sequence of length 2^n - 1.
 
@@ -196,21 +199,18 @@ class VirtualCran:
     joint: JointLaw
 
     def merged_joint(self) -> np.ndarray:
-        """Pushforward through the merge maps, axes (X_1..X_K, Y, Yh_1..Yh_L)."""
-        K, L = self.K, self.L
-        vshape = self.joint.probs.shape
-        grids = np.indices(vshape)
-        name_to_grid = dict(zip(self.joint.names, grids))
-        out_idx = [name_to_grid["X1"]]
-        for i in range(2, K + 1):
-            out_idx.append(np.maximum(name_to_grid[f"X{i}a"], name_to_grid[f"X{i}b"]))
-        for l in range(1, L + 1):
-            out_idx.append(name_to_grid[f"Y{l}"])
-        for l in range(1, L + 1):
-            out_idx.append(np.maximum(name_to_grid[f"Yh{l}c"], name_to_grid[f"Yh{l}d"]))
-        out = np.zeros((2,) * (K + 2 * L))
-        np.add.at(out, tuple(out_idx), self.joint.probs)
-        return out
+        """Pushforward through the merge maps, axes (X_1..X_K, Y, Yh_1..Yh_L).
+
+        Each virtual pair sits on adjacent axes (a, a + 1) and merges by max:
+        out[0] = p[0, 0] and out[1] = p[0, 1] + p[1, 0] + p[1, 1], one pair at
+        a time from the last.
+        """
+        p = self.joint.probs
+        for a in reversed([i for i, name in enumerate(self.joint.names) if name[-1] in "ac"]):
+            q = p.reshape(math.prod(p.shape[:a]), 4, -1)  # the pair as one axis: 00, 01, 10, 11
+            merged = np.stack([q[:, 0], q[:, 1] + q[:, 2] + q[:, 3]], axis=1)
+            p = merged.reshape(p.shape[:a] + (2,) + p.shape[a + 2:])
+        return p
 
 
 def build_virtual_cran(spec: UplinkSpec, config: SplitConfig) -> VirtualCran:
@@ -282,19 +282,34 @@ def beta_rates(vc: VirtualCran, config: SplitConfig):
     the k-th decoded virtual description of relay l gets
     beta = I(Y_l; Yh_k | decoded-so-far).  User and relay rates are the
     sums of their two halves.
+
+    The entropies are read off one tensor whose axes are the virtual
+    variables in decoding order, then Y_1..Y_L: the marginal of each prefix
+    of the order, alone or with one Y_l, is one sum away from that of the
+    next longer prefix.  The virtual law's entropy cache stays empty.
     """
-    law = vc.joint
-    K, L = vc.K, vc.L
+    law, K, L = vc.joint, vc.K, vc.L
+    decoded = [f"X{lab}" if lab == "1" or lab[-1] in "ab" else f"Yh{lab}" for lab in config.order]
+    m = len(decoded)
+    p = law.probs.transpose(law.axes(decoded + [f"Y{l}" for l in range(1, L + 1)]))
+
+    def prefixes(q):  # the marginals of q over decoded[:k] and its axes after the m-th
+        out = [q]
+        for k in range(m, 0, -1):
+            out.append(out[-1].sum(axis=k - 1))
+        return out[::-1]
+
+    marginal = prefixes(p.sum(axis=tuple(range(m, m + L))))
+    h = [0.0] + [entropy_of(q) for q in marginal[1:]]  # H(decoded[:k])
+    with_y = [prefixes(p.sum(axis=tuple(m + j for j in range(L) if j != l))) for l in range(L)]
     betas = {}
-    decoded: list[str] = []
-    for lab in config.order:
-        if lab == "1" or lab[-1] in "ab":
-            var = f"X{lab}"
-            betas[lab] = mutual_info(law, [var], decoded)
+    for k, (lab, var) in enumerate(zip(config.order, decoded)):
+        if var[0] == "X":  # H(X) from the shortest prefix that holds it
+            val = entropy_of(marginal[k + 1].sum(axis=tuple(range(k)))) + h[k] - h[k + 1]
         else:
-            var = f"Yh{lab}"
-            betas[lab] = mutual_info(law, [f"Y{lab[:-1]}"], [var], decoded)
-        decoded.append(var)
+            q = with_y[int(lab[:-1]) - 1]
+            val = entropy_of(q[k]) + h[k + 1] - entropy_of(q[k + 1]) - h[k]
+        betas[lab] = clamp_info(val)
     R = np.zeros(K)
     C = np.zeros(L)
     R[0] = betas["1"]
@@ -334,17 +349,14 @@ def _corner_points(spec: UplinkSpec, cells: np.ndarray, corners: np.ndarray) -> 
     """psi at each eps-corner of each cell, (cells, 2^d, K+L), with no psi call.  At corner e
     of cell j, row i's variable is decoded whole at column j_i + 1 - e_i (eps_i = 1 leaves only
     the earlier half), so psi there is sd_corner of the order those columns induce."""
-    K, L, n = spec.K, spec.L, spec.K + spec.L
+    n = spec.K + spec.L
     pos = np.zeros((n + 1, 2 ** (n - 1) + 1), dtype=int)
     pos[tuple(np.array(generalized_order(n)).T)] = np.arange(2**n - 1)
     cols = pos[np.arange(2, n + 1), cells[:, None, :] + 1 - corners]
     keys = np.concatenate([np.full(cols.shape[:2] + (1,), pos[1, 1]), cols], axis=2)
     codes, inv = np.unique(np.argsort(keys, axis=2) @ n ** np.arange(n), return_inverse=True)
     orders = codes[:, None] // n ** np.arange(n) % n  # the base-n digits of each code
-    labels = [f"X{k}" for k in range(1, K + 1)] + [f"Yh{l}" for l in range(1, L + 1)]
-    points = [spec.law.memo(("sd corner", tuple(o)), lambda o=o: sd_corner(
-        spec.law, DecodeOrder(tuple(labels[v] for v in o), K, L)).as_vector()) for o in orders]
-    return np.array(points)[inv.ravel()].reshape(cols.shape[:2] + (n,))
+    return sd_corner(spec.law, orders)[inv.ravel()].reshape(cols.shape[:2] + (n,))
 
 
 def _multilinear(G: np.ndarray, corners: np.ndarray, x: np.ndarray):

@@ -46,19 +46,15 @@ def _random_box_points(law, n, rng):
     return rng.uniform(lo, hi, size=(n, len(lo)))
 
 
-def _corner_procedures_agree(spec, iterative, closed):
-    """Whether the iterative and the closed-form corners agree on every solve order,
-    with the largest coordinate gap between them."""
-    worst = 0.0
-    for order in ul.solve_orders(spec.K, spec.L):
-        a = iterative(spec.law, order).as_vector()
-        b = closed(spec.law, order).as_vector()
-        worst = max(worst, float(np.max(np.abs(a - b))))
+def _corner_procedures_agree(law, iterative, enum):
+    """Whether the iterative corners agree with the closed-form corners `enum` on
+    every solve order, with the largest coordinate gap between them."""
+    worst = float(np.max(np.abs(iterative(law, enum.perms) - enum.points)))
     return worst <= CORNER_MATCH_TOL, {"max_deviation": worst, "tolerance": CORNER_MATCH_TOL}
 
 
 def suite_lemma1(spec: UplinkSpec, seed=0, samples=100):
-    return _corner_procedures_agree(spec, ul.corner_iterative, ul.corner_closed)
+    return _corner_procedures_agree(spec.law, ul.corner_iterative, ul.enumerate_corners(spec.law))
 
 
 def suite_lemma2(spec: UplinkSpec, seed=0, samples=100):
@@ -121,16 +117,13 @@ def suite_lemma6(spec: UplinkSpec, seed=0, samples=100):
 
 def suite_thm1(spec: UplinkSpec, seed=0, samples=100):
     law = spec.law
-    worst = 0.0
-    members = True
-    # solve_order_to_decode_order is a bijection onto the decode orders,
-    # so this loop also meets every successive-decoding corner once
-    for order in ul.solve_orders(spec.K, spec.L):
-        corner = ul.corner_closed(law, order)
-        sd = ul.sd_corner(law, ul.solve_order_to_decode_order(order))
-        worst = max(worst, float(np.max(np.abs(corner.as_vector() - sd.as_vector()))))
-        if not ul.in_jd_region(law, sd):
-            members = False
+    enum = ul.enumerate_corners(law)
+    # the decode order of a solve order is its reversal (solve_order_to_decode_order),
+    # a bijection onto the decode orders, so this stack meets every successive-decoding
+    # corner once
+    sd = ul.sd_corner(law, enum.perms[:, ::-1])
+    worst = float(np.max(np.abs(enum.points - sd)))
+    members = bool(ul.in_jd_region(law, sd).all())
     return worst <= CORNER_MATCH_TOL and members, {
         "max_deviation": worst,
         "all_sd_corners_in_region": members,
@@ -140,15 +133,10 @@ def suite_thm1(spec: UplinkSpec, seed=0, samples=100):
 def suite_telescope(spec: UplinkSpec, seed=0, samples=100):
     law = spec.law
     rng = np.random.default_rng(seed)
-    d = spec.K + spec.L - 1
-    worst_gap = 0.0
-    all_on_face = True
-    for _ in range(samples):
-        alpha = rng.uniform(0.0, 1.0, size=d)
-        point = sp.psi(spec, alpha)
-        worst_gap = max(worst_gap, abs(df.face_gap(law, point)))
-        if not df.on_dominant_face(law, point, tol=FACE_TOL):
-            all_on_face = False
+    alphas = rng.uniform(0.0, 1.0, size=(samples, spec.K + spec.L - 1))  # one draw per sample
+    points = np.reshape([sp.psi(spec, a).as_vector() for a in alphas], (samples, spec.K + spec.L))
+    worst_gap = float(np.max(np.abs(df.face_gap(law, points)), initial=0.0))
+    all_on_face = bool(df.on_dominant_face(law, points, tol=FACE_TOL).all())
     return worst_gap <= TELESCOPE_TOL and all_on_face, {
         "samples": samples,
         "max_telescoping_gap": worst_gap,
@@ -157,7 +145,8 @@ def suite_telescope(spec: UplinkSpec, seed=0, samples=100):
 
 
 def suite_lemma7(spec: DownlinkSpec, seed=0, samples=100):
-    return _corner_procedures_agree(spec, dl.downlink_corner_iterative, dl.downlink_corner_closed)
+    return _corner_procedures_agree(spec.law, dl.downlink_corner_iterative,
+                                    dl.downlink_enumerate_corners(spec.law))
 
 
 def suite_lemma8(spec: DownlinkSpec, seed=0, samples=100):
@@ -175,14 +164,10 @@ def suite_lemma8(spec: DownlinkSpec, seed=0, samples=100):
 
 def suite_thm3(spec: DownlinkSpec, seed=0, samples=100):
     law = spec.law
-    worst = 0.0
-    members = True
-    for order in ul.solve_orders(spec.K, spec.L):
-        corner = dl.downlink_corner_closed(law, order)
-        se = dl.se_corner(law, dl.solve_order_to_encode_order(order))
-        worst = max(worst, float(np.max(np.abs(corner.as_vector() - se.as_vector()))))
-        if not dl.in_je_region(law, se):
-            members = False
+    enum = dl.downlink_enumerate_corners(law)
+    se = dl.se_corner(law, enum.perms)  # the encode order of a solve order is itself
+    worst = float(np.max(np.abs(enum.points - se)))
+    members = bool(dl.in_je_region(law, se).all())
     return worst <= CORNER_MATCH_TOL and members, {
         "max_deviation": worst,
         "all_se_corners_in_region": members,

@@ -38,6 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .prob import (
     NEGATIVE_RATE_TOL,
     PIVOT_TOL,
     JointLaw,
+    LawError,
     mutual_info,
     subsets,
 )
@@ -55,6 +57,7 @@ from .prob import (
 MAX_ENUM = 8  # guard: (K+L)! enumeration only up to K+L = 8
 STACK_CHUNK = 4096  # points per product of Region.contains: bounds its (points, rows) slacks
 RANK_CHUNK = 1 << 18  # int64 entries per elimination stack of check_corner
+ROUNDS_WORK = 1 << 24  # distinct rows x largest window up to which dedup_index settles in rounds
 
 
 @dataclass(frozen=True)
@@ -86,10 +89,18 @@ class RateFronthaulPoint:
 
     # Python floats, unlike numpy scalars, overflow to +-inf without a warning
     def r_sum(self, S) -> float:
-        return float(sum(float(self.R[i - 1]) for i in S))
+        return add_terms(0.0, (float(self.R[i - 1]) for i in sorted(S)))
 
     def c_sum(self, T) -> float:
-        return float(sum(float(self.C[l - 1]) for l in T))
+        return add_terms(0.0, (float(self.C[l - 1]) for l in sorted(T)))
+
+
+def add_terms(total, terms):
+    """total + terms[0] + terms[1] + .., strictly left to right (the built-in sum
+    compensates from Python 3.12 on), for numbers or elementwise for arrays."""
+    for t in terms:
+        total = total + t
+    return total
 
 
 def coord_labels(K: int, L: int, rate: str = "R", front: str = "C") -> list[str]:
@@ -98,29 +109,36 @@ def coord_labels(K: int, L: int, rate: str = "R", front: str = "C") -> list[str]
     return [f"{rate}{i}" for i in range(1, K + 1)] + [f"{front}{j}" for j in range(1, L + 1)]
 
 
-def check_permutation(order, rate: str, front: str):
-    """Raise ValueError unless `order.labels` is a permutation of the K+L labels."""
-    expected = coord_labels(order.K, order.L, rate, front)
-    if set(order.labels) != set(expected) or len(order.labels) != len(expected):
-        raise ValueError(
-            f"labels {order.labels} are not a permutation of {sorted(expected)}"
-        )
+@dataclass(frozen=True)
+class Order:
+    """Permutation of K+L labels: `prefixes` numbered 1..K, then 1..L."""
+
+    labels: tuple[str, ...]
+    K: int
+    L: int
+    prefixes: ClassVar[tuple] = ("R", "C")
+
+    def __post_init__(self):
+        expected = coord_labels(self.K, self.L, *self.prefixes)
+        if set(self.labels) != set(expected) or len(self.labels) != len(expected):
+            raise ValueError(
+                f"labels {self.labels} are not a permutation of {sorted(expected)}"
+            )
+
+    @property
+    def perm(self) -> tuple[int, ...]:
+        """The labels in order, numbered 0..K+L-1 as in `coord_labels`."""
+        index = {lab: c for c, lab in enumerate(coord_labels(self.K, self.L, *self.prefixes))}
+        return tuple(index[lab] for lab in self.labels)
 
 
 @dataclass(frozen=True)
-class SolveOrder:
+class SolveOrder(Order):
     """Permutation of the coordinate labels (R_1..R_K, C_1..C_L).
 
     a[k] is 1 when the k-th solved coordinate is a rate, 0 when it is a
     fronthaul capacity; b[k] is its 1-based user/relay index.
     """
-
-    labels: tuple[str, ...]
-    K: int
-    L: int
-
-    def __post_init__(self):
-        check_permutation(self, "R", "C")
 
     @classmethod
     def from_labels(cls, labels) -> "SolveOrder":
@@ -137,11 +155,6 @@ class SolveOrder:
     def b(self) -> tuple[int, ...]:
         return tuple(int(s[1:]) for s in self.labels)
 
-    @property
-    def perm(self) -> tuple[int, ...]:
-        """The solved coordinates in order, R_1..R_K, C_1..C_L numbered 0..K+L-1."""
-        return tuple(b - 1 if a else self.K + b - 1 for a, b in zip(self.a, self.b))
-
     def index_sets(self, k: int) -> tuple[set, set]:
         """(I_k, J_k): user/relay indices solved strictly before step k (1-based)."""
         I = {int(s[1:]) for s in self.labels[: k - 1] if s.startswith("R")}
@@ -150,15 +163,10 @@ class SolveOrder:
 
 
 @dataclass(frozen=True)
-class DecodeOrder:
+class DecodeOrder(Order):
     """Permutation of the variable labels (X_1..X_K, Yh_1..Yh_L)."""
 
-    labels: tuple[str, ...]
-    K: int
-    L: int
-
-    def __post_init__(self):
-        check_permutation(self, "X", "Yh")
+    prefixes: ClassVar[tuple] = ("X", "Yh")
 
 
 def solve_perms(K: int, L: int) -> np.ndarray:
@@ -169,20 +177,21 @@ def solve_perms(K: int, L: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(K + L))), dtype=np.intp)
 
 
-def solve_orders(K: int, L: int):
-    """All (K+L)! solve orders, in the order of `solve_perms`."""
-    labels = coord_labels(K, L)
-    for perm in solve_perms(K, L).tolist():
-        yield SolveOrder(tuple(labels[c] for c in perm), K, L)
-
-
 def count_labels(names, prefix: str) -> int:
     """How many of `names` are `prefix` followed by an index, as X3 is for X."""
     return sum(1 for n in names if n.startswith(prefix) and n[len(prefix):].isdigit())
 
 
 def uplink_dims(law: JointLaw) -> tuple[int, int]:
-    return count_labels(law.names, "X"), count_labels(law.names, "Yh")
+    """(K, L) of a law over exactly X1..XK, Y1..YL, Yh1..YhL; LawError otherwise."""
+
+    def dims():
+        K, L = count_labels(law.names, "X"), count_labels(law.names, "Yh")
+        if law.names != tuple(_xs(range(1, K + 1)) + _ys(range(1, L + 1)) + _yhs(range(1, L + 1))):
+            raise LawError(f"not an uplink law over X1..XK, Y1..YL, Yh1..YhL: {law.names}")
+        return K, L
+
+    return law.memo("uplink dims", dims)
 
 
 def _xs(idx):
@@ -197,24 +206,27 @@ def _yhs(idx):
     return [f"Yh{l}" for l in sorted(idx)]
 
 
+def jd_terms(law: JointLaw, K: int, L: int, S, T) -> tuple:
+    """-f(S, T) of the joint-decoding constraint as the signed terms that
+    `jd_slack` adds to C(T) - R(S), in its order."""
+    Sc = set(range(1, K + 1)) - set(S)
+    Tc = set(range(1, L + 1)) - set(T)
+    return (
+        -mutual_info(law, _ys(T), _yhs(T), _xs(range(1, K + 1))),
+        mutual_info(law, _xs(S), _yhs(Tc), _xs(Sc)),
+    )
+
+
 def jd_slack(law: JointLaw, point: RateFronthaulPoint, S, T) -> float:
     """Slack of the joint-decoding constraint for user set S, relay set T.
 
     Nonnegative slack for every (S, T) pair means the point is in the
     joint-decoding region.  The terms are added left to right in the order
-    the corner procedure of the paper solves them, so `greedy_corner`
-    reproduces that procedure bit for bit.
+    the corner procedure of the paper solves them, and `greedy_corner`
+    adds them in the same order.
     """
-    K, L = len(point.R), len(point.C)
-    S, T = set(S), set(T)
-    Sc = set(range(1, K + 1)) - S
-    Tc = set(range(1, L + 1)) - T
-    return (
-        point.c_sum(T)
-        - point.r_sum(S)
-        - mutual_info(law, _ys(T), _yhs(T), _xs(range(1, K + 1)))
-        + mutual_info(law, _xs(S), _yhs(Tc), _xs(Sc))
-    )
+    return add_terms(point.c_sum(T) - point.r_sum(S),
+                     jd_terms(law, len(point.R), len(point.C), S, T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,54 +300,67 @@ def in_jd_region(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
     return jd_region(law).contains(point, tol)
 
 
-def sd_corner(law: JointLaw, order: DecodeOrder) -> RateFronthaulPoint:
-    """Extreme point of the successive-decoding region for decode order pi.
+def sd_corner(law: JointLaw, orders):
+    """Extreme point of the successive-decoding region for one DecodeOrder, or
+    the corners of an (n, K+L) stack of `DecodeOrder.perm` rows.
 
     Every inequality is set to equality: a user decoded at some position
     gets R_k = I(X_k; everything decoded before it), a quantization
     codeword gets C_l = I(Y_l; Yh_l) - I(Yh_l; everything before it).
+    Each value depends only on the set decoded before, so one
+    `closed_form_table` per law serves every order (see `read_corners`).
     """
-    K, L = order.K, order.L
-    R = np.zeros(K)
-    C = np.zeros(L)
-    before: list[str] = []
-    for lab in order.labels:
-        if lab.startswith("Yh"):
-            l = int(lab[2:])
-            C[l - 1] = mutual_info(law, [f"Y{l}"], [lab]) - mutual_info(
-                law, [lab], before
-            )
-        else:
-            k = int(lab[1:])
-            R[k - 1] = mutual_info(law, [lab], before)
-        before.append(lab)
-    return RateFronthaulPoint(R, C)
+    return read_corners(law.memo("sd table", lambda: _sd_table(law)), orders)
 
 
-def greedy_corner(slack, order: SolveOrder) -> RateFronthaulPoint:
-    """Corner of the region {slack(point, S, T) >= 0} for one solve order.
+def _sd_table(law: JointLaw) -> np.ndarray:
+    K, L = uplink_dims(law)
 
-    Step k sets the constraint with S = I_k u {b_k}, T = J_k (rate step)
-    or S = I_k, T = J_k u {b_k} (fronthaul step) to equality.  The slack
-    is read at the point solved so far, with the new coordinate still 0:
-    the rate is that slack, the capacity minus it.
+    def value(c, I, J):
+        before = _xs(I) + _yhs(J)
+        if c < K:
+            return mutual_info(law, [f"X{c + 1}"], before)
+        l = c - K + 1
+        return mutual_info(law, [f"Y{l}"], [f"Yh{l}"]) - mutual_info(law, [f"Yh{l}"], before)
+
+    return closed_form_table(K, L, value)
+
+
+def greedy_corner(region: Region, terms: np.ndarray, orders):
+    """Corner of a slack region for one SolveOrder, or the (n, K+L) corners of
+    an (n, K+L) stack of `SolveOrder.perm` rows; row i of `terms` holds the
+    signed terms of -f that the slack of region row i adds, in its order.
+
+    Step k sets to equality the row (S, T) of the coordinates solved before
+    plus perm[k], found by bitmask: its slack C(T) - R(S) + terms, read at
+    the point solved so far with the new coordinate still 0, is the new rate,
+    or minus it the new capacity.  C(T) and R(S) are added in index order
+    and the terms in the slack's order, so each coordinate is bit for bit
+    the one the scalar slack gives.
     """
-    K, L = order.K, order.L
-    vec = np.zeros(K + L)
-    for k, (a, b) in enumerate(zip(order.a, order.b), start=1):
-        I, J = order.index_sets(k)
-        # RateFronthaulPoint freezes its arrays, so it gets a copy, not a view
-        point = RateFronthaulPoint.from_vector(vec.copy(), K, L)
-        if a == 1:
-            vec[b - 1] = slack(point, I | {b}, J)
-        else:
-            vec[K + b - 1] = -slack(point, I, J | {b})
-    return RateFronthaulPoint.from_vector(vec, K, L)
+    if isinstance(orders, Order):
+        vec = greedy_corner(region, terms, np.array([orders.perm]))[0]
+        return RateFronthaulPoint.from_vector(vec, orders.K, orders.L)
+    perms = np.asarray(orders)
+    rate, bit = (region.A < 0).any(axis=0), 1 << np.arange(perms.shape[1])
+    row = np.empty(2 * bit[-1], dtype=np.intp)  # row of each (S, T) bitmask
+    row[(region.A != 0) @ bit] = np.arange(len(region.A))
+    solved = np.cumsum(1 << perms, axis=1)  # the bitmask after each step
+    x = np.zeros(perms.shape)
+    for k in range(perms.shape[1]):
+        part = np.where(solved[:, k, None] & bit, x, 0.0).T  # S and T, in index order
+        s = add_terms(add_terms(0.0, part[~rate]) - add_terms(0.0, part[rate]),
+                      terms[row[solved[:, k]]].T)
+        x[np.arange(len(x)), perms[:, k]] = np.where(rate[perms[:, k]], s, -s)
+    return x
 
 
-def corner_iterative(law: JointLaw, order: SolveOrder) -> RateFronthaulPoint:
-    """Joint-decoding corner solved one coordinate at a time, in the given order."""
-    return greedy_corner(partial(jd_slack, law), order)
+def corner_iterative(law: JointLaw, orders):
+    """Joint-decoding corner solved one coordinate at a time, for one solve order
+    or a stack of them (see `greedy_corner`)."""
+    region, (K, L) = jd_region(law), uplink_dims(law)
+    terms = law.memo("jd terms", lambda: np.array([jd_terms(law, K, L, *r) for r in region.pairs]))
+    return greedy_corner(region, terms, orders)
 
 
 def closed_form_table(K: int, L: int, value) -> np.ndarray:
@@ -356,10 +381,10 @@ def closed_form_table(K: int, L: int, value) -> np.ndarray:
 
 
 def read_corners(table: np.ndarray, orders):
-    """The corner of one SolveOrder, or the (n, K+L) corners of an (n, K+L) stack
-    of `SolveOrder.perm` rows, read off a `closed_form_table`: step k takes
+    """The corner of one Order, or the (n, K+L) corners of an (n, K+L) stack of
+    `Order.perm` rows, read off a `closed_form_table`: step k takes
     table[perm[k], P] for P the bitmask of perm[:k], an exclusive prefix sum."""
-    if isinstance(orders, SolveOrder):
+    if isinstance(orders, Order):
         vec = read_corners(table, np.array([orders.perm]))[0]
         return RateFronthaulPoint.from_vector(vec, orders.K, orders.L)
     perms = np.asarray(orders)
@@ -555,46 +580,104 @@ class CornerEnumeration:
         )
 
 
-def dedup_points(points, tol: float = DEDUP_TOL):
-    """Deduplicate in the infinity norm, keeping first occurrences.
+def dedup_index(vecs, tol: float = DEDUP_TOL) -> np.ndarray:
+    """Deduplicate the rows of an (n, d) array in the infinity norm, keeping first
+    occurrences: for each row, the row of the first kept point within `tol` of
+    it, the row itself when it is kept.
 
-    `points` are RateFronthaulPoints or 1-D arrays of one length; a point
-    is kept when it lies farther than `tol` from every point kept before.
-    Two points within `tol` have weighted means (positive weights of sum
-    1) within `tol` of each other, up to rounding.  So the kept points are
-    filed by mean in cells twice that width, and each point is compared
-    only with the kept points of its own cell and the two next to it.
-    Distinct weights keep apart the many corners that share a coordinate
-    sum.  A point with a non-finite coordinate is near no point.
+    A row is kept when it lies farther than `tol` from every row kept before it.
+    Two points within `tol` have weighted means (positive weights of sum 1)
+    within `tol` of each other, up to rounding.  So the rows are sorted by mean
+    and filed in cells twice that width; a row is compared only with the rows
+    of its window, its own cell and the two next to it.  The sort puts repeats
+    next to each other, and each is folded into its first copy, as it is near
+    what that copy is near.  Distinct weights keep apart the many corners that
+    share a coordinate sum.  A row with a non-finite coordinate is near no row.
     """
-    points = list(points)
-    if not points:
-        return []
-    vecs = np.array(
-        [p.as_vector() if isinstance(p, RateFronthaulPoint) else p for p in points],
-        dtype=float,
-    )
-    d = vecs.shape[1]
+    vecs = np.asarray(vecs, dtype=float)
+    n, d = vecs.shape
+    kept_of = np.arange(n)
     weights = 1.0 / np.arange(2, d + 2)
     weights /= weights.sum()
     with np.errstate(over="ignore", invalid="ignore"):
         means = vecs @ weights  # a mean cannot overflow
         scale = np.abs(vecs) @ weights
-    finite = np.isfinite(scale)
-    top = float(scale[finite].max(initial=0.0))  # Python floats overflow to inf without a warning
+    finite = np.flatnonzero(np.isfinite(scale))
+    if not len(finite):
+        return kept_of
+    top = float(scale[finite].max())  # Python floats overflow to inf without a warning
     slack = 4 * (d + 1) * (math.ulp(1.0) * (tol + top) + math.ulp(0.0))  # twice the rounding
     cell = 2 * (tol + slack)
-    kept = {}  # cell number -> rows of the kept points filed there
-    out = []
-    for i, (p, m, f) in enumerate(zip(points, means.tolist(), finite.tolist())):
-        if f:
-            c = math.floor(m / cell)
-            near = kept.get(c - 1, []) + kept.get(c, []) + kept.get(c + 1, [])
-            if near and np.any(np.max(np.abs(vecs[near] - vecs[i]), axis=1) <= tol):
-                continue
-            kept.setdefault(c, []).append(i)
-        out.append(p)
-    return out
+    by_mean = finite[np.argsort(means[finite])]
+    x = vecs[by_mean]
+    new = np.ones(len(x), dtype=bool)
+    new[1:] = (x[1:] != x[:-1]).any(axis=1)
+    first = np.minimum.reduceat(by_mean, np.flatnonzero(new))  # each distinct row's first copy
+    cells = np.floor(means[first] / cell)  # ascending, and below 2**53 in magnitude
+    window = np.searchsorted(cells, cells + 1, side="right") - np.searchsorted(
+        cells, cells - 1, side="left")
+    settle = _settle_in_rounds if len(first) * window.max() <= ROUNDS_WORK else _settle_in_order
+    keep = settle(vecs, first, cells, window, tol)
+    kept_of[by_mean] = keep[np.cumsum(new) - 1]
+    return kept_of
+
+
+def _settle_in_rounds(vecs, first, cells, window, tol) -> np.ndarray:
+    """The kept row of each distinct row, when windows are small: the close pairs
+    come from rows at most `window` apart in mean order, one comparison of all
+    rows per distance, and are settled in rounds.  A row with no close row
+    before it is kept, one with a kept close row before it dropped, and one
+    whose close rows before it are all dropped kept; each round settles at
+    least the first open row."""
+    later, earlier = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for w in range(1, int(window.max())):
+        p = np.flatnonzero(cells[w:] - cells[:-w] <= 1)
+        p = p[np.max(np.abs(vecs[first[p + w]] - vecs[first[p]]), axis=1) <= tol]
+        swap = first[p] > first[p + w]
+        later.append(np.where(swap, p, p + w))
+        earlier.append(np.where(swap, p + w, p))
+    later, earlier = np.concatenate(later), np.concatenate(earlier)
+    state = np.ones(len(first), dtype=np.int8)  # 1 kept, -1 dropped, 0 open
+    state[later] = 0
+    while (state == 0).any():
+        near_kept = np.zeros(len(first), dtype=bool)
+        near_kept[later[state[earlier] == 1]] = True
+        near_open = np.zeros(len(first), dtype=bool)
+        near_open[later[state[earlier] == 0]] = True
+        state[(state == 0) & near_kept] = -1
+        state[(state == 0) & ~near_kept & ~near_open] = 1
+    keep = first.copy()
+    by_kept = state[earlier] == 1
+    np.minimum.at(keep, later[by_kept], first[earlier[by_kept]])
+    return keep
+
+
+def _settle_in_order(vecs, first, cells, window, tol) -> np.ndarray:
+    """The kept row of each distinct row, when windows are crowded: the rows that
+    share a window are compared, in order of first occurrence, with the rows
+    kept so far in their window, which are few as they lie `tol` apart."""
+    keep = first.copy()
+    kept = {}  # cell number -> first copies of the kept rows filed there
+    for p in sorted(np.flatnonzero(window > 1).tolist(), key=first.__getitem__):
+        c = cells[p]
+        near = np.array(kept.get(c - 1, []) + kept.get(c, []) + kept.get(c + 1, []), dtype=np.intp)
+        hit = near[np.max(np.abs(vecs[near] - vecs[first[p]]), axis=1, initial=0.0) <= tol]
+        if len(hit):
+            keep[p] = hit.min()
+        else:
+            kept.setdefault(c, []).append(first[p])
+    return keep
+
+
+def dedup_points(points, tol: float = DEDUP_TOL):
+    """The points that `dedup_index` keeps, in order: RateFronthaulPoints or
+    1-D arrays of one length."""
+    points = list(points)
+    if not points:
+        return []
+    vecs = [p.as_vector() if isinstance(p, RateFronthaulPoint) else p for p in points]
+    kept_of = dedup_index(np.array(vecs, dtype=float), tol)
+    return [points[i] for i in np.flatnonzero(kept_of == np.arange(len(points)))]
 
 
 def enumerate_orders(corner, K: int, L: int, dedup_tol: float) -> CornerEnumeration:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cranregions import DownlinkSpec, UplinkSpec
+from cranregions import DownlinkSpec, SolveOrder, UplinkSpec
+from cranregions.uplink import coord_labels, solve_perms
 
 
 def bsc(p: float) -> np.ndarray:
@@ -90,6 +91,12 @@ def random_downlink_spec(rng: np.random.Generator, K: int = 2, L: int = 2) -> Do
 def downlink_k1l1_spec() -> DownlinkSpec:
     aux = np.array([[0.4, 0.1], [0.1, 0.4]])
     return DownlinkSpec(K=1, L=1, aux_joint=aux, channel=bsc(0.1))
+
+
+def solve_orders(K: int, L: int) -> list:
+    """All (K+L)! solve orders, in the order of `solve_perms`."""
+    labels = coord_labels(K, L)
+    return [SolveOrder(tuple(labels[c] for c in perm), K, L) for perm in solve_perms(K, L).tolist()]
 
 
 @pytest.fixture

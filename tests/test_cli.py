@@ -322,3 +322,70 @@ class TestSpecRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(SpecFileError, match="alphabets"):
             load_spec(path)
+
+
+# --- the report encoder against json.dumps(sort_keys=True, indent=2) ---
+
+SHIPPED = sorted(p.name for p in SPECS.glob("*.json"))
+
+
+def _commands(name):
+    spec = str(SPECS / name)
+    yield ["corners", spec]
+    yield ["corners", spec, "--dedup-tol", "0.1"]
+    yield ["verify", spec, "--suite", "all", "--samples", "5"]
+    if name.startswith(("uplink", "identity", "product")):
+        K = 1 if name.startswith("identity") else 2
+        yield ["psi", spec, "--alpha", ",".join(["0.3"] * (2 * K - 1))]
+        yield ["psi", spec, "--invert", "point of the run before", "--max-iters", "20"]
+        yield ["face", spec, "--point", ",".join(["0.5"] * 2 * K), "--S", "1", "--T", ""]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_emitted_reports_match_json_dumps(name, monkeypatch, capsys):
+    import cranregions.cli as cli
+
+    reports = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report: reports.append(report) or emit(report))
+    for argv in _commands(name):
+        if "point of the run before" in argv:
+            argv[3] = ",".join(str(float(v)) for v in reports[-1]["results"]["point"])
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == json.dumps(reports[-1], sort_keys=True, indent=2) + "\n", argv
+    assert len(reports) >= 3
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("report", [
+    {}, [], (), "text", 3, -0.0, None, True, [[[]]], {"a": {}}, {"a": []},
+    {"b": [1, 2.5, True, False, None, math.nan, math.inf, -math.inf, -0.0, 10**30, 5e-324]},
+    {"s": "quote\" back\\ \n tab\t é ☃ \u0001 \ud800", "t": (1, (2, "3")), "z": [None, [], {}]},
+    {"mixed": [[1.0, 2.0], ["a, b", 1], [{"k": [math.nan]}]], "nested": {"x": {"y": [1]}}},
+    {"keys": {2.5: [1], 0.5: 2}}, {"keys": {True: 3, False: None}}, {None: 1},
+    {"floats": [0.1, -0.0, 1e-320, 1e300, math.nan, math.inf], "one": [2.5]},
+    {_Str("k"): _Float(1.5), "np": [np.float64(0.1)]},
+])
+def test_encoder_matches_json_dumps_on_hand_built_reports(report):
+    from cranregions.cli import _dumps
+
+    assert _dumps(report) == json.dumps(report, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("report", [{1: "a", "b": 2}, {"a": np.int64(1)}, [np.bool_(True)]])
+def test_encoder_refuses_what_json_dumps_refuses(report):
+    from cranregions.cli import _dumps
+
+    with pytest.raises(TypeError) as ours:
+        _dumps(report)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(report, sort_keys=True, indent=2)
+    assert str(ours.value) == str(theirs.value)

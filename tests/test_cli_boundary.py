@@ -16,7 +16,7 @@ import json
 import math
 import pathlib
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cranregions.cli import main
@@ -182,6 +182,9 @@ def test_cli_arguments(spec, command):
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(mutation=MUTATED_DOCS, command=COMMANDS)
+# a number where a list belongs, which once gave a message naming no field
+@example(mutation=("identity_k1l1", ("alphabets", "X"), 2), command=("corners", []))
+@example(mutation=("identity_k1l1", ("input_pmfs",), 0.5), command=("corners", []))
 def test_mutated_spec_documents(mutation, command, tmp_path_factory):
     doc_name, key_path, value = mutation
     path = tmp_path_factory.mktemp("spec") / "spec.json"

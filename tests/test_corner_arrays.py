@@ -33,10 +33,9 @@ from cranregions.uplink import (
     coord_labels,
     dedup_points,
     jd_region,
-    solve_orders,
 )
 
-from conftest import random_downlink_spec, random_uplink_spec
+from conftest import random_downlink_spec, random_uplink_spec, solve_orders
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 4), (3, 2), (2, 3), (4, 1), (3, 3), (2, 4), (5, 1)]

@@ -24,7 +24,7 @@ from cranregions import (
     verify_corner,
 )
 from cranregions.prob import build_uplink_joint
-from cranregions.uplink import greedy_corner, uplink_dims
+from cranregions.uplink import build_region, greedy_corner, solve_perms, uplink_dims
 
 from conftest import (
     bsc,
@@ -96,13 +96,17 @@ class TestGreedyCorner:
         # f(S, T) = c*(T) - r*(S); dyadic values keep every sum exact
         star = RateFronthaulPoint(np.array([0.5, 0.25]), np.array([1.0, 0.75]))
 
-        def slack(point, S, T):
-            return point.c_sum(T) - point.r_sum(S) - (star.c_sum(T) - star.r_sum(S))
+        def f(S, T):
+            return star.c_sum(T) - star.r_sum(S)
 
+        region = build_region(2, 2, range(1, 3), range(1, 3), lambda S, T: (f(S, T), np.inf))
+        terms = np.array([[-f(S, T)] for S, T in region.pairs])
         for order in all_solve_orders(2, 2):
-            corner = greedy_corner(slack, order)
+            corner = greedy_corner(region, terms, order)
             assert corner.R.tolist() == star.R.tolist(), order.labels
             assert corner.C.tolist() == star.C.tolist(), order.labels
+        stack = greedy_corner(region, terms, solve_perms(2, 2))
+        assert (stack == star.as_vector()).all()
 
 
 class TestCornerEquivalence:
