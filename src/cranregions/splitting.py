@@ -40,34 +40,37 @@ from .uplink import MAX_ENUM, RateFronthaulPoint, sd_corner
 CORNER_ROWS = 1 << 16  # corner points scored per batch of cells
 CELL_STEPS = 10  # damped Newton steps on one cell before the next is tried
 EPS_MARGIN = 1e-9  # eps stays this far inside (0, 1), so a 12-digit alpha keeps its cell
+STACK_ENTRIES = 1 << 16  # virtual-joint entries per stack that psi builds at once
 
 
 @dataclass(frozen=True)
 class RateSplit:
     """Binary split of a Bern(alpha_x) input into independent U, V merged by max."""
 
-    p_u: np.ndarray  # pmf of U over {0, 1}
-    p_v: np.ndarray  # pmf of V over {0, 1}
+    p_u: np.ndarray  # pmf of U over {0, 1}, on the last axis
+    p_v: np.ndarray  # pmf of V over {0, 1}, on the last axis
 
 
-def make_rate_split(alpha_x: float, epsilon: float) -> RateSplit:
+def make_rate_split(alpha_x: float, epsilon) -> RateSplit:
     """Binary rate split: U ~ Bern(a*e), V ~ Bern(a(1-e)/(1-a*e)), merged by max.
 
     The pushforward of p_U p_V through max is Bern(alpha_x) for every
     epsilon; epsilon = 0 makes the merge independent of U, epsilon = 1
-    makes it a function of U alone.
+    makes it a function of U alone.  A vector of n epsilons gives (n, 2)
+    pmfs, each row computed as for its epsilon alone.
     """
-    if not (0.0 <= alpha_x <= 1.0 and 0.0 <= epsilon <= 1.0):
+    e = np.asarray(epsilon, dtype=float)
+    if not (0.0 <= alpha_x <= 1.0 and 0.0 <= e.min(initial=0.0) and e.max(initial=1.0) <= 1.0):
         raise LawError(f"alpha_x={alpha_x}, epsilon={epsilon} outside [0,1]")
-    denom = 1.0 - alpha_x * epsilon
-    if denom <= 0.0:
+    denom = 1.0 - alpha_x * e
+    if denom.min(initial=1.0) <= 0.0:
         raise LawError(
-            f"degenerate rate split: alpha_x*epsilon = {alpha_x * epsilon} leaves "
+            f"degenerate rate split: alpha_x*epsilon = {alpha_x * e} leaves "
             "a zero denominator"
         )
-    pu1 = alpha_x * epsilon
-    pv1 = alpha_x * (1.0 - epsilon) / denom
-    return RateSplit(p_u=np.array([1.0 - pu1, pu1]), p_v=np.array([1.0 - pv1, pv1]))
+    pu1 = alpha_x * e
+    pv1 = alpha_x * (1.0 - e) / denom
+    return RateSplit(p_u=np.array([1.0 - pu1, pu1]).T, p_v=np.array([1.0 - pv1, pv1]).T)
 
 
 @dataclass(frozen=True)
@@ -80,21 +83,21 @@ class QuantSplit:
     max(U, V) = Yh exactly.
     """
 
-    p_uv_given_yhat: np.ndarray  # shape (2, 2, 2): [yhat, u, v]
-    p_uv_given_y: np.ndarray  # shape (|Y|, 2, 2)
+    p_uv_given_yhat: np.ndarray  # shape (2, 2, 2) + epsilon's: [yhat, u, v, ..]
+    p_uv_given_y: np.ndarray  # shape epsilon's + (|Y|, 2, 2): [.., y, u, v]
 
 
-def make_quant_split(test_channel, epsilon: float) -> QuantSplit:
+def make_quant_split(test_channel, epsilon) -> QuantSplit:
     w = np.asarray(test_channel, dtype=float)
     if w.shape != (2, 2):
         raise LawError("quantization split requires binary source and quantizer alphabets")
-    if not 0.0 <= epsilon <= 1.0:
+    e = np.asarray(epsilon, dtype=float)
+    if not (0.0 <= e.min(initial=0.0) and e.max(initial=1.0) <= 1.0):
         raise LawError(f"epsilon={epsilon} outside [0,1]")
-    p_uv_yh = np.zeros((2, 2, 2))
-    for yh in range(2):
-        p_uv_yh[yh, 0, yh] += 1.0 - epsilon  # T = 0: (U, V) = (0, Yh)
-        p_uv_yh[yh, yh, 0] += epsilon  # T = 1: (U, V) = (Yh, 0)
-    p_uv_y = np.einsum("yh,huv->yuv", w, p_uv_yh)
+    z = np.zeros_like(e)  # T = 0: (U, V) = (0, Yh); T = 1: (U, V) = (Yh, 0)
+    p_uv_yh = np.array([[[(1.0 - e) + e, z], [z, z]], [[z, 1.0 - e], [e, z]]])
+    # each entry has one nonzero term, so the sum is exact in any order
+    p_uv_y = np.einsum("yh,huv...->...yuv", w, p_uv_yh)
     return QuantSplit(p_uv_given_yhat=p_uv_yh, p_uv_given_y=p_uv_y)
 
 
@@ -187,96 +190,107 @@ def decode_order_from_alpha(K: int, L: int, alpha) -> SplitConfig:
 
 @dataclass(frozen=True)
 class VirtualCran:
-    """Joint law of the (2K-1)-user, 2L-relay virtual network.
+    """Joint laws of the (2K-1)-user, 2L-relay virtual network, one per row
+    of a stack.
 
     Variables: X1, X2a, X2b, .., XKa, XKb, Y1..YL, Yh1c, Yh1d, ..,
-    YhLc, YhLd, all binary.  Merging the virtual pairs with max()
-    recovers the original uplink joint entrywise.
+    YhLc, YhLd, all binary, on axes 1.. of `probs`; axis 0 is the stack.
+    Merging the virtual pairs with max() recovers the original uplink
+    joint entrywise.
     """
 
     K: int
     L: int
-    joint: JointLaw
+    names: tuple[str, ...]
+    probs: np.ndarray  # (rows,) + (2,) * len(names)
+
+    @property
+    def joint(self) -> JointLaw:
+        """The virtual joint of a one-row stack, as a law."""
+        (probs,) = self.probs
+        return JointLaw(self.names, probs)
 
     def merged_joint(self) -> np.ndarray:
-        """Pushforward through the merge maps, axes (X_1..X_K, Y, Yh_1..Yh_L).
+        """Pushforward through the merge maps, axes (row, X_1..X_K, Y, Yh_1..Yh_L).
 
         Each virtual pair sits on adjacent axes (a, a + 1) and merges by max:
         out[0] = p[0, 0] and out[1] = p[0, 1] + p[1, 0] + p[1, 1], one pair at
         a time from the last.
         """
-        p = self.joint.probs
-        for a in reversed([i for i, name in enumerate(self.joint.names) if name[-1] in "ac"]):
+        p = self.probs
+        for a in reversed([i + 1 for i, name in enumerate(self.names) if name[-1] in "ac"]):
             q = p.reshape(math.prod(p.shape[:a]), 4, -1)  # the pair as one axis: 00, 01, 10, 11
-            merged = np.stack([q[:, 0], q[:, 1] + q[:, 2] + q[:, 3]], axis=1)
+            merged = np.concatenate([q[:, :1], q[:, 1:2] + q[:, 2:3] + q[:, 3:]], axis=1)
             p = merged.reshape(p.shape[:a] + (2,) + p.shape[a + 2:])
         return p
 
 
-def build_virtual_cran(spec: UplinkSpec, config: SplitConfig) -> VirtualCran:
-    """Assemble the virtual joint from the per-variable splits.
+def _virtual_parts(spec: UplinkSpec):
+    """The alpha-free parts of the virtual joint: the names, the channel at the
+    merged inputs (over the virtual axes) and the shape of each relay's
+    description factor."""
+    K, L = spec.K, spec.L
+    n_in, n = 2 * K - 1, 2 * K - 1 + 3 * L
+    axis = [np.arange(2).reshape((2,) + (1,) * (n - 1 - a)) for a in range(n)]  # broadcast
+    merged = [axis[0]] + [np.maximum(axis[2 * i - 3], axis[2 * i - 2]) for i in range(2, K + 1)]
+    shapes = []
+    for l in range(L):  # the stack, then Y_l and relay l's two descriptions among the virtual axes
+        shape = [-1] + [1] * n
+        shape[1 + n_in + l] = shape[1 + n_in + L + 2 * l] = shape[2 + n_in + L + 2 * l] = 2
+        shapes.append(tuple(shape))
+    names = (
+        ("X1",) + tuple(f"X{i}{h}" for i in range(2, K + 1) for h in "ab")
+        + tuple(f"Y{l}" for l in range(1, L + 1))
+        + tuple(f"Yh{l}{h}" for l in range(1, L + 1) for h in "cd")
+    )
+    return names, spec.channel[tuple(merged + axis[n_in:n_in + L])], shapes
+
+
+def build_virtual_cran(spec: UplinkSpec, config) -> VirtualCran:
+    """Assemble the virtual joint from the per-variable splits, for one
+    SplitConfig or for each of a list of them (a stack).
 
     The channel only sees the merged inputs; each relay's two virtual
     descriptions are generated jointly from its output through the
-    quantization-split conditional.
+    quantization-split conditional.  The alpha-free parts are built once
+    per law; a stack multiplies its factors in the order that one config
+    alone would, so each row is bit for bit the joint of its config.
     """
+    configs = [config] if isinstance(config, SplitConfig) else config
     K, L = spec.K, spec.L
-    if config.K != K or config.L != L:
+    if any(c.K != K or c.L != L for c in configs):
         raise ValueError("split config dimensions do not match spec")
     if any(len(p) != 2 for p in spec.input_pmfs) or any(
         t.shape != (2, 2) for t in spec.test_channels
     ):
         raise LawError("virtual C-RAN construction requires binary alphabets")
 
-    orig = spec.law
-    n_in = 2 * K - 1
-    n = n_in + L + 2 * L
-
-    in_names = ["X1"]
-    in_pmfs = [spec.input_pmfs[0]]
+    names, vchan, shapes = spec.law.memo("virtual parts", lambda: _virtual_parts(spec))
+    eps = np.reshape([[c.epsilon[i] for i in range(2, K + L + 1)] for c in configs],
+                     (len(configs), K + L - 1))
+    factors = [np.asarray(spec.input_pmfs[0], dtype=float)]
     for i in range(2, K + 1):
-        rs = make_rate_split(float(spec.input_pmfs[i - 1][1]), config.epsilon[i])
-        in_names += [f"X{i}a", f"X{i}b"]
-        in_pmfs += [rs.p_u, rs.p_v]
+        rs = make_rate_split(float(spec.input_pmfs[i - 1][1]), eps[:, i - 2])
+        factors += [rs.p_u, rs.p_v]
+    px = np.ones(len(configs))
+    for p in factors:  # the outer product of the input pmfs, per row
+        px = px[..., None] * p.reshape(p.shape[:-1] + (1,) * (px.ndim - 1) + (2,))
 
-    px = np.ones(())
-    for p in in_pmfs:
-        px = np.multiply.outer(px, p)
-
-    # Channel evaluated at merged inputs, broadcast over virtual input axes.
-    grids = np.indices((2,) * n_in)
-    merged = [grids[0]]
-    for i in range(2, K + 1):
-        merged.append(np.maximum(grids[2 * i - 3], grids[2 * i - 2]))
-    vchan = spec.channel[tuple(merged)]  # shape (2,)*n_in + y_sizes
-
-    joint = px.reshape((2,) * n_in + (1,) * L) * vchan
-    full = np.broadcast_to(
-        joint.reshape(joint.shape + (1,) * (2 * L)), (2,) * n
-    ).copy()
-    for l in range(1, L + 1):
-        qs = make_quant_split(spec.test_channels[l - 1], config.epsilon[K + l])
-        shape = [1] * n
-        shape[n_in + l - 1] = 2
-        shape[n_in + L + 2 * (l - 1)] = 2
-        shape[n_in + L + 2 * (l - 1) + 1] = 2
-        full *= qs.p_uv_given_y.reshape(shape)
-
-    names = (
-        tuple(in_names)
-        + tuple(f"Y{l}" for l in range(1, L + 1))
-        + tuple(
-            name for l in range(1, L + 1) for name in (f"Yh{l}c", f"Yh{l}d")
-        )
-    )
-    vc = VirtualCran(K=K, L=L, joint=JointLaw(names, full))
-    if np.max(np.abs(vc.merged_joint() - orig.probs)) > MERGE_TOL:
+    full = px.reshape(px.shape + (1,) * (3 * L)) * vchan
+    for l in range(L):
+        qs = make_quant_split(spec.test_channels[l], eps[:, K - 1 + l])
+        full = full * qs.p_uv_given_y.reshape(shapes[l])
+    vc = VirtualCran(K=K, L=L, names=names, probs=full)
+    # written so that a NaN fails it
+    if not np.abs(vc.merged_joint() - spec.law.probs).max(initial=0.0) <= MERGE_TOL:
         raise LawError("virtual joint does not merge back to the original joint")
     return vc
 
 
-def beta_rates(vc: VirtualCran, config: SplitConfig):
-    """Per-index successive rates and the assembled rate-fronthaul point.
+def beta_rates(vc: VirtualCran, config):
+    """Per-index successive rates and the assembled rate-fronthaul point for
+    one SplitConfig; for a list of them, one per row of the stack, a list of
+    rate dicts and an (n, K+L) array of points.
 
     The k-th decoded virtual input gets beta = I(X_k; decoded-so-far);
     the k-th decoded virtual description of relay l gets
@@ -286,43 +300,67 @@ def beta_rates(vc: VirtualCran, config: SplitConfig):
     The entropies are read off one tensor whose axes are the virtual
     variables in decoding order, then Y_1..Y_L: the marginal of each prefix
     of the order, alone or with one Y_l, is one sum away from that of the
-    next longer prefix.  The virtual law's entropy cache stays empty.
+    next longer prefix.  Rows with one decoding order (one cell of alpha)
+    are transposed and summed together, and each row's entropies are taken
+    one marginal at a time, so a row's rates do not depend on its stack.
     """
-    law, K, L = vc.joint, vc.K, vc.L
-    decoded = [f"X{lab}" if lab == "1" or lab[-1] in "ab" else f"Yh{lab}" for lab in config.order]
-    m = len(decoded)
-    p = law.probs.transpose(law.axes(decoded + [f"Y{l}" for l in range(1, L + 1)]))
+    if isinstance(config, SplitConfig):
+        (betas,), points = beta_rates(vc, [config])
+        return betas, RateFronthaulPoint.from_vector(points[0], vc.K, vc.L)
+    K, L = vc.K, vc.L
+    groups = {}
+    for r, c in enumerate(config):
+        groups.setdefault(c.order, []).append(r)
+    rates = [None] * len(config)
+    for order, rows in groups.items():
+        decoded = [f"X{lab}" if lab == "1" or lab[-1] in "ab" else f"Yh{lab}" for lab in order]
+        m = len(decoded)
+        axes = [vc.names.index(v) + 1 for v in decoded + [f"Y{l}" for l in range(1, L + 1)]]
+        p = (vc.probs if len(rows) == len(config) else vc.probs[rows]).transpose([0] + axes)
 
-    def prefixes(q):  # the marginals of q over decoded[:k] and its axes after the m-th
-        out = [q]
-        for k in range(m, 0, -1):
-            out.append(out[-1].sum(axis=k - 1))
-        return out[::-1]
+        def prefixes(q, stop):  # the marginals of q over decoded[:k] and its axes after the m-th,
+            out = [q]  # for k = stop..m
+            for k in range(m, stop, -1):
+                out.append(out[-1].sum(axis=k))
+            return [None] * stop + out[::-1]
 
-    marginal = prefixes(p.sum(axis=tuple(range(m, m + L))))
-    h = [0.0] + [entropy_of(q) for q in marginal[1:]]  # H(decoded[:k])
-    with_y = [prefixes(p.sum(axis=tuple(m + j for j in range(L) if j != l))) for l in range(L)]
-    betas = {}
-    for k, (lab, var) in enumerate(zip(config.order, decoded)):
-        if var[0] == "X":  # H(X) from the shortest prefix that holds it
-            val = entropy_of(marginal[k + 1].sum(axis=tuple(range(k)))) + h[k] - h[k + 1]
-        else:
-            q = with_y[int(lab[:-1]) - 1]
-            val = entropy_of(q[k]) + h[k + 1] - entropy_of(q[k + 1]) - h[k]
-        betas[lab] = clamp_info(val)
-    R = np.zeros(K)
-    C = np.zeros(L)
-    R[0] = betas["1"]
-    for i in range(2, K + 1):
-        R[i - 1] = betas[f"{i}a"] + betas[f"{i}b"]
-    for l in range(1, L + 1):
-        C[l - 1] = betas[f"{l}c"] + betas[f"{l}d"]
-    return betas, RateFronthaulPoint(R, C)
+        marginal = prefixes(p.sum(axis=tuple(range(m + 1, m + L + 1))), 1)
+        with_y = [prefixes(p.sum(axis=tuple(m + 1 + j for j in range(L) if j != l)),
+                           order.index(f"{l + 1}c")) for l in range(L)]
+        x_alone = {k: marginal[k + 1].sum(axis=tuple(range(1, k + 1)))  # from the shortest
+                   for k, var in enumerate(decoded) if var[0] == "X"}  # prefix that holds X
+        for g, r in enumerate(rows):
+            h = [0.0] + [entropy_of(q[g]) for q in marginal[1:]]  # H(decoded[:k])
+            betas = {}
+            for k, lab in enumerate(order):
+                if k in x_alone:
+                    val = entropy_of(x_alone[k][g]) + h[k] - h[k + 1]
+                else:
+                    q = with_y[int(lab[:-1]) - 1]
+                    val = entropy_of(q[k][g]) + h[k + 1] - entropy_of(q[k + 1][g]) - h[k]
+                betas[lab] = clamp_info(val)
+            rates[r] = betas
+    points = [[b["1"]] + [b[f"{i}a"] + b[f"{i}b"] for i in range(2, K + 1)]
+              + [b[f"{l}c"] + b[f"{l}d"] for l in range(1, L + 1)] for b in rates]
+    return rates, np.reshape(points, (len(rates), K + L))
 
 
-def psi(spec: UplinkSpec, alpha) -> RateFronthaulPoint:
-    """Map a parameter vector to a dominant-face point via splitting."""
-    return psi_detail(spec, alpha)[2]
+def psi(spec: UplinkSpec, alphas):
+    """Map a parameter vector to a dominant-face point via splitting, or an
+    (n, K+L-1) stack of them to an (n, K+L) array of points.
+
+    A stack builds its virtual joints together, STACK_ENTRIES entries at a
+    time (one row at a time once a row alone is larger), and each row is bit
+    for bit the point of its alpha alone: `invert_psi` takes a different
+    path on last-digit changes of psi, so psi must not move by an ulp.
+    """
+    if np.ndim(alphas) < 2:
+        return psi_detail(spec, alphas)[2]
+    configs = [decode_order_from_alpha(spec.K, spec.L, a) for a in alphas]
+    rows = max(1, STACK_ENTRIES >> (2 * spec.K + 3 * spec.L - 1))  # 2^vars entries a row
+    chunks = (configs[i:i + rows] for i in range(0, len(configs), rows))
+    return np.concatenate([np.empty((0, spec.K + spec.L))] + [
+        beta_rates(build_virtual_cran(spec, c), c)[1] for c in chunks])
 
 
 def psi_detail(spec: UplinkSpec, alpha):
@@ -413,21 +451,24 @@ def _rank_cells(spec: UplinkSpec, tvec: np.ndarray, max_iters: int):
 
 def minimize(residual, x, tol: float, budget: int):
     """Damped Newton (Levenberg-Marquardt) on residual(x), x in [EPS_MARGIN, 1 - EPS_MARGIN]^d,
-    with forward-difference Jacobians.  Stops within `tol`, after CELL_STEPS steps, when no
-    damping reduces the residual, or at `budget` residual calls.  Returns (x, r(x), calls)."""
+    with forward-difference Jacobians.  `residual` maps an (n, d) stack of x to its (n, m)
+    residuals, and the d columns of a Jacobian are one stack; J is kept C-contiguous, since
+    its layout sets the rounding of J.T @ J and the path turns on ulps.  Stops within `tol`,
+    after CELL_STEPS steps, when no damping reduces the residual, or at `budget` residual
+    evaluations (rows).  Returns (x, r(x), evaluations)."""
     x = np.clip(x, EPS_MARGIN, 1.0 - EPS_MARGIN)
-    r, calls, lam, d = residual(x), 1, 1e-3, len(x)
+    r, calls, lam, d = residual(x[None])[0], 1, 1e-3, len(x)
     for _ in range(CELL_STEPS):
         if np.max(np.abs(r)) <= tol or calls + d + 1 > budget or lam > 1e8:
             break
         h = np.where(x < 0.5, 1e-7, -1e-7)  # forward differences, stepping inward
-        J = np.column_stack([(residual(x + h * e) - r) / h[i] for i, e in enumerate(np.eye(d))])
+        J = np.ascontiguousarray(((residual(x + h * np.eye(d)) - r) / h[:, None]).T)
         calls += d
         A, g = J.T @ J, J.T @ r
         while lam <= 1e8 and calls < budget:
             step = np.linalg.solve(A + lam * np.diag(np.diag(A) + 1e-12), g)
             y = np.clip(x - step, EPS_MARGIN, 1.0 - EPS_MARGIN)
-            ry, calls = residual(y), calls + 1
+            ry, calls = residual(y[None])[0], calls + 1
             if ry @ ry < r @ r:
                 x, r, lam = y, ry, max(lam / 10, 1e-9)
                 break
@@ -442,8 +483,12 @@ def invert_psi(spec: UplinkSpec, target: RateFronthaulPoint, tol: float = INVERT
     psi is smooth inside a cell of alpha (one fixed j, eps free) and jumps
     between cells, so the live cells are ranked from their corners
     (`_rank_cells`) and solved by `minimize` in that order, within a total
-    budget of `max_iters` psi evaluations.  Never returns a silent wrong
-    answer: non-convergence is reported in the result.
+    budget of `max_iters` psi evaluations, each alpha of a stack counting
+    as one.  Never returns a silent wrong answer: non-convergence is
+    reported in the result.  The path turns on last-digit changes of psi
+    and of J.T @ J (one target printed to 9 digits converged after 6 or
+    after 17 evaluations, at different alphas), so the stacked Jacobian
+    keeps the bits of one psi call per column.
     """
     tvec = target.as_vector()
     if not on_dominant_face(spec.law, target, tol=FACE_TOL):
@@ -453,7 +498,7 @@ def invert_psi(spec: UplinkSpec, target: RateFronthaulPoint, tol: float = INVERT
     for j, x in zip(*_rank_cells(spec, tvec, max_iters)):
         if count >= max_iters or best_res <= tol:
             break
-        x, r, calls = minimize(lambda e: psi(spec, (j - 1 + e) / m).as_vector() - tvec,
+        x, r, calls = minimize(lambda e: psi(spec, (j - 1 + e) / m) - tvec,
                                x, tol, max_iters - count)
         count += calls
         if np.max(np.abs(r)) < best_res:

@@ -134,7 +134,7 @@ def suite_telescope(spec: UplinkSpec, seed=0, samples=100):
     law = spec.law
     rng = np.random.default_rng(seed)
     alphas = rng.uniform(0.0, 1.0, size=(samples, spec.K + spec.L - 1))  # one draw per sample
-    points = np.reshape([sp.psi(spec, a).as_vector() for a in alphas], (samples, spec.K + spec.L))
+    points = sp.psi(spec, alphas)
     worst_gap = float(np.max(np.abs(df.face_gap(law, points)), initial=0.0))
     all_on_face = bool(df.on_dominant_face(law, points, tol=FACE_TOL).all())
     return worst_gap <= TELESCOPE_TOL and all_on_face, {

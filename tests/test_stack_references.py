@@ -1,8 +1,9 @@
 """The verify suites on whole stacks against the per-order, per-point and
 per-name loops they replace, kept here as references: the greedy corner
 procedure, the successive-decoding and successive-encoding corners, the
-factorization test of the dominant face, the telescope suite, and the
-merge check and rates of the splitting map.  Every shipped spec and seeded
+factorization test of the dominant face, the telescope suite, the merge
+check and rates of the splitting map, psi one alpha at a time and the
+inversion's one-column-at-a-time Jacobians.  Every shipped spec and seeded
 specs up to K+L = 6 are checked."""
 
 import pathlib
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from cranregions import (
+    JointLaw,
     RateFronthaulPoint,
     build_downlink_joint,
     build_uplink_joint,
@@ -22,10 +24,10 @@ from cranregions import face as df
 from cranregions import splitting as sp
 from cranregions import suites
 from cranregions import uplink as ul
-from cranregions.prob import FACE_TOL, LawError
+from cranregions.prob import FACE_TOL, LawError, UplinkSpec, clamp_info, entropy_of
 from cranregions.specio import load_spec
 
-from conftest import random_downlink_spec, random_uplink_spec, solve_orders
+from conftest import identity_chain_spec, random_downlink_spec, random_uplink_spec, solve_orders
 from test_corner_arrays import quadratic_dedup
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -176,6 +178,99 @@ def name_beta_rates(vc, config):
     return betas
 
 
+def loop_build_virtual_cran(spec, config):
+    """Reference: the virtual joint of one config, factor by factor from the
+    scalar split formulas, into a law of its own."""
+    K, L = spec.K, spec.L
+    n_in, n = 2 * K - 1, 2 * K - 1 + 3 * L
+    names, px = ["X1"], np.multiply.outer(np.ones(()), spec.input_pmfs[0])
+    for i in range(2, K + 1):
+        a, e = float(spec.input_pmfs[i - 1][1]), config.epsilon[i]
+        for p1 in (a * e, a * (1.0 - e) / (1.0 - a * e)):  # U, then V
+            px = np.multiply.outer(px, np.array([1.0 - p1, p1]))
+        names += [f"X{i}a", f"X{i}b"]
+    grids = np.indices((2,) * n_in)
+    merged = [grids[0]] + [np.maximum(grids[2 * i - 3], grids[2 * i - 2]) for i in range(2, K + 1)]
+    joint = px.reshape((2,) * n_in + (1,) * L) * spec.channel[tuple(merged)]
+    full = np.broadcast_to(joint.reshape(joint.shape + (1,) * (2 * L)), (2,) * n).copy()
+    for l in range(1, L + 1):
+        e, p_uv_yh = config.epsilon[K + l], np.zeros((2, 2, 2))
+        for yh in range(2):
+            p_uv_yh[yh, 0, yh] += 1.0 - e
+            p_uv_yh[yh, yh, 0] += e
+        shape = [1] * n
+        shape[n_in + l - 1] = shape[n_in + L + 2 * l - 2] = shape[n_in + L + 2 * l - 1] = 2
+        full *= np.einsum("yh,huv->yuv", spec.test_channels[l - 1], p_uv_yh).reshape(shape)
+    names += [f"Y{l}" for l in range(1, L + 1)]
+    names += [f"Yh{l}{h}" for l in range(1, L + 1) for h in "cd"]
+    return JointLaw(names, full)
+
+
+def loop_beta_rates(law, config, K, L):
+    """Reference: one config's rates from its own transposed tensor, and the
+    point they assemble to as a vector."""
+    decoded = [f"X{lab}" if lab == "1" or lab[-1] in "ab" else f"Yh{lab}" for lab in config.order]
+    m = len(decoded)
+    p = law.probs.transpose(law.axes(decoded + [f"Y{l}" for l in range(1, L + 1)]))
+
+    def prefixes(q):
+        out = [q]
+        for k in range(m, 0, -1):
+            out.append(out[-1].sum(axis=k - 1))
+        return out[::-1]
+
+    marginal = prefixes(p.sum(axis=tuple(range(m, m + L))))
+    h = [0.0] + [entropy_of(q) for q in marginal[1:]]
+    with_y = [prefixes(p.sum(axis=tuple(m + j for j in range(L) if j != l))) for l in range(L)]
+    betas = {}
+    for k, (lab, var) in enumerate(zip(config.order, decoded)):
+        if var[0] == "X":
+            val = entropy_of(marginal[k + 1].sum(axis=tuple(range(k)))) + h[k] - h[k + 1]
+        else:
+            q = with_y[int(lab[:-1]) - 1]
+            val = entropy_of(q[k]) + h[k + 1] - entropy_of(q[k + 1]) - h[k]
+        betas[lab] = clamp_info(val)
+    R = [betas["1"]] + [betas[f"{i}a"] + betas[f"{i}b"] for i in range(2, K + 1)]
+    return betas, np.array(R + [betas[f"{l}c"] + betas[f"{l}d"] for l in range(1, L + 1)])
+
+
+def loop_psi(spec, alphas):
+    """Reference: psi of one alpha, or of each row of a stack, one at a time."""
+    def one(alpha):
+        config = sp.decode_order_from_alpha(spec.K, spec.L, alpha)
+        return loop_beta_rates(loop_build_virtual_cran(spec, config), config, spec.K, spec.L)[1]
+
+    if np.ndim(alphas) < 2:
+        return RateFronthaulPoint.from_vector(one(alphas), spec.K, spec.L)
+    return np.reshape([one(a) for a in alphas], (len(alphas), spec.K + spec.L))
+
+
+def loop_minimize(residual, x, tol, budget):
+    """Reference: the damped Newton steps with one residual call per point and
+    per Jacobian column, the columns stacked by np.column_stack."""
+    def one(y):
+        return residual(y[None])[0]
+
+    x = np.clip(x, sp.EPS_MARGIN, 1.0 - sp.EPS_MARGIN)
+    r, calls, lam, d = one(x), 1, 1e-3, len(x)
+    for _ in range(sp.CELL_STEPS):
+        if np.max(np.abs(r)) <= tol or calls + d + 1 > budget or lam > 1e8:
+            break
+        h = np.where(x < 0.5, 1e-7, -1e-7)
+        J = np.column_stack([(one(x + h * e) - r) / h[i] for i, e in enumerate(np.eye(d))])
+        calls += d
+        A, g = J.T @ J, J.T @ r
+        while lam <= 1e8 and calls < budget:
+            step = np.linalg.solve(A + lam * np.diag(np.diag(A) + 1e-12), g)
+            y = np.clip(x - step, sp.EPS_MARGIN, 1.0 - sp.EPS_MARGIN)
+            ry, calls = one(y), calls + 1
+            if ry @ ry < r @ r:
+                x, r, lam = y, ry, max(lam / 10, 1e-9)
+                break
+            lam *= 10
+    return x, r, calls
+
+
 # --- the comparisons ---
 
 
@@ -279,7 +374,7 @@ def test_telescope_matches_scalar_loop(case, monkeypatch):
     monkeypatch.setattr(sp, "psi", lambda spec, alpha: seen.append(np.array(alpha)) or
                         psi(spec, alpha))
     ok, details = suites.suite_telescope(spec, seed=4, samples=12)
-    assert np.array_equal(np.array(seen), alphas)  # the same draws
+    assert len(seen) == 1 and np.array_equal(seen[0], alphas)  # the same draws, one stack
     assert details["all_on_dominant_face"] == on_face
     assert abs(details["max_telescoping_gap"] - worst) <= 1e-15  # a few ulps of the coordinates
     assert ok == (worst <= 1e-9 and on_face)
@@ -298,6 +393,100 @@ def test_merge_and_rates_match_name_based(case):
         ref = name_beta_rates(vc, config)
         assert betas.keys() == ref.keys()
         assert max(abs(betas[k] - ref[k]) for k in ref) <= 1e-13
+
+
+def _stacks(spec, rng):
+    """Alpha stacks of each kind psi meets: one row, one cell (a Jacobian's
+    columns), rows from mixed cells, and cell ends."""
+    d = spec.K + spec.L - 1
+    m = 2 ** np.arange(1, d + 1) - 1  # the cells of each row
+    j = rng.integers(1, m + 1)
+    x = rng.uniform(0.02, 0.98, d)
+    h = np.where(x < 0.5, 1e-7, -1e-7)
+    ends = rng.integers(0, m + 1, size=(5, d)) / m
+    return {"one row": rng.uniform(size=(1, d)), "one cell": (j - 1 + x + h * np.eye(d)) / m,
+            "mixed cells": rng.uniform(size=(9, d)), "cell ends": np.vstack([ends, (j - 1) / m])}
+
+
+@pytest.mark.parametrize("case", UPLINK, ids=_ids)
+def test_psi_stacks_match_one_alpha_at_a_time(case, monkeypatch):
+    spec = _spec("uplink", case)
+    K, L = spec.K, spec.L
+    stacks = _stacks(spec, np.random.default_rng(21))
+    for kind, alphas in stacks.items():
+        ref = loop_psi(spec, alphas)
+        assert np.array_equal(sp.psi(spec, alphas), ref), kind
+        configs = [sp.decode_order_from_alpha(K, L, a) for a in alphas]
+        betas, points = sp.beta_rates(sp.build_virtual_cran(spec, configs), configs)
+        laws = [loop_build_virtual_cran(spec, c) for c in configs]
+        assert betas == [loop_beta_rates(law, c, K, L)[0] for law, c in zip(laws, configs)], kind
+        assert np.array_equal(points, ref), kind
+        for a, vec in zip(alphas, ref):
+            assert np.array_equal(sp.psi(spec, a).as_vector(), vec), kind
+    mixed = stacks["mixed cells"]
+    ref = loop_psi(spec, mixed)
+    for rows in (4, 0):  # chunks of 4, 4 and 1 rows; one row at a time when a row passes the cap
+        monkeypatch.setattr(sp, "STACK_ENTRIES", rows << (2 * K + 3 * L - 1))
+        assert np.array_equal(sp.psi(spec, mixed), ref), rows
+    assert sp.psi(spec, mixed[:0]).shape == (0, K + L)
+
+
+def _inversion_targets(case):
+    """The c10 acceptance targets (corners and mixtures of them), or on a
+    seeded spec two mixtures of corners and two psi points printed to 9 digits."""
+    rng = np.random.default_rng(555)
+    if case == "c10 identity":
+        spec, count = identity_chain_spec(), 20
+    elif case == "c10 random":
+        spec, count = random_uplink_spec(np.random.default_rng(31)), 20
+    else:
+        spec, count = random_uplink_spec(np.random.default_rng(4000 + 10 * case[0] + case[1]),
+                                         *case), 2
+    mat = ul.enumerate_corners(spec.law).points
+    vecs = list(mat[:count]) if case in ("c10 identity", "c10 random") else []
+    while len(vecs) < count:
+        vecs.append(rng.dirichlet(np.ones(len(mat))) @ mat)
+    if count == 2:
+        vecs += [np.round(loop_psi(spec, a).as_vector(), 9)
+                 for a in rng.uniform(size=(2, spec.K + spec.L - 1))]
+    return spec, [RateFronthaulPoint.from_vector(v, spec.K, spec.L) for v in vecs]
+
+
+@pytest.mark.parametrize("case", ["c10 identity", "c10 random", (2, 2), (1, 3), (3, 1), (3, 2),
+                                  (2, 3), (1, 5), (3, 3), (2, 4)], ids=str)
+def test_inversion_matches_one_column_at_a_time(case, monkeypatch):
+    spec, targets = _inversion_targets(case)
+    got = [sp.invert_psi(spec, t) for t in targets]
+    monkeypatch.setattr(sp, "psi", loop_psi)
+    monkeypatch.setattr(sp, "minimize", loop_minimize)
+    assert got == [sp.invert_psi(spec, t) for t in targets]  # alpha, residual, n_evals, converged
+
+
+def test_specs_made_in_turn_get_their_own_virtual_parts():
+    """Each spec is made right after the last one is dropped, so that it can
+    take the dead spec's object id."""
+    rng = np.random.default_rng(41)
+    made = [random_uplink_spec(rng, 2, 2) for _ in range(6)]
+    alphas = rng.uniform(size=(2, 3))
+    for f in made:
+        spec = UplinkSpec(f.K, f.L, f.input_pmfs, f.channel, f.test_channels)
+        assert np.array_equal(sp.psi(spec, alphas), loop_psi(spec, alphas))
+        del spec
+
+
+def test_merge_check_refuses_a_nan_in_one_row(monkeypatch):
+    spec = _spec("uplink", (2, 2))
+    split = sp.make_quant_split
+
+    def poisoned(w, eps):
+        qs = split(w, eps)
+        qs.p_uv_given_y[1, 0, 1, 0] = np.nan  # one entry of row 1 of the stack
+        return qs
+
+    monkeypatch.setattr(sp, "make_quant_split", poisoned)
+    configs = [sp.decode_order_from_alpha(2, 2, a) for a in (0.2, 0.4, 0.6) * np.ones((3, 3))]
+    with pytest.raises(LawError, match="merge back"):
+        sp.build_virtual_cran(spec, configs)
 
 
 def test_direction_functions_refuse_the_other_direction():
