@@ -17,17 +17,13 @@ from .prob import (
     mutual_info,
 )
 from .uplink import (
-    DecodeOrder,
     RateFronthaulPoint,
-    SolveOrder,
     corner_closed,
     corner_iterative,
     enumerate_corners,
     in_jd_region,
     jd_slack,
-    min_jd_slack,
     sd_corner,
-    solve_order_to_decode_order,
     verify_corner,
 )
 from .face import (
@@ -58,7 +54,6 @@ from .splitting import (
     psi_detail,
 )
 from .downlink import (
-    EncodeOrder,
     downlink_corner_closed,
     downlink_corner_iterative,
     downlink_enumerate_corners,
@@ -66,7 +61,6 @@ from .downlink import (
     istar,
     je_slack,
     se_corner,
-    solve_order_to_encode_order,
     verify_downlink_corner,
 )
 from .specio import SpecFileError, load_spec, parse_spec, save_spec, spec_to_dict

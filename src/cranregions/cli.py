@@ -25,7 +25,7 @@ import math
 import re
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -409,7 +409,10 @@ class _Parser(argparse.ArgumentParser):
             rf"^-(?:{_NUMBER})?(?:,(?:{_NUMBER})?)*$", re.IGNORECASE)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; `main` looks up `cmd_<subcommand>`
+    when it runs, so a replaced command function is the one called."""
     parser = _Parser(
         prog="cranregions",
         description="Rate-fronthaul region computations for finite-alphabet relay networks.",
@@ -422,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--dedup", action="store_true",
                    help="in csv mode, drop duplicate points")
-    p.set_defaults(fn=cmd_corners)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("spec")
@@ -431,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                         % ",".join(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=None)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("psi", help="evaluate or invert the splitting map")
     p.add_argument("spec")
@@ -439,14 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invert", help="comma-separated target point R1,..,CL")
     p.add_argument("--tol", type=float, default=INVERT_TOL)
     p.add_argument("--max-iters", type=int, default=5000)
-    p.set_defaults(fn=cmd_psi)
 
     p = sub.add_parser("face", help="dominant-face membership at one point")
     p.add_argument("spec")
     p.add_argument("--point", required=True, help="comma-separated R1,..,CL")
     p.add_argument("--S", help="comma-separated user subset")
     p.add_argument("--T", help="comma-separated relay subset")
-    p.set_defaults(fn=cmd_face)
 
     p = sub.add_parser("slice", help="CSV membership grid over two coordinates")
     p.add_argument("spec")
@@ -455,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min", type=float, default=0.0)
     p.add_argument("--max", type=float, default=2.0)
     p.add_argument("--steps", type=int, default=41)
-    p.set_defaults(fn=cmd_slice)
     return parser
 
 
@@ -467,7 +465,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep its code.
         return int(e.code or 0)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.subcommand}"](args)
     except (UsageError, SpecFileError, LawError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,20 +23,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prob import FACE_TOL, MEMBERSHIP_TOL, MI_ZERO_TOL, JointLaw, mutual_info
+from .prob import (
+    FACE_TOL,
+    MEMBERSHIP_TOL,
+    MI_ZERO_TOL,
+    JointLaw,
+    mutual_info,
+    x_names,
+    y_names,
+    yh_names,
+)
 from .uplink import (
     RateFronthaulPoint,
     Region,
     _row_rank,
-    _xs,
-    _yhs,
-    _ys,
     build_region,
     dedup_index,
     enumerate_corners,
     in_jd_region,
     jd_region,
-    uplink_dims,
 )
 
 
@@ -102,16 +107,16 @@ def on_dominant_face_alt(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
     I(Y_T;Yh_T|X_[K]) - I(X_S;Yh_{T^c}|X_{S^c}) and I(Y_T;Yh_T|X_S).
     Agrees with `on_dominant_face` everywhere (verified numerically).
     """
-    K, L = uplink_dims(law)
-    allx = _xs(range(1, K + 1))
+    K, L = law.dims("uplink")
+    allx = x_names(range(1, K + 1))
 
     def bounds(S, T):
         Sc = set(range(1, K + 1)) - S
         Tc = set(range(1, L + 1)) - T
-        lb = mutual_info(law, _ys(T), _yhs(T), allx) - mutual_info(
-            law, _xs(S), _yhs(Tc), _xs(Sc)
+        lb = mutual_info(law, y_names(T), yh_names(T), allx) - mutual_info(
+            law, x_names(S), yh_names(Tc), x_names(Sc)
         )
-        return lb, mutual_info(law, _ys(T), _yhs(T), _xs(S))
+        return lb, mutual_info(law, y_names(T), yh_names(T), x_names(S))
 
     region = law.memo("alt", lambda: build_region(K, L, range(1, K + 1), range(1, L + 1), bounds))
     return region.contains(point, tol)
@@ -119,12 +124,12 @@ def on_dominant_face_alt(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
 
 def _cap_row(law: JointLaw, q: FaceQuery) -> Region:
     """C(T) - R(S) at its cap: one row with lb = ub = I(Y_T; Yh_T | X_S)."""
-    K, L = uplink_dims(law)
+    K, L = law.dims("uplink")
     q.validate(K, L)
 
     def build():
         normal = q.mask(K, L) * np.repeat([-1.0, 1.0], [K, L])
-        cap = np.array([mutual_info(law, _ys(q.T), _yhs(q.T), _xs(q.S))])
+        cap = np.array([mutual_info(law, y_names(q.T), yh_names(q.T), x_names(q.S))])
         return Region(((q.S, q.T),), normal[None], cap, cap)
 
     return law.memo(("cap", q), build)
@@ -141,15 +146,15 @@ def in_sub_face_DST(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
 
     Only the R_S and C_T coordinates of `point` are read.
     """
-    K, L = uplink_dims(law)
+    K, L = law.dims("uplink")
     q.validate(K, L)
     S, T = q.S, q.T
 
     def bounds(A, B):
-        lb = mutual_info(law, _ys(B), _yhs(B), _xs(S) + _yhs(T - B)) - mutual_info(
-            law, _xs(A), _yhs(T - B), _xs(S - A)
+        lb = mutual_info(law, y_names(B), yh_names(B), x_names(S) + yh_names(T - B)) - mutual_info(
+            law, x_names(A), yh_names(T - B), x_names(S - A)
         )
-        return lb, mutual_info(law, _ys(B), _yhs(B), _xs(A))
+        return lb, mutual_info(law, y_names(B), yh_names(B), x_names(A))
 
     return law.memo(("DST", q), lambda: build_region(K, L, S, T, bounds)).contains(point, tol)
 
@@ -160,7 +165,7 @@ def in_sub_face_cond(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
     The conditional sub-problem sees (X_S, Yh_T) as decoder side
     information; only the R_{S^c} and C_{T^c} coordinates are read.
     """
-    K, L = uplink_dims(law)
+    K, L = law.dims("uplink")
     q.validate(K, L)
     S, T = set(q.S), set(q.T)
     Sc = set(range(1, K + 1)) - S
@@ -169,13 +174,13 @@ def in_sub_face_cond(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
     def bounds(A, B):
         lb = mutual_info(
             law,
-            _ys(B),
-            _yhs(B),
-            _xs(range(1, K + 1)) + _yhs((Tc - B) | T),
-        ) - mutual_info(law, _xs(A), _yhs((Tc - B) | T), _xs((Sc - A) | S))
+            y_names(B),
+            yh_names(B),
+            x_names(range(1, K + 1)) + yh_names((Tc - B) | T),
+        ) - mutual_info(law, x_names(A), yh_names((Tc - B) | T), x_names((Sc - A) | S))
         ub = mutual_info(
-            law, _ys(B), _yhs(B), _xs(A | S) + _yhs(T)
-        ) - mutual_info(law, _xs(A), _yhs(T), _xs(S))
+            law, y_names(B), yh_names(B), x_names(A | S) + yh_names(T)
+        ) - mutual_info(law, x_names(A), yh_names(T), x_names(S))
         return lb, ub
 
     return law.memo(("cond", q), lambda: build_region(K, L, Sc, Tc, bounds)).contains(point, tol)
@@ -213,7 +218,7 @@ def check_face_decomposition(
     (S,T) half of one face sample with the complement half of another
     (a generic member of the product) lands back on F_{S,T}.
     """
-    K, L = uplink_dims(law)
+    K, L = law.dims("uplink")
     cap = _cap_row(law, q)
     rng = np.random.default_rng(seed)
     enum = enumerate_corners(law)
@@ -234,13 +239,13 @@ def check_face_decomposition(
 
 def degeneracy_condition(law: JointLaw, q: FaceQuery) -> bool:
     """True iff the (S, T) block decouples: both cross informations vanish."""
-    K, L = uplink_dims(law)
+    K, L = law.dims("uplink")
     q.validate(K, L)
     S, T = set(q.S), set(q.T)
     Sc = set(range(1, K + 1)) - S
     Tc = set(range(1, L + 1)) - T
-    a = mutual_info(law, _xs(S), _yhs(Tc), _xs(Sc))
-    b = mutual_info(law, _xs(Sc), _yhs(T), _xs(S))
+    a = mutual_info(law, x_names(S), yh_names(Tc), x_names(Sc))
+    b = mutual_info(law, x_names(Sc), yh_names(T), x_names(S))
     return a <= MI_ZERO_TOL and b <= MI_ZERO_TOL
 
 
@@ -253,7 +258,7 @@ def check_degenerate_factorization(law: JointLaw, q: FaceQuery) -> bool:
     its projections' kept rows, so the set is that product when the pairs
     are distinct and as many as the product has.
     """
-    K, L = uplink_dims(law)
+    K, L = law.dims("uplink")
     q.validate(K, L)
     mask = q.mask(K, L)
     if not mask[0]:

@@ -49,6 +49,10 @@ class LawError(ValueError):
     """Raised for invalid probability inputs (normalization, shape, names)."""
 
 
+_BUILT_OVER = {"uplink": "an uplink law over X1..XK, Y1..YL, Yh1..YhL",
+               "downlink": "a downlink law over U1..UK, X1..XL, Y1..YK"}
+
+
 @dataclass(frozen=True)
 class JointLaw:
     """Dense joint probability tensor over named finite-alphabet variables.
@@ -56,12 +60,15 @@ class JointLaw:
     `names[i]` labels axis `i` of `probs`.  Immutable after construction;
     all queries are pure functions of the tensor, so what is derived from
     the law alone (entropies, regions, corner enumerations) is cached on it.
+    `build_uplink_joint` and `build_downlink_joint` stamp `built` with the
+    law's direction, K and L, which `dims` reads.
     """
 
     names: tuple[str, ...]
     probs: np.ndarray
     _entropy_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    built: tuple | None = field(default=None, repr=False, compare=False)  # (direction, K, L)
 
     def __post_init__(self):
         names = tuple(self.names)
@@ -84,6 +91,13 @@ class JointLaw:
 
     def __hash__(self):
         return hash(self.names)
+
+    def dims(self, direction: str) -> tuple[int, int]:
+        """(K, L) of a law that `build_<direction>_joint` built; LawError for
+        a law of the other direction or one built by hand."""
+        if self.built is None or self.built[0] != direction:
+            raise LawError(f"not {_BUILT_OVER[direction]}: {self.names}")
+        return self.built[1:]
 
     def memo(self, key, build):
         """build(), computed once per `key` for this law and kept."""
@@ -303,12 +317,8 @@ def build_uplink_joint(spec: UplinkSpec) -> JointLaw:
         shape[K + L + l] = yh_sizes[l]
         full *= spec.test_channels[l].reshape(shape)
 
-    names = (
-        tuple(f"X{k}" for k in range(1, K + 1))
-        + tuple(f"Y{l}" for l in range(1, L + 1))
-        + tuple(f"Yh{l}" for l in range(1, L + 1))
-    )
-    return JointLaw(names, full)
+    names = x_names(range(1, K + 1)) + y_names(range(1, L + 1)) + yh_names(range(1, L + 1))
+    return JointLaw(names, full, built=("uplink", K, L))
 
 
 def build_downlink_joint(spec: DownlinkSpec) -> JointLaw:
@@ -320,12 +330,28 @@ def build_downlink_joint(spec: DownlinkSpec) -> JointLaw:
     full = spec.aux_joint.reshape(u_sizes + x_sizes + (1,) * K) * spec.channel.reshape(
         (1,) * K + x_sizes + y_sizes
     )
-    names = (
-        tuple(f"U{k}" for k in range(1, K + 1))
-        + tuple(f"X{l}" for l in range(1, L + 1))
-        + tuple(f"Y{k}" for k in range(1, K + 1))
-    )
-    return JointLaw(names, full)
+    names = u_names(range(1, K + 1)) + x_names(range(1, L + 1)) + y_names(range(1, K + 1))
+    return JointLaw(names, full, built=("downlink", K, L))
+
+
+def x_names(idx) -> list[str]:
+    """X_i for each index i, in increasing order (uplink inputs, downlink relay inputs)."""
+    return [f"X{i}" for i in sorted(idx)]
+
+
+def y_names(idx) -> list[str]:
+    """Y_i in increasing order (uplink relay outputs, downlink user outputs)."""
+    return [f"Y{i}" for i in sorted(idx)]
+
+
+def yh_names(idx) -> list[str]:
+    """Yh_l in increasing order (uplink quantized relay outputs)."""
+    return [f"Yh{l}" for l in sorted(idx)]
+
+
+def u_names(idx) -> list[str]:
+    """U_k in increasing order (downlink auxiliary codewords)."""
+    return [f"U{k}" for k in sorted(idx)]
 
 
 def subsets(items):

@@ -118,9 +118,8 @@ def suite_lemma6(spec: UplinkSpec, seed=0, samples=100):
 def suite_thm1(spec: UplinkSpec, seed=0, samples=100):
     law = spec.law
     enum = ul.enumerate_corners(law)
-    # the decode order of a solve order is its reversal (solve_order_to_decode_order),
-    # a bijection onto the decode orders, so this stack meets every successive-decoding
-    # corner once
+    # the decode order of a solve order is its reversal (see sd_corner), a bijection
+    # onto the decode orders, so this stack meets every successive-decoding corner once
     sd = ul.sd_corner(law, enum.perms[:, ::-1])
     worst = float(np.max(np.abs(enum.points - sd)))
     members = bool(ul.in_jd_region(law, sd).all())

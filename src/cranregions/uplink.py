@@ -22,14 +22,17 @@ The downlink joint-encoding region has the same form with another
 right-hand side, so the direction-free core lives here and serves both:
 a `Region` (0/+-1 normals A of the (S, T) pairs, bounds lb <= A x <= ub)
 is built once per law, `check_corner` reads corner-hood off its tight rows,
-`greedy_corner` solves the slack for the corner of one solve order, and
+`greedy_corner` solves the slack for the corners of solve orders, and
 `enumerate_orders` applies a corner procedure to every solve order.
 
-The closed form of a coordinate depends only on the set of coordinates
-solved before it, so `closed_form_table` holds all (K+L) 2^(K+L-1) values
-once per law and `read_corners` gathers the corners of any stack of solve
-orders from it.  `check_corner` and `dedup_points` work on the whole
-stack of corners at once.
+A solve order is a row of coordinate indices, R_1..R_K, C_1..C_L numbered
+0..K+L-1, and every corner function takes an (n, K+L) stack of such rows
+(`solve_perms` lists all of them).  The closed form of a coordinate
+depends only on the set of coordinates solved before it, so
+`closed_form_table` holds all (K+L) 2^(K+L-1) values once per law and
+`read_corners` gathers the corners of any stack of rows from it.
+`check_corner` and `dedup_points` work on the whole stack of corners at
+once.  The law's direction, K and L come from `JointLaw.dims`.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import ClassVar
 
 import numpy as np
 
@@ -49,9 +51,11 @@ from .prob import (
     NEGATIVE_RATE_TOL,
     PIVOT_TOL,
     JointLaw,
-    LawError,
     mutual_info,
     subsets,
+    x_names,
+    y_names,
+    yh_names,
 )
 
 MAX_ENUM = 8  # guard: (K+L)! enumeration only up to K+L = 8
@@ -103,107 +107,17 @@ def add_terms(total, terms):
     return total
 
 
-def coord_labels(K: int, L: int, rate: str = "R", front: str = "C") -> list[str]:
-    """Labels R1..RK, C1..CL of the coordinates, or of the variables with
-    other prefixes (X/Yh for decoding, U/X for encoding)."""
-    return [f"{rate}{i}" for i in range(1, K + 1)] + [f"{front}{j}" for j in range(1, L + 1)]
-
-
-@dataclass(frozen=True)
-class Order:
-    """Permutation of K+L labels: `prefixes` numbered 1..K, then 1..L."""
-
-    labels: tuple[str, ...]
-    K: int
-    L: int
-    prefixes: ClassVar[tuple] = ("R", "C")
-
-    def __post_init__(self):
-        expected = coord_labels(self.K, self.L, *self.prefixes)
-        if set(self.labels) != set(expected) or len(self.labels) != len(expected):
-            raise ValueError(
-                f"labels {self.labels} are not a permutation of {sorted(expected)}"
-            )
-
-    @property
-    def perm(self) -> tuple[int, ...]:
-        """The labels in order, numbered 0..K+L-1 as in `coord_labels`."""
-        index = {lab: c for c, lab in enumerate(coord_labels(self.K, self.L, *self.prefixes))}
-        return tuple(index[lab] for lab in self.labels)
-
-
-@dataclass(frozen=True)
-class SolveOrder(Order):
-    """Permutation of the coordinate labels (R_1..R_K, C_1..C_L).
-
-    a[k] is 1 when the k-th solved coordinate is a rate, 0 when it is a
-    fronthaul capacity; b[k] is its 1-based user/relay index.
-    """
-
-    @classmethod
-    def from_labels(cls, labels) -> "SolveOrder":
-        labels = tuple(labels)
-        K = sum(1 for s in labels if s.startswith("R"))
-        L = len(labels) - K
-        return cls(labels, K, L)
-
-    @property
-    def a(self) -> tuple[int, ...]:
-        return tuple(1 if s.startswith("R") else 0 for s in self.labels)
-
-    @property
-    def b(self) -> tuple[int, ...]:
-        return tuple(int(s[1:]) for s in self.labels)
-
-    def index_sets(self, k: int) -> tuple[set, set]:
-        """(I_k, J_k): user/relay indices solved strictly before step k (1-based)."""
-        I = {int(s[1:]) for s in self.labels[: k - 1] if s.startswith("R")}
-        J = {int(s[1:]) for s in self.labels[: k - 1] if s.startswith("C")}
-        return I, J
-
-
-@dataclass(frozen=True)
-class DecodeOrder(Order):
-    """Permutation of the variable labels (X_1..X_K, Yh_1..Yh_L)."""
-
-    prefixes: ClassVar[tuple] = ("X", "Yh")
+def coord_labels(K: int, L: int) -> list[str]:
+    """Labels R1..RK, C1..CL of the coordinates."""
+    return [f"R{i}" for i in range(1, K + 1)] + [f"C{j}" for j in range(1, L + 1)]
 
 
 def solve_perms(K: int, L: int) -> np.ndarray:
-    """All (K+L)! solve orders as the rows of their `SolveOrder.perm`, in
-    lexicographic order, refused above the MAX_ENUM guard."""
+    """All (K+L)! solve orders as rows of coordinate indices, in lexicographic
+    order, refused above the MAX_ENUM guard."""
     if K + L > MAX_ENUM:
         raise ValueError(f"K+L = {K + L} exceeds enumeration guard {MAX_ENUM}")
     return np.array(list(itertools.permutations(range(K + L))), dtype=np.intp)
-
-
-def count_labels(names, prefix: str) -> int:
-    """How many of `names` are `prefix` followed by an index, as X3 is for X."""
-    return sum(1 for n in names if n.startswith(prefix) and n[len(prefix):].isdigit())
-
-
-def uplink_dims(law: JointLaw) -> tuple[int, int]:
-    """(K, L) of a law over exactly X1..XK, Y1..YL, Yh1..YhL; LawError otherwise."""
-
-    def dims():
-        K, L = count_labels(law.names, "X"), count_labels(law.names, "Yh")
-        if law.names != tuple(_xs(range(1, K + 1)) + _ys(range(1, L + 1)) + _yhs(range(1, L + 1))):
-            raise LawError(f"not an uplink law over X1..XK, Y1..YL, Yh1..YhL: {law.names}")
-        return K, L
-
-    return law.memo("uplink dims", dims)
-
-
-def _xs(idx):
-    return [f"X{i}" for i in sorted(idx)]
-
-
-def _ys(idx):
-    return [f"Y{l}" for l in sorted(idx)]
-
-
-def _yhs(idx):
-    return [f"Yh{l}" for l in sorted(idx)]
 
 
 def jd_terms(law: JointLaw, K: int, L: int, S, T) -> tuple:
@@ -212,8 +126,8 @@ def jd_terms(law: JointLaw, K: int, L: int, S, T) -> tuple:
     Sc = set(range(1, K + 1)) - set(S)
     Tc = set(range(1, L + 1)) - set(T)
     return (
-        -mutual_info(law, _ys(T), _yhs(T), _xs(range(1, K + 1))),
-        mutual_info(law, _xs(S), _yhs(Tc), _xs(Sc)),
+        -mutual_info(law, y_names(T), yh_names(T), x_names(range(1, K + 1))),
+        mutual_info(law, x_names(S), yh_names(Tc), x_names(Sc)),
     )
 
 
@@ -284,15 +198,7 @@ def slack_region(law: JointLaw, slack, K: int, L: int) -> Region:
 
 def jd_region(law: JointLaw) -> Region:
     """The joint-decoding region of `law`, built once per law."""
-    return law.memo("jd region", lambda: slack_region(law, jd_slack, *uplink_dims(law)))
-
-
-def min_jd_slack(law: JointLaw, point: RateFronthaulPoint):
-    """Minimum joint-decoding slack over all (S, T) pairs and its first argmin."""
-    region = jd_region(law)
-    s = region.slacks(point)
-    i = int(np.argmin(s))
-    return float(s[i]), tuple(set(x) for x in region.pairs[i])
+    return law.memo("jd region", lambda: slack_region(law, jd_slack, *law.dims("uplink")))
 
 
 def in_jd_region(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
@@ -301,8 +207,10 @@ def in_jd_region(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
 
 
 def sd_corner(law: JointLaw, orders):
-    """Extreme point of the successive-decoding region for one DecodeOrder, or
-    the corners of an (n, K+L) stack of `DecodeOrder.perm` rows.
+    """Extreme points of the successive-decoding region for an (n, K+L) stack
+    of decode orders, rows of variable indices: X_1..X_K, Yh_1..Yh_L numbered
+    as the coordinates they set.  The decode order of a solve order `perm`
+    is `perm[::-1]`, and its corner is the joint-decoding corner of `perm`.
 
     Every inequality is set to equality: a user decoded at some position
     gets R_k = I(X_k; everything decoded before it), a quantization
@@ -314,22 +222,22 @@ def sd_corner(law: JointLaw, orders):
 
 
 def _sd_table(law: JointLaw) -> np.ndarray:
-    K, L = uplink_dims(law)
+    K, L = law.dims("uplink")
 
     def value(c, I, J):
-        before = _xs(I) + _yhs(J)
+        before = x_names(I) + yh_names(J)
         if c < K:
-            return mutual_info(law, [f"X{c + 1}"], before)
-        l = c - K + 1
-        return mutual_info(law, [f"Y{l}"], [f"Yh{l}"]) - mutual_info(law, [f"Yh{l}"], before)
+            return mutual_info(law, x_names([c + 1]), before)
+        l = [c - K + 1]
+        return mutual_info(law, y_names(l), yh_names(l)) - mutual_info(law, yh_names(l), before)
 
     return closed_form_table(K, L, value)
 
 
 def greedy_corner(region: Region, terms: np.ndarray, orders):
-    """Corner of a slack region for one SolveOrder, or the (n, K+L) corners of
-    an (n, K+L) stack of `SolveOrder.perm` rows; row i of `terms` holds the
-    signed terms of -f that the slack of region row i adds, in its order.
+    """The (n, K+L) corners of a slack region for an (n, K+L) stack of solve
+    orders; row i of `terms` holds the signed terms of -f that the slack of
+    region row i adds, in its order.
 
     Step k sets to equality the row (S, T) of the coordinates solved before
     plus perm[k], found by bitmask: its slack C(T) - R(S) + terms, read at
@@ -338,9 +246,6 @@ def greedy_corner(region: Region, terms: np.ndarray, orders):
     and the terms in the slack's order, so each coordinate is bit for bit
     the one the scalar slack gives.
     """
-    if isinstance(orders, Order):
-        vec = greedy_corner(region, terms, np.array([orders.perm]))[0]
-        return RateFronthaulPoint.from_vector(vec, orders.K, orders.L)
     perms = np.asarray(orders)
     rate, bit = (region.A < 0).any(axis=0), 1 << np.arange(perms.shape[1])
     row = np.empty(2 * bit[-1], dtype=np.intp)  # row of each (S, T) bitmask
@@ -356,9 +261,9 @@ def greedy_corner(region: Region, terms: np.ndarray, orders):
 
 
 def corner_iterative(law: JointLaw, orders):
-    """Joint-decoding corner solved one coordinate at a time, for one solve order
-    or a stack of them (see `greedy_corner`)."""
-    region, (K, L) = jd_region(law), uplink_dims(law)
+    """Joint-decoding corners solved one coordinate at a time, for a stack of
+    solve orders (see `greedy_corner`)."""
+    region, (K, L) = jd_region(law), law.dims("uplink")
     terms = law.memo("jd terms", lambda: np.array([jd_terms(law, K, L, *r) for r in region.pairs]))
     return greedy_corner(region, terms, orders)
 
@@ -381,12 +286,9 @@ def closed_form_table(K: int, L: int, value) -> np.ndarray:
 
 
 def read_corners(table: np.ndarray, orders):
-    """The corner of one Order, or the (n, K+L) corners of an (n, K+L) stack of
-    `Order.perm` rows, read off a `closed_form_table`: step k takes
-    table[perm[k], P] for P the bitmask of perm[:k], an exclusive prefix sum."""
-    if isinstance(orders, Order):
-        vec = read_corners(table, np.array([orders.perm]))[0]
-        return RateFronthaulPoint.from_vector(vec, orders.K, orders.L)
+    """The (n, K+L) corners of an (n, K+L) stack of orders, read off a
+    `closed_form_table`: step k takes table[perm[k], P] for P the bitmask of
+    perm[:k], an exclusive prefix sum."""
     perms = np.asarray(orders)
     bits = 1 << perms
     points = np.empty(perms.shape)
@@ -395,43 +297,28 @@ def read_corners(table: np.ndarray, orders):
 
 
 def corner_closed(law: JointLaw, orders):
-    """Closed-form corner of one solve order, or the corners of a stack of
-    permutations (see `read_corners`); agrees with corner_iterative to 1e-9."""
+    """Closed-form corners of a stack of solve orders (see `read_corners`);
+    agrees with corner_iterative to 1e-9."""
     return read_corners(law.memo("jd closed form", lambda: _jd_closed_form(law)), orders)
 
 
 def _jd_closed_form(law: JointLaw) -> np.ndarray:
     """R_b = I(X_b; Yh_{J^c} | X_{I^c - b}) and
     C_b = I(Y_b; Yh_b) - I(Yh_b; X_{I^c}, Yh_{J^c - b}) for I, J solved before."""
-    K, L = uplink_dims(law)
+    K, L = law.dims("uplink")
     users, relays = set(range(1, K + 1)), set(range(1, L + 1))
 
     def value(c, I, J):
         Ic, Jc = users - I, relays - J
         if c < K:
             b = c + 1
-            return mutual_info(law, [f"X{b}"], _yhs(Jc), _xs(Ic - {b}))
+            return mutual_info(law, x_names([b]), yh_names(Jc), x_names(Ic - {b}))
         b = c - K + 1
-        return mutual_info(law, [f"Y{b}"], [f"Yh{b}"]) - mutual_info(
-            law, [f"Yh{b}"], _xs(Ic) + _yhs(Jc - {b})
+        return mutual_info(law, y_names([b]), yh_names([b])) - mutual_info(
+            law, yh_names([b]), x_names(Ic) + yh_names(Jc - {b})
         )
 
     return closed_form_table(K, L, value)
-
-
-def solve_order_to_decode_order(order: SolveOrder) -> DecodeOrder:
-    """Successive-decoding order achieving the corner of a solve order.
-
-    The solve order is reversed wholesale: the coordinate solved last is
-    decoded first, with R_i mapping to X_i and C_j mapping to Yh_j.
-    """
-    labels = []
-    for lab in reversed(order.labels):
-        if lab.startswith("R"):
-            labels.append("X" + lab[1:])
-        else:
-            labels.append("Yh" + lab[1:])
-    return DecodeOrder(tuple(labels), order.K, order.L)
 
 
 def _row_rank(rows) -> int:
@@ -544,9 +431,9 @@ def verify_corner(law: JointLaw, points) -> CornerReport:
 class CornerEnumeration:
     """The corner of every solve order, as arrays, and the rows dedup keeps.
 
-    Row i of `perms` is a `SolveOrder.perm`, row i of `points` its corner;
-    `kept` lists the rows of the distinct vertices in order.  `corners` and
-    `vertices` give the same as objects, built on first use.
+    Row i of `perms` is a solve order, row i of `points` its corner; `kept`
+    lists the rows of the distinct vertices in order, which `vertices` gives
+    as objects, built on first use.
     """
 
     K: int
@@ -566,18 +453,6 @@ class CornerEnumeration:
         """The deduplicated RateFronthaulPoints."""
         return tuple(RateFronthaulPoint.from_vector(self.points[i], self.K, self.L)
                      for i in self.kept)
-
-    @cached_property
-    def corners(self) -> tuple:
-        """(SolveOrder, RateFronthaulPoint) per permutation; a vertex is the same object."""
-        labels = coord_labels(self.K, self.L)
-        shared = dict(zip(self.kept.tolist(), self.vertices))
-        return tuple(
-            (SolveOrder(tuple(labels[c] for c in perm), self.K, self.L),
-             shared[i] if i in shared
-             else RateFronthaulPoint.from_vector(self.points[i], self.K, self.L))
-            for i, perm in enumerate(self.perms.tolist())
-        )
 
 
 def dedup_index(vecs, tol: float = DEDUP_TOL) -> np.ndarray:
@@ -701,4 +576,4 @@ def enumerate_corners(
     """All (K+L)! corner points, one per solve order, plus the distinct vertices,
     computed once per law and `dedup_tol`."""
     return law.memo(("jd corners", dedup_tol), lambda: enumerate_orders(
-        partial(corner_closed, law), *uplink_dims(law), dedup_tol))
+        partial(corner_closed, law), *law.dims("uplink"), dedup_tol))

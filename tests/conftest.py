@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from cranregions import DownlinkSpec, SolveOrder, UplinkSpec
-from cranregions.uplink import coord_labels, solve_perms
+from cranregions import DownlinkSpec, UplinkSpec
 
 
 def bsc(p: float) -> np.ndarray:
@@ -93,10 +92,13 @@ def downlink_k1l1_spec() -> DownlinkSpec:
     return DownlinkSpec(K=1, L=1, aux_joint=aux, channel=bsc(0.1))
 
 
-def solve_orders(K: int, L: int) -> list:
-    """All (K+L)! solve orders, in the order of `solve_perms`."""
-    labels = coord_labels(K, L)
-    return [SolveOrder(tuple(labels[c] for c in perm), K, L) for perm in solve_perms(K, L).tolist()]
+def prefix_sets(perm, k: int, K: int) -> tuple[set, set]:
+    """(I_k, J_k): the users and relays (1-based) solved strictly before step k
+    (1-based) of a solve-order row, whose entries number R_1..R_K, C_1..C_L
+    as 0..K+L-1."""
+    I = {c + 1 for c in perm[:k - 1] if c < K}
+    J = {c - K + 1 for c in perm[:k - 1] if c >= K}
+    return I, J
 
 
 @pytest.fixture

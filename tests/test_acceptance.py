@@ -5,7 +5,6 @@ All tolerances are the documented ones; nothing here is loosened to make
 a check pass.
 """
 
-import itertools
 import json
 import pathlib
 import time
@@ -18,6 +17,7 @@ from cranregions.cli import main as cli_main
 from cranregions.prob import build_downlink_joint, build_uplink_joint
 from cranregions.face import FaceQuery, face_gap
 from cranregions import splitting as sp
+from cranregions.uplink import solve_perms
 
 from conftest import (
     identity_chain_spec,
@@ -56,11 +56,6 @@ def downlink_battery():
     return _downlink_battery
 
 
-def all_solve_orders(K, L):
-    labels = [f"R{i}" for i in range(1, K + 1)] + [f"C{j}" for j in range(1, L + 1)]
-    return [cr.SolveOrder(p, K, L) for p in itertools.permutations(labels)]
-
-
 def report(num, name, ok):
     print(f"\nACCEPTANCE {num:2d} [{name}]: {'PASS' if ok else 'FAIL'}")
     assert ok, f"acceptance criterion {num} ({name}) failed"
@@ -69,11 +64,11 @@ def report(num, name, ok):
 def test_c01_corner_procedure_equivalence():
     t0 = time.monotonic()
     worst = 0.0
+    perms = solve_perms(2, 2)
     for _, law in uplink_battery():
-        for order in all_solve_orders(2, 2):
-            a = cr.corner_iterative(law, order).as_vector()
-            b = cr.corner_closed(law, order).as_vector()
-            worst = max(worst, float(np.max(np.abs(a - b))))
+        a = cr.corner_iterative(law, perms)
+        b = cr.corner_closed(law, perms)
+        worst = max(worst, float(np.max(np.abs(a - b))))
     elapsed = time.monotonic() - t0
     report(1, "iterative vs closed-form corners", worst <= 1e-9 and elapsed <= 10.0)
 
@@ -81,22 +76,21 @@ def test_c01_corner_procedure_equivalence():
 def test_c02_joint_vs_successive_decoding():
     worst = 0.0
     members = True
+    perms = solve_perms(2, 2)
     for _, law in uplink_battery():
-        for order in all_solve_orders(2, 2):
-            corner = cr.corner_closed(law, order)
-            sd = cr.sd_corner(law, cr.solve_order_to_decode_order(order))
-            worst = max(worst, float(np.max(np.abs(corner.as_vector() - sd.as_vector()))))
-        for perm in itertools.permutations(["X1", "X2", "Yh1", "Yh2"]):
-            sd = cr.sd_corner(law, cr.DecodeOrder(tuple(perm), 2, 2))
-            members = members and cr.in_jd_region(law, sd, tol=1e-9)
+        corner = cr.corner_closed(law, perms)
+        sd = cr.sd_corner(law, perms[:, ::-1])  # the decode order of a solve order
+        worst = max(worst, float(np.max(np.abs(corner - sd))))
+        # every decode order of X1, X2, Yh1, Yh2 is a row of perms
+        members = members and bool(cr.in_jd_region(law, cr.sd_corner(law, perms), tol=1e-9).all())
     report(2, "corners achieved by successive decoding", worst <= 1e-9 and members)
 
 
 def test_c03_corner_verification():
     ok = True
     for _, law in uplink_battery():
-        for _, point in cr.enumerate_corners(law).corners:
-            rep = cr.verify_corner(law, point)
+        for vec in cr.enumerate_corners(law).points:
+            rep = cr.verify_corner(law, cr.RateFronthaulPoint.from_vector(vec, 2, 2))
             ok = ok and rep.is_corner
     report(3, "membership + active-rank at every corner", ok)
 
@@ -222,15 +216,16 @@ def test_c10_psi_surjectivity():
 def test_c11_downlink_analogues():
     worst = 0.0
     ok = True
+    perms = solve_perms(2, 2)
     for _, law in downlink_battery():
-        for order in all_solve_orders(2, 2):
-            a = cr.downlink_corner_iterative(law, order).as_vector()
-            b = cr.downlink_corner_closed(law, order).as_vector()
-            worst = max(worst, float(np.max(np.abs(a - b))))
-            se = cr.se_corner(law, cr.solve_order_to_encode_order(order))
-            worst = max(worst, float(np.max(np.abs(b - se.as_vector()))))
-            ok = ok and cr.in_je_region(law, se, tol=1e-9)
-        for _, point in cr.downlink_enumerate_corners(law).corners:
+        a = cr.downlink_corner_iterative(law, perms)
+        b = cr.downlink_corner_closed(law, perms)
+        worst = max(worst, float(np.max(np.abs(a - b))))
+        se = cr.se_corner(law, perms)  # the encode order of a solve order is itself
+        worst = max(worst, float(np.max(np.abs(b - se))))
+        ok = ok and bool(cr.in_je_region(law, se, tol=1e-9).all())
+        for vec in cr.downlink_enumerate_corners(law).points:
+            point = cr.RateFronthaulPoint.from_vector(vec, 2, 2)
             ok = ok and cr.verify_downlink_corner(law, point).is_corner
     report(11, "downlink corner procedures and encoding orders", worst <= 1e-9 and ok)
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from cranregions import DownlinkSpec, UplinkSpec
-from cranregions.cli import main
+from cranregions import cli
+from cranregions.cli import build_parser, main
 from cranregions.specio import SpecFileError, load_spec, save_spec, spec_to_dict
 
 from conftest import downlink_k1l1_spec, identity_chain_spec, k2l2_bsc_spec
@@ -162,6 +163,21 @@ class TestFace:
     def test_bad_subset_exit_2(self, capsys):
         code, _, _ = run(capsys, "face", IDENT, "--point", "1,1", "--S", "1,2")
         assert code == 2
+
+
+class TestParser:
+    def test_parser_is_built_once_across_calls(self, capsys):
+        run(capsys, "face", IDENT, "--point", "1,1")
+        parser = build_parser()
+        run(capsys, "corners", IDENT)
+        assert build_parser() is parser
+
+    def test_command_function_is_looked_up_when_main_runs(self, capsys, monkeypatch):
+        run(capsys, "face", IDENT, "--point", "1,1")  # the parser exists from here on
+        seen = []
+        monkeypatch.setattr(cli, "cmd_face", lambda args: seen.append(args.point) or 7)
+        assert run(capsys, "face", IDENT, "--point", "1,1")[0] == 7
+        assert seen == ["1,1"]
 
 
 class TestSlice:

@@ -26,16 +26,16 @@ from cranregions.prob import ACTIVE_TOL, DEDUP_TOL, MEMBERSHIP_TOL, NEGATIVE_RAT
 from cranregions.specio import load_spec
 from cranregions.uplink import (
     Region,
-    SolveOrder,
     _row_rank,
     _tight_ranks,
     check_corner,
     coord_labels,
     dedup_points,
     jd_region,
+    solve_perms,
 )
 
-from conftest import random_downlink_spec, random_uplink_spec, solve_orders
+from conftest import prefix_sets, random_downlink_spec, random_uplink_spec
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 4), (3, 2), (2, 3), (4, 1), (3, 3), (2, 4), (5, 1)]
@@ -63,12 +63,12 @@ def _xs(prefix, idx):
     return [f"{prefix}{i}" for i in sorted(idx)]
 
 
-def loop_corner(law, direction, order):
+def loop_corner(law, direction, perm, K, L):
     """Reference: the closed form solved one step of the order at a time."""
-    K, L = order.K, order.L
     vec = np.zeros(K + L)
-    for k, (a, b) in enumerate(zip(order.a, order.b), start=1):
-        I, J = order.index_sets(k)
+    for k, c in enumerate(perm, start=1):
+        I, J = prefix_sets(perm, k, K)
+        a, b = (1, c + 1) if c < K else (0, c - K + 1)
         if direction == "uplink":
             Ic, Jc = set(range(1, K + 1)) - I, set(range(1, L + 1)) - J
             if a:
@@ -148,13 +148,14 @@ def test_corner_matrix_matches_per_order_loop(direction, K, L):
     law = _law(direction, K, L)
     enumerate_, _, _, closed = _direction(direction)
     enum = enumerate_(law)
-    orders = list(solve_orders(K, L))
-    ref = np.array([loop_corner(law, direction, o) for o in orders])
+    perms = solve_perms(K, L).tolist()
+    ref = np.array([loop_corner(law, direction, p, K, L) for p in perms])
     assert np.array_equal(enum.points, ref)  # bit for bit
-    assert enum.perms.tolist() == [list(o.perm) for o in orders]
-    assert enum.order_labels == [",".join(o.labels) for o in orders]
-    for i in (0, len(orders) // 3, len(orders) - 1):  # one order reads the same table
-        assert np.array_equal(closed(law, orders[i]).as_vector(), ref[i])
+    assert enum.perms.tolist() == perms
+    labels = coord_labels(K, L)
+    assert enum.order_labels == [",".join(labels[c] for c in p) for p in perms]
+    for i in (0, len(perms) // 3, len(perms) - 1):  # a one-row stack reads the same table
+        assert np.array_equal(closed(law, [perms[i]]), ref[i:i + 1])
 
 
 def test_corner_matrix_matches_per_order_loop_at_seven_coordinates():
@@ -162,8 +163,8 @@ def test_corner_matrix_matches_per_order_loop_at_seven_coordinates():
         law = _law(direction, K, L)
         enum = _direction(direction)[0](law)
         rows = range(0, math.factorial(K + L), 7)
-        orders = list(solve_orders(K, L))
-        ref = np.array([loop_corner(law, direction, orders[i]) for i in rows])
+        perms = solve_perms(K, L)
+        ref = np.array([loop_corner(law, direction, perms[i].tolist(), K, L) for i in rows])
         assert np.array_equal(enum.points[list(rows)], ref)
         if direction == "uplink":  # the reference takes about 1.5 s
             assert enum.kept.tolist() == quadratic_dedup(enum.points, DEDUP_TOL)
@@ -175,8 +176,8 @@ def test_corner_matrix_matches_per_order_loop_at_seven_coordinates():
 
 
 def test_solve_order_perm_names_the_coordinates():
-    order = SolveOrder(("C2", "R1", "C1", "R2"), 2, 2)
-    assert order.perm == (3, 0, 2, 1)
+    enum = enumerate_corners(_law("uplink", 2, 2))
+    assert enum.order_labels[enum.perms.tolist().index([3, 0, 2, 1])] == "C2,R1,C1,R2"
 
 
 # --- the batched exact-rank corner check ---
@@ -322,7 +323,5 @@ def test_enumeration_objects_follow_the_arrays():
     enum = enumerate_corners(law)
     assert [tuple(v.as_vector()) for v in enum.vertices] == \
         [tuple(enum.points[i]) for i in enum.kept]
-    for (order, point), perm, row in zip(enum.corners, enum.perms, enum.points):
-        assert order.perm == tuple(perm) and np.array_equal(point.as_vector(), row)
     assert not enum.points.flags.writeable
     assert len(set(enum.order_labels)) == math.factorial(4)

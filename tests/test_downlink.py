@@ -1,15 +1,11 @@
 """Joint-encoding region, downlink corner procedures, and the successive
 encoding equivalence (solve order maps to encode order without reversal)."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from cranregions import (
-    EncodeOrder,
     RateFronthaulPoint,
-    SolveOrder,
     downlink_corner_closed,
     downlink_corner_iterative,
     downlink_enumerate_corners,
@@ -17,17 +13,12 @@ from cranregions import (
     istar,
     je_slack,
     se_corner,
-    solve_order_to_encode_order,
     verify_downlink_corner,
 )
 from cranregions.prob import LawError, build_downlink_joint
+from cranregions.uplink import solve_perms
 
 from conftest import downlink_k1l1_spec, random_downlink_spec
-
-
-def all_solve_orders(K, L):
-    labels = [f"R{i}" for i in range(1, K + 1)] + [f"C{j}" for j in range(1, L + 1)]
-    return [SolveOrder(p, K, L) for p in itertools.permutations(labels)]
 
 
 class TestIstar:
@@ -70,51 +61,49 @@ class TestRegion:
 
 class TestCornerEquivalence:
     def test_iterative_matches_closed(self, rng):
+        perms = solve_perms(2, 2)
         for _ in range(5):
             law = build_downlink_joint(random_downlink_spec(rng))
-            for order in all_solve_orders(2, 2):
-                a = downlink_corner_iterative(law, order).as_vector()
-                b = downlink_corner_closed(law, order).as_vector()
-                assert np.max(np.abs(a - b)) <= 1e-9, order.labels
+            a = downlink_corner_iterative(law, perms)
+            gap = np.max(np.abs(a - downlink_corner_closed(law, perms)), axis=1)
+            assert np.all(gap <= 1e-9), perms[gap > 1e-9]
 
     def test_k1l1_closed_form_oracle(self):
         law = build_downlink_joint(downlink_k1l1_spec())
         from cranregions import mutual_info
 
-        order = SolveOrder(("R1", "C1"), 1, 1)
-        p = downlink_corner_closed(law, order)
-        assert p.R[0] == pytest.approx(mutual_info(law, ["U1"], ["Y1"]), abs=1e-12)
-        assert p.C[0] == pytest.approx(mutual_info(law, ["X1"], ["U1"]), abs=1e-12)
+        ((R, C),) = downlink_corner_closed(law, [[0, 1]])  # R1, then C1
+        assert R == pytest.approx(mutual_info(law, ["U1"], ["Y1"]), abs=1e-12)
+        assert C == pytest.approx(mutual_info(law, ["X1"], ["U1"]), abs=1e-12)
 
 
 class TestSuccessiveEncoding:
-    def test_order_map_no_reversal(self):
-        order = SolveOrder(("R2", "C1", "R1", "C2"), 2, 2)
-        enc = solve_order_to_encode_order(order)
-        assert enc.labels == ("U2", "X1", "U1", "X2")
+    def test_order_map_no_reversal(self, rng):
+        """Solving (R2, C1, R1, C2) reaches the corner of encoding (U2, X1, U1, X2),
+        the same row, and not that of encoding the row reversed."""
+        law = build_downlink_joint(random_downlink_spec(rng))
+        solve = np.array([[1, 2, 0, 3]])  # U1, U2, X1, X2 are 0, 1, 2, 3
+        corner = downlink_corner_closed(law, solve)
+        assert np.max(np.abs(se_corner(law, solve) - corner)) <= 1e-9
+        assert np.max(np.abs(se_corner(law, solve[:, ::-1]) - corner)) > 1e-3
 
     def test_corner_equals_se_corner(self, rng):
+        perms = solve_perms(2, 2)
         for _ in range(5):
             law = build_downlink_joint(random_downlink_spec(rng))
-            for order in all_solve_orders(2, 2):
-                corner = downlink_corner_closed(law, order)
-                se = se_corner(law, solve_order_to_encode_order(order))
-                assert np.max(
-                    np.abs(corner.as_vector() - se.as_vector())
-                ) <= 1e-9, order.labels
+            gap = np.max(np.abs(downlink_corner_closed(law, perms) - se_corner(law, perms)), axis=1)
+            assert np.all(gap <= 1e-9), perms[gap > 1e-9]
 
     def test_se_corners_in_region(self, rng):
         law = build_downlink_joint(random_downlink_spec(rng))
-        for order in all_solve_orders(2, 2):
-            se = se_corner(law, solve_order_to_encode_order(order))
-            assert in_je_region(law, se, tol=1e-9)
+        assert np.all(in_je_region(law, se_corner(law, solve_perms(2, 2)), tol=1e-9))
 
 
 class TestVerifyAndEnumerate:
     def test_all_corners_verify(self, rng):
         law = build_downlink_joint(random_downlink_spec(rng))
-        for _, point in downlink_enumerate_corners(law).corners:
-            rep = verify_downlink_corner(law, point)
+        for vec in downlink_enumerate_corners(law).points:
+            rep = verify_downlink_corner(law, RateFronthaulPoint.from_vector(vec, 2, 2))
             assert rep.is_corner
 
     def test_negative_rates_flagged_not_clamped(self, rng):
@@ -125,14 +114,11 @@ class TestVerifyAndEnumerate:
             law = build_downlink_joint(
                 random_downlink_spec(np.random.default_rng(seed))
             )
-            for order, point in downlink_enumerate_corners(law).corners:
+            for vec in downlink_enumerate_corners(law).points:
+                point = RateFronthaulPoint.from_vector(vec, 2, 2)
                 rep = verify_downlink_corner(law, point)
                 if rep.negative_coords:
                     found = True
                     assert not rep.in_nonnegative_orthant
                     assert np.min(point.as_vector()) < 0
         assert found
-
-    def test_encode_order_validation(self):
-        with pytest.raises(ValueError):
-            EncodeOrder(("U1", "U1"), 1, 1)

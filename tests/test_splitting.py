@@ -31,7 +31,7 @@ from cranregions.face import face_gap
 from cranregions.specio import load_spec
 from cranregions import splitting
 from cranregions.splitting import _corner_points, _live_cells, _rank_cells
-from cranregions.uplink import DecodeOrder, sd_corner
+from cranregions.uplink import sd_corner
 
 from conftest import bsc, identity_chain_spec, k2l2_bsc_spec, random_uplink_spec
 
@@ -254,7 +254,6 @@ class TestPsi:
         spec = k2l2_bsc_spec() if L == 2 else random_uplink_spec(rng, K, L)
         n = K + L
         position = {lab: k for k, lab in enumerate(generalized_order(n))}
-        names = [f"X{k}" for k in range(1, K + 1)] + [f"Yh{l}" for l in range(1, L + 1)]
         m = [2 ** (i - 1) - 1 for i in range(2, n + 1)]
         corners = list(itertools.product((0, 1), repeat=n - 1))
         cells = list(itertools.product(*(range(1, mi + 1) for mi in m)))
@@ -267,10 +266,11 @@ class TestPsi:
                 config = dataclasses.replace(cell, epsilon=dict(zip(range(2, n + 1), e)))
                 point = beta_rates(build_virtual_cran(spec, config), config)[1].as_vector()
                 cols = [1] + [ji + 1 - ei for ji, ei in zip(j, e)]
+                # row v is X_{v+1} for v < K, else Yh_{v-K+1}, as in a decode order
                 order = sorted(range(n), key=lambda v: position[(v + 1, cols[v])])
-                sd = sd_corner(spec.law, DecodeOrder(tuple(names[v] for v in order), K, L))
-                assert np.max(np.abs(point - sd.as_vector())) <= 1e-12, (j, e)
-                assert np.max(np.abs(g - sd.as_vector())) <= 1e-12, (j, e)
+                (sd,) = sd_corner(spec.law, [order])
+                assert np.max(np.abs(point - sd)) <= 1e-12, (j, e)
+                assert np.max(np.abs(g - sd)) <= 1e-12, (j, e)
 
 
 def _still_rows(j):

@@ -27,7 +27,7 @@ from cranregions import uplink as ul
 from cranregions.prob import FACE_TOL, LawError, UplinkSpec, clamp_info, entropy_of
 from cranregions.specio import load_spec
 
-from conftest import identity_chain_spec, random_downlink_spec, random_uplink_spec, solve_orders
+from conftest import identity_chain_spec, prefix_sets, random_downlink_spec, random_uplink_spec
 from test_corner_arrays import quadratic_dedup
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -56,44 +56,48 @@ UPLINK = [c for d, c in CASES if d == "uplink"]
 # --- the references ---
 
 
-def loop_greedy(slack, order):
-    """Reference: one scalar slack per step of one solve order."""
-    K, L = order.K, order.L
+def loop_greedy(slack, perm, K, L):
+    """Reference: one scalar slack per step of one solve-order row."""
     vec = np.zeros(K + L)
-    for k, (a, b) in enumerate(zip(order.a, order.b), start=1):
-        I, J = order.index_sets(k)
+    for k, c in enumerate(perm, start=1):
+        I, J = prefix_sets(perm, k, K)
         point = RateFronthaulPoint.from_vector(vec.copy(), K, L)
-        if a == 1:
-            vec[b - 1] = slack(point, I | {b}, J)
+        if c < K:
+            vec[c] = slack(point, I | {c + 1}, J)
         else:
-            vec[K + b - 1] = -slack(point, I, J | {b})
+            vec[c] = -slack(point, I, J | {c - K + 1})
     return vec
 
 
-def loop_sd_corner(law, order):
-    """Reference: the successive-decoding corner, one decoded variable at a time."""
-    R, C = np.zeros(order.K), np.zeros(order.L)
+def loop_sd_corner(law, row, K, L):
+    """Reference: the successive-decoding corner of a decode-order row (X_1..X_K,
+    Yh_1..Yh_L numbered 0..K+L-1), one decoded variable at a time."""
+    R, C = np.zeros(K), np.zeros(L)
     before = []
-    for lab in order.labels:
-        if lab.startswith("Yh"):
-            l = int(lab[2:])
+    for v in row:
+        if v >= K:
+            l = v - K + 1
+            lab = f"Yh{l}"
             C[l - 1] = mutual_info(law, [f"Y{l}"], [lab]) - mutual_info(law, [lab], before)
         else:
-            R[int(lab[1:]) - 1] = mutual_info(law, [lab], before)
+            lab = f"X{v + 1}"
+            R[v] = mutual_info(law, [lab], before)
         before.append(lab)
     return np.concatenate([R, C])
 
 
-def loop_se_corner(law, order):
-    """Reference: the successive-encoding corner, one encoded variable at a time."""
-    R, C = np.zeros(order.K), np.zeros(order.L)
+def loop_se_corner(law, row, K, L):
+    """Reference: the successive-encoding corner of an encode-order row (U_1..U_K,
+    X_1..X_L numbered 0..K+L-1), one encoded variable at a time."""
+    R, C = np.zeros(K), np.zeros(L)
     before = []
-    for lab in order.labels:
-        if lab.startswith("U"):
-            k = int(lab[1:])
-            R[k - 1] = mutual_info(law, [lab], [f"Y{k}"]) - mutual_info(law, [lab], before)
+    for v in row:
+        if v < K:
+            lab = f"U{v + 1}"
+            R[v] = mutual_info(law, [lab], [f"Y{v + 1}"]) - mutual_info(law, [lab], before)
         else:
-            C[int(lab[1:]) - 1] = mutual_info(law, [lab], before)
+            lab = f"X{v - K + 1}"
+            C[v - K] = mutual_info(law, [lab], before)
         before.append(lab)
     return np.concatenate([R, C])
 
@@ -101,7 +105,7 @@ def loop_se_corner(law, order):
 def scan_factorization(law, q):
     """Reference: every product of the two deduplicated projections has a vertex
     within FACE_TOL, and there are as many vertices as products."""
-    K, L = ul.uplink_dims(law)
+    K, L = law.dims("uplink")
     enum = ul.enumerate_corners(law)
     mat = enum.points[enum.kept]
     mask = q.mask(K, L)
@@ -121,7 +125,7 @@ def scan_factorization(law, q):
 def loop_face_decomposition(law, q, samples, seed, tol):
     """Reference: the face decomposition check with the face corners found by
     in_face_FST, which checks the dominant face again for every query."""
-    K, L = ul.uplink_dims(law)
+    K, L = law.dims("uplink")
     rng = np.random.default_rng(seed)
     enum = ul.enumerate_corners(law)
     vertices = enum.points[enum.kept]
@@ -283,34 +287,28 @@ def test_greedy_stack_matches_per_order_loop(direction, case):
     else:
         law, slack, iterative = spec.law, dl.je_slack, dl.downlink_corner_iterative
         enum = dl.downlink_enumerate_corners(spec.law)
-    ref = np.array([loop_greedy(partial(slack, law), o) for o in solve_orders(spec.K, spec.L)])
+    perms = ul.solve_perms(spec.K, spec.L)
+    ref = np.array([loop_greedy(partial(slack, law), p, spec.K, spec.L) for p in perms.tolist()])
     stack = iterative(law, enum.perms)
     assert np.array_equal(stack, ref)  # bit for bit, so max_deviation is too
     worst = max(float(np.max(np.abs(a - b))) for a, b in zip(ref, enum.points))
     suite = suites.suite_lemma1 if direction == "uplink" else suites.suite_lemma7
     assert suite(spec)[1]["max_deviation"] == worst
-    order = next(iter(solve_orders(spec.K, spec.L)))
-    assert np.array_equal(iterative(law, order).as_vector(), ref[0])
+    assert np.array_equal(iterative(law, perms[:1]), ref[:1])  # a one-row stack
 
 
 @pytest.mark.parametrize("direction, case", CASES, ids=lambda c: _ids(c))
 def test_successive_table_matches_per_order_loop(direction, case):
     spec = _spec(direction, case)
-    law = spec.law
-    orders = list(solve_orders(spec.K, spec.L))
-    perms = ul.solve_perms(spec.K, spec.L)
-    if direction == "uplink":
-        coded = [ul.solve_order_to_decode_order(o) for o in orders]
-        ref = np.array([loop_sd_corner(law, o) for o in coded])
-        stack, one = ul.sd_corner(law, perms[:, ::-1]), ul.sd_corner(law, coded[-1])
-    else:
-        coded = [dl.solve_order_to_encode_order(o) for o in orders]
-        ref = np.array([loop_se_corner(law, o) for o in coded])
-        stack, one = dl.se_corner(law, perms), dl.se_corner(law, coded[-1])
-    assert [o.perm for o in coded] == [tuple(p) for p in (perms[:, ::-1] if direction == "uplink"
-                                                          else perms)]
-    assert np.array_equal(stack, ref)
-    assert np.array_equal(one.as_vector(), ref[-1])
+    law, K, L = spec.law, spec.K, spec.L
+    perms = ul.solve_perms(K, L)
+    if direction == "uplink":  # the decode order of a solve order is its reversal
+        coded, corner, loop = perms[:, ::-1], ul.sd_corner, loop_sd_corner
+    else:  # the encode order of a solve order is itself
+        coded, corner, loop = perms, dl.se_corner, loop_se_corner
+    ref = np.array([loop(law, row, K, L) for row in coded.tolist()])
+    assert np.array_equal(corner(law, coded), ref)
+    assert np.array_equal(corner(law, coded[-1:]), ref[-1:])  # a one-row stack
 
 
 @pytest.mark.parametrize("case", UPLINK, ids=_ids)
@@ -492,13 +490,17 @@ def test_merge_check_refuses_a_nan_in_one_row(monkeypatch):
 def test_direction_functions_refuse_the_other_direction():
     up = build_uplink_joint(random_uplink_spec(np.random.default_rng(1), 3, 2))
     down = build_downlink_joint(random_downlink_spec(np.random.default_rng(1), 2, 3))
-    for fn in (ul.uplink_dims, ul.enumerate_corners, ul.jd_region, df.dominant_face_dimension):
-        with pytest.raises(LawError, match="not an uplink law"):
-            fn(down)
-    for fn in (dl.downlink_dims, dl.downlink_enumerate_corners, dl.je_region):
+    by_hand = JointLaw(up.names, up.probs)  # uplink names, but no builder's stamp
+    for fn in (partial(JointLaw.dims, direction="uplink"), ul.enumerate_corners, ul.jd_region,
+               df.dominant_face_dimension):
+        for law in (down, by_hand):
+            with pytest.raises(LawError, match="not an uplink law"):
+                fn(law)
+    for fn in (partial(JointLaw.dims, direction="downlink"), dl.downlink_enumerate_corners,
+               dl.je_region):
         with pytest.raises(LawError, match="not a downlink law"):
             fn(up)
-    assert ul.uplink_dims(up) == (3, 2) and dl.downlink_dims(down) == (2, 3)
+    assert up.dims("uplink") == (3, 2) and down.dims("downlink") == (2, 3)
 
 
 @pytest.mark.parametrize("work", [0, 10**12])

@@ -3,28 +3,23 @@ equivalence.  The closed form and the iterative procedure are checked
 against each other and against hand-computed oracles on small chains.
 """
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
 from cranregions import (
-    DecodeOrder,
     RateFronthaulPoint,
-    SolveOrder,
     corner_closed,
     corner_iterative,
     enumerate_corners,
     in_jd_region,
     jd_slack,
-    min_jd_slack,
     sd_corner,
-    solve_order_to_decode_order,
     verify_corner,
 )
 from cranregions.prob import build_uplink_joint
-from cranregions.uplink import build_region, greedy_corner, solve_perms, uplink_dims
+from cranregions.uplink import build_region, greedy_corner, solve_perms
 
 from conftest import (
     bsc,
@@ -34,34 +29,6 @@ from conftest import (
     random_uplink_spec,
 )
 from test_prob import h2
-
-
-def all_solve_orders(K, L):
-    labels = [f"R{i}" for i in range(1, K + 1)] + [f"C{j}" for j in range(1, L + 1)]
-    return [SolveOrder(p, K, L) for p in itertools.permutations(labels)]
-
-
-class TestSolveOrder:
-    def test_index_sets_worked_example(self):
-        # K=3, L=2, order (R3, R1, C2, R2, C1)
-        order = SolveOrder(("R3", "R1", "C2", "R2", "C1"), 3, 2)
-        assert order.a == (1, 1, 0, 1, 0)
-        assert order.b == (3, 1, 2, 2, 1)
-        assert order.index_sets(1) == (set(), set())
-        assert order.index_sets(2) == ({3}, set())
-        assert order.index_sets(3) == ({1, 3}, set())
-        assert order.index_sets(4) == ({1, 3}, {2})
-        assert order.index_sets(5) == ({1, 2, 3}, {2})
-
-    def test_bad_labels_rejected(self):
-        with pytest.raises(ValueError):
-            SolveOrder(("R1", "R1"), 1, 1)
-        with pytest.raises(ValueError):
-            SolveOrder(("R1", "C2"), 1, 1)
-
-    def test_from_labels_infers_dims(self):
-        order = SolveOrder.from_labels(["C1", "R2", "R1"])
-        assert (order.K, order.L) == (2, 1)
 
 
 class TestSlack:
@@ -80,15 +47,6 @@ class TestSlack:
         # rate exceeding fronthaul is infeasible
         assert not in_jd_region(law, RateFronthaulPoint(np.array([1.5]), np.array([1.0])))
 
-    def test_min_slack_value(self):
-        law = build_uplink_joint(identity_chain_spec())
-        best, (S, T) = min_jd_slack(
-            law, RateFronthaulPoint(np.array([2.0]), np.array([1.0]))
-        )
-        assert best == pytest.approx(-1.0)
-        assert S == {1}
-
-
 class TestGreedyCorner:
     """The greedy core on a modular slack, with no entropies involved."""
 
@@ -101,12 +59,9 @@ class TestGreedyCorner:
 
         region = build_region(2, 2, range(1, 3), range(1, 3), lambda S, T: (f(S, T), np.inf))
         terms = np.array([[-f(S, T)] for S, T in region.pairs])
-        for order in all_solve_orders(2, 2):
-            corner = greedy_corner(region, terms, order)
-            assert corner.R.tolist() == star.R.tolist(), order.labels
-            assert corner.C.tolist() == star.C.tolist(), order.labels
-        stack = greedy_corner(region, terms, solve_perms(2, 2))
-        assert (stack == star.as_vector()).all()
+        perms = solve_perms(2, 2)
+        corners = greedy_corner(region, terms, perms)
+        assert corners.tolist() == [star.as_vector().tolist()] * len(perms)
 
 
 class TestCornerEquivalence:
@@ -114,68 +69,60 @@ class TestCornerEquivalence:
 
     def test_identity_chain_corners(self):
         law = build_uplink_joint(identity_chain_spec())
-        # solving R first hits (1, 1), solving C first hits (0, 0)
-        assert corner_closed(law, SolveOrder(("R1", "C1"), 1, 1)).as_vector() == pytest.approx(
-            [1.0, 1.0]
-        )
-        assert corner_closed(law, SolveOrder(("C1", "R1"), 1, 1)).as_vector() == pytest.approx(
-            [0.0, 0.0]
-        )
+        # solving R first (row 0, 1) hits (1, 1), solving C first (row 1, 0) hits (0, 0)
+        assert np.allclose(corner_closed(law, [[0, 1], [1, 0]]), [[1.0, 1.0], [0.0, 0.0]],
+                           rtol=1e-6, atol=1e-12)
 
     def test_iterative_matches_closed_k2l2(self):
         law = build_uplink_joint(k2l2_bsc_spec())
-        for order in all_solve_orders(2, 2):
-            a = corner_iterative(law, order).as_vector()
-            b = corner_closed(law, order).as_vector()
-            assert np.max(np.abs(a - b)) <= 1e-9, order.labels
+        perms = solve_perms(2, 2)
+        gap = np.max(np.abs(corner_iterative(law, perms) - corner_closed(law, perms)), axis=1)
+        assert np.all(gap <= 1e-9), perms[gap > 1e-9]
 
     def test_iterative_matches_closed_random(self, rng):
+        perms = solve_perms(2, 2)
         for _ in range(5):
             law = build_uplink_joint(random_uplink_spec(rng))
-            for order in all_solve_orders(2, 2):
-                a = corner_iterative(law, order).as_vector()
-                b = corner_closed(law, order).as_vector()
-                assert np.max(np.abs(a - b)) <= 1e-9
+            assert np.max(np.abs(corner_iterative(law, perms) - corner_closed(law, perms))) <= 1e-9
 
 
 class TestSuccessiveDecoding:
     def test_reversal_map(self):
-        order = SolveOrder(("R2", "C1", "R1", "C2"), 2, 2)
-        decode = solve_order_to_decode_order(order)
-        assert decode.labels == ("Yh2", "X1", "Yh1", "X2")
+        """Solving (R2, C1, R1, C2) reaches the corner of decoding (Yh2, X1, Yh1, X2),
+        the row reversed, and not that of decoding the row as it stands."""
+        law = build_uplink_joint(k2l2_bsc_spec())
+        solve = np.array([[1, 2, 0, 3]])
+        decode = solve[:, ::-1]
+        assert decode.tolist() == [[3, 0, 2, 1]]  # X1, X2, Yh1, Yh2 are 0, 1, 2, 3
+        corner = corner_closed(law, solve)
+        assert np.max(np.abs(sd_corner(law, decode) - corner)) <= 1e-9
+        assert np.max(np.abs(sd_corner(law, solve) - corner)) > 1e-3
 
     def test_corner_equals_sd_under_reversed_order(self, rng):
+        perms = solve_perms(2, 2)
         for _ in range(5):
             law = build_uplink_joint(random_uplink_spec(rng))
-            for order in all_solve_orders(2, 2):
-                corner = corner_closed(law, order)
-                sd = sd_corner(law, solve_order_to_decode_order(order))
-                assert np.max(
-                    np.abs(corner.as_vector() - sd.as_vector())
-                ) <= 1e-9, order.labels
+            gap = np.max(np.abs(corner_closed(law, perms) - sd_corner(law, perms[:, ::-1])), axis=1)
+            assert np.all(gap <= 1e-9), perms[gap > 1e-9]
 
     def test_all_sd_corners_in_region(self, rng):
         law = build_uplink_joint(random_uplink_spec(rng))
-        labels = ["X1", "X2", "Yh1", "Yh2"]
-        for perm in itertools.permutations(labels):
-            sd = sd_corner(law, DecodeOrder(tuple(perm), 2, 2))
-            assert in_jd_region(law, sd, tol=1e-9)
+        # every decode order of X1, X2, Yh1, Yh2 is a row of solve_perms(2, 2)
+        assert np.all(in_jd_region(law, sd_corner(law, solve_perms(2, 2)), tol=1e-9))
 
     def test_identity_chain_sd_oracle(self):
         law = build_uplink_joint(identity_chain_spec())
-        # decode Yh first, then X: C = I(Y;Yh) = 1, R = I(X;Yh) = 1
-        p = sd_corner(law, DecodeOrder(("Yh1", "X1"), 1, 1))
-        assert p.as_vector() == pytest.approx([1.0, 1.0])
-        # decode X first (impossible for free): R = I(X;nothing) = 0
-        p = sd_corner(law, DecodeOrder(("X1", "Yh1"), 1, 1))
-        assert p.as_vector() == pytest.approx([0.0, 0.0])
+        # decode Yh first, then X (row 1, 0): C = I(Y;Yh) = 1, R = I(X;Yh) = 1
+        # decode X first (impossible for free, row 0, 1): R = I(X;nothing) = 0
+        assert np.allclose(sd_corner(law, [[1, 0], [0, 1]]), [[1.0, 1.0], [0.0, 0.0]],
+                           rtol=1e-6, atol=1e-12)
 
 
 class TestVerifyCorner:
     def test_corners_verify(self, rng):
         law = build_uplink_joint(random_uplink_spec(rng))
-        for _, point in enumerate_corners(law).corners:
-            rep = verify_corner(law, point)
+        for vec in enumerate_corners(law).points:
+            rep = verify_corner(law, RateFronthaulPoint.from_vector(vec, 2, 2))
             assert rep.in_region
             assert rep.rank >= 4
             assert rep.is_corner
@@ -195,7 +142,7 @@ class TestEnumeration:
     def test_counts(self):
         law = build_uplink_joint(k2l2_bsc_spec())
         enum = enumerate_corners(law)
-        assert len(enum.corners) == math.factorial(4)
+        assert len(enum.points) == math.factorial(4)
         assert 1 <= len(enum.vertices) <= 24
 
     def test_identity_chain_two_vertices(self):
@@ -240,15 +187,13 @@ class TestEnumeration:
                 test_channels=spec.test_channels,
             )
         )
-        order = SolveOrder(("R1", "R2", "C1", "C2"), 2, 2)
-        mirror = SolveOrder(("R2", "R1", "C1", "C2"), 2, 2)
-        a = corner_closed(law, order)
-        b = corner_closed(swapped, mirror)
-        assert a.R[0] == pytest.approx(b.R[1], abs=1e-12)
-        assert a.R[1] == pytest.approx(b.R[0], abs=1e-12)
-        assert np.allclose(a.C, b.C, atol=1e-12)
+        (a,) = corner_closed(law, [[0, 1, 2, 3]])  # R1, R2, C1, C2
+        (b,) = corner_closed(swapped, [[1, 0, 2, 3]])  # R2, R1, C1, C2
+        assert a[0] == pytest.approx(b[1], abs=1e-12)
+        assert a[1] == pytest.approx(b[0], abs=1e-12)
+        assert np.allclose(a[2:], b[2:], atol=1e-12)
 
 
-def test_uplink_dims():
-    law = build_uplink_joint(k2l2_bsc_spec())
-    assert uplink_dims(law) == (2, 2)
+def test_built_law_knows_its_direction():
+    law = build_uplink_joint(random_uplink_spec(np.random.default_rng(2), 3, 1))
+    assert law.built == ("uplink", 3, 1) and law.dims("uplink") == (3, 1)
