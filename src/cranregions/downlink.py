@@ -8,11 +8,11 @@ The joint-encoding region is cut out by
 
 where Istar is the multivariate correlation sum_j H(.) - H(joint).  The
 iterative corner procedure is the uplink's greedy solution
-(`uplink.greedy_corner`) applied to this region's slack `je_slack`; the
-closed form and the successive-encoding corners are this direction's own.
-Orders are rows of coordinate indices, as in the uplink.  Unlike the
-uplink, the encoding order achieving a corner is the solve order itself
-(no reversal).
+(`uplink.greedy_corner`) applied to this region's slack `je_slack`.  The
+closed-form corner of a solve order is its successive-encoding corner, read
+off one table per law (`se_corner`).  Orders are rows of coordinate
+indices, as in the uplink.  Unlike the uplink, the encoding order achieving
+a corner is the solve order itself (no reversal).
 
 Computed rates R_k = I(U_k;Y_k) - I(U_k; prior) can be negative for
 poorly matched auxiliary joints; they are reported raw and flagged, not
@@ -131,25 +131,9 @@ def downlink_corner_iterative(law: JointLaw, orders):
 
 
 def downlink_corner_closed(law: JointLaw, orders):
-    """Closed-form corners of a stack of solve orders (see `uplink.read_corners`);
-    agrees with the iterative procedure to 1e-9."""
-    return read_corners(law.memo("je closed form", lambda: _je_closed_form(law)), orders)
-
-
-def _je_closed_form(law: JointLaw):
-    """R_b = I(U_b; Y_b) - I(U_b; U_I, X_J) and C_b = I(X_b; U_I, X_J) for I, J
-    solved before."""
-    K, L = law.dims("downlink")
-
-    def value(c, I, J):
-        if c < K:
-            b = c + 1
-            return mutual_info(law, u_names([b]), y_names([b])) - mutual_info(
-                law, u_names([b]), u_names(I) + x_names(J)
-            )
-        return mutual_info(law, x_names([c - K + 1]), u_names(I) + x_names(J))
-
-    return closed_form_table(K, L, value)
+    """Closed-form corners of a stack of solve orders: the successive-encoding
+    corners of the same orders; agrees with the iterative procedure to 1e-9."""
+    return se_corner(law, orders)
 
 
 def verify_downlink_corner(law: JointLaw, points) -> CornerReport:

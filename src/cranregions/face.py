@@ -11,10 +11,12 @@ sub-networks.
 
 All sub-face predicates are evaluated as conditional mutual informations
 on the single master joint law; the marginal channels of the two
-sub-problems are never materialized.  The two-sided bounds of a predicate
-form one `Region`, built once per law and query (`JointLaw.memo`).  Every
-predicate takes one point, giving a bool, or an (n, K+L) stack of points,
-giving one bool per point from one product per region and STACK_CHUNK points.
+sub-problems are never materialized.  D_{S,T} and D_{S^c,T^c | S,T} are the
+faces of the (S, T) sub-network and of the (S^c, T^c) one that sees X_S, Yh_T
+(`_sub_face`).  The two-sided bounds of a predicate form one `Region`, built
+once per law and query (`JointLaw.memo`).  Every predicate takes one point,
+giving a bool, or an (n, K+L) stack of points, giving one bool per point
+from one product per region and STACK_CHUNK points.
 """
 
 from __future__ import annotations
@@ -59,11 +61,9 @@ class FaceQuery:
     def validate(self, K: int, L: int):
         if not (self.S <= set(range(1, K + 1)) and self.T <= set(range(1, L + 1))):
             raise ValueError(f"face query out of range for K={K}, L={L}: {self}")
-        Sc = set(range(1, K + 1)) - self.S
-        Tc = set(range(1, L + 1)) - self.T
         if not (self.S | self.T):
             raise ValueError("face query needs S u T nonempty")
-        if not (Sc | Tc):
+        if len(self.S) + len(self.T) == K + L:
             raise ValueError("face query needs S^c u T^c nonempty")
 
     def mask(self, K: int, L: int) -> np.ndarray:
@@ -141,22 +141,33 @@ def in_face_FST(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
     return on_dominant_face(law, point, tol) & cap.contains(point, tol)
 
 
+def _sub_face(law: JointLaw, users, relays, zs=frozenset(), zt=frozenset()) -> Region:
+    """The dominant face of the sub-network of `users` and `relays` whose decoder
+    sees X_zs and Yh_zt.  For A in `users` and B in `relays`, C(B) - R(A) lies
+    between I(Y_B; Yh_B | X_{users+zs}, Yh_{relays-B+zt})
+    - I(X_A; Yh_{relays-B+zt} | X_{users-A+zs}) and
+    I(Y_B; Yh_B | X_{A+zs}, Yh_zt) - I(X_A; Yh_zt | X_zs)."""
+    K, L = law.dims("uplink")
+    x_all, x_z, yh_z = x_names(users | zs), x_names(zs), yh_names(zt)
+
+    def bounds(A, B):
+        side = yh_names((relays - B) | zt)
+        lb = mutual_info(law, y_names(B), yh_names(B), x_all + side) - mutual_info(
+            law, x_names(A), side, x_names((users - A) | zs))
+        ub = mutual_info(law, y_names(B), yh_names(B), x_names(A | zs) + yh_z)
+        return lb, ub - mutual_info(law, x_names(A), yh_z, x_z)
+
+    return build_region(K, L, users, relays, bounds)
+
+
 def in_sub_face_DST(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
-    """Membership of the (S, T) coordinates in the leading sub-face factor.
+    """Membership of the (S, T) coordinates in the leading sub-face factor, the
+    face of the (S, T) sub-network alone.
 
     Only the R_S and C_T coordinates of `point` are read.
     """
-    K, L = law.dims("uplink")
-    q.validate(K, L)
-    S, T = q.S, q.T
-
-    def bounds(A, B):
-        lb = mutual_info(law, y_names(B), yh_names(B), x_names(S) + yh_names(T - B)) - mutual_info(
-            law, x_names(A), yh_names(T - B), x_names(S - A)
-        )
-        return lb, mutual_info(law, y_names(B), yh_names(B), x_names(A))
-
-    return law.memo(("DST", q), lambda: build_region(K, L, S, T, bounds)).contains(point, tol)
+    q.validate(*law.dims("uplink"))
+    return law.memo(("DST", q), lambda: _sub_face(law, q.S, q.T)).contains(point, tol)
 
 
 def in_sub_face_cond(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
@@ -167,23 +178,8 @@ def in_sub_face_cond(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
     """
     K, L = law.dims("uplink")
     q.validate(K, L)
-    S, T = set(q.S), set(q.T)
-    Sc = set(range(1, K + 1)) - S
-    Tc = set(range(1, L + 1)) - T
-
-    def bounds(A, B):
-        lb = mutual_info(
-            law,
-            y_names(B),
-            yh_names(B),
-            x_names(range(1, K + 1)) + yh_names((Tc - B) | T),
-        ) - mutual_info(law, x_names(A), yh_names((Tc - B) | T), x_names((Sc - A) | S))
-        ub = mutual_info(
-            law, y_names(B), yh_names(B), x_names(A | S) + yh_names(T)
-        ) - mutual_info(law, x_names(A), yh_names(T), x_names(S))
-        return lb, ub
-
-    return law.memo(("cond", q), lambda: build_region(K, L, Sc, Tc, bounds)).contains(point, tol)
+    Sc, Tc = frozenset(range(1, K + 1)) - q.S, frozenset(range(1, L + 1)) - q.T
+    return law.memo(("cond", q), lambda: _sub_face(law, Sc, Tc, q.S, q.T)).contains(point, tol)
 
 
 def sample_face_points(law: JointLaw, n: int, rng: np.random.Generator):

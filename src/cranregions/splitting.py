@@ -17,7 +17,6 @@ degeneracies) are exactly checkable.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -101,23 +100,24 @@ def make_quant_split(test_channel, epsilon) -> QuantSplit:
     return QuantSplit(p_uv_given_yhat=p_uv_yh, p_uv_given_y=p_uv_y)
 
 
-@functools.cache
 def generalized_order(n: int):
     """Recursively interleaved label sequence of length 2^n - 1.
 
     Labels are (row, column) pairs; the sequence for n interleaves row
     n's columns (odd positions) with the sequence for n-1 (even positions).
+    So element (i, c) sits at 0-based position (2c - 1) 2^(n-i) - 1: row i
+    holds the odd multiples of 2^(n-i) in the in-order walk of a complete
+    binary tree of depth n (`_position`).
     """
     if not 1 <= n <= MAX_ENUM:
         raise ValueError(f"generalized order supports 1 <= n <= {MAX_ENUM}, got {n}")
-    order = [(1, 1)]
-    for i in range(2, n + 1):
-        row = [(i, c) for c in range(1, 2 ** (i - 1) + 1)]
-        merged = []
-        for k in range(len(row) + len(order)):
-            merged.append(row[k // 2] if k % 2 == 0 else order[k // 2])
-        order = merged
-    return tuple(order)
+    labels = [(i, c) for i in range(1, n + 1) for c in range(1, 2 ** (i - 1) + 1)]
+    return tuple(sorted(labels, key=lambda e: _position(n, *e)))
+
+
+def _position(n: int, i, c):
+    """Position of element (i, c) in generalized_order(n), for ints or arrays."""
+    return (2 * c - 1) * 2 ** (n - i) - 1
 
 
 def alpha_to_indices(alpha_i: float, i: int) -> tuple[int, float]:
@@ -157,35 +157,22 @@ def decode_order_from_alpha(K: int, L: int, alpha) -> SplitConfig:
     Row 1 of the generalized order is the un-split first user; rows
     2..K are the split users, rows K+1..K+L the split relays.  In each
     split row the two active elements are (i, j_i) and (i, j_i + 1); the
-    one appearing earlier in the generalized order becomes the "a"/"c"
-    half, the later one the "b"/"d" half, which keeps the order
-    well-formed (coarse half decoded first).
+    first, earlier in the generalized order, becomes the "a"/"c" half, the
+    second the "b"/"d" half, which keeps the order well-formed (coarse half
+    decoded first).  The order is that of the active elements' positions.
     """
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != K + L - 1:
         raise ValueError(f"alpha must have length K+L-1 = {K + L - 1}, got {len(alpha)}")
-    js, eps = {}, {}
-    for idx, i in enumerate(range(2, K + L + 1)):
-        js[i], eps[i] = alpha_to_indices(alpha[idx], i)
-    active = {(1, 1)}
-    for i in range(2, K + L + 1):
-        active.add((i, js[i]))
-        active.add((i, js[i] + 1))
-    order = []
-    seen_per_row = {i: 0 for i in range(1, K + L + 1)}
-    for row, col in generalized_order(K + L):
-        if (row, col) not in active:
-            continue
-        occurrence = seen_per_row[row]
-        seen_per_row[row] += 1
-        if row == 1:
-            order.append("1")
-        elif row <= K:
-            order.append(f"{row}{'a' if occurrence == 0 else 'b'}")
-        else:
-            order.append(f"{row - K}{'c' if occurrence == 0 else 'd'}")
-    assert len(order) == 2 * (K + L) - 1
-    return SplitConfig(K=K, L=L, j=js, epsilon=eps, order=tuple(order))
+    js, eps, halves = {}, {}, {(1, 1): "1"}
+    for i, a in zip(range(2, K + L + 1), alpha):
+        js[i], eps[i] = alpha_to_indices(a, i)
+        name, h = (str(i), "ab") if i <= K else (str(i - K), "cd")
+        halves[i, js[i]], halves[i, js[i] + 1] = name + h[0], name + h[1]
+    if K + L > MAX_ENUM:
+        raise ValueError(f"generalized order supports 1 <= n <= {MAX_ENUM}, got {K + L}")
+    order = tuple(halves[e] for e in sorted(halves, key=lambda e: _position(K + L, *e)))
+    return SplitConfig(K=K, L=L, j=js, epsilon=eps, order=order)
 
 
 @dataclass(frozen=True)
@@ -388,10 +375,8 @@ def _corner_points(spec: UplinkSpec, cells: np.ndarray, corners: np.ndarray) -> 
     of cell j, row i's variable is decoded whole at column j_i + 1 - e_i (eps_i = 1 leaves only
     the earlier half), so psi there is sd_corner of the order those columns induce."""
     n = spec.K + spec.L
-    pos = np.zeros((n + 1, 2 ** (n - 1) + 1), dtype=int)
-    pos[tuple(np.array(generalized_order(n)).T)] = np.arange(2**n - 1)
-    cols = pos[np.arange(2, n + 1), cells[:, None, :] + 1 - corners]
-    keys = np.concatenate([np.full(cols.shape[:2] + (1,), pos[1, 1]), cols], axis=2)
+    cols = _position(n, np.arange(2, n + 1), cells[:, None, :] + 1 - corners)
+    keys = np.concatenate([np.full(cols.shape[:2] + (1,), _position(n, 1, 1)), cols], axis=2)
     codes, inv = np.unique(np.argsort(keys, axis=2) @ n ** np.arange(n), return_inverse=True)
     orders = codes[:, None] // n ** np.arange(n) % n  # the base-n digits of each code
     return sd_corner(spec.law, orders)[inv.ravel()].reshape(cols.shape[:2] + (n,))

@@ -1,6 +1,8 @@
 """Joint-encoding region, downlink corner procedures, and the successive
 encoding equivalence (solve order maps to encode order without reversal)."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,13 @@ from cranregions import (
     verify_downlink_corner,
 )
 from cranregions.prob import LawError, build_downlink_joint
+from cranregions.specio import load_spec
+from cranregions.suites import suite_thm3
 from cranregions.uplink import solve_perms
 
 from conftest import downlink_k1l1_spec, random_downlink_spec
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
 
 class TestIstar:
@@ -91,8 +97,18 @@ class TestSuccessiveEncoding:
         perms = solve_perms(2, 2)
         for _ in range(5):
             law = build_downlink_joint(random_downlink_spec(rng))
-            gap = np.max(np.abs(downlink_corner_closed(law, perms) - se_corner(law, perms)), axis=1)
+            gap = np.max(np.abs(downlink_corner_iterative(law, perms) - se_corner(law, perms)),
+                         axis=1)
             assert np.all(gap <= 1e-9), perms[gap > 1e-9]
+
+    def test_thm3_measures_se_corners_against_greedy_corners(self):
+        """thm3 compares the successive-encoding corners with the independent greedy
+        corners, so its deviation is theirs and, on this spec, not 0."""
+        spec = load_spec(SPECS / "downlink_k2l2.json")
+        perms, law = solve_perms(2, 2), spec.law
+        worst = np.max(np.abs(se_corner(law, perms) - downlink_corner_iterative(law, perms)))
+        assert worst > 0.0
+        assert suite_thm3(spec)[1]["max_deviation"] == worst
 
     def test_se_corners_in_region(self, rng):
         law = build_downlink_joint(random_downlink_spec(rng))

@@ -45,6 +45,7 @@ def _cases():
         yield f"slice-{name}", ["slice", spec, "--vary", "R1,C1", *fixed, "--max", "1",
                                 "--steps", "5"]
         yield f"psi-alpha-{name}", ["psi", spec, "--alpha", alpha]
+        yield f"verify-{name}", ["verify", spec, "--suite", "all", "--samples", "5"]
 
 
 CASES = dict(_cases())

@@ -4,7 +4,10 @@ procedure, the successive-decoding and successive-encoding corners, the
 factorization test of the dominant face, the telescope suite, the merge
 check and rates of the splitting map, psi one alpha at a time and the
 inversion's one-column-at-a-time Jacobians.  Every shipped spec and seeded
-specs up to K+L = 6 are checked."""
+specs up to K+L = 6 are checked.  The sub-face bounds and the decoding
+order of an alpha are checked against the formulas they were first written
+as: one bound formula per sub-face, and a walk over the whole generalized
+order."""
 
 import pathlib
 from functools import partial
@@ -24,7 +27,16 @@ from cranregions import face as df
 from cranregions import splitting as sp
 from cranregions import suites
 from cranregions import uplink as ul
-from cranregions.prob import FACE_TOL, LawError, UplinkSpec, clamp_info, entropy_of
+from cranregions.prob import (
+    FACE_TOL,
+    LawError,
+    UplinkSpec,
+    clamp_info,
+    entropy_of,
+    x_names,
+    y_names,
+    yh_names,
+)
 from cranregions.specio import load_spec
 
 from conftest import identity_chain_spec, prefix_sets, random_downlink_spec, random_uplink_spec
@@ -275,6 +287,60 @@ def loop_minimize(residual, x, tol, budget):
     return x, r, calls
 
 
+def closure_sub_faces(law, q):
+    """Reference: the regions of D_{S,T} and of D_{S^c,T^c | S,T}, each from its
+    own bound formula."""
+    K, L = law.dims("uplink")
+    S, T = set(q.S), set(q.T)
+    Sc, Tc = set(range(1, K + 1)) - S, set(range(1, L + 1)) - T
+
+    def leading(A, B):
+        lb = mutual_info(law, y_names(B), yh_names(B), x_names(S) + yh_names(T - B)) - mutual_info(
+            law, x_names(A), yh_names(T - B), x_names(S - A))
+        return lb, mutual_info(law, y_names(B), yh_names(B), x_names(A))
+
+    def conditional(A, B):
+        side = yh_names((Tc - B) | T)
+        lb = mutual_info(law, y_names(B), yh_names(B), x_names(range(1, K + 1)) + side) - (
+            mutual_info(law, x_names(A), side, x_names((Sc - A) | S)))
+        ub = mutual_info(law, y_names(B), yh_names(B), x_names(A | S) + yh_names(T)) - (
+            mutual_info(law, x_names(A), yh_names(T), x_names(S)))
+        return lb, ub
+
+    return ul.build_region(K, L, q.S, q.T, leading), ul.build_region(K, L, Sc, Tc, conditional)
+
+
+def interleaved_order(n):
+    """Reference: the generalized order by its recursive interleaving."""
+    order = [(1, 1)]
+    for i in range(2, n + 1):
+        row = [(i, c) for c in range(1, 2 ** (i - 1) + 1)]
+        order = [row[k // 2] if k % 2 == 0 else order[k // 2] for k in range(2 * len(order) + 1)]
+    return tuple(order)
+
+
+def walk_decode_order(K, L, alpha):
+    """Reference: the split configuration of one alpha, its order found by a walk
+    over the whole generalized order; the first active element met in a row is
+    that row's "a"/"c" half."""
+    js, eps = {}, {}
+    for i, a in zip(range(2, K + L + 1), alpha):
+        js[i], eps[i] = sp.alpha_to_indices(float(a), i)
+    active = {(1, 1)} | {(i, js[i] + h) for i in js for h in (0, 1)}
+    order, seen = [], set()
+    for row, col in interleaved_order(K + L):
+        if (row, col) in active:
+            first = row not in seen
+            seen.add(row)
+            if row == 1:
+                order.append("1")
+            elif row <= K:
+                order.append(f"{row}{'a' if first else 'b'}")
+            else:
+                order.append(f"{row - K}{'c' if first else 'd'}")
+    return sp.SplitConfig(K=K, L=L, j=js, epsilon=eps, order=tuple(order))
+
+
 # --- the comparisons ---
 
 
@@ -309,6 +375,45 @@ def test_successive_table_matches_per_order_loop(direction, case):
     ref = np.array([loop(law, row, K, L) for row in coded.tolist()])
     assert np.array_equal(corner(law, coded), ref)
     assert np.array_equal(corner(law, coded[-1:]), ref[-1:])  # a one-row stack
+    # thm1 and thm3 measure these corners against the greedy corners of the solve orders
+    greedy = (ul.corner_iterative if direction == "uplink" else dl.downlink_corner_iterative)(
+        law, perms)
+    suite = suites.suite_thm1 if direction == "uplink" else suites.suite_thm3
+    assert suite(spec)[1]["max_deviation"] == float(np.max(np.abs(ref - greedy)))
+
+
+@pytest.mark.parametrize("case", UPLINK, ids=_ids)
+def test_sub_face_regions_match_their_own_formulas(case):
+    spec = _spec("uplink", case)
+    law, point = spec.law, np.zeros((1, spec.K + spec.L))
+    for q in suites._admissible_queries(spec.K, spec.L):
+        df.in_sub_face_DST(law, point, q)
+        df.in_sub_face_cond(law, point, q)
+        for got, want in zip((law._memo[("DST", q)], law._memo[("cond", q)]),
+                             closure_sub_faces(law, q)):
+            assert got.pairs == want.pairs, q
+            for a, b in ((got.A, want.A), (got.lb, want.lb), (got.ub, want.ub)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), q  # equal bits
+
+
+def test_generalized_order_matches_interleaving():
+    for n in range(1, 9):
+        assert sp.generalized_order(n) == interleaved_order(n)
+
+
+@pytest.mark.parametrize("K, L", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3), (1, 7), (4, 4), (5, 3)])
+def test_decode_order_matches_walk_over_generalized_order(K, L):
+    rng = np.random.default_rng(50 + 10 * K + L)
+    alphas = rng.uniform(size=(300, K + L - 1))
+    ends = rng.random(alphas.shape) < 0.2  # endpoints: j_i = 1 with eps 0, j_i = m_i with eps 1
+    alphas[ends] = rng.integers(0, 2, size=ends.sum())
+    for alpha in alphas:
+        assert sp.decode_order_from_alpha(K, L, alpha) == walk_decode_order(K, L, alpha), alpha
+
+
+def test_decode_order_refuses_more_rows_than_the_enumeration_guard():
+    with pytest.raises(ValueError, match="supports 1 <= n <= 8"):
+        sp.decode_order_from_alpha(5, 4, np.full(8, 0.5))
 
 
 @pytest.mark.parametrize("case", UPLINK, ids=_ids)
