@@ -138,13 +138,14 @@ def _parse_int_set(text: str, what: str):
         raise UsageError(f"cannot parse {what} {text!r}: {e}") from e
 
 
-def _point_from_arg(text: str, K: int, L: int) -> ul.RateFronthaulPoint:
+def _point_from_arg(text: str, K: int, L: int) -> np.ndarray:
+    """The (K+L,) vector R1..RK, C1..CL that `text` lists."""
     vals = _parse_floats(text, "point")
     if len(vals) != K + L:
         raise UsageError(
             f"point needs {K + L} coordinates (R1..R{K},C1..C{L}), got {len(vals)}"
         )
-    return ul.RateFronthaulPoint.from_vector(np.array(vals), K, L)
+    return np.array(vals)
 
 
 def _region(spec):
@@ -272,7 +273,7 @@ def cmd_psi(args) -> int:
     except sp.NotOnDominantFaceError as e:
         raise UsageError(str(e)) from e
     results = {
-        "target": [float(v) for v in target.as_vector()],
+        "target": target.tolist(),
         "alpha": [round(float(a), 12) for a in res.alpha],
         "residual": res.residual,
         "n_evals": res.n_evals,
@@ -302,12 +303,12 @@ def cmd_face(args) -> int:
     if not isinstance(spec, UplinkSpec):
         raise UsageError("face requires an uplink spec")
     law = spec.law
-    point = _point_from_arg(args.point, spec.K, spec.L)
+    point = _point_from_arg(args.point, spec.K, spec.L)[None]  # a stack of one
     results = {
-        "point": [float(v) for v in point.as_vector()],
-        "in_region": ul.in_jd_region(law, point),
-        "on_dominant_face": df.on_dominant_face(law, point),
-        "on_dominant_face_alt": df.on_dominant_face_alt(law, point),
+        "point": point[0].tolist(),
+        "in_region": bool(ul.in_jd_region(law, point)[0]),
+        "on_dominant_face": bool(df.on_dominant_face(law, point)[0]),
+        "on_dominant_face_alt": bool(df.on_dominant_face_alt(law, point)[0]),
     }
     if args.S is not None or args.T is not None:
         S = _parse_int_set(args.S or "", "--S")
@@ -324,7 +325,7 @@ def cmd_face(args) -> int:
                 q.validate(spec.K, spec.L)
             except ValueError as e:
                 raise UsageError(str(e)) from e
-            results["in_face"] = df.in_face_FST(law, point, q)
+            results["in_face"] = bool(df.in_face_FST(law, point, q)[0])
             results["degenerate"] = df.degeneracy_condition(law, q)
     _emit(
         _report(

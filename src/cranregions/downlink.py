@@ -40,9 +40,9 @@ from .prob import (
 from .uplink import (
     CornerEnumeration,
     CornerReport,
-    RateFronthaulPoint,
     Region,
     add_terms,
+    capacity_minus_rate,
     check_corner,
     closed_form_table,
     enumerate_orders,
@@ -77,14 +77,15 @@ def je_terms(law: JointLaw, K: int, L: int, S, T) -> tuple:
     )
 
 
-def je_slack(law: JointLaw, point: RateFronthaulPoint, S, T) -> float:
-    """Slack of the joint-encoding constraint for user set S, relay set T.
+def je_slack(law: JointLaw, x, S, T) -> float:
+    """Slack of the joint-encoding constraint for user set S, relay set T,
+    at one (K+L,) vector x.
 
     The terms are added left to right in the order the corner procedure
     of the paper solves them, as in `uplink.jd_slack`.
     """
-    return add_terms(point.c_sum(T) - point.r_sum(S),
-                     je_terms(law, len(point.R), len(point.C), S, T))
+    K, L = law.dims("downlink")
+    return add_terms(capacity_minus_rate(x, K, S, T), je_terms(law, K, L, S, T))
 
 
 def je_region(law: JointLaw) -> Region:
@@ -92,9 +93,9 @@ def je_region(law: JointLaw) -> Region:
     return law.memo("je region", lambda: slack_region(law, je_slack, *law.dims("downlink")))
 
 
-def in_je_region(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
-    """Membership of one point, or of each point of an (n, K+L) stack."""
-    return je_region(law).contains(point, tol)
+def in_je_region(law: JointLaw, points, tol: float = MEMBERSHIP_TOL):
+    """Membership of each point of an (n, K+L) stack."""
+    return je_region(law).contains(points, tol)
 
 
 def se_corner(law: JointLaw, orders):
@@ -137,7 +138,7 @@ def downlink_corner_closed(law: JointLaw, orders):
 
 
 def verify_downlink_corner(law: JointLaw, points) -> CornerReport:
-    """Corner-hood of one point, or of each point of a stack, in the joint-encoding region."""
+    """Corner-hood of each point of an (n, K+L) stack in the joint-encoding region."""
     return check_corner(je_region(law), points)
 
 

@@ -14,9 +14,9 @@ on the single master joint law; the marginal channels of the two
 sub-problems are never materialized.  D_{S,T} and D_{S^c,T^c | S,T} are the
 faces of the (S, T) sub-network and of the (S^c, T^c) one that sees X_S, Yh_T
 (`_sub_face`).  The two-sided bounds of a predicate form one `Region`, built
-once per law and query (`JointLaw.memo`).  Every predicate takes one point,
-giving a bool, or an (n, K+L) stack of points, giving one bool per point
-from one product per region and STACK_CHUNK points.
+once per law and query (`JointLaw.memo`).  Every predicate takes an
+(n, K+L) stack of points and gives one bool per point, from one product per
+region and STACK_CHUNK points; a single point is a stack of one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .prob import (
     yh_names,
 )
 from .uplink import (
-    RateFronthaulPoint,
     Region,
     _row_rank,
     build_region,
@@ -80,27 +79,25 @@ def _face_row(law: JointLaw) -> Region:
     return Region(jd.pairs[-1:], jd.A[-1:], jd.lb[-1:], jd.lb[-1:])
 
 
-def face_gap(law: JointLaw, point):
-    """C([L]) - R([K]) minus the face level I(Y_all; Yh_all | X_all), for one
-    point or per point of an (n, K+L) stack.
+def face_gap(law: JointLaw, points) -> np.ndarray:
+    """C([L]) - R([K]) minus the face level I(Y_all; Yh_all | X_all), per point
+    of an (n, K+L) stack.
 
     That level is the joint-decoding right-hand side f([K], [L]), so the
     gap is the slack of the ([K], [L]) constraint.
     """
     row = law.memo("face", lambda: _face_row(law))
-    x = point.as_vector() if isinstance(point, RateFronthaulPoint) else np.asarray(point)
-    gap = x @ row.A[0] - row.lb[0]
-    return float(gap) if x.ndim == 1 else gap
+    return np.asarray(points) @ row.A[0] - row.lb[0]
 
 
-def on_dominant_face(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
+def on_dominant_face(law: JointLaw, points, tol: float = MEMBERSHIP_TOL):
     """In the region with no face gap: the gap is the slack of the ([K], [L])
     row, the last row of the joint-decoding region, held at 0."""
     face = law.memo("face", lambda: _face_row(law))
-    return in_jd_region(law, point, tol) & face.contains(point, tol)
+    return in_jd_region(law, points, tol) & face.contains(points, tol)
 
 
-def on_dominant_face_alt(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
+def on_dominant_face_alt(law: JointLaw, points, tol: float = MEMBERSHIP_TOL):
     """Alternative description: two-sided constraint per (S, T) pair.
 
     For every S, T the gap C(T) - R(S) must sit between
@@ -119,7 +116,7 @@ def on_dominant_face_alt(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
         return lb, mutual_info(law, y_names(T), yh_names(T), x_names(S))
 
     region = law.memo("alt", lambda: build_region(K, L, range(1, K + 1), range(1, L + 1), bounds))
-    return region.contains(point, tol)
+    return region.contains(points, tol)
 
 
 def _cap_row(law: JointLaw, q: FaceQuery) -> Region:
@@ -135,10 +132,10 @@ def _cap_row(law: JointLaw, q: FaceQuery) -> Region:
     return law.memo(("cap", q), build)
 
 
-def in_face_FST(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
+def in_face_FST(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
     """Membership in F_{S,T}: on the dominant face with C(T) - R(S) at its cap."""
     cap = _cap_row(law, q)
-    return on_dominant_face(law, point, tol) & cap.contains(point, tol)
+    return on_dominant_face(law, points, tol) & cap.contains(points, tol)
 
 
 def _sub_face(law: JointLaw, users, relays, zs=frozenset(), zt=frozenset()) -> Region:
@@ -160,17 +157,17 @@ def _sub_face(law: JointLaw, users, relays, zs=frozenset(), zt=frozenset()) -> R
     return build_region(K, L, users, relays, bounds)
 
 
-def in_sub_face_DST(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
+def in_sub_face_DST(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
     """Membership of the (S, T) coordinates in the leading sub-face factor, the
     face of the (S, T) sub-network alone.
 
-    Only the R_S and C_T coordinates of `point` are read.
+    Only the R_S and C_T coordinates of `points` are read.
     """
     q.validate(*law.dims("uplink"))
-    return law.memo(("DST", q), lambda: _sub_face(law, q.S, q.T)).contains(point, tol)
+    return law.memo(("DST", q), lambda: _sub_face(law, q.S, q.T)).contains(points, tol)
 
 
-def in_sub_face_cond(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
+def in_sub_face_cond(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
     """Membership of the complement coordinates in the conditional sub-face.
 
     The conditional sub-problem sees (X_S, Yh_T) as decoder side
@@ -179,15 +176,16 @@ def in_sub_face_cond(law: JointLaw, point, q: FaceQuery, tol: float = FACE_TOL):
     K, L = law.dims("uplink")
     q.validate(K, L)
     Sc, Tc = frozenset(range(1, K + 1)) - q.S, frozenset(range(1, L + 1)) - q.T
-    return law.memo(("cond", q), lambda: _sub_face(law, Sc, Tc, q.S, q.T)).contains(point, tol)
+    return law.memo(("cond", q), lambda: _sub_face(law, Sc, Tc, q.S, q.T)).contains(points, tol)
 
 
-def sample_face_points(law: JointLaw, n: int, rng: np.random.Generator):
-    """Random dominant-face members: Dirichlet convex combinations of face corners."""
-    enum = enumerate_corners(law)
-    mat = enum.points[enum.kept]
+def sample_face_points(law: JointLaw, n: int, rng: np.random.Generator) -> np.ndarray:
+    """An (n, K+L) stack of random dominant-face members: Dirichlet convex
+    combinations of face corners."""
+    mat = enumerate_corners(law).vertices
     weights = rng.dirichlet(np.ones(len(mat)), size=n)  # the draws of n calls, in order
-    return [RateFronthaulPoint.from_vector(w @ mat, enum.K, enum.L) for w in weights]
+    # one product per row: a single weights @ mat rounds most rows differently
+    return np.array([w @ mat for w in weights]).reshape(n, mat.shape[1])
 
 
 @dataclass(frozen=True)
@@ -217,8 +215,7 @@ def check_face_decomposition(
     K, L = law.dims("uplink")
     cap = _cap_row(law, q)
     rng = np.random.default_rng(seed)
-    enum = enumerate_corners(law)
-    vertices = enum.points[enum.kept]
+    vertices = enumerate_corners(law).vertices
     # in_face_FST on the vertices, with their face mask found once per law
     on_face = law.memo(("face vertices", tol), lambda: on_dominant_face(law, vertices, tol))
     mat = vertices[on_face & cap.contains(vertices, tol)]
@@ -261,8 +258,7 @@ def check_degenerate_factorization(law: JointLaw, q: FaceQuery) -> bool:
         mask = ~mask  # the complement query splits the coordinates the same way
 
     def factorizes():
-        enum = enumerate_corners(law)
-        mat = enum.points[enum.kept]  # distinct at DEDUP_TOL = FACE_TOL
+        mat = enumerate_corners(law).vertices  # distinct at DEDUP_TOL = FACE_TOL
         a = dedup_index(mat[:, mask], FACE_TOL)
         b = dedup_index(mat[:, ~mask], FACE_TOL)
         n = len(mat)
@@ -274,8 +270,7 @@ def check_degenerate_factorization(law: JointLaw, q: FaceQuery) -> bool:
 
 def dominant_face_dimension(law: JointLaw) -> int:
     """Affine dimension of the dominant face from its enumerated corners."""
-    enum = enumerate_corners(law)
-    mat = enum.points[enum.kept]
+    mat = enumerate_corners(law).vertices
     if len(mat) <= 1:
         return 0
     diffs = mat[1:] - mat[0]

@@ -28,7 +28,6 @@ from .prob import (
     FACE_TOL,
     INVERT_TOL,
     MERGE_TOL,
-    JointLaw,
     LawError,
     UplinkSpec,
     clamp_info,
@@ -191,12 +190,6 @@ class VirtualCran:
     names: tuple[str, ...]
     probs: np.ndarray  # (rows,) + (2,) * len(names)
 
-    @property
-    def joint(self) -> JointLaw:
-        """The virtual joint of a one-row stack, as a law."""
-        (probs,) = self.probs
-        return JointLaw(self.names, probs)
-
     def merged_joint(self) -> np.ndarray:
         """Pushforward through the merge maps, axes (row, X_1..X_K, Y, Yh_1..Yh_L).
 
@@ -233,9 +226,9 @@ def _virtual_parts(spec: UplinkSpec):
     return names, spec.channel[tuple(merged + axis[n_in:n_in + L])], shapes
 
 
-def build_virtual_cran(spec: UplinkSpec, config) -> VirtualCran:
-    """Assemble the virtual joint from the per-variable splits, for one
-    SplitConfig or for each of a list of them (a stack).
+def build_virtual_cran(spec: UplinkSpec, configs) -> VirtualCran:
+    """Assemble the virtual joints from the per-variable splits, one row of
+    the stack per SplitConfig of the list `configs`.
 
     The channel only sees the merged inputs; each relay's two virtual
     descriptions are generated jointly from its output through the
@@ -243,7 +236,6 @@ def build_virtual_cran(spec: UplinkSpec, config) -> VirtualCran:
     per law; a stack multiplies its factors in the order that one config
     alone would, so each row is bit for bit the joint of its config.
     """
-    configs = [config] if isinstance(config, SplitConfig) else config
     K, L = spec.K, spec.L
     if any(c.K != K or c.L != L for c in configs):
         raise ValueError("split config dimensions do not match spec")
@@ -274,10 +266,10 @@ def build_virtual_cran(spec: UplinkSpec, config) -> VirtualCran:
     return vc
 
 
-def beta_rates(vc: VirtualCran, config):
-    """Per-index successive rates and the assembled rate-fronthaul point for
-    one SplitConfig; for a list of them, one per row of the stack, a list of
-    rate dicts and an (n, K+L) array of points.
+def beta_rates(vc: VirtualCran, configs):
+    """Per-index successive rates and the assembled rate-fronthaul points for
+    a list of SplitConfigs, one per row of the stack: a list of rate dicts
+    and an (n, K+L) array of points.
 
     The k-th decoded virtual input gets beta = I(X_k; decoded-so-far);
     the k-th decoded virtual description of relay l gets
@@ -291,19 +283,16 @@ def beta_rates(vc: VirtualCran, config):
     are transposed and summed together, and each row's entropies are taken
     one marginal at a time, so a row's rates do not depend on its stack.
     """
-    if isinstance(config, SplitConfig):
-        (betas,), points = beta_rates(vc, [config])
-        return betas, RateFronthaulPoint.from_vector(points[0], vc.K, vc.L)
     K, L = vc.K, vc.L
     groups = {}
-    for r, c in enumerate(config):
+    for r, c in enumerate(configs):
         groups.setdefault(c.order, []).append(r)
-    rates = [None] * len(config)
+    rates = [None] * len(configs)
     for order, rows in groups.items():
         decoded = [f"X{lab}" if lab == "1" or lab[-1] in "ab" else f"Yh{lab}" for lab in order]
         m = len(decoded)
         axes = [vc.names.index(v) + 1 for v in decoded + [f"Y{l}" for l in range(1, L + 1)]]
-        p = (vc.probs if len(rows) == len(config) else vc.probs[rows]).transpose([0] + axes)
+        p = (vc.probs if len(rows) == len(configs) else vc.probs[rows]).transpose([0] + axes)
 
         def prefixes(q, stop):  # the marginals of q over decoded[:k] and its axes after the m-th,
             out = [q]  # for k = stop..m
@@ -351,11 +340,11 @@ def psi(spec: UplinkSpec, alphas):
 
 
 def psi_detail(spec: UplinkSpec, alpha):
-    """(SplitConfig, per-index rates, point) for one parameter vector."""
+    """(SplitConfig, per-index rates, RateFronthaulPoint) for one parameter
+    vector, computed as a stack of one."""
     config = decode_order_from_alpha(spec.K, spec.L, alpha)
-    vc = build_virtual_cran(spec, config)
-    betas, point = beta_rates(vc, config)
-    return config, betas, point
+    (betas,), (point,) = beta_rates(build_virtual_cran(spec, [config]), [config])
+    return config, betas, RateFronthaulPoint(point[:spec.K], point[spec.K:])
 
 
 class NotOnDominantFaceError(ValueError):
@@ -461,9 +450,10 @@ def minimize(residual, x, tol: float, budget: int):
     return x, r, calls
 
 
-def invert_psi(spec: UplinkSpec, target: RateFronthaulPoint, tol: float = INVERT_TOL,
+def invert_psi(spec: UplinkSpec, target, tol: float = INVERT_TOL,
                max_iters: int = 5000) -> InversionResult:
-    """Numerically invert psi: find alpha with psi(alpha) near `target`.
+    """Numerically invert psi: find alpha with psi(alpha) near the (K+L,)
+    vector `target`.
 
     psi is smooth inside a cell of alpha (one fixed j, eps free) and jumps
     between cells, so the live cells are ranked from their corners
@@ -475,8 +465,8 @@ def invert_psi(spec: UplinkSpec, target: RateFronthaulPoint, tol: float = INVERT
     after 17 evaluations, at different alphas), so the stacked Jacobian
     keeps the bits of one psi call per column.
     """
-    tvec = target.as_vector()
-    if not on_dominant_face(spec.law, target, tol=FACE_TOL):
+    tvec = np.asarray(target, dtype=float)
+    if not on_dominant_face(spec.law, tvec[None], tol=FACE_TOL)[0]:
         raise NotOnDominantFaceError(f"target {tvec.tolist()} is not on the dominant face")
     m = 2.0 ** np.arange(1, spec.K + spec.L) - 1  # subintervals of rows 2..K+L
     count, best_alpha, best_res = 0, None, math.inf

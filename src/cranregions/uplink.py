@@ -30,9 +30,11 @@ A solve order is a row of coordinate indices, R_1..R_K, C_1..C_L numbered
 (`solve_perms` lists all of them).  The closed form of a coordinate
 depends only on the set of coordinates solved before it, so
 `closed_form_table` holds all (K+L) 2^(K+L-1) values once per law and
-`read_corners` gathers the corners of any stack of rows from it.
-`check_corner` and `dedup_points` work on the whole stack of corners at
-once.  The law's direction, K and L come from `JointLaw.dims`.
+`read_corners` gathers the corners of any stack of rows from it.  Points
+are rows too: membership, `check_corner` and `dedup_points` take an
+(n, K+L) stack of points and work on it at once; a single point is a
+stack of one.  `RateFronthaulPoint` is only the result of `psi` at one
+alpha.  The law's direction, K and L come from `JointLaw.dims`.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ ROUNDS_WORK = 1 << 24  # distinct rows x largest window up to which dedup_index 
 
 @dataclass(frozen=True)
 class RateFronthaulPoint:
-    """Vector (R_1..R_K, C_1..C_L) in bits per channel use."""
+    """One point (R_1..R_K, C_1..C_L) in bits per channel use: the result of
+    `psi` at one alpha."""
 
     R: np.ndarray
     C: np.ndarray
@@ -84,20 +87,6 @@ class RateFronthaulPoint:
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.R, self.C])
 
-    @classmethod
-    def from_vector(cls, vec, K: int, L: int) -> "RateFronthaulPoint":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (K + L,):
-            raise ValueError(f"expected vector of length {K + L}, got {vec.shape}")
-        return cls(vec[:K], vec[K:])
-
-    # Python floats, unlike numpy scalars, overflow to +-inf without a warning
-    def r_sum(self, S) -> float:
-        return add_terms(0.0, (float(self.R[i - 1]) for i in sorted(S)))
-
-    def c_sum(self, T) -> float:
-        return add_terms(0.0, (float(self.C[l - 1]) for l in sorted(T)))
-
 
 def add_terms(total, terms):
     """total + terms[0] + terms[1] + .., strictly left to right (the built-in sum
@@ -105,6 +94,14 @@ def add_terms(total, terms):
     for t in terms:
         total = total + t
     return total
+
+
+def capacity_minus_rate(x, K: int, S, T) -> float:
+    """C(T) - R(S) of one (K+L,) vector x = (R_1..R_K, C_1..C_L), each sum
+    added in index order in Python floats, which, unlike numpy scalars,
+    overflow to +-inf without a warning."""
+    return (add_terms(0.0, (float(x[K + l - 1]) for l in sorted(T)))
+            - add_terms(0.0, (float(x[i - 1]) for i in sorted(S))))
 
 
 def coord_labels(K: int, L: int) -> list[str]:
@@ -131,16 +128,17 @@ def jd_terms(law: JointLaw, K: int, L: int, S, T) -> tuple:
     )
 
 
-def jd_slack(law: JointLaw, point: RateFronthaulPoint, S, T) -> float:
-    """Slack of the joint-decoding constraint for user set S, relay set T.
+def jd_slack(law: JointLaw, x, S, T) -> float:
+    """Slack of the joint-decoding constraint for user set S, relay set T,
+    at one (K+L,) vector x.
 
     Nonnegative slack for every (S, T) pair means the point is in the
     joint-decoding region.  The terms are added left to right in the order
     the corner procedure of the paper solves them, and `greedy_corner`
     adds them in the same order.
     """
-    return add_terms(point.c_sum(T) - point.r_sum(S),
-                     jd_terms(law, len(point.R), len(point.C), S, T))
+    K, L = law.dims("uplink")
+    return add_terms(capacity_minus_rate(x, K, S, T), jd_terms(law, K, L, S, T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,18 +155,15 @@ class Region:
     ub: np.ndarray  # +inf for a one-sided region
 
     def slacks(self, points) -> np.ndarray:
-        """min(A x - lb, ub - A x) per row, for one point or per point of an
-        (n, K+L) stack; a NaN slack (inf - inf) reads as -inf."""
-        x = points.as_vector() if isinstance(points, RateFronthaulPoint) else np.transpose(points)
+        """min(A x - lb, ub - A x) per row and per point of an (n, K+L) stack;
+        a NaN slack (inf - inf) reads as -inf."""
         with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates overflow
-            ax = (self.A @ x).T  # one product for the whole stack
+            ax = (self.A @ np.transpose(points)).T  # one product for the whole stack
             s = np.fmin(ax - self.lb, self.ub - ax)  # fmin skips the NaN of inf - inf
         return np.where(np.isnan(s), -np.inf, s)
 
     def contains(self, points, tol: float):
-        """A bool for one point; for a stack one bool per point, STACK_CHUNK at a time."""
-        if isinstance(points, RateFronthaulPoint):
-            return bool(self.slacks(points).min() >= -tol)
+        """One bool per point of an (n, K+L) stack, STACK_CHUNK points at a time."""
         points = np.asarray(points)
         inside = np.empty(len(points), dtype=bool)
         for i in range(0, len(points), STACK_CHUNK):
@@ -191,7 +186,7 @@ def build_region(K: int, L: int, users, relays, bounds) -> Region:
 def slack_region(law: JointLaw, slack, K: int, L: int) -> Region:
     """The region where every slack(law, x, S, T) = C(T) - R(S) - f(S, T) is >= 0;
     lb = f is minus the slack at the origin, so each f stays written once."""
-    origin = RateFronthaulPoint(np.zeros(K), np.zeros(L))
+    origin = np.zeros(K + L)
     return build_region(K, L, range(1, K + 1), range(1, L + 1),
                         lambda S, T: (-slack(law, origin, S, T), np.inf))
 
@@ -201,9 +196,9 @@ def jd_region(law: JointLaw) -> Region:
     return law.memo("jd region", lambda: slack_region(law, jd_slack, *law.dims("uplink")))
 
 
-def in_jd_region(law: JointLaw, point, tol: float = MEMBERSHIP_TOL):
-    """Membership of one point, or of each point of an (n, K+L) stack."""
-    return jd_region(law).contains(point, tol)
+def in_jd_region(law: JointLaw, points, tol: float = MEMBERSHIP_TOL):
+    """Membership of each point of an (n, K+L) stack."""
+    return jd_region(law).contains(points, tol)
 
 
 def sd_corner(law: JointLaw, orders):
@@ -377,17 +372,12 @@ def _tight_ranks(normals: np.ndarray, tight: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CornerReport:
-    """Corner-hood of one point; for a stack, one entry per point in each field."""
+    """Corner-hood of a stack of points, one entry per point in each field."""
 
-    in_region: bool
-    rank: int
-    is_corner: bool
-    negative_coords: tuple  # coordinate labels below -NEGATIVE_RATE_TOL
-
-    @property
-    def in_nonnegative_orthant(self) -> bool:
-        """For a report of one point."""
-        return not self.negative_coords
+    in_region: np.ndarray
+    rank: np.ndarray
+    is_corner: np.ndarray
+    negative_coords: tuple  # per point, the coordinate labels below -NEGATIVE_RATE_TOL
 
 
 def check_corner(region: Region, points) -> CornerReport:
@@ -399,15 +389,14 @@ def check_corner(region: Region, points) -> CornerReport:
     (n, K+L) stack gets arrays of in_region, rank and is_corner and a tuple
     of label tuples, from one product per STACK_CHUNK points.
     """
-    single = isinstance(points, RateFronthaulPoint)
-    x = points.as_vector()[None] if single else np.asarray(points, dtype=float)
+    x = np.asarray(points, dtype=float)
     n, d = x.shape
     normals = region.A.astype(np.int64)
     nonzero = region.A.any(axis=1)
     in_region = np.empty(n, dtype=bool)
     rank = np.empty(n, dtype=int)
     for i in range(0, n, STACK_CHUNK):
-        s = region.slacks(points if single else x[i:i + STACK_CHUNK]).reshape(-1, len(region.A))
+        s = region.slacks(x[i:i + STACK_CHUNK])
         in_region[i:i + STACK_CHUNK] = s.min(axis=1) >= -MEMBERSHIP_TOL
         rank[i:i + STACK_CHUNK] = _tight_ranks(normals, (np.abs(s) <= ACTIVE_TOL) & nonzero)
     is_corner = in_region & (rank >= d)
@@ -417,13 +406,11 @@ def check_corner(region: Region, points) -> CornerReport:
     negative = [()] * n
     for i in np.flatnonzero(below.any(axis=1)):
         negative[i] = tuple(labels[j] for j in np.flatnonzero(below[i]))
-    if single:
-        return CornerReport(bool(in_region[0]), int(rank[0]), bool(is_corner[0]), negative[0])
     return CornerReport(in_region, rank, is_corner, tuple(negative))
 
 
 def verify_corner(law: JointLaw, points) -> CornerReport:
-    """Corner-hood of one point, or of each point of a stack, in the joint-decoding region."""
+    """Corner-hood of each point of an (n, K+L) stack in the joint-decoding region."""
     return check_corner(jd_region(law), points)
 
 
@@ -432,8 +419,7 @@ class CornerEnumeration:
     """The corner of every solve order, as arrays, and the rows dedup keeps.
 
     Row i of `perms` is a solve order, row i of `points` its corner; `kept`
-    lists the rows of the distinct vertices in order, which `vertices` gives
-    as objects, built on first use.
+    lists the rows of the distinct vertices in order, which `vertices` stacks.
     """
 
     K: int
@@ -449,10 +435,11 @@ class CornerEnumeration:
         return [",".join(labels[c] for c in perm) for perm in self.perms.tolist()]
 
     @cached_property
-    def vertices(self) -> tuple:
-        """The deduplicated RateFronthaulPoints."""
-        return tuple(RateFronthaulPoint.from_vector(self.points[i], self.K, self.L)
-                     for i in self.kept)
+    def vertices(self) -> np.ndarray:
+        """The distinct vertices, points[kept], as a read-only stack."""
+        vertices = self.points[self.kept]
+        vertices.setflags(write=False)
+        return vertices
 
 
 def dedup_index(vecs, tol: float = DEDUP_TOL) -> np.ndarray:
@@ -544,15 +531,13 @@ def _settle_in_order(vecs, first, cells, window, tol) -> np.ndarray:
     return keep
 
 
-def dedup_points(points, tol: float = DEDUP_TOL):
-    """The points that `dedup_index` keeps, in order: RateFronthaulPoints or
-    1-D arrays of one length."""
-    points = list(points)
-    if not points:
-        return []
-    vecs = [p.as_vector() if isinstance(p, RateFronthaulPoint) else p for p in points]
-    kept_of = dedup_index(np.array(vecs, dtype=float), tol)
-    return [points[i] for i in np.flatnonzero(kept_of == np.arange(len(points)))]
+def dedup_points(points, tol: float = DEDUP_TOL) -> np.ndarray:
+    """The row numbers of the points that `dedup_index` keeps, in order, for an
+    (n, d) stack or a list of 1-D arrays of one length."""
+    if not len(points):
+        return np.empty(0, dtype=np.intp)
+    kept_of = dedup_index(points, tol)
+    return np.flatnonzero(kept_of == np.arange(len(kept_of)))
 
 
 def enumerate_orders(corner, K: int, L: int, dedup_tol: float) -> CornerEnumeration:
@@ -564,10 +549,7 @@ def enumerate_orders(corner, K: int, L: int, dedup_tol: float) -> CornerEnumerat
     perms = solve_perms(K, L)
     points = corner(perms)
     points.setflags(write=False)
-    rows = list(points)  # dedup_points hands back these very row objects
-    where = {id(r): i for i, r in enumerate(rows)}
-    kept = np.array([where[id(r)] for r in dedup_points(rows, dedup_tol)], dtype=np.intp)
-    return CornerEnumeration(K, L, perms, points, kept)
+    return CornerEnumeration(K, L, perms, points, dedup_points(points, dedup_tol))
 
 
 def enumerate_corners(

@@ -90,8 +90,8 @@ def test_c03_corner_verification():
     ok = True
     for _, law in uplink_battery():
         for vec in cr.enumerate_corners(law).points:
-            rep = cr.verify_corner(law, cr.RateFronthaulPoint.from_vector(vec, 2, 2))
-            ok = ok and rep.is_corner
+            rep = cr.verify_corner(law, vec[None])  # one point, as a stack of one
+            ok = ok and rep.is_corner[0]
     report(3, "membership + active-rank at every corner", ok)
 
 
@@ -100,13 +100,13 @@ def test_c04_face_description_equivalence():
     ok = True
     for _, law in uplink_battery():
         pts = list(cr.enumerate_corners(law).vertices)
-        pts += cr.sample_face_points(law, 250, rng)
-        mat = np.array([v.as_vector() for v in pts[: max(2, len(pts))]])
+        pts += list(cr.sample_face_points(law, 250, rng))
+        mat = np.array(pts[: max(2, len(pts))])
         lo, hi = mat.min(axis=0) - 0.25, mat.max(axis=0) + 0.25
         for _ in range(250):
-            pts.append(cr.RateFronthaulPoint.from_vector(rng.uniform(lo, hi), 2, 2))
+            pts.append(rng.uniform(lo, hi))
         for p in pts:
-            if cr.on_dominant_face(law, p) != cr.on_dominant_face_alt(law, p):
+            if cr.on_dominant_face(law, p[None])[0] != cr.on_dominant_face_alt(law, p[None])[0]:
                 ok = False
     report(4, "two dominant-face descriptions agree", ok)
 
@@ -184,9 +184,9 @@ def test_c09_telescoping_identity():
     for trial in range(100):
         spec, law = uplink_battery()[trial % N_BATTERY]
         alpha = rng.uniform(0.0, 1.0, 3)
-        point = sp.psi(spec, alpha)
-        ok = ok and abs(face_gap(law, point)) <= 1e-9
-        ok = ok and cr.on_dominant_face(law, point, tol=1e-8)
+        point = sp.psi(spec, alpha).as_vector()[None]
+        ok = ok and abs(face_gap(law, point)[0]) <= 1e-9
+        ok = ok and cr.on_dominant_face(law, point, tol=1e-8)[0]
     report(9, "splitting lands on the dominant face", ok)
 
 
@@ -198,13 +198,11 @@ def test_c10_psi_surjectivity():
     for spec in batteries:
         law = build_uplink_joint(spec)
         vertices = cr.enumerate_corners(law).vertices
-        mat = np.array([v.as_vector() for v in vertices])
+        mat = vertices
         targets = list(vertices)
         while len(targets) < 20:
             w = rng.dirichlet(np.ones(len(vertices)))
-            targets.append(
-                cr.RateFronthaulPoint.from_vector(w @ mat, spec.K, spec.L)
-            )
+            targets.append(w @ mat)
         targets = targets[:20]
         for t in targets:
             res = cr.invert_psi(spec, t, tol=1e-4, max_iters=5000)
@@ -225,8 +223,7 @@ def test_c11_downlink_analogues():
         worst = max(worst, float(np.max(np.abs(b - se))))
         ok = ok and bool(cr.in_je_region(law, se, tol=1e-9).all())
         for vec in cr.downlink_enumerate_corners(law).points:
-            point = cr.RateFronthaulPoint.from_vector(vec, 2, 2)
-            ok = ok and cr.verify_downlink_corner(law, point).is_corner
+            ok = ok and cr.verify_downlink_corner(law, vec[None]).is_corner[0]
     report(11, "downlink corner procedures and encoding orders", worst <= 1e-9 and ok)
 
 

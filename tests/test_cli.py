@@ -125,7 +125,7 @@ class TestPsi:
 
         law = build_uplink_joint(k2l2_bsc_spec())
         target = sample_face_points(law, 1, np.random.default_rng(0))[0]
-        arg = ",".join(str(v) for v in target.as_vector())
+        arg = ",".join(str(v) for v in target)
         code, out, _ = run(capsys, "psi", K2L2, "--invert", arg, "--max-iters", "1",
                            "--tol", "1e-12")
         assert code == 3

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from cranregions import (
-    RateFronthaulPoint,
     build_downlink_joint,
     build_uplink_joint,
     downlink_corner_closed,
@@ -109,7 +108,7 @@ def point_check(region, vec):
     """Reference: (in_region, rank, is_corner, negative_coords) of one point,
     the rank by float elimination of its tight rows."""
     K = int(np.count_nonzero((region.A < 0).any(axis=0)))
-    s = region.slacks(RateFronthaulPoint.from_vector(vec, K, len(vec) - K))
+    s = region.slacks(vec[None])[0]  # one point, as a stack of one
     tight = (np.abs(s) <= ACTIVE_TOL) & region.A.any(axis=1)
     rank = loop_row_rank(region.A[tight])
     in_region = bool(s.min() >= -MEMBERSHIP_TOL)
@@ -130,9 +129,7 @@ def quadratic_dedup(vecs, tol):
 
 
 def _kept_indices(vecs, tol):
-    rows = list(vecs)
-    where = {id(r): i for i, r in enumerate(rows)}
-    return [where[id(r)] for r in dedup_points(rows, tol)]
+    return dedup_points(list(vecs), tol).tolist()  # a list of rows, as a tracer passes them
 
 
 def _stack_reports(report):
@@ -202,10 +199,8 @@ def test_batched_check_matches_per_corner_check(direction, K, L):
     assert got == [point_check(region, p) for p in points]
     assert all(c for _, _, c, _ in got[:len(enum.points)])  # every corner is one
     assert {c for _, _, c, _ in got} == {True, False}
-    for p, row in zip(points[::17], got[::17]):  # one point is one report of plain values
-        rep = check_corner(region, RateFronthaulPoint.from_vector(p, K, L))
-        assert (rep.in_region, rep.rank, rep.is_corner, rep.negative_coords) == row
-        assert type(rep.rank) is int and type(rep.is_corner) is bool
+    for p, row in zip(points[::17], got[::17]):  # one point is a stack of one
+        assert _stack_reports(check_corner(region, p[None])) == [row]
 
 
 def test_check_in_chunks_matches_one_stack(monkeypatch):
@@ -307,11 +302,9 @@ def test_dedup_window_reaches_the_tolerance_boundary():
 
 
 def test_dedup_keeps_points_and_non_finite_rows():
-    a = RateFronthaulPoint(np.array([0.5]), np.array([1.0]))
-    b = RateFronthaulPoint(np.array([0.5 + 1e-9]), np.array([1.0]))
-    c = RateFronthaulPoint(np.array([0.75]), np.array([1.0]))
-    assert dedup_points([a, b, c]) == [a, c]
-    assert dedup_points([]) == []
+    a, b, c = np.array([0.5, 1.0]), np.array([0.5 + 1e-9, 1.0]), np.array([0.75, 1.0])
+    assert dedup_points([a, b, c]).tolist() == [0, 2]
+    assert dedup_points([]).tolist() == []
     rows = np.array([[np.inf, 0.0], [np.inf, 0.0], [np.nan, 1.0], [1e308, 1e308],
                      [1e308, 1e308], [0.0, 0.0]])
     assert _kept_indices(rows, DEDUP_TOL) == quadratic_dedup(rows, DEDUP_TOL) == [0, 1, 2, 3, 5]
@@ -321,7 +314,6 @@ def test_dedup_keeps_points_and_non_finite_rows():
 def test_enumeration_objects_follow_the_arrays():
     law = _law("uplink", 2, 2)
     enum = enumerate_corners(law)
-    assert [tuple(v.as_vector()) for v in enum.vertices] == \
-        [tuple(enum.points[i]) for i in enum.kept]
-    assert not enum.points.flags.writeable
+    assert [tuple(v) for v in enum.vertices] == [tuple(enum.points[i]) for i in enum.kept]
+    assert not enum.points.flags.writeable and not enum.vertices.flags.writeable
     assert len(set(enum.order_labels)) == math.factorial(4)

@@ -6,7 +6,6 @@ import pytest
 
 from cranregions import (
     FaceQuery,
-    RateFronthaulPoint,
     check_degenerate_factorization,
     check_face_decomposition,
     degeneracy_condition,
@@ -43,35 +42,33 @@ def admissible_queries(K, L):
 class TestDominantFace:
     def test_identity_chain_face_points(self):
         law = build_uplink_joint(identity_chain_spec())
-        assert on_dominant_face(law, RateFronthaulPoint(np.array([1.0]), np.array([1.0])))
-        assert on_dominant_face(law, RateFronthaulPoint(np.array([0.0]), np.array([0.0])))
-        assert on_dominant_face(law, RateFronthaulPoint(np.array([0.5]), np.array([0.5])))
+        assert on_dominant_face(law, [[1.0, 1.0]])[0]
+        assert on_dominant_face(law, [[0.0, 0.0]])[0]
+        assert on_dominant_face(law, [[0.5, 0.5]])[0]
         # in the region but above the face
-        assert not on_dominant_face(
-            law, RateFronthaulPoint(np.array([0.5]), np.array([1.0]))
-        )
+        assert not on_dominant_face(law, [[0.5, 1.0]])[0]
 
     def test_face_gap_sign(self):
         law = build_uplink_joint(identity_chain_spec())
-        assert face_gap(law, RateFronthaulPoint(np.array([0.5]), np.array([1.0]))) == pytest.approx(0.5)
+        assert face_gap(law, [[0.5, 1.0]])[0] == pytest.approx(0.5)
 
     def test_all_corners_on_face(self, rng):
         for _ in range(3):
             law = build_uplink_joint(random_uplink_spec(rng))
             for v in enumerate_corners(law).vertices:
-                assert on_dominant_face(law, v, tol=1e-8)
+                assert on_dominant_face(law, v[None], tol=1e-8)[0]
 
     def test_descriptions_agree(self, rng):
         """Both face descriptions classify 500 mixed points identically."""
         law = build_uplink_joint(k2l2_bsc_spec())
         pts = list(enumerate_corners(law).vertices)
-        pts += sample_face_points(law, 250, rng)
-        mat = np.array([v.as_vector() for v in pts[:4]])
+        pts += list(sample_face_points(law, 250, rng))
+        mat = np.array(pts[:4])
         lo, hi = mat.min(axis=0) - 0.25, mat.max(axis=0) + 0.25
         for _ in range(250):
-            pts.append(RateFronthaulPoint.from_vector(rng.uniform(lo, hi), 2, 2))
+            pts.append(rng.uniform(lo, hi))
         for p in pts:
-            assert on_dominant_face(law, p) == on_dominant_face_alt(law, p)
+            assert on_dominant_face(law, p[None])[0] == on_dominant_face_alt(law, p[None])[0]
 
 
 class TestFaceFST:
@@ -82,7 +79,7 @@ class TestFaceFST:
         found_any = False
         for q in admissible_queries(2, 2):
             for v in enumerate_corners(law).vertices:
-                if in_face_FST(law, v, q):
+                if in_face_FST(law, v[None], q)[0]:
                     found_any = True
         assert found_any
 
@@ -97,16 +94,15 @@ class TestFaceFST:
         law = build_uplink_joint(k2l2_bsc_spec())
         q = FaceQuery(frozenset({1}), frozenset({1}))
         corners = [
-            v for v in enumerate_corners(law).vertices if in_face_FST(law, v, q)
+            v for v in enumerate_corners(law).vertices if in_face_FST(law, v[None], q)[0]
         ]
         assert corners
-        v = corners[0].as_vector()
-        v[0] += 0.1  # raise R_1 without compensating
-        bad = RateFronthaulPoint.from_vector(v, 2, 2)
+        bad = corners[0].copy()[None]
+        bad[0, 0] += 0.1  # raise R_1 without compensating
         assert not (
-            in_sub_face_DST(law, bad, q)
-            and in_sub_face_cond(law, bad, q)
-            and in_face_FST(law, bad, q)
+            in_sub_face_DST(law, bad, q)[0]
+            and in_sub_face_cond(law, bad, q)[0]
+            and in_face_FST(law, bad, q)[0]
         )
 
 

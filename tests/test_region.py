@@ -1,5 +1,5 @@
 """The matrix form of the regions (`uplink.Region`) against scalar loops,
-stacked predicates against per-point calls, the per-law cache of regions
+stacked predicates against scalar references, the per-law cache of regions
 and enumerations, law equality, and overflowing points."""
 
 import csv
@@ -15,7 +15,6 @@ import pytest
 from cranregions import (
     FaceQuery,
     JointLaw,
-    RateFronthaulPoint,
     build_downlink_joint,
     build_uplink_joint,
     check_face_decomposition,
@@ -39,6 +38,7 @@ from cranregions.prob import ACTIVE_TOL, FACE_TOL, MEMBERSHIP_TOL, NEGATIVE_RATE
 from cranregions.uplink import (
     STACK_CHUNK,
     _row_rank,
+    capacity_minus_rate,
     check_corner,
     coord_labels,
     jd_region,
@@ -68,11 +68,9 @@ def _case(direction, K, L):
 
 
 def _box_points(enum, n, rng):
-    mat = np.array([p.as_vector() for p in enum.vertices])
-    K = len(enum.vertices[0].R)
+    mat = enum.vertices
     lo, hi = mat.min(axis=0) - 0.25, mat.max(axis=0) + 0.25
-    return [RateFronthaulPoint.from_vector(rng.uniform(lo, hi), K, len(lo) - K)
-            for _ in range(n)]
+    return [rng.uniform(lo, hi) for _ in range(n)]
 
 
 def _pairs(K, L):
@@ -82,7 +80,7 @@ def _pairs(K, L):
 def scalar_min_slack(law, slack, point):
     """Reference: the first (S, T) pair of least slack, one slack call per pair."""
     best, arg = math.inf, None
-    for S, T in _pairs(len(point.R), len(point.C)):
+    for S, T in _pairs(*law.built[1:]):
         s = slack(law, point, S, T)
         if s < best:
             best, arg = s, (set(S), set(T))
@@ -91,7 +89,7 @@ def scalar_min_slack(law, slack, point):
 
 def scalar_check_corner(law, slack, point):
     """Reference: (in_region, rank, is_corner, negative_coords), one slack call per pair."""
-    K, L = len(point.R), len(point.C)
+    _, K, L = law.built
     normals, lowest = [], math.inf
     for S, T in _pairs(K, L):
         s = slack(law, point, S, T)
@@ -103,8 +101,7 @@ def scalar_check_corner(law, slack, point):
             normals.append(n)
     rank = _row_rank(normals)
     in_region = lowest >= -MEMBERSHIP_TOL
-    negative = tuple(lab for lab, v in zip(coord_labels(K, L), point.as_vector())
-                     if v < -NEGATIVE_RATE_TOL)
+    negative = tuple(lab for lab, v in zip(coord_labels(K, L), point) if v < -NEGATIVE_RATE_TOL)
     return in_region, rank, in_region and rank >= K + L, negative
 
 
@@ -112,14 +109,14 @@ def scalar_check_corner(law, slack, point):
 def test_min_slack_matches_scalar_loop(direction, K, L):
     law, region, slack, enum, rng = _case(direction, K, L)
     for point in _box_points(enum, 50, rng):
-        s = region.slacks(point)
+        s = region.slacks(point[None])[0]  # one point, as a stack of one
         i = int(np.argmin(s))
         best, arg = s[i], tuple(set(x) for x in region.pairs[i])
         ref_best, ref_arg = scalar_min_slack(law, slack, point)
         assert best == pytest.approx(ref_best, abs=1e-12)
         assert arg == ref_arg
     # a stack of more than two chunks: each chunk's answers land in their own places
-    mat = np.array([p.as_vector() for p in enum.vertices])
+    mat = enum.vertices
     stack = rng.uniform(mat.min(axis=0) - 0.25, mat.max(axis=0) + 0.25,
                         size=(2 * STACK_CHUNK + 1, K + L))
     inside = region.contains(stack, MEMBERSHIP_TOL)
@@ -130,15 +127,12 @@ def test_min_slack_matches_scalar_loop(direction, K, L):
 @pytest.mark.parametrize("direction, K, L", CASES)
 def test_check_corner_matches_scalar_loop(direction, K, L):
     law, region, slack, enum, rng = _case(direction, K, L)
-    points = ([RateFronthaulPoint.from_vector(x, K, L) for x in enum.points]
-              + _box_points(enum, 50, rng))
-    outcomes = set()
-    for point in points:
-        rep = check_corner(region, point)
-        got = (rep.in_region, rep.rank, rep.is_corner, rep.negative_coords)
-        assert got == scalar_check_corner(law, slack, point)
-        outcomes.add(rep.is_corner)
-    assert outcomes == {True, False}
+    points = list(enum.points) + _box_points(enum, 50, rng)
+    rep = check_corner(region, np.array(points))
+    got = list(zip(rep.in_region.tolist(), rep.rank.tolist(), rep.is_corner.tolist(),
+                   rep.negative_coords))
+    assert got == [scalar_check_corner(law, slack, point) for point in points]
+    assert set(rep.is_corner.tolist()) == {True, False}
 
 
 # --- the two-sided face families, with their bound formulas written out again ---
@@ -156,11 +150,11 @@ def _yhs(idx):
     return [f"Yh{l}" for l in sorted(idx)]
 
 
-def scalar_within_bounds(point, users, relays, bounds, tol):
+def scalar_within_bounds(point, K, users, relays, bounds, tol):
     for A in subsets(users):
         for B in subsets(relays):
             A_, B_ = set(A), set(B)
-            gap = point.c_sum(B_) - point.r_sum(A_)
+            gap = capacity_minus_rate(point, K, A_, B_)
             lb, ub = bounds(A_, B_)
             if gap < lb - tol or gap > ub + tol:
                 return False
@@ -173,7 +167,7 @@ def scalar_alt(law, K, L, point):
         lb = mutual_info(law, _ys(T), _yhs(T), _xs(range(1, K + 1))) - mutual_info(
             law, _xs(S), _yhs(Tc), _xs(Sc))
         return lb, mutual_info(law, _ys(T), _yhs(T), _xs(S))
-    return scalar_within_bounds(point, range(1, K + 1), range(1, L + 1), bounds,
+    return scalar_within_bounds(point, K, range(1, K + 1), range(1, L + 1), bounds,
                                 MEMBERSHIP_TOL)
 
 
@@ -184,7 +178,7 @@ def scalar_sub_face_DST(law, q, point):
         lb = mutual_info(law, _ys(B), _yhs(B), _xs(S) + _yhs(T - B)) - mutual_info(
             law, _xs(A), _yhs(T - B), _xs(S - A))
         return lb, mutual_info(law, _ys(B), _yhs(B), _xs(A))
-    return scalar_within_bounds(point, S, T, bounds, FACE_TOL)
+    return scalar_within_bounds(point, law.built[1], S, T, bounds, FACE_TOL)
 
 
 def scalar_sub_face_cond(law, K, L, q, point):
@@ -197,7 +191,7 @@ def scalar_sub_face_cond(law, K, L, q, point):
         ub = mutual_info(law, _ys(B), _yhs(B), _xs(A | S) + _yhs(T)) - mutual_info(
             law, _xs(A), _yhs(T), _xs(S))
         return lb, ub
-    return scalar_within_bounds(point, Sc, Tc, bounds, FACE_TOL)
+    return scalar_within_bounds(point, K, Sc, Tc, bounds, FACE_TOL)
 
 
 def _queries(K, L):
@@ -208,26 +202,41 @@ def _queries(K, L):
 
 def scalar_in_face_FST(law, q, point):
     cap = mutual_info(law, _ys(q.T), _yhs(q.T), _xs(q.S))
-    return (on_dominant_face(law, point, FACE_TOL)
-            and abs(point.c_sum(q.T) - point.r_sum(q.S) - cap) <= FACE_TOL)
+    return bool(on_dominant_face(law, point[None], FACE_TOL)[0]
+                and abs(capacity_minus_rate(point, law.built[1], q.S, q.T) - cap) <= FACE_TOL)
+
+
+def scalar_member(law, slack, point):
+    """Reference: region membership, one slack call per pair."""
+    return scalar_min_slack(law, slack, point)[0] >= -MEMBERSHIP_TOL
+
+
+def scalar_on_dominant_face(law, point):
+    """Reference: a joint-decoding member with no slack on the ([K], [L]) pair."""
+    _, K, L = law.built
+    return scalar_member(law, jd_slack, point) and abs(
+        jd_slack(law, point, range(1, K + 1), range(1, L + 1))) <= MEMBERSHIP_TOL
 
 
 def per_point_face_decomposition(law, q, samples, seed, tol=FACE_TOL):
-    """Reference: `check_face_decomposition` with one predicate call per point."""
+    """Reference: `check_face_decomposition` with one predicate call per point,
+    on a stack of one."""
     K, L = law.dims("uplink")
     q.validate(K, L)
     rng = np.random.default_rng(seed)
-    face_corners = [v for v in enumerate_corners(law).vertices if df.in_face_FST(law, v, q, tol)]
+    face_corners = [v for v in enumerate_corners(law).vertices
+                    if df.in_face_FST(law, v[None], q, tol)[0]]
     if not face_corners:
         return FaceDecompositionReport(0, 0)
-    mat = np.array([v.as_vector() for v in face_corners])
+    mat = np.array(face_corners)
     points = list(face_corners)
     for _ in range(samples):
         w = rng.dirichlet(np.ones(len(face_corners)))
-        points.append(RateFronthaulPoint.from_vector(w @ mat, K, L))
+        points.append(w @ mat)
     forward_failures = 0
     for p in points:
-        if not (df.in_sub_face_DST(law, p, q, tol) and df.in_sub_face_cond(law, p, q, tol)):
+        if not (df.in_sub_face_DST(law, p[None], q, tol)[0]
+                and df.in_sub_face_cond(law, p[None], q, tol)[0]):
             forward_failures += 1
     mask = q.mask(K, L)
     converse_failures = 0
@@ -235,43 +244,42 @@ def per_point_face_decomposition(law, q, samples, seed, tol=FACE_TOL):
         w1 = rng.dirichlet(np.ones(len(face_corners)))
         w2 = rng.dirichlet(np.ones(len(face_corners)))
         vec = np.where(mask, w1 @ mat, w2 @ mat)
-        if not df.in_face_FST(law, RateFronthaulPoint.from_vector(vec, K, L), q, tol):
+        if not df.in_face_FST(law, vec[None], q, tol)[0]:
             converse_failures += 1
     return FaceDecompositionReport(forward_failures, converse_failures)
 
 
 def assert_stacked_matches(predicate, points, per_point):
     """One call on the stacked points gives the per-point list, as numpy bools."""
-    got = predicate(np.array([p.as_vector() for p in points]))
+    got = predicate(np.array(points))
     assert got.dtype == bool and got.tolist() == per_point
 
 
 @pytest.mark.parametrize("K, L", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)])
 def test_face_families_match_scalar_loops(K, L):
     law, _, _, enum, rng = _case("uplink", K, L)
-    points = (list(enum.vertices) + sample_face_points(law, 20, rng)
+    points = (list(enum.vertices) + list(sample_face_points(law, 20, rng))
               + _box_points(enum, 20, rng))
-    alt = [on_dominant_face_alt(law, p) for p in points]
-    assert alt == [scalar_alt(law, K, L, p) for p in points]
+    alt = [scalar_alt(law, K, L, p) for p in points]
     assert set(alt) == {True, False}
     assert_stacked_matches(lambda x: on_dominant_face_alt(law, x), points, alt)
-    for member in (in_jd_region, on_dominant_face):
-        assert_stacked_matches(lambda x: member(law, x), points, [member(law, p) for p in points])
+    assert_stacked_matches(lambda x: in_jd_region(law, x), points,
+                           [scalar_member(law, jd_slack, p) for p in points])
+    assert_stacked_matches(lambda x: on_dominant_face(law, x), points,
+                           [scalar_on_dominant_face(law, p) for p in points])
     down, _, _, down_enum, _ = _case("downlink", K, L)
     down_points = list(down_enum.vertices) + _box_points(down_enum, 20, rng)
     assert_stacked_matches(lambda x: in_je_region(down, x), down_points,
-                           [in_je_region(down, p) for p in down_points])
+                           [scalar_member(down, je_slack, p) for p in down_points])
     sub, fst = [], set()
     for q in _queries(K, L):
-        for p in points:
-            sub.append(in_sub_face_DST(law, p, q))
-            assert sub[-1] == scalar_sub_face_DST(law, q, p)
-            sub.append(in_sub_face_cond(law, p, q))
-            assert sub[-1] == scalar_sub_face_cond(law, K, L, q, p)
-        for predicate in (in_sub_face_DST, in_sub_face_cond, in_face_FST):
-            per_point = [predicate(law, p, q) for p in points]
-            assert_stacked_matches(lambda x: predicate(law, x, q), points, per_point)
-        assert per_point == [scalar_in_face_FST(law, q, p) for p in points]  # in_face_FST's
+        dst = [scalar_sub_face_DST(law, q, p) for p in points]
+        cond = [scalar_sub_face_cond(law, K, L, q, p) for p in points]
+        per_point = [scalar_in_face_FST(law, q, p) for p in points]
+        for predicate, ref in ((in_sub_face_DST, dst), (in_sub_face_cond, cond),
+                               (in_face_FST, per_point)):
+            assert_stacked_matches(lambda x: predicate(law, x, q), points, ref)
+        sub += dst + cond
         fst.update(per_point)
         for samples in (20, 200):
             assert check_face_decomposition(law, q, samples, seed=0) == (
@@ -287,14 +295,14 @@ def test_face_decomposition_draws_the_reference_points(monkeypatch):
     # the middle half between two middle distinct vertex values: no corner, and no
     # point of a face on which the coordinate is constant, comes near its edges
     bands = []
-    for column in np.array([v.as_vector() for v in enumerate_corners(law).vertices]).T:
+    for column in enumerate_corners(law).vertices.T:
         values = np.unique(np.round(column, 9))
         lo, hi = values[len(values) // 2 - 1], values[len(values) // 2]
         bands.append((lo + (hi - lo) / 4, hi - (hi - lo) / 4))
 
     def rejecting(predicate, i):
         def patched(law, x, q, tol=FACE_TOL):
-            xi = x.as_vector()[i] if isinstance(x, RateFronthaulPoint) else x[:, i]
+            xi = x[:, i]
             return predicate(law, x, q, tol) & ~((bands[i][0] < xi) & (xi < bands[i][1]))
         return patched
 
@@ -324,7 +332,7 @@ def test_laws_share_no_cached_structure():
     b = build_uplink_joint(product_spec())
     for law in (a, b):
         enumerate_corners(law)
-        on_dominant_face_alt(law, enumerate_corners(law).vertices[0])
+        on_dominant_face_alt(law, enumerate_corners(law).vertices[:1])
         jd_region(law)
     assert a._memo is not b._memo
     assert not {id(v) for v in a._memo.values()} & {id(v) for v in b._memo.values()}

@@ -24,6 +24,7 @@ from cranregions import (
 )
 from cranregions import downlink as dl
 from cranregions import face as df
+from cranregions import prob
 from cranregions import splitting as sp
 from cranregions import suites
 from cranregions import uplink as ul
@@ -73,7 +74,7 @@ def loop_greedy(slack, perm, K, L):
     vec = np.zeros(K + L)
     for k, c in enumerate(perm, start=1):
         I, J = prefix_sets(perm, k, K)
-        point = RateFronthaulPoint.from_vector(vec.copy(), K, L)
+        point = vec.copy()
         if c < K:
             vec[c] = slack(point, I | {c + 1}, J)
         else:
@@ -160,36 +161,40 @@ def loop_telescope(spec, seed, samples):
     alphas, worst, on_face = [], 0.0, True
     for _ in range(samples):
         alpha = rng.uniform(0.0, 1.0, size=spec.K + spec.L - 1)
-        point = sp.psi(spec, alpha)
+        point = sp.psi(spec, alpha).as_vector()
         gap = ul.jd_slack(law, point, range(1, spec.K + 1), range(1, spec.L + 1))
         worst = max(worst, abs(gap))
-        on_face = on_face and bool(df.on_dominant_face(law, point, tol=FACE_TOL))
+        on_face = on_face and bool(df.on_dominant_face(law, point[None], tol=FACE_TOL)[0])
         alphas.append(alpha)
     return np.array(alphas), worst, on_face
 
 
 def add_at_merge(vc):
-    """Reference: the pushforward through the merge maps by one np.add.at."""
-    grid = dict(zip(vc.joint.names, np.indices(vc.joint.probs.shape)))
+    """Reference: the pushforward through the merge maps of a one-row stack by
+    one np.add.at."""
+    (probs,) = vc.probs
+    grid = dict(zip(vc.names, np.indices(probs.shape)))
     idx = [grid["X1"]]
     idx += [np.maximum(grid[f"X{i}a"], grid[f"X{i}b"]) for i in range(2, vc.K + 1)]
     idx += [grid[f"Y{l}"] for l in range(1, vc.L + 1)]
     idx += [np.maximum(grid[f"Yh{l}c"], grid[f"Yh{l}d"]) for l in range(1, vc.L + 1)]
     out = np.zeros((2,) * (vc.K + 2 * vc.L))
-    np.add.at(out, tuple(idx), vc.joint.probs)
+    np.add.at(out, tuple(idx), probs)
     return out
 
 
 def name_beta_rates(vc, config):
-    """Reference: each rate as a mutual information of named virtual variables."""
-    betas, decoded = {}, []
+    """Reference: each rate as a mutual information of named virtual variables,
+    in the law of a one-row stack."""
+    (probs,) = vc.probs
+    law, betas, decoded = JointLaw(vc.names, probs), {}, []
     for lab in config.order:
         if lab == "1" or lab[-1] in "ab":
             var = f"X{lab}"
-            betas[lab] = mutual_info(vc.joint, [var], decoded)
+            betas[lab] = mutual_info(law, [var], decoded)
         else:
             var = f"Yh{lab}"
-            betas[lab] = mutual_info(vc.joint, [f"Y{lab[:-1]}"], [var], decoded)
+            betas[lab] = mutual_info(law, [f"Y{lab[:-1]}"], [var], decoded)
         decoded.append(var)
     return betas
 
@@ -257,7 +262,8 @@ def loop_psi(spec, alphas):
         return loop_beta_rates(loop_build_virtual_cran(spec, config), config, spec.K, spec.L)[1]
 
     if np.ndim(alphas) < 2:
-        return RateFronthaulPoint.from_vector(one(alphas), spec.K, spec.L)
+        point = one(alphas)
+        return RateFronthaulPoint(point[:spec.K], point[spec.K:])
     return np.reshape([one(a) for a in alphas], (len(alphas), spec.K + spec.L))
 
 
@@ -382,6 +388,29 @@ def test_successive_table_matches_per_order_loop(direction, case):
     assert suite(spec)[1]["max_deviation"] == float(np.max(np.abs(ref - greedy)))
 
 
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+def test_suites_share_one_greedy_pass_per_law(direction, monkeypatch):
+    """lemma1 and thm1 (lemma7 and thm3) read the greedy corners of one pass per
+    law, also when the corner function is replaced by another wrapper between the
+    suites, as a tracer does."""
+    spec = _spec(direction, (2, 3))
+    module, name, pair = ((ul, "corner_iterative", ["lemma1", "thm1"]) if direction == "uplink"
+                          else (dl, "downlink_corner_iterative", ["lemma7", "thm3"]))
+    calls, iterative = [], getattr(module, name)
+
+    def counted(law, orders):
+        calls.append(len(orders))
+        return iterative(law, orders)
+
+    monkeypatch.setattr(module, name, counted)
+    ok, results = suites.run_suites(spec, pair[:1])
+    monkeypatch.setattr(module, name, lambda law, orders: counted(law, orders))
+    ok2, results2 = suites.run_suites(spec, pair[1:])
+    assert calls == [120] and ok and ok2
+    fresh = _spec(direction, (2, 3))
+    assert suites.run_suites(fresh, pair) == (True, {**results, **results2})
+
+
 @pytest.mark.parametrize("case", UPLINK, ids=_ids)
 def test_sub_face_regions_match_their_own_formulas(case):
     spec = _spec("uplink", case)
@@ -484,15 +513,22 @@ def test_telescope_matches_scalar_loop(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", UPLINK, ids=_ids)
-def test_merge_and_rates_match_name_based(case):
+def test_merge_and_rates_match_name_based(case, monkeypatch):
     spec = _spec("uplink", case)
     rng = np.random.default_rng(9)
+
+    def refuse(*args):
+        raise AssertionError("beta_rates reads the tensor, not named entropies")
+
     for alpha in rng.uniform(0.0, 1.0, size=(6, spec.K + spec.L - 1)):
         config = sp.decode_order_from_alpha(spec.K, spec.L, alpha)
-        vc = sp.build_virtual_cran(spec, config)
+        vc = sp.build_virtual_cran(spec, [config])
         assert np.max(np.abs(vc.merged_joint() - add_at_merge(vc))) <= 1e-13
-        betas, point = sp.beta_rates(vc, config)
-        assert not vc.joint._entropy_cache  # the virtual law stays lazy
+        with monkeypatch.context() as m:  # the virtual law stays lazy
+            for module in (prob, sp):
+                for name in ("entropy", "mutual_info"):
+                    m.setattr(module, name, refuse, raising=module is prob)
+            (betas,), _ = sp.beta_rates(vc, [config])
         ref = name_beta_rates(vc, config)
         assert betas.keys() == ref.keys()
         assert max(abs(betas[k] - ref[k]) for k in ref) <= 1e-13
@@ -552,7 +588,7 @@ def _inversion_targets(case):
     if count == 2:
         vecs += [np.round(loop_psi(spec, a).as_vector(), 9)
                  for a in rng.uniform(size=(2, spec.K + spec.L - 1))]
-    return spec, [RateFronthaulPoint.from_vector(v, spec.K, spec.L) for v in vecs]
+    return spec, vecs
 
 
 @pytest.mark.parametrize("case", ["c10 identity", "c10 random", (2, 2), (1, 3), (3, 1), (3, 2),

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from cranregions import (
-    RateFronthaulPoint,
     corner_closed,
     corner_iterative,
     enumerate_corners,
@@ -19,7 +18,7 @@ from cranregions import (
     verify_corner,
 )
 from cranregions.prob import build_uplink_joint
-from cranregions.uplink import build_region, greedy_corner, solve_perms
+from cranregions.uplink import build_region, capacity_minus_rate, greedy_corner, solve_perms
 
 from conftest import (
     bsc,
@@ -35,33 +34,33 @@ class TestSlack:
     def test_bsc_chain_oracle(self):
         """Origin violates the fronthaul constraint by exactly the conditional MI."""
         law = build_uplink_joint(bsc_chain_spec(0.1, 0.05))
-        origin = RateFronthaulPoint(np.zeros(1), np.zeros(1))
+        origin = np.zeros(2)
         # Y = X + Bern(0.1), Yh = Y + Bern(0.05); I(Y;Yh|X) = h2(0.14) - h2(0.05)
         expect = -(h2(0.1 * 0.95 + 0.9 * 0.05) - h2(0.05))
         assert jd_slack(law, origin, [], [1]) == pytest.approx(expect, abs=1e-12)
 
     def test_identity_chain_membership(self):
         law = build_uplink_joint(identity_chain_spec())
-        assert in_jd_region(law, RateFronthaulPoint(np.zeros(1), np.zeros(1)))
-        assert in_jd_region(law, RateFronthaulPoint(np.array([0.5]), np.array([1.0])))
+        assert in_jd_region(law, [[0.0, 0.0]])[0]
+        assert in_jd_region(law, [[0.5, 1.0]])[0]
         # rate exceeding fronthaul is infeasible
-        assert not in_jd_region(law, RateFronthaulPoint(np.array([1.5]), np.array([1.0])))
+        assert not in_jd_region(law, [[1.5, 1.0]])[0]
 
 class TestGreedyCorner:
     """The greedy core on a modular slack, with no entropies involved."""
 
     def test_modular_slack_gives_its_own_point_for_every_order(self):
         # f(S, T) = c*(T) - r*(S); dyadic values keep every sum exact
-        star = RateFronthaulPoint(np.array([0.5, 0.25]), np.array([1.0, 0.75]))
+        star = np.array([0.5, 0.25, 1.0, 0.75])
 
         def f(S, T):
-            return star.c_sum(T) - star.r_sum(S)
+            return capacity_minus_rate(star, 2, S, T)
 
         region = build_region(2, 2, range(1, 3), range(1, 3), lambda S, T: (f(S, T), np.inf))
         terms = np.array([[-f(S, T)] for S, T in region.pairs])
         perms = solve_perms(2, 2)
         corners = greedy_corner(region, terms, perms)
-        assert corners.tolist() == [star.as_vector().tolist()] * len(perms)
+        assert corners.tolist() == [star.tolist()] * len(perms)
 
 
 class TestCornerEquivalence:
@@ -122,20 +121,20 @@ class TestVerifyCorner:
     def test_corners_verify(self, rng):
         law = build_uplink_joint(random_uplink_spec(rng))
         for vec in enumerate_corners(law).points:
-            rep = verify_corner(law, RateFronthaulPoint.from_vector(vec, 2, 2))
-            assert rep.in_region
-            assert rep.rank >= 4
-            assert rep.is_corner
+            rep = verify_corner(law, vec[None])  # one point, as a stack of one
+            assert rep.in_region[0]
+            assert rep.rank[0] >= 4
+            assert rep.is_corner[0]
 
     def test_interior_point_is_not_corner(self):
         law = build_uplink_joint(identity_chain_spec())
-        rep = verify_corner(law, RateFronthaulPoint(np.array([0.25]), np.array([1.5])))
-        assert rep.in_region and not rep.is_corner
+        rep = verify_corner(law, [[0.25, 1.5]])
+        assert rep.in_region[0] and not rep.is_corner[0]
 
     def test_outside_point_flagged(self):
         law = build_uplink_joint(identity_chain_spec())
-        rep = verify_corner(law, RateFronthaulPoint(np.array([2.0]), np.array([0.0])))
-        assert not rep.in_region and not rep.is_corner
+        rep = verify_corner(law, [[2.0, 0.0]])
+        assert not rep.in_region[0] and not rep.is_corner[0]
 
 
 class TestEnumeration:
@@ -148,7 +147,7 @@ class TestEnumeration:
     def test_identity_chain_two_vertices(self):
         law = build_uplink_joint(identity_chain_spec())
         enum = enumerate_corners(law)
-        vs = sorted(tuple(v.as_vector()) for v in enum.vertices)
+        vs = sorted(tuple(v) for v in enum.vertices)
         assert vs == [(0.0, 0.0), (1.0, 1.0)]
 
     def test_useless_test_channel_collapses_vertices(self):
@@ -165,7 +164,7 @@ class TestEnumeration:
         law = build_uplink_joint(spec)
         enum = enumerate_corners(law)
         assert len(enum.vertices) == 1
-        assert enum.vertices[0].as_vector() == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert enum.vertices[0] == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_guard_on_large_networks(self, rng):
         law = build_uplink_joint(random_uplink_spec(rng, K=2, L=2))
