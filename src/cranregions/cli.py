@@ -167,7 +167,7 @@ def cmd_corners(args) -> int:
         enum = enumerate_corners(dedup_tol=args.dedup_tol)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    is_corner = verify(enum.points).is_corner.tolist()  # one batched check of every corner
+    is_corner = verify(enum.points, enum.perms).is_corner.tolist()  # certified by their orders
     all_ok = all(is_corner)
     perms = enum.order_labels
     points = np.round(enum.points, 12).tolist()

@@ -137,9 +137,11 @@ def downlink_corner_closed(law: JointLaw, orders):
     return se_corner(law, orders)
 
 
-def verify_downlink_corner(law: JointLaw, points) -> CornerReport:
-    """Corner-hood of each point of an (n, K+L) stack in the joint-encoding region."""
-    return check_corner(je_region(law), points)
+def verify_downlink_corner(law: JointLaw, points, orders=None) -> CornerReport:
+    """Corner-hood of each point of an (n, K+L) stack in the joint-encoding
+    region; `orders`, the points' solve orders if given, certify the corners
+    (see `uplink.check_corner`)."""
+    return check_corner(je_region(law), points, orders)
 
 
 def downlink_enumerate_corners(

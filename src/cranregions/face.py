@@ -9,14 +9,19 @@ decomposition into sub-face factors, and the degeneracy/dimension
 predicates that detect when the network factors into independent
 sub-networks.
 
-All sub-face predicates are evaluated as conditional mutual informations
-on the single master joint law; the marginal channels of the two
-sub-problems are never materialized.  D_{S,T} and D_{S^c,T^c | S,T} are the
-faces of the (S, T) sub-network and of the (S^c, T^c) one that sees X_S, Yh_T
-(`_sub_face`).  The two-sided bounds of a predicate form one `Region`, built
-once per law and query (`JointLaw.memo`).  Every predicate takes an
-(n, K+L) stack of points and gives one bool per point, from one product per
-region and STACK_CHUNK points; a single point is a stack of one.
+Every bound here is a signed sum of entropies of variable subsets, so the
+bounds are built per law as gathers of conditional mutual informations
+on variable bitmasks over the single master joint law (`prob.mutual_infos`,
+which reads each subset's entropy once through the law's one cache):
+`face_bounds` holds the two-sided rows of `on_dominant_face_alt`, the cap
+row of every admissible query (S, T) and the two cross informations of
+`degeneracy_condition`, all over the entropies of the alt rows, and
+`sub_face_bounds` the two sub-faces of every admissible query.  The
+marginal channels of the two sub-problems are never materialized.
+D_{S,T} and D_{S^c,T^c | S,T} are the faces of the (S, T) sub-network and
+of the (S^c, T^c) one that sees X_S, Yh_T.  Every predicate takes an
+(n, K+L) stack of points and gives one bool per point, from one product
+per region and STACK_CHUNK points; a single point is a stack of one.
 """
 
 from __future__ import annotations
@@ -30,19 +35,17 @@ from .prob import (
     MEMBERSHIP_TOL,
     MI_ZERO_TOL,
     JointLaw,
-    mutual_info,
-    x_names,
-    y_names,
-    yh_names,
+    mutual_infos,
+    subsets,
 )
 from .uplink import (
     Region,
     _row_rank,
-    build_region,
     dedup_index,
     enumerate_corners,
     in_jd_region,
     jd_region,
+    region_rows,
 )
 
 
@@ -71,6 +74,14 @@ class FaceQuery:
         m[[i - 1 for i in self.S]] = True
         m[[K + j - 1 for j in self.T]] = True
         return m
+
+
+def admissible_queries(K: int, L: int):
+    """Every (S, T) with S u T and S^c u T^c nonempty."""
+    for S in subsets(range(1, K + 1)):
+        for T in subsets(range(1, L + 1)):
+            if 0 < len(S) + len(T) < K + L:
+                yield FaceQuery(S, T)
 
 
 def _face_row(law: JointLaw) -> Region:
@@ -104,57 +115,19 @@ def on_dominant_face_alt(law: JointLaw, points, tol: float = MEMBERSHIP_TOL):
     I(Y_T;Yh_T|X_[K]) - I(X_S;Yh_{T^c}|X_{S^c}) and I(Y_T;Yh_T|X_S).
     Agrees with `on_dominant_face` everywhere (verified numerically).
     """
-    K, L = law.dims("uplink")
-    allx = x_names(range(1, K + 1))
-
-    def bounds(S, T):
-        Sc = set(range(1, K + 1)) - S
-        Tc = set(range(1, L + 1)) - T
-        lb = mutual_info(law, y_names(T), yh_names(T), allx) - mutual_info(
-            law, x_names(S), yh_names(Tc), x_names(Sc)
-        )
-        return lb, mutual_info(law, y_names(T), yh_names(T), x_names(S))
-
-    region = law.memo("alt", lambda: build_region(K, L, range(1, K + 1), range(1, L + 1), bounds))
-    return region.contains(points, tol)
+    return face_bounds(law)["alt"].contains(points, tol)
 
 
 def _cap_row(law: JointLaw, q: FaceQuery) -> Region:
     """C(T) - R(S) at its cap: one row with lb = ub = I(Y_T; Yh_T | X_S)."""
-    K, L = law.dims("uplink")
-    q.validate(K, L)
-
-    def build():
-        normal = q.mask(K, L) * np.repeat([-1.0, 1.0], [K, L])
-        cap = np.array([mutual_info(law, y_names(q.T), yh_names(q.T), x_names(q.S))])
-        return Region(((q.S, q.T),), normal[None], cap, cap)
-
-    return law.memo(("cap", q), build)
+    q.validate(*law.dims("uplink"))
+    return face_bounds(law)[("cap", q)]
 
 
 def in_face_FST(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
     """Membership in F_{S,T}: on the dominant face with C(T) - R(S) at its cap."""
     cap = _cap_row(law, q)
     return on_dominant_face(law, points, tol) & cap.contains(points, tol)
-
-
-def _sub_face(law: JointLaw, users, relays, zs=frozenset(), zt=frozenset()) -> Region:
-    """The dominant face of the sub-network of `users` and `relays` whose decoder
-    sees X_zs and Yh_zt.  For A in `users` and B in `relays`, C(B) - R(A) lies
-    between I(Y_B; Yh_B | X_{users+zs}, Yh_{relays-B+zt})
-    - I(X_A; Yh_{relays-B+zt} | X_{users-A+zs}) and
-    I(Y_B; Yh_B | X_{A+zs}, Yh_zt) - I(X_A; Yh_zt | X_zs)."""
-    K, L = law.dims("uplink")
-    x_all, x_z, yh_z = x_names(users | zs), x_names(zs), yh_names(zt)
-
-    def bounds(A, B):
-        side = yh_names((relays - B) | zt)
-        lb = mutual_info(law, y_names(B), yh_names(B), x_all + side) - mutual_info(
-            law, x_names(A), side, x_names((users - A) | zs))
-        ub = mutual_info(law, y_names(B), yh_names(B), x_names(A | zs) + yh_z)
-        return lb, ub - mutual_info(law, x_names(A), yh_z, x_z)
-
-    return build_region(K, L, users, relays, bounds)
 
 
 def in_sub_face_DST(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
@@ -164,7 +137,7 @@ def in_sub_face_DST(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
     Only the R_S and C_T coordinates of `points` are read.
     """
     q.validate(*law.dims("uplink"))
-    return law.memo(("DST", q), lambda: _sub_face(law, q.S, q.T)).contains(points, tol)
+    return sub_face_bounds(law)[("DST", q)].contains(points, tol)
 
 
 def in_sub_face_cond(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
@@ -173,10 +146,107 @@ def in_sub_face_cond(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL)
     The conditional sub-problem sees (X_S, Yh_T) as decoder side
     information; only the R_{S^c} and C_{T^c} coordinates are read.
     """
+    q.validate(*law.dims("uplink"))
+    return sub_face_bounds(law)[("cond", q)].contains(points, tol)
+
+
+def face_bounds(law: JointLaw) -> dict:
+    """The bounds of the faces, built once per law from one gather
+    (`_gather`): the region of `on_dominant_face_alt` under "alt" and, for
+    each admissible query q, the cap row ("cap", q) and the two cross
+    informations ("cross", q) of `degeneracy_condition`, as Python floats.
+    All of them read the entropies of the alt rows."""
+    return law.memo("face bounds", lambda: _face_bounds(law))
+
+
+def sub_face_bounds(law: JointLaw) -> dict:
+    """The regions of the sub-faces ("DST", q) and ("cond", q) of every
+    admissible query q, built once per law from one gather (`_gather`)."""
+    return law.memo("sub-face bounds", lambda: _sub_face_bounds(law))
+
+
+def _face_masks(law: JointLaw) -> tuple:
+    """The rows and queries of the face bounds of `law`, as bitmasks, built
+    once per law.
+
+    User k and relay l are bit k - 1 of a user and of a relay mask, and
+    X_k, Y_l and Yh_l are bits k - 1, K + l - 1 and K + L + l - 1 of a
+    variable mask of the law.  Returns the pairs (S, T) of the alt region,
+    their normals and user and relay masks, and the admissible queries
+    with their user and relay masks.
+    """
+    def build():
+        K, L = law.dims("uplink")
+        pairs, normals = region_rows(K, L, range(1, K + 1), range(1, L + 1))
+        S = (normals[:, :K] < 0) @ (1 << np.arange(K))
+        T = (normals[:, K:] > 0) @ (1 << np.arange(L))
+        queries = tuple(admissible_queries(K, L))
+        qs = np.array([_mask(q.S) for q in queries], dtype=np.int64)
+        qt = np.array([_mask(q.T) for q in queries], dtype=np.int64)
+        return pairs, normals, S, T, queries, qs, qt
+
+    return law.memo("face masks", build)
+
+
+def _face_bounds(law: JointLaw) -> dict:
+    """The alt rows, caps and cross informations, from one gather."""
     K, L = law.dims("uplink")
-    q.validate(K, L)
-    Sc, Tc = frozenset(range(1, K + 1)) - q.S, frozenset(range(1, L + 1)) - q.T
-    return law.memo(("cond", q), lambda: _sub_face(law, Sc, Tc, q.S, q.T)).contains(points, tol)
+    pairs, normals, S, T, queries, qs, qt = _face_masks(law)
+    users, relays = (1 << K) - 1, (1 << L) - 1
+    y, yh = K, K + L  # the shifts of Y and Yh
+    lb, cross, ub, cap, cross_a, cross_b = _gather(law, [
+        (T << y, T << yh, users), (S, (relays & ~T) << yh, users & ~S), (T << y, T << yh, S),
+        (qt << y, qt << yh, qs),
+        (qs, (relays & ~qt) << yh, users & ~qs), (users & ~qs, qt << yh, qs),
+    ])
+    out = {"alt": Region(pairs, normals, lb - cross, ub)}
+    normal = np.repeat([-1.0, 1.0], [K, L])
+    for q, level, ab in zip(queries, cap, np.column_stack([cross_a, cross_b]).tolist()):
+        level = np.array([level])
+        out["cap", q] = Region(((q.S, q.T),), (q.mask(K, L) * normal)[None], level, level)
+        out["cross", q] = tuple(ab)
+    return out
+
+
+def _sub_face_bounds(law: JointLaw) -> dict:
+    """D_{S,T} of each query, then D_{S^c,T^c | S,T} of each query: the face of
+    the sub-network of `users` and `relays` whose decoder sees X_zs and Yh_zt.
+    A sub-face keeps, in their order, the rows of the alt region whose pair
+    lies within its users and relays."""
+    K, L = law.dims("uplink")
+    pairs, normals, S, T, queries, qs, qt = _face_masks(law)
+    y, yh = K, K + L  # the shifts of Y and Yh
+    users = np.concatenate([qs, ((1 << K) - 1) & ~qs])
+    relays = np.concatenate([qt, ((1 << L) - 1) & ~qt])
+    zs, zt = np.concatenate([0 * qs, qs]), np.concatenate([0 * qt, qt])
+    face, row = np.nonzero(((S & ~users[:, None]) == 0) & ((T & ~relays[:, None]) == 0))
+    U, R, zs, zt, A, B = users[face], relays[face], zs[face], zt[face], S[row], T[row]
+    side = (R & ~B | zt) << yh
+    # For A in `users` and B in `relays`, C(B) - R(A) lies between
+    # I(Y_B; Yh_B | X_{users+zs}, Yh_{relays-B+zt}) - I(X_A; Yh_{relays-B+zt} | X_{users-A+zs})
+    # and I(Y_B; Yh_B | X_{A+zs}, Yh_zt) - I(X_A; Yh_zt | X_zs).
+    lb, lb_cross, ub, ub_cross = _gather(law, [
+        (B << y, B << yh, U | zs | side), (A, side, U & ~A | zs),
+        (B << y, B << yh, A | zs | zt << yh), (A, zt << yh, zs),
+    ])
+    keys = [("DST", q) for q in queries] + [("cond", q) for q in queries]
+    ends = np.cumsum(np.bincount(face, minlength=len(keys)))[:-1]
+    return {key: Region(tuple(pairs[r] for r in rows.tolist()), normals[rows], lo, hi)
+            for key, rows, lo, hi in zip(keys, np.split(row, ends),
+                                         np.split(lb - lb_cross, ends),
+                                         np.split(ub - ub_cross, ends))}
+
+
+def _gather(law: JointLaw, terms) -> list:
+    """I(a; b | c) for each (a, b, c) of mask arrays, from one `mutual_infos` call."""
+    terms = [np.broadcast_arrays(*(np.asarray(m, dtype=np.int64) for m in t)) for t in terms]
+    values = mutual_infos(law, *(np.concatenate([t[i] for t in terms]) for i in range(3)))
+    return np.split(values, np.cumsum([len(t[0]) for t in terms])[:-1])
+
+
+def _mask(items) -> int:
+    """The bitmask of a set of 1-based indices."""
+    return sum(1 << (i - 1) for i in items)
 
 
 def sample_face_points(law: JointLaw, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -231,14 +301,10 @@ def check_face_decomposition(
 
 
 def degeneracy_condition(law: JointLaw, q: FaceQuery) -> bool:
-    """True iff the (S, T) block decouples: both cross informations vanish."""
-    K, L = law.dims("uplink")
-    q.validate(K, L)
-    S, T = set(q.S), set(q.T)
-    Sc = set(range(1, K + 1)) - S
-    Tc = set(range(1, L + 1)) - T
-    a = mutual_info(law, x_names(S), yh_names(Tc), x_names(Sc))
-    b = mutual_info(law, x_names(Sc), yh_names(T), x_names(S))
+    """True iff the (S, T) block decouples: both cross informations
+    I(X_S; Yh_{T^c} | X_{S^c}) and I(X_{S^c}; Yh_T | X_S) vanish."""
+    q.validate(*law.dims("uplink"))
+    a, b = face_bounds(law)[("cross", q)]
     return a <= MI_ZERO_TOL and b <= MI_ZERO_TOL
 
 

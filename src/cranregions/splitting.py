@@ -466,6 +466,9 @@ def invert_psi(spec: UplinkSpec, target, tol: float = INVERT_TOL,
     keeps the bits of one psi call per column.
     """
     tvec = np.asarray(target, dtype=float)
+    if tvec.shape != (spec.K + spec.L,):
+        raise ValueError(f"target needs K+L = {spec.K + spec.L} coordinates "
+                         f"(R1..R{spec.K}, C1..C{spec.L}), got shape {tvec.shape}")
     if not on_dominant_face(spec.law, tvec[None], tol=FACE_TOL)[0]:
         raise NotOnDominantFaceError(f"target {tvec.tolist()} is not on the dominant face")
     m = 2.0 ** np.arange(1, spec.K + spec.L) - 1  # subintervals of rows 2..K+L

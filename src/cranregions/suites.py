@@ -26,14 +26,6 @@ from .prob import (
 )
 
 
-def _admissible_queries(K, L):
-    """Every (S, T) with S u T and S^c u T^c nonempty."""
-    for S in ul.subsets(range(1, K + 1)):
-        for T in ul.subsets(range(1, L + 1)):
-            if 0 < len(S) + len(T) < K + L:
-                yield df.FaceQuery(S, T)
-
-
 def _random_box_points(law, n, rng):
     """An (n, K+L) stack of random probe points in an inflated bounding box of
     the corners; the draws are those of one call per point, in order."""
@@ -64,7 +56,7 @@ def suite_lemma1(spec: UplinkSpec, seed=0, samples=100):
 def suite_lemma2(spec: UplinkSpec, seed=0, samples=100):
     law = spec.law
     enum = ul.enumerate_corners(law)
-    rep = ul.verify_corner(law, enum.points)
+    rep = ul.verify_corner(law, enum.points, enum.perms)
     failures = [o for o, ok in zip(enum.order_labels, rep.is_corner) if not ok]
     return not failures, {"n_corners": math.factorial(spec.K + spec.L), "failures": failures}
 
@@ -84,7 +76,7 @@ def suite_lemma4(spec: UplinkSpec, seed=0, samples=200):
     law = spec.law
     results = {}
     ok = True
-    for q in _admissible_queries(spec.K, spec.L):
+    for q in df.admissible_queries(spec.K, spec.L):
         rep = df.check_face_decomposition(law, q, samples=samples, seed=seed)
         key = f"S={sorted(q.S)},T={sorted(q.T)}"
         results[key] = {
@@ -99,7 +91,7 @@ def suite_lemma5(spec: UplinkSpec, seed=0, samples=100):
     law = spec.law
     results = {}
     ok = True
-    for q in _admissible_queries(spec.K, spec.L):
+    for q in df.admissible_queries(spec.K, spec.L):
         degen = df.degeneracy_condition(law, q)
         factor = df.check_degenerate_factorization(law, q)
         key = f"S={sorted(q.S)},T={sorted(q.T)}"
@@ -112,7 +104,7 @@ def suite_lemma6(spec: UplinkSpec, seed=0, samples=100):
     law = spec.law
     dim = df.dominant_face_dimension(law)
     any_degen = any(
-        df.degeneracy_condition(law, q) for q in _admissible_queries(spec.K, spec.L)
+        df.degeneracy_condition(law, q) for q in df.admissible_queries(spec.K, spec.L)
     )
     ok = any_degen == (dim < spec.K + spec.L - 1)
     return ok, {"dimension": dim, "full": spec.K + spec.L - 1, "degenerate_pair_exists": any_degen}
@@ -152,7 +144,7 @@ def suite_lemma7(spec: DownlinkSpec, seed=0, samples=100):
 def suite_lemma8(spec: DownlinkSpec, seed=0, samples=100):
     law = spec.law
     enum = dl.downlink_enumerate_corners(law)
-    rep = dl.verify_downlink_corner(law, enum.points)
+    rep = dl.verify_downlink_corner(law, enum.points, enum.perms)
     failures = [o for o, ok in zip(enum.order_labels, rep.is_corner) if not ok]
     negatives = [o for o, neg in zip(enum.order_labels, rep.negative_coords) if neg]
     return not failures, {

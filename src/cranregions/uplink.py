@@ -21,7 +21,8 @@ the two procedures genuinely disagree.
 The downlink joint-encoding region has the same form with another
 right-hand side, so the direction-free core lives here and serves both:
 a `Region` (0/+-1 normals A of the (S, T) pairs, bounds lb <= A x <= ub)
-is built once per law, `check_corner` reads corner-hood off its tight rows,
+is built once per law, `check_corner` reads corner-hood off its tight rows
+(or off the chain of a point's solve order, when it comes with one),
 `greedy_corner` solves the slack for the corners of solve orders, and
 `enumerate_orders` applies a corner procedure to every solve order.
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -156,11 +157,15 @@ class Region:
 
     def slacks(self, points) -> np.ndarray:
         """min(A x - lb, ub - A x) per row and per point of an (n, K+L) stack;
-        a NaN slack (inf - inf) reads as -inf."""
+        a NaN slack (inf - inf) reads as -inf.  Computed in place, in two
+        (points, rows) arrays: fresh large temporaries cost more than the
+        arithmetic."""
         with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates overflow
             ax = (self.A @ np.transpose(points)).T  # one product for the whole stack
-            s = np.fmin(ax - self.lb, self.ub - ax)  # fmin skips the NaN of inf - inf
-        return np.where(np.isnan(s), -np.inf, s)
+            s = ax - self.lb
+            np.fmin(s, np.subtract(self.ub, ax, out=ax), out=s)  # fmin skips the NaN of inf - inf
+        s[np.isnan(s)] = -np.inf
+        return s
 
     def contains(self, points, tol: float):
         """One bool per point of an (n, K+L) stack, STACK_CHUNK points at a time."""
@@ -170,15 +175,30 @@ class Region:
             inside[i:i + STACK_CHUNK] = self.slacks(points[i:i + STACK_CHUNK]).min(axis=1) >= -tol
         return inside
 
+    @cached_property
+    def row_of_mask(self) -> np.ndarray:
+        """The row of each (S, T) bitmask, bit c for coordinate c (R_1..R_K,
+        C_1..C_L numbered 0..K+L-1), or -1 for a mask with no row."""
+        d = self.A.shape[1]
+        row = np.full(1 << d, -1, dtype=np.intp)
+        row[(self.A != 0) @ (1 << np.arange(d))] = np.arange(len(self.A))
+        return row
 
-def build_region(K: int, L: int, users, relays, bounds) -> Region:
-    """Rows (S, T) for S a subset of `users` and T of `relays`, S outer and T
-    inner in `subsets` order; bounds(S, T) gives one row's (lb, ub), S and T as sets."""
+
+def region_rows(K: int, L: int, users, relays) -> tuple:
+    """The pairs (S, T) for S a subset of `users` and T of `relays`, S outer and
+    T inner in `subsets` order, and their (rows, K+L) normals."""
     pairs = tuple((S, T) for S in subsets(users) for T in subsets(relays))
     A = np.zeros((len(pairs), K + L))
     for row, (S, T) in zip(A, pairs):
         row[[i - 1 for i in S]] = -1.0
         row[[K + j - 1 for j in T]] = 1.0
+    return pairs, A
+
+
+def build_region(K: int, L: int, users, relays, bounds) -> Region:
+    """The rows of `region_rows`; bounds(S, T) gives one row's (lb, ub), S and T as sets."""
+    pairs, A = region_rows(K, L, users, relays)
     lb, ub = np.array([bounds(set(S), set(T)) for S, T in pairs], dtype=float).T
     return Region(pairs, A, lb, ub)
 
@@ -242,9 +262,7 @@ def greedy_corner(region: Region, terms: np.ndarray, orders):
     the one the scalar slack gives.
     """
     perms = np.asarray(orders)
-    rate, bit = (region.A < 0).any(axis=0), 1 << np.arange(perms.shape[1])
-    row = np.empty(2 * bit[-1], dtype=np.intp)  # row of each (S, T) bitmask
-    row[(region.A != 0) @ bit] = np.arange(len(region.A))
+    rate, bit, row = (region.A < 0).any(axis=0), 1 << np.arange(perms.shape[1]), region.row_of_mask
     solved = np.cumsum(1 << perms, axis=1)  # the bitmask after each step
     x = np.zeros(perms.shape)
     for k in range(perms.shape[1]):
@@ -377,41 +395,68 @@ class CornerReport:
     in_region: np.ndarray
     rank: np.ndarray
     is_corner: np.ndarray
-    negative_coords: tuple  # per point, the coordinate labels below -NEGATIVE_RATE_TOL
+    below: np.ndarray = field(repr=False)  # (n, K+L): coordinates below -NEGATIVE_RATE_TOL
+    labels: tuple = field(repr=False)  # R1..RK, C1..CL
+
+    @cached_property
+    def negative_coords(self) -> tuple:
+        """Per point, the labels of its coordinates below -NEGATIVE_RATE_TOL,
+        built on first read."""
+        negative = [()] * len(self.below)
+        for i in np.flatnonzero(self.below.any(axis=1)):
+            negative[i] = tuple(self.labels[j] for j in np.flatnonzero(self.below[i]))
+        return tuple(negative)
 
 
-def check_corner(region: Region, points) -> CornerReport:
+def check_corner(region: Region, points, orders=None) -> CornerReport:
     """Check corner-hood: region membership plus K+L independent tight constraints.
 
     A true corner needs the normals of the tight rows of A (the zero row
     of (S, T) = (empty, empty) left out) to have full rank K+L, an exact
-    integer rank.  Negative coordinates are flagged, not clamped.  An
-    (n, K+L) stack gets arrays of in_region, rank and is_corner and a tuple
-    of label tuples, from one product per STACK_CHUNK points.
+    integer rank.  A point that comes with its solve order, row i of an
+    (n, K+L) stack `orders`, is certified without elimination when its
+    chain is tight: step k of the order makes the row of the coordinates
+    solved so far tight, nonzero on perm[k] and zero on those solved later,
+    so the K+L chain rows are triangular and have rank K+L (a greedy point
+    of a polymatroid is a vertex).  The other points get the exact rank of
+    `_tight_ranks`.  Negative coordinates are flagged, not clamped.  The
+    slacks come from one product per STACK_CHUNK points.
     """
     x = np.asarray(points, dtype=float)
     n, d = x.shape
     normals = region.A.astype(np.int64)
     nonzero = region.A.any(axis=1)
+    chains = None
+    if orders is not None:
+        perms = np.asarray(orders)
+        if perms.shape != x.shape:
+            raise ValueError(f"orders of shape {perms.shape} for points of shape {x.shape}")
+        chains = region.row_of_mask[np.cumsum(1 << perms, axis=1)]  # the row of each step
     in_region = np.empty(n, dtype=bool)
     rank = np.empty(n, dtype=int)
     for i in range(0, n, STACK_CHUNK):
         s = region.slacks(x[i:i + STACK_CHUNK])
         in_region[i:i + STACK_CHUNK] = s.min(axis=1) >= -MEMBERSHIP_TOL
-        rank[i:i + STACK_CHUNK] = _tight_ranks(normals, (np.abs(s) <= ACTIVE_TOL) & nonzero)
+        tight = (np.abs(s) <= ACTIVE_TOL) & nonzero
+        certified = np.zeros(len(s), dtype=bool)
+        if chains is not None:
+            chain = chains[i:i + STACK_CHUNK]
+            certified = (chain >= 0).all(axis=1) & np.take_along_axis(
+                tight, chain, axis=1).all(axis=1)
+        part = rank[i:i + STACK_CHUNK]
+        part[certified] = d
+        part[~certified] = _tight_ranks(normals, tight[~certified])
     is_corner = in_region & (rank >= d)
     K = int(np.count_nonzero((region.A < 0).any(axis=0)))  # the rate columns
-    labels = coord_labels(K, d - K)
-    below = x < -NEGATIVE_RATE_TOL
-    negative = [()] * n
-    for i in np.flatnonzero(below.any(axis=1)):
-        negative[i] = tuple(labels[j] for j in np.flatnonzero(below[i]))
-    return CornerReport(in_region, rank, is_corner, tuple(negative))
+    return CornerReport(in_region, rank, is_corner, x < -NEGATIVE_RATE_TOL,
+                        tuple(coord_labels(K, d - K)))
 
 
-def verify_corner(law: JointLaw, points) -> CornerReport:
-    """Corner-hood of each point of an (n, K+L) stack in the joint-decoding region."""
-    return check_corner(jd_region(law), points)
+def verify_corner(law: JointLaw, points, orders=None) -> CornerReport:
+    """Corner-hood of each point of an (n, K+L) stack in the joint-decoding
+    region; `orders`, the points' solve orders if given, certify the corners
+    (see `check_corner`)."""
+    return check_corner(jd_region(law), points, orders)
 
 
 @dataclass(frozen=True, eq=False)

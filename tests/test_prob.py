@@ -1,6 +1,8 @@
 """Entropy/mutual-information engine checks against closed-form oracles."""
 
+import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cranregions import DownlinkSpec, JointLaw, LawError, UplinkSpec, entropy, mutual_info
-from cranregions.prob import build_uplink_joint
+from cranregions.prob import build_uplink_joint, entropies, mutual_infos
+from cranregions.specio import load_spec
 
 from conftest import bsc, bsc_chain_spec, identity_chain_spec, random_uplink_spec
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
 
 def h2(p):
@@ -99,6 +104,50 @@ class TestMutualInfo:
         p = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
         law = JointLaw(("X", "Y", "Z"), p)
         assert mutual_info(law, ["X"], ["Y"], ["Z"]) >= 0.0
+
+
+def _names(law, mask):
+    return [n for i, n in enumerate(law.names) if mask >> i & 1]
+
+
+class TestMaskGather:
+    """`entropies` and `mutual_infos` on variable bitmasks against the
+    name-keyed `entropy` and `mutual_info`, bit for bit."""
+
+    @pytest.mark.parametrize("spec", ["identity_k1l1", "uplink_k2l2", "product_k2l2",
+                                      "downlink_k1l1", "downlink_k2l2"])
+    def test_every_disjoint_triple_matches_mutual_info(self, spec):
+        law = load_spec(SPECS / f"{spec}.json").law
+        n = len(law.names)
+        # each variable in a, b, c or in none of them: every disjoint triple once
+        place = np.array(list(itertools.product(range(4), repeat=n))).T
+        a, b, c = (((place == part).T * (1 << np.arange(n))).sum(axis=1) for part in range(3))
+        want = np.array([mutual_info(law, _names(law, x), _names(law, y), _names(law, z))
+                         for x, y, z in zip(a.tolist(), b.tolist(), c.tolist())])
+        assert mutual_infos(law, a, b, c).tobytes() == want.tobytes()
+        h = np.array([entropy(law, _names(law, m)) for m in range(1 << n)])
+        assert entropies(law, np.arange(1 << n)[::-1]).tobytes() == h[::-1].tobytes()
+
+    def test_clamp_keeps_negative_zero_as_max_does(self):
+        law = JointLaw(("A", "B"), np.full((2, 2), 0.25))
+        # cached entropies that make I(A; B) = (-0.0 + -0.0) - 0.0 - 0.0 = -0.0, then
+        # ones a rounding below and above zero
+        for ha, hab, want in ((-0.0, 0.0, -0.0), (1.0, 2.0 + 1e-13, 0.0), (1.0, 2.0 - 1e-13, None)):
+            law._entropy_cache.clear()
+            law._entropy_cache.update({frozenset("A"): ha, frozenset("B"): ha,
+                                       frozenset("AB"): hab})
+            one = mutual_info(law, ["A"], ["B"])
+            got = mutual_infos(law, [1, 1], [2, 2])
+            assert got.tobytes() == np.array([one, one]).tobytes()
+            if want is not None:
+                assert math.copysign(1.0, one) == math.copysign(1.0, want) and one == want
+        assert math.copysign(1.0, float(np.maximum(-0.0, 0.0))) == 1.0  # why max, not np.maximum
+
+    def test_overlap_rejected(self):
+        law = JointLaw(("X", "Y", "Z"), np.full((2, 2, 2), 0.125))
+        assert mutual_infos(law, [1, 2], [2, 4], 0).shape == (2,)
+        with pytest.raises(LawError, match="overlapping.*'Y'"):
+            mutual_infos(law, [1, 2], [2, 2], 0)
 
 
 class TestValidation:

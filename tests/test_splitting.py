@@ -351,6 +351,13 @@ class TestInvertPsi:
         with pytest.raises(NotOnDominantFaceError):
             invert_psi(spec, np.array([2.0, 0.0]))
 
+    @pytest.mark.parametrize("target", [np.zeros(3), np.zeros(5), np.zeros((1, 4)), 0.5])
+    def test_target_of_wrong_length_rejected(self, target):
+        spec = load_spec(SPECS / "uplink_k2l2.json")
+        with pytest.raises(ValueError, match=r"K\+L = 4 coordinates") as err:
+            invert_psi(spec, target)
+        assert not isinstance(err.value, NotOnDominantFaceError)
+
     def test_k2l2_corner_targets(self, rng):
         spec = k2l2_bsc_spec()
         law = build_uplink_joint(spec)

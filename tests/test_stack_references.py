@@ -4,10 +4,11 @@ procedure, the successive-decoding and successive-encoding corners, the
 factorization test of the dominant face, the telescope suite, the merge
 check and rates of the splitting map, psi one alpha at a time and the
 inversion's one-column-at-a-time Jacobians.  Every shipped spec and seeded
-specs up to K+L = 6 are checked.  The sub-face bounds and the decoding
-order of an alpha are checked against the formulas they were first written
-as: one bound formula per sub-face, and a walk over the whole generalized
-order."""
+specs up to K+L = 6 are checked.  The face bounds and the decoding order
+of an alpha are checked against the formulas they were first written as:
+one name-keyed bound formula per region, and a walk over the whole
+generalized order.  The solve-order certificate of `check_corner` is
+checked against the exact elimination it skips."""
 
 import pathlib
 from functools import partial
@@ -316,6 +317,36 @@ def closure_sub_faces(law, q):
     return ul.build_region(K, L, q.S, q.T, leading), ul.build_region(K, L, Sc, Tc, conditional)
 
 
+def closure_alt(law):
+    """Reference: the region of `on_dominant_face_alt` from its bound formula."""
+    K, L = law.dims("uplink")
+    allx = x_names(range(1, K + 1))
+
+    def bounds(S, T):
+        Sc, Tc = set(range(1, K + 1)) - S, set(range(1, L + 1)) - T
+        lb = mutual_info(law, y_names(T), yh_names(T), allx) - mutual_info(
+            law, x_names(S), yh_names(Tc), x_names(Sc))
+        return lb, mutual_info(law, y_names(T), yh_names(T), x_names(S))
+
+    return ul.build_region(K, L, range(1, K + 1), range(1, L + 1), bounds)
+
+
+def closure_cap(law, q):
+    """Reference: the cap row of F_{S,T}, lb = ub = I(Y_T; Yh_T | X_S)."""
+    K, L = law.dims("uplink")
+    normal = q.mask(K, L) * np.repeat([-1.0, 1.0], [K, L])
+    cap = np.array([mutual_info(law, y_names(q.T), yh_names(q.T), x_names(q.S))])
+    return ul.Region(((q.S, q.T),), normal[None], cap, cap)
+
+
+def closure_cross(law, q):
+    """Reference: the two cross informations of the degeneracy condition."""
+    K, L = law.dims("uplink")
+    Sc, Tc = set(range(1, K + 1)) - q.S, set(range(1, L + 1)) - q.T
+    return (mutual_info(law, x_names(q.S), yh_names(Tc), x_names(Sc)),
+            mutual_info(law, x_names(Sc), yh_names(q.T), x_names(q.S)))
+
+
 def interleaved_order(n):
     """Reference: the generalized order by its recursive interleaving."""
     order = [(1, 1)]
@@ -411,18 +442,79 @@ def test_suites_share_one_greedy_pass_per_law(direction, monkeypatch):
     assert suites.run_suites(fresh, pair) == (True, {**results, **results2})
 
 
+def _same_region(got, want):
+    assert got.pairs == want.pairs
+    for a, b in ((got.A, want.A), (got.lb, want.lb), (got.ub, want.ub)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()  # equal bits
+
+
 @pytest.mark.parametrize("case", UPLINK, ids=_ids)
 def test_sub_face_regions_match_their_own_formulas(case):
+    """Every region and value of the per-law gathers `sub_face_bounds` and
+    `face_bounds` against its name-keyed formula: the sub-faces, the cap
+    rows, the alt region and the cross informations of the degeneracy
+    condition."""
     spec = _spec("uplink", case)
-    law, point = spec.law, np.zeros((1, spec.K + spec.L))
-    for q in suites._admissible_queries(spec.K, spec.L):
-        df.in_sub_face_DST(law, point, q)
-        df.in_sub_face_cond(law, point, q)
-        for got, want in zip((law._memo[("DST", q)], law._memo[("cond", q)]),
-                             closure_sub_faces(law, q)):
-            assert got.pairs == want.pairs, q
-            for a, b in ((got.A, want.A), (got.lb, want.lb), (got.ub, want.ub)):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), q  # equal bits
+    law, K, L = spec.law, spec.K, spec.L
+    sub, bounds = df.sub_face_bounds(law), df.face_bounds(law)
+    _same_region(bounds["alt"], closure_alt(law))
+    queries = list(df.admissible_queries(K, L))
+    assert (len(sub), len(bounds)) == (2 * len(queries), 1 + 2 * len(queries))
+    for q in queries:
+        for got, want in zip((sub[("DST", q)], sub[("cond", q)], bounds[("cap", q)]),
+                             closure_sub_faces(law, q) + (closure_cap(law, q),)):
+            _same_region(got, want)
+        assert np.array(bounds[("cross", q)]).tobytes() == \
+            np.array(closure_cross(law, q)).tobytes(), q
+        assert all(type(v) is float for v in bounds[("cross", q)])  # reports hold Python bools
+
+
+def _correlated_uplink_spec(rng, K, L):
+    """A random uplink spec whose relay outputs are correlated given X, where
+    the closed-form corners leave some chains short of tight."""
+    chan = rng.dirichlet(np.ones(2 ** L), size=2 ** K).reshape((2,) * (K + L))
+    return UplinkSpec(K=K, L=L, input_pmfs=tuple(rng.dirichlet(np.ones(2)) for _ in range(K)),
+                      channel=chan, test_channels=tuple(rng.dirichlet(np.ones(2), size=2)
+                                                        for _ in range(L)))
+
+
+CERTIFIED = CASES + [("uplink", (4, 4)), ("downlink", (4, 4)), ("uplink", "correlated")]
+
+
+@pytest.mark.parametrize("direction, case", CERTIFIED, ids=lambda c: _ids(c))
+def test_solve_order_certificate_matches_exact_rank(direction, case, monkeypatch):
+    """The certificate of a corner's solve order against the exact (Bareiss)
+    rank of its tight rows, on every corner and on corners moved by 1e-6 that
+    keep their orders, where the chain is not tight and the elimination runs."""
+    spec = (_correlated_uplink_spec(np.random.default_rng(77), 2, 3) if case == "correlated"
+            else _spec(direction, case))
+    law = spec.law
+    if direction == "uplink":
+        enum, region = ul.enumerate_corners(law), ul.jd_region(law)
+    else:
+        enum, region = dl.downlink_enumerate_corners(law), dl.je_region(law)
+    eliminated, tight_ranks = [], ul._tight_ranks
+
+    def counted(normals, tight):
+        eliminated.append(len(tight))
+        return tight_ranks(normals, tight)
+
+    monkeypatch.setattr(ul, "_tight_ranks", counted)
+    moved = enum.points + np.random.default_rng(1).choice([-1e-6, 1e-6], size=enum.points.shape)
+    for points in (enum.points, moved):
+        eliminated.clear()
+        certified = ul.check_corner(region, points, enum.perms)
+        ran = sum(eliminated)
+        exact = ul.check_corner(region, points)  # every point through _tight_ranks
+        assert sum(eliminated) - ran == len(points)
+        for field in ("in_region", "rank", "is_corner"):
+            got, want = getattr(certified, field), getattr(exact, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+        assert certified.negative_coords == exact.negative_coords
+        if points is moved or case == "correlated":
+            assert ran > 0  # the chains that are not tight fall back to the elimination
+        else:
+            assert ran == 0 and certified.is_corner.all()  # every corner certified
 
 
 def test_generalized_order_matches_interleaving():
@@ -449,7 +541,7 @@ def test_decode_order_refuses_more_rows_than_the_enumeration_guard():
 def test_factorization_count_matches_product_scan(case):
     spec = _spec("uplink", case)
     verdicts = []
-    for q in suites._admissible_queries(spec.K, spec.L):
+    for q in df.admissible_queries(spec.K, spec.L):
         verdicts.append(df.check_degenerate_factorization(spec.law, q))
         assert verdicts[-1] == scan_factorization(spec.law, q), q
     if case == "product_k2l2":  # the network splits, as users and relays 1 | 2
@@ -489,7 +581,7 @@ def test_face_decomposition_matches_per_query_face_check(case):
     spec = _spec("uplink", case)
     faces = 0
     for tol in (FACE_TOL, 0.05):  # the face mask of the vertices is kept per tolerance
-        for q in suites._admissible_queries(spec.K, spec.L):
+        for q in df.admissible_queries(spec.K, spec.L):
             rep = df.check_face_decomposition(spec.law, q, samples=15, seed=2, tol=tol)
             assert (rep.forward_failures, rep.converse_failures) == \
                 loop_face_decomposition(spec.law, q, 15, 2, tol), (q, tol)
