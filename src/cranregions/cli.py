@@ -18,15 +18,15 @@ wall_time_s field.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
 import sys
 import time
 from functools import cache, partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -79,40 +79,92 @@ def _emit(report: dict):
     print(_dumps(report))
 
 
-_SCALARS = {  # each plain type as the standard encoder writes it
+class _FloatTexts(dict):
+    """The text of each float looked up, written by `write` on its first lookup.
+
+    0.0 and -0.0 are one dict key, so a zero is written at every lookup, as
+    its repr, which is also its JSON text.
+    """
+
+    def __init__(self, write=float.__repr__):
+        super().__init__()
+        self.write = write
+
+    def __missing__(self, x):
+        if not x:
+            return float.__repr__(x)
+        self[x] = text = self.write(x)
+        return text
+
+
+_SCALARS = {  # each plain type but float as the standard encoder writes it
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
 }
 
 
-def _dumps(o, indent: str = "") -> str:
-    """json.dumps(o, sort_keys=True, indent=2), byte for byte, at `indent`.
+def _dumps(o) -> str:
+    """json.dumps(o, sort_keys=True, indent=2), byte for byte.
 
     The standard encoder runs in pure Python when it indents, one generator
-    per level.  Here the plain types are dispatched on their exact type, and
-    a list of them is written in one comprehension.  Anything else, such as
-    a dict keyed by other than strings, goes to json.dumps whole.
+    per level.  Here plain values are written by the writer of their exact
+    type, in `scalars`, whose float writer formats each distinct float once
+    per report, and a list is written as one column (`_texts`).  Anything
+    else, such as a dict keyed by other than strings, goes to json.dumps
+    whole.
     """
-    if type(o) in _SCALARS:
-        return _SCALARS[type(o)](o)
+    floats = _FloatTexts(lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x))
+    return _text(o, "", {**_SCALARS, float: floats.__getitem__})
+
+
+def _text(o, indent: str, scalars: dict) -> str:
+    """One value as json.dumps(o, sort_keys=True, indent=2) writes it at `indent`."""
+    kind = type(o)
+    if kind in scalars:
+        return scalars[kind](o)
     inner = indent + "  "
-    if type(o) is dict and o and set(map(type, o)) == {str}:
-        items = [f"{inner}{encode_basestring_ascii(k)}: {_dumps(v, inner)}"
+    if kind is dict and o and set(map(type, o)) == {str}:
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_text(v, inner, scalars)}"
                  for k, v in sorted(o.items())]
         return "{\n" + ",\n".join(items) + f"\n{indent}}}"
-    if type(o) in (list, tuple) and o:
-        kinds = set(map(type, o))
-        if kinds == {float} and all(map(math.isfinite, o)):
-            parts = map(float.__repr__, o)
-        elif kinds <= _SCALARS.keys():
-            parts = [_SCALARS[type(v)](v) for v in o]
-        else:
-            parts = [_dumps(v, inner) for v in o]
-        return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}]"
+    if kind in (list, tuple) and o:
+        return f"[\n{inner}" + f",\n{inner}".join(_texts(list(o), inner, scalars)) + \
+            f"\n{indent}]"
     return json.dumps(o, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
+def _texts(values: list, indent: str, scalars: dict) -> list:
+    """Each of a column of values as `_text` writes it, the column at a time.
+
+    Values of one plain type are written by one map.  Dicts of one string
+    key set are filled into one template, each key's column written in
+    turn; lists of one length are written as the one column of all their
+    items and joined back, a row per list.  Any other column is written one
+    value at a time.
+    """
+    first = values[0]
+    kind = type(first)
+    if set(map(type, values)) == {kind}:
+        inner = indent + "  "
+        if kind in scalars:
+            return list(map(scalars[kind], values))
+        if kind is dict and first and set(map(type, first)) == {str} and all(
+                map(first.keys().__eq__, map(dict.keys, values))):
+            keys = sorted(first)
+            columns = [_texts(list(map(itemgetter(k), values)), inner, scalars) for k in keys]
+            glue = [f"{sep}{inner}{encode_basestring_ascii(k)}: " for sep, k in
+                    zip(["{\n"] + [",\n"] * (len(keys) - 1), keys)] + [f"\n{indent}}}"]
+            parts = [repeat(glue[0])]  # record i: glue[0] + columns[0][i] + glue[1] + ...
+            for column, text in zip(columns, glue[1:]):
+                parts += [column, repeat(text)]
+            return list(map("".join, zip(*parts)))
+        if kind in (list, tuple) and first and set(map(len, values)) == {len(first)}:
+            items = iter(_texts(list(chain.from_iterable(values)), inner, scalars))
+            rows = map(f",\n{inner}".join, zip(*[items] * len(first)))  # row i: next n items
+            return [f"[\n{inner}{row}\n{indent}]" for row in rows]
+    return [_text(v, indent, scalars) for v in values]
 
 
 def _parse_float(text: str, what: str) -> float:
@@ -172,12 +224,13 @@ def cmd_corners(args) -> int:
     perms = enum.order_labels
     points = np.round(enum.points, 12).tolist()
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["permutation"] + ul.coord_labels(spec.K, spec.L) + ["is_corner"])
-        for i in (enum.kept.tolist() if args.dedup else range(len(perms))):
-            w.writerow([perms[i]] + points[i] + [is_corner[i]])
-        sys.stdout.write(buf.getvalue())
+        # csv.writer's bytes: floats as their repr, the permutation quoted for
+        # its commas, CRLF line ends
+        floats = _FloatTexts()
+        lines = [",".join(["permutation", *ul.coord_labels(spec.K, spec.L), "is_corner"])]
+        lines += [f'"{perms[i]}",{",".join(map(floats.__getitem__, points[i]))},{is_corner[i]}'
+                  for i in (enum.kept.tolist() if args.dedup else range(len(perms)))]
+        sys.stdout.write("\r\n".join(lines) + "\r\n")
     else:
         results = {
             "corners": [{"permutation": p, "point": x, "is_corner": c}
@@ -368,6 +421,8 @@ def cmd_slice(args) -> int:
             name = name.strip()
             if name not in labels or name in vary:
                 raise UsageError(f"--fixed names a bad coordinate {name!r}")
+            if name in fixed:
+                raise UsageError(f"--fixed names coordinate {name!r} twice")
             fixed[name] = _parse_float(val, f"--fixed {name}")
     missing = [n for n in labels if n not in vary and n not in fixed]
     if missing:
@@ -375,22 +430,21 @@ def cmd_slice(args) -> int:
     _, _, member = _region(spec)
 
     grid = np.linspace(args.min, args.max, args.steps)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow([vary[0], vary[1], "in_region"])
     base = np.zeros(K + L)
     for name, val in fixed.items():
         base[labels.index(name)] = val
     i0, i1 = labels.index(vary[0]), labels.index(vary[1])
     n = len(grid)
-    for start in range(0, n * n, ul.STACK_CHUNK):  # one stack, one product, per chunk of the grid
-        k = np.arange(start, min(start + ul.STACK_CHUNK, n * n))
-        xs, ys = grid[k // n], grid[k % n]  # x outer, y inner
-        points = np.tile(base, (len(k), 1))
-        points[:, i0], points[:, i1] = xs, ys
-        for x, y, inside in zip(xs, ys, member(points)):
-            w.writerow([round(float(x), 12), round(float(y), 12), int(inside)])
-    sys.stdout.write(buf.getvalue())
+    # csv.writer's bytes: each axis value as the repr of the float, CRLF line ends
+    texts = [repr(round(v, 12)) for v in grid.tolist()]
+    parts = [f"{vary[0]},{vary[1]},in_region\r\n"]
+    for start in range(0, n * n, ul.STACK_CHUNK):  # one stack, one product, one join per chunk
+        xi, yi = np.divmod(np.arange(start, min(start + ul.STACK_CHUNK, n * n)), n)  # x outer
+        points = np.tile(base, (len(xi), 1))
+        points[:, i0], points[:, i1] = grid[xi], grid[yi]
+        parts.append("".join([f"{texts[x]},{texts[y]},{inside:d}\r\n" for x, y, inside
+                              in zip(xi.tolist(), yi.tolist(), member(points).tolist())]))
+    sys.stdout.write("".join(parts))
     return EXIT_OK
 
 

@@ -53,7 +53,7 @@ def parse_spec(doc: dict):
         raise SpecFileError(f"field 'direction' must be 'uplink' or 'downlink', got {direction!r}")
     K = _require(doc, "K")
     L = _require(doc, "L")
-    if not (isinstance(K, int) and isinstance(L, int) and K >= 1 and L >= 1):
+    if not (type(K) is int and type(L) is int and K >= 1 and L >= 1):  # a bool is an int too
         raise SpecFileError("fields 'K' and 'L' must be positive integers")
     alphabets = _require(doc, "alphabets")
     if not isinstance(alphabets, dict):

@@ -463,8 +463,9 @@ def verify_corner(law: JointLaw, points, orders=None) -> CornerReport:
 class CornerEnumeration:
     """The corner of every solve order, as arrays, and the rows dedup keeps.
 
-    Row i of `perms` is a solve order, row i of `points` its corner; `kept`
-    lists the rows of the distinct vertices in order, which `vertices` stacks.
+    Row i of `perms` is a solve order, in `solve_perms` order, row i of
+    `points` its corner; `kept` lists the rows of the distinct vertices in
+    order, which `vertices` stacks.
     """
 
     K: int
@@ -475,9 +476,9 @@ class CornerEnumeration:
 
     @cached_property
     def order_labels(self) -> list:
-        """Each solve order as its comma-separated labels, e.g. "R2,C1,R1,C2"."""
-        labels = coord_labels(self.K, self.L)
-        return [",".join(labels[c] for c in perm) for perm in self.perms.tolist()]
+        """Each solve order as its comma-separated labels, e.g. "R2,C1,R1,C2"; the
+        permutations of the labels run in `solve_perms` order."""
+        return list(map(",".join, itertools.permutations(coord_labels(self.K, self.L))))
 
     @cached_property
     def vertices(self) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Command-line interface: report determinism, exit-code contract, and
 spec-file round-trips."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -13,6 +15,7 @@ import pytest
 
 from cranregions import DownlinkSpec, UplinkSpec
 from cranregions import cli
+from cranregions import uplink as ul
 from cranregions.cli import build_parser, main
 from cranregions.specio import SpecFileError, load_spec, save_spec, spec_to_dict
 
@@ -219,6 +222,10 @@ def _bad_spec_docs():
     number_alphabet_sizes["alphabets"]["X"] = 2
     number_input_pmfs = spec_to_dict(identity_chain_spec())
     number_input_pmfs["input_pmfs"] = 0.5
+    bool_dims = spec_to_dict(identity_chain_spec())  # JSON true is a Python int
+    bool_dims["K"] = bool_dims["L"] = True
+    bool_K = spec_to_dict(k2l2_bsc_spec())
+    bool_K["K"] = True
     # K+L = 9, one above the (K+L)! enumeration guard
     above_guard = spec_to_dict(
         DownlinkSpec(K=5, L=4, aux_joint=np.full((2,) * 9, 2.0**-9),
@@ -232,7 +239,8 @@ def _bad_spec_docs():
             "{nan_aux}": nan_aux, "{above_guard}": above_guard,
             "{above_guard_up}": above_guard_up, "{number_alphabets}": number_alphabets,
             "{number_alphabet_sizes}": number_alphabet_sizes,
-            "{number_input_pmfs}": number_input_pmfs}
+            "{number_input_pmfs}": number_input_pmfs, "{bool_dims}": bool_dims,
+            "{bool_K}": bool_K}
 
 
 @pytest.mark.parametrize(
@@ -258,6 +266,9 @@ def _bad_spec_docs():
         (["verify", "{nan_aux}"], "aux joint"),
         (["corners", "{number_alphabet_sizes}"], "alphabets.X"),
         (["corners", "{number_input_pmfs}"], "input_pmfs"),
+        (["corners", "{bool_dims}"], "fields 'K' and 'L' must be positive integers"),
+        (["corners", "{bool_K}"], "fields 'K' and 'L' must be positive integers"),
+        (["slice", K2L2, "--vary", "R1,C1", "--fixed", "R2=0,C2=2,C2=3"], "'C2' twice"),
     ],
     ids=["fixed-not-a-number", "negative-steps", "nan-invert-target", "zero-max-iters",
          "negative-invert-tol", "nan-invert-tol", "negative-verify-samples",
@@ -265,7 +276,7 @@ def _bad_spec_docs():
          "inf-dedup-tol", "negative-verify-seed",
          "psi-above-enumeration-guard", "overflowing-slice-span", "number-alphabets",
          "nan-input-pmf", "inf-channel", "nan-aux-joint", "number-alphabet-sizes",
-         "number-input-pmfs"],
+         "number-input-pmfs", "bool-K-and-L", "bool-K", "repeated-fixed"],
 )
 def test_bad_input_exits_2_without_traceback(capsys, tmp_path, argv, named):
     argv = list(argv)
@@ -389,6 +400,13 @@ class _Float(float):
     {"keys": {2.5: [1], 0.5: 2}}, {"keys": {True: 3, False: None}}, {None: 1},
     {"floats": [0.1, -0.0, 1e-320, 1e300, math.nan, math.inf], "one": [2.5]},
     {_Str("k"): _Float(1.5), "np": [np.float64(0.1)]},
+    {"rows": [{"p": "R1,C1", "x": [-0.0, 0.0, 1e-05], "ok": True},
+              {"p": "C1,R1", "x": [0.0, -0.0, 5e-324], "ok": False},
+              {"p": "C1", "x": [1e-05, 1e-05, math.nan], "ok": None}],
+     "again": [[1e-05, -0.0], [5e-324, 0.0], [], (1e-05,)]},
+    {"mixed keys": [{"a": 1.5, "b": [1.5]}, {"a": 1.5}, {"b": -0.0, "c": {}}, {}, {"a": 2}],
+     "mixed kinds": [{"a": -0.0}, [0.0, -0.0], 0.0, "0.0", None, [{"a": [{}]}]],
+     "key%s": {"%d": 1e-05, "%%": [math.nan, math.nan, math.inf]}},
 ])
 def test_encoder_matches_json_dumps_on_hand_built_reports(report):
     from cranregions.cli import _dumps
@@ -405,3 +423,64 @@ def test_encoder_refuses_what_json_dumps_refuses(report):
     with pytest.raises(TypeError) as theirs:
         json.dumps(report, sort_keys=True, indent=2)
     assert str(ours.value) == str(theirs.value)
+
+
+# --- the writers byte for byte: CSV against csv.writer, JSON against json.dumps ---
+
+
+def _seeded_spec_files(tmp_path, shapes):
+    from conftest import random_downlink_spec, random_uplink_spec
+
+    for K, L in shapes:
+        for direction, make in (("uplink", random_uplink_spec), ("downlink", random_downlink_spec)):
+            path = tmp_path / f"{direction}_k{K}l{L}.json"
+            save_spec(make(np.random.default_rng(10 * K + L), K, L), path)
+            yield str(path)
+
+
+def _csv_bytes(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("dedup", [[], ["--dedup"]], ids=["all", "dedup"])
+def test_corners_csv_is_csv_writer_bytes(capsys, tmp_path, dedup):
+    for path in [str(p) for p in sorted(SPECS.glob("*.json"))] + \
+            list(_seeded_spec_files(tmp_path, [(3, 2), (2, 3)])):
+        spec = load_spec(path)
+        enumerate_corners, verify, _ = cli._region(spec)
+        enum = enumerate_corners()
+        is_corner = verify(enum.points, enum.perms).is_corner.tolist()
+        points = np.round(enum.points, 12).tolist()
+        rows = [["permutation", *ul.coord_labels(spec.K, spec.L), "is_corner"]]
+        rows += [[enum.order_labels[i], *points[i], is_corner[i]]
+                 for i in (enum.kept.tolist() if dedup else range(len(points)))]
+        code, out, _ = run(capsys, "corners", path, "--format", "csv", *dedup)
+        assert code == 0 and out == _csv_bytes(rows), path
+
+
+@pytest.mark.parametrize("lo, hi, steps", [(0.0, 1.0, 5), (-1e-3, 3.0, 37), (-1e-13, 1e-13, 3),
+                                           (0.1, 0.1, 1)])
+def test_slice_csv_is_csv_writer_bytes(capsys, lo, hi, steps):
+    argv = ["slice", K2L2, "--vary", "C1,R1", "--fixed", "R2=0.2,C2=0.5",
+            "--min", repr(lo), "--max", repr(hi), "--steps", str(steps)]
+    spec = load_spec(K2L2)
+    grid = np.linspace(lo, hi, steps)
+    points = np.array([[y, 0.2, x, 0.5] for x in grid for y in grid])  # C1 outer, R1 inner
+    inside = cli._region(spec)[2](points)
+    rows = [["C1", "R1", "in_region"]]
+    rows += [[round(float(p[2]), 12), round(float(p[0]), 12), int(b)] for p, b in zip(points, inside)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == _csv_bytes(rows)
+
+
+def test_seeded_corners_reports_match_json_dumps(monkeypatch, capsys, tmp_path):
+    reports = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report: reports.append(report) or emit(report))
+    for path in _seeded_spec_files(tmp_path, [(3, 2), (2, 3), (3, 3), (4, 2)]):
+        main(["corners", path])
+        out = capsys.readouterr().out
+        assert out == json.dumps(reports[-1], sort_keys=True, indent=2) + "\n", path
+    assert len(reports) == 8
