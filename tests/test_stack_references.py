@@ -35,6 +35,7 @@ from cranregions.prob import (
     UplinkSpec,
     clamp_info,
     entropy_of,
+    u_names,
     x_names,
     y_names,
     yh_names,
@@ -114,6 +115,46 @@ def loop_se_corner(law, row, K, L):
             C[v - K] = mutual_info(law, [lab], before)
         before.append(lab)
     return np.concatenate([R, C])
+
+
+def loop_jd_closed_corner(law, perm, K, L):
+    """Reference: the closed-form corner of a solve-order row, one coordinate at
+    a time: R_b = I(X_b; Yh_{J^c} | X_{I^c - b}) and
+    C_b = I(Y_b; Yh_b) - I(Yh_b; X_{I^c}, Yh_{J^c - b}) for I, J solved before."""
+    users, relays = set(range(1, K + 1)), set(range(1, L + 1))
+    vec = np.zeros(K + L)
+    for k, c in enumerate(perm, start=1):
+        I, J = prefix_sets(perm, k, K)
+        vec[c] = scalar_jd_closed(law, K, c, users - I, relays - J)
+    return vec
+
+
+def scalar_jd_closed(law, K, c, Ic, Jc):
+    """The uplink closed form of coordinate c with users Ic and relays Jc unsolved."""
+    if c < K:
+        b = c + 1
+        return mutual_info(law, x_names([b]), yh_names(Jc), x_names(Ic - {b}))
+    b = c - K + 1
+    return mutual_info(law, y_names([b]), yh_names([b])) - mutual_info(
+        law, yh_names([b]), x_names(Ic) + yh_names(Jc - {b}))
+
+
+def scalar_sd(law, K, c, I, J):
+    """The successive-decoding value of coordinate c decoded after X_I, Yh_J."""
+    before = x_names(I) + yh_names(J)
+    if c < K:
+        return mutual_info(law, x_names([c + 1]), before)
+    l = [c - K + 1]
+    return mutual_info(law, y_names(l), yh_names(l)) - mutual_info(law, yh_names(l), before)
+
+
+def scalar_se(law, K, c, I, J):
+    """The successive-encoding value of coordinate c encoded after U_I, X_J."""
+    before = u_names(I) + x_names(J)
+    if c < K:
+        k = [c + 1]
+        return mutual_info(law, u_names(k), y_names(k)) - mutual_info(law, u_names(k), before)
+    return mutual_info(law, x_names([c - K + 1]), before)
 
 
 def scan_factorization(law, q):
@@ -417,6 +458,45 @@ def test_successive_table_matches_per_order_loop(direction, case):
         law, perms)
     suite = suites.suite_thm1 if direction == "uplink" else suites.suite_thm3
     assert suite(spec)[1]["max_deviation"] == float(np.max(np.abs(ref - greedy)))
+
+
+@pytest.mark.parametrize("case", UPLINK, ids=_ids)
+def test_closed_form_corners_match_per_order_loop(case):
+    spec = _spec("uplink", case)
+    law, K, L = spec.law, spec.K, spec.L
+    perms = ul.solve_perms(K, L)
+    ref = np.array([loop_jd_closed_corner(law, row, K, L) for row in perms.tolist()])
+    assert ul.corner_closed(law, perms).tobytes() == ref.tobytes()
+    assert ul.corner_closed(law, perms[-1:]).tobytes() == ref[-1:].tobytes()  # a one-row stack
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+@pytest.mark.parametrize("K, L", [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3),
+                                  (4, 4)])
+def test_corner_tables_match_their_scalar_formulas(direction, K, L):
+    """Every entry of the closed-form, successive-decoding and successive-encoding
+    tables against its name-keyed formula, read on a second copy of the law so
+    that neither side reads an entropy the other cached; entries of a
+    coordinate already solved stay 0."""
+    make = random_uplink_spec if direction == "uplink" else random_downlink_spec
+    law, fresh = (make(np.random.default_rng(4000 + 10 * K + L), K, L).law for _ in range(2))
+    users, relays = set(range(1, K + 1)), set(range(1, L + 1))
+    if direction == "uplink":
+        tables = [(ul._jd_closed_form(law), lambda c, I, J: scalar_jd_closed(
+                      fresh, K, c, users - I, relays - J)),
+                  (ul._sd_table(law), partial(scalar_sd, fresh, K))]
+    else:
+        tables = [(dl._se_table(law), partial(scalar_se, fresh, K))]
+    n = K + L
+    for table, formula in tables:
+        want = np.zeros((n, 1 << n))
+        for P in range(1 << n):
+            I = {c + 1 for c in range(K) if P >> c & 1}
+            J = {c - K + 1 for c in range(K, n) if P >> c & 1}
+            for c in range(n):
+                if not P >> c & 1:
+                    want[c, P] = formula(c, I, J)
+        assert table.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("direction", ["uplink", "downlink"])
