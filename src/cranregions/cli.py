@@ -10,7 +10,9 @@ Subcommands:
     slice     CSV plot data for a 2-D slice of the region
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 non-convergence.  Reports are JSON with sorted keys; identical
+3 non-convergence.  A reader that closes stdout early (`| head -1`) cuts
+the output short, with no traceback, and the exit code stays the
+command's own.  Reports are JSON with sorted keys; identical
 (spec, command, seed) inputs give byte-identical output apart from the
 wall_time_s field.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -76,7 +79,21 @@ def _report(command: str, args: dict, results, passed: bool, t0: float, seed=Non
 
 
 def _emit(report: dict):
-    print(_dumps(report))
+    _write(_dumps(report) + "\n")
+
+
+def _write(text: str):
+    """Write `text` to stdout and flush it.  A reader that has closed the pipe
+    ends the output, not the command: stdout then points at os.devnull, so
+    that the flush at exit cannot raise again, and the command returns its
+    own exit code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 class _FloatTexts(dict):
@@ -230,7 +247,7 @@ def cmd_corners(args) -> int:
         lines = [",".join(["permutation", *ul.coord_labels(spec.K, spec.L), "is_corner"])]
         lines += [f'"{perms[i]}",{",".join(map(floats.__getitem__, points[i]))},{is_corner[i]}'
                   for i in (enum.kept.tolist() if args.dedup else range(len(perms)))]
-        sys.stdout.write("\r\n".join(lines) + "\r\n")
+        _write("\r\n".join(lines) + "\r\n")
     else:
         results = {
             "corners": [{"permutation": p, "point": x, "is_corner": c}
@@ -444,7 +461,7 @@ def cmd_slice(args) -> int:
         points[:, i0], points[:, i1] = grid[xi], grid[yi]
         parts.append("".join([f"{texts[x]},{texts[y]},{inside:d}\r\n" for x, y, inside
                               in zip(xi.tolist(), yi.tolist(), member(points).tolist())]))
-    sys.stdout.write("".join(parts))
+    _write("".join(parts))
     return EXIT_OK
 
 

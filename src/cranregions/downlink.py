@@ -63,7 +63,7 @@ def istar(law: JointLaw, names) -> float:
         raise LawError(f"istar over mixed variable groups: {sorted(names)}")
     if not names:
         return 0.0
-    return clamp_info(sum(entropy(law, [n]) for n in names) - entropy(law, names))
+    return clamp_info(add_terms(0.0, (entropy(law, [n]) for n in names)) - entropy(law, names))
 
 
 def je_terms(law: JointLaw, K: int, L: int, S, T) -> tuple:
@@ -112,15 +112,11 @@ def se_corner(law: JointLaw, orders):
 
 def _se_table(law: JointLaw) -> np.ndarray:
     K, L = law.dims("downlink")
-
-    def value(c, I, J):
-        before = u_names(I) + x_names(J)
-        if c < K:
-            return mutual_info(law, u_names([c + 1]), y_names([c + 1])) - mutual_info(
-                law, u_names([c + 1]), before)
-        return mutual_info(law, x_names([c - K + 1]), before)
-
-    return closed_form_table(K, L, value)
+    x, y = K, K + L  # the shifts of X and Y; U_I, X_J are encoded before
+    return closed_form_table(
+        law, K, L,
+        lambda b, I, J: [(1 << b, 1 << (y + b), 0), (1 << b, I | J << x, 0)],
+        lambda b, I, J: [(1 << (x + b), I | J << x, 0)])
 
 
 def downlink_corner_iterative(law: JointLaw, orders):

@@ -11,8 +11,8 @@ sub-networks.
 
 Every bound here is a signed sum of entropies of variable subsets, so the
 bounds are built per law as gathers of conditional mutual informations
-on variable bitmasks over the single master joint law (`prob.mutual_infos`,
-which reads each subset's entropy once through the law's one cache):
+on variable bitmasks over the single master joint law (`prob.gather`,
+which reads each subset's entropy once into the law's one cache):
 `face_bounds` holds the two-sided rows of `on_dominant_face_alt`, the cap
 row of every admissible query (S, T) and the two cross informations of
 `degeneracy_condition`, all over the entropies of the alt rows, and
@@ -35,10 +35,11 @@ from .prob import (
     MEMBERSHIP_TOL,
     MI_ZERO_TOL,
     JointLaw,
-    mutual_infos,
+    gather,
     subsets,
 )
 from .uplink import (
+    STACK_CHUNK,
     Region,
     _row_rank,
     dedup_index,
@@ -152,7 +153,7 @@ def in_sub_face_cond(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL)
 
 def face_bounds(law: JointLaw) -> dict:
     """The bounds of the faces, built once per law from one gather
-    (`_gather`): the region of `on_dominant_face_alt` under "alt" and, for
+    (`prob.gather`): the region of `on_dominant_face_alt` under "alt" and, for
     each admissible query q, the cap row ("cap", q) and the two cross
     informations ("cross", q) of `degeneracy_condition`, as Python floats.
     All of them read the entropies of the alt rows."""
@@ -161,7 +162,7 @@ def face_bounds(law: JointLaw) -> dict:
 
 def sub_face_bounds(law: JointLaw) -> dict:
     """The regions of the sub-faces ("DST", q) and ("cond", q) of every
-    admissible query q, built once per law from one gather (`_gather`)."""
+    admissible query q, built once per law from one gather (`prob.gather`)."""
     return law.memo("sub-face bounds", lambda: _sub_face_bounds(law))
 
 
@@ -194,7 +195,7 @@ def _face_bounds(law: JointLaw) -> dict:
     pairs, normals, S, T, queries, qs, qt = _face_masks(law)
     users, relays = (1 << K) - 1, (1 << L) - 1
     y, yh = K, K + L  # the shifts of Y and Yh
-    lb, cross, ub, cap, cross_a, cross_b = _gather(law, [
+    lb, cross, ub, cap, cross_a, cross_b = gather(law, [
         (T << y, T << yh, users), (S, (relays & ~T) << yh, users & ~S), (T << y, T << yh, S),
         (qt << y, qt << yh, qs),
         (qs, (relays & ~qt) << yh, users & ~qs), (users & ~qs, qt << yh, qs),
@@ -225,7 +226,7 @@ def _sub_face_bounds(law: JointLaw) -> dict:
     # For A in `users` and B in `relays`, C(B) - R(A) lies between
     # I(Y_B; Yh_B | X_{users+zs}, Yh_{relays-B+zt}) - I(X_A; Yh_{relays-B+zt} | X_{users-A+zs})
     # and I(Y_B; Yh_B | X_{A+zs}, Yh_zt) - I(X_A; Yh_zt | X_zs).
-    lb, lb_cross, ub, ub_cross = _gather(law, [
+    lb, lb_cross, ub, ub_cross = gather(law, [
         (B << y, B << yh, U | zs | side), (A, side, U & ~A | zs),
         (B << y, B << yh, A | zs | zt << yh), (A, zt << yh, zs),
     ])
@@ -235,13 +236,6 @@ def _sub_face_bounds(law: JointLaw) -> dict:
             for key, rows, lo, hi in zip(keys, np.split(row, ends),
                                          np.split(lb - lb_cross, ends),
                                          np.split(ub - ub_cross, ends))}
-
-
-def _gather(law: JointLaw, terms) -> list:
-    """I(a; b | c) for each (a, b, c) of mask arrays, from one `mutual_infos` call."""
-    terms = [np.broadcast_arrays(*(np.asarray(m, dtype=np.int64) for m in t)) for t in terms]
-    values = mutual_infos(law, *(np.concatenate([t[i] for t in terms]) for i in range(3)))
-    return np.split(values, np.cumsum([len(t[0]) for t in terms])[:-1])
 
 
 def _mask(items) -> int:
@@ -283,21 +277,56 @@ def check_face_decomposition(
     (a generic member of the product) lands back on F_{S,T}.
     """
     K, L = law.dims("uplink")
-    cap = _cap_row(law, q)
-    rng = np.random.default_rng(seed)
-    vertices = enumerate_corners(law).vertices
-    # in_face_FST on the vertices, with their face mask found once per law
-    on_face = law.memo(("face vertices", tol), lambda: on_dominant_face(law, vertices, tol))
-    mat = vertices[on_face & cap.contains(vertices, tol)]
+    mat = face_corners(law, q, tol)
     if not len(mat):
         return FaceDecompositionReport(0, 0)
-    # each point set is one stack; the draws are those of one call per sample, in order
-    ones = np.ones(len(mat))
-    points = np.vstack([mat, rng.dirichlet(ones, size=samples) @ mat])
+    forward_w, converse_w = _face_weights(law, seed, samples, len(mat))
+    points = np.vstack([mat, forward_w @ mat])
     forward = in_sub_face_DST(law, points, q, tol) & in_sub_face_cond(law, points, q, tol)
-    w = rng.dirichlet(ones, size=(samples, 2))
-    converse = in_face_FST(law, np.where(q.mask(K, L), w[:, 0] @ mat, w[:, 1] @ mat), q, tol)
+    converse = in_face_FST(
+        law, np.where(q.mask(K, L), converse_w[:, 0] @ mat, converse_w[:, 1] @ mat), q, tol)
     return FaceDecompositionReport(int(np.sum(~forward)), int(np.sum(~converse)))
+
+
+def face_corners(law: JointLaw, q: FaceQuery, tol: float = FACE_TOL) -> np.ndarray:
+    """The vertices of the region on F_{S,T}: those `in_face_FST` admits.
+
+    The vertices of every admissible query are found at once, once per law
+    and `tol`, from the dominant-face mask and one product over the stacked
+    cap rows, STACK_CHUNK vertices at a time.
+    """
+    q.validate(*law.dims("uplink"))
+    vertices = enumerate_corners(law).vertices
+    return vertices[law.memo(("face corners", tol), lambda: _face_corner_rows(law, tol))[q]]
+
+
+def _face_corner_rows(law: JointLaw, tol: float) -> dict:
+    vertices = enumerate_corners(law).vertices
+    queries = _face_masks(law)[4]
+    caps = [face_bounds(law)["cap", q] for q in queries]
+    stacked = Region(tuple(p for cap in caps for p in cap.pairs), np.vstack([cap.A for cap in caps]),
+                     np.concatenate([cap.lb for cap in caps]),
+                     np.concatenate([cap.ub for cap in caps]))
+    on = np.flatnonzero(on_dominant_face(law, vertices, tol))
+    at_cap = np.empty((len(on), len(caps)), dtype=bool)
+    for i in range(0, len(on), STACK_CHUNK):
+        at_cap[i:i + STACK_CHUNK] = stacked.slacks(vertices[on[i:i + STACK_CHUNK]]) >= -tol
+    return {q: on[rows] for q, rows in zip(queries, at_cap.T)}
+
+
+def _face_weights(law: JointLaw, seed: int, samples: int, n: int) -> tuple:
+    """The Dirichlet weights of `check_face_decomposition` on a face of n
+    vertices: the forward draws, then the converse pairs, of a fresh
+    default_rng(seed).  They depend on (seed, samples, n) alone, and the law
+    keeps the last ones drawn (one face's, to bound the memory), so queries
+    taken in order of face size draw once per size."""
+    key = (seed, samples, n)
+    last = law._memo.get("face weights")
+    if last is None or last[0] != key:
+        rng, ones = np.random.default_rng(seed), np.ones(n)
+        last = law._memo["face weights"] = (
+            key, rng.dirichlet(ones, size=samples), rng.dirichlet(ones, size=(samples, 2)))
+    return last[1:]
 
 
 def degeneracy_condition(law: JointLaw, q: FaceQuery) -> bool:

@@ -168,12 +168,23 @@ def mutual_info(law: JointLaw, a, b, c=()) -> float:
 
 def entropies(law: JointLaw, masks) -> np.ndarray:
     """H of each variable bitmask of an integer array, bit i standing for
-    `law.names[i]`, in an array of the masks' shape.  Each distinct mask is
-    read once through `entropy`, so the law keeps one cache."""
+    `law.names[i]`, in an array of the masks' shape.  A distinct mask the
+    law's cache misses is summed from the full tensor over the axes it
+    drops, as `entropy` sums it, and kept in the same cache."""
     masks = np.asarray(masks, dtype=np.int64)
     distinct, where = np.unique(masks, return_inverse=True)
-    h = np.array([entropy(law, [n for i, n in enumerate(law.names) if m >> i & 1])
-                  for m in distinct.tolist()], dtype=float)
+    cache, names, axes = law._entropy_cache, law.names, range(law.probs.ndim)
+    h = np.empty(len(distinct))
+    for j, m in enumerate(distinct.tolist()):
+        key = frozenset(n for i, n in enumerate(names) if m >> i & 1)
+        value = cache.get(key)
+        if value is None:
+            if not key:
+                value = 0.0
+            else:
+                drop = tuple(i for i in axes if not m >> i & 1)
+                value = cache[key] = entropy_of(law.probs.sum(axis=drop) if drop else law.probs)
+        h[j] = value
     return h[where].reshape(masks.shape)
 
 
@@ -189,6 +200,14 @@ def mutual_infos(law: JointLaw, a, b, c=0) -> np.ndarray:
     h = entropies(law, np.stack([a | c, b | c, a | b | c, c]))
     val = h[0] + h[1] - h[2] - h[3]
     return np.where((np.abs(val) <= CLAMP_TOL) & (val < 0.0), 0.0, val)  # -0.0 stays, as in max
+
+
+def gather(law: JointLaw, terms) -> list:
+    """I(a; b | c) for each (a, b, c) of broadcast mask arrays, one array per
+    term, from one `mutual_infos` call."""
+    terms = [np.broadcast_arrays(*(np.asarray(m, dtype=np.int64) for m in t)) for t in terms]
+    values = mutual_infos(law, *(np.concatenate([t[i] for t in terms]) for i in range(3)))
+    return np.split(values, np.cumsum([len(t[0]) for t in terms])[:-1])
 
 
 def _check_pmf(p: np.ndarray, what: str):

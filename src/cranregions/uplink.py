@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .prob import (
     NEGATIVE_RATE_TOL,
     PIVOT_TOL,
     JointLaw,
+    gather,
     mutual_info,
     subsets,
     x_names,
@@ -238,15 +239,11 @@ def sd_corner(law: JointLaw, orders):
 
 def _sd_table(law: JointLaw) -> np.ndarray:
     K, L = law.dims("uplink")
-
-    def value(c, I, J):
-        before = x_names(I) + yh_names(J)
-        if c < K:
-            return mutual_info(law, x_names([c + 1]), before)
-        l = [c - K + 1]
-        return mutual_info(law, y_names(l), yh_names(l)) - mutual_info(law, yh_names(l), before)
-
-    return closed_form_table(K, L, value)
+    y, yh = K, K + L  # the shifts of Y and Yh; X_I, Yh_J are decoded before
+    return closed_form_table(
+        law, K, L,
+        lambda b, I, J: [(1 << b, I | J << yh, 0)],
+        lambda b, I, J: [(1 << (y + b), 1 << (yh + b), 0), (1 << (yh + b), I | J << yh, 0)])
 
 
 def greedy_corner(region: Region, terms: np.ndarray, orders):
@@ -281,19 +278,23 @@ def corner_iterative(law: JointLaw, orders):
     return greedy_corner(region, terms, orders)
 
 
-def closed_form_table(K: int, L: int, value) -> np.ndarray:
-    """table[c, P] = value(c, I, J): the closed form of coordinate c (R_1..R_K,
-    C_1..C_L numbered 0..K+L-1) solved after the coordinates in the bitmask P,
-    whose users are I and relays J.  These (K+L) 2^(K+L-1) values serve all
-    (K+L)! solve orders; entries with c in P stay 0 and are never read."""
+def closed_form_table(law: JointLaw, K: int, L: int, user, relay) -> np.ndarray:
+    """table[c, P]: the closed form of coordinate c (R_1..R_K, C_1..C_L numbered
+    0..K+L-1) solved after the coordinates in the bitmask P.  For arrays of a
+    user or a relay b (numbered from 0) and of the user and relay bitmasks I
+    and J of P, user(b, I, J) and relay(b, I, J) list the (a, b, c) variable
+    bitmasks of the informations I(a; b | c) whose difference, the first
+    minus the others, is the value.  The (K+L) 2^(K+L-1) values serve all
+    (K+L)! solve orders and come from one `gather`; entries with c in P stay
+    0 and are never read."""
     n = K + L
+    coord, P = np.nonzero((np.arange(1 << n) >> np.arange(n)[:, None] & 1) == 0)
+    I, J, u = P & ((1 << K) - 1), P >> K, coord < K
+    terms = user(coord[u], I[u], J[u])
+    values = gather(law, terms + relay(coord[~u] - K, I[~u], J[~u]))
     table = np.zeros((n, 1 << n))
-    for P in range(1 << n):
-        I = {c + 1 for c in range(K) if P >> c & 1}
-        J = {c - K + 1 for c in range(K, n) if P >> c & 1}
-        for c in range(n):
-            if not P >> c & 1:
-                table[c, P] = value(c, I, J)
+    table[coord[u], P[u]] = reduce(np.subtract, values[:len(terms)])
+    table[coord[~u], P[~u]] = reduce(np.subtract, values[len(terms):])
     table.setflags(write=False)
     return table
 
@@ -319,19 +320,13 @@ def _jd_closed_form(law: JointLaw) -> np.ndarray:
     """R_b = I(X_b; Yh_{J^c} | X_{I^c - b}) and
     C_b = I(Y_b; Yh_b) - I(Yh_b; X_{I^c}, Yh_{J^c - b}) for I, J solved before."""
     K, L = law.dims("uplink")
-    users, relays = set(range(1, K + 1)), set(range(1, L + 1))
-
-    def value(c, I, J):
-        Ic, Jc = users - I, relays - J
-        if c < K:
-            b = c + 1
-            return mutual_info(law, x_names([b]), yh_names(Jc), x_names(Ic - {b}))
-        b = c - K + 1
-        return mutual_info(law, y_names([b]), yh_names([b])) - mutual_info(
-            law, yh_names([b]), x_names(Ic) + yh_names(Jc - {b})
-        )
-
-    return closed_form_table(K, L, value)
+    users, relays = (1 << K) - 1, (1 << L) - 1
+    y, yh = K, K + L  # the shifts of Y and Yh
+    return closed_form_table(
+        law, K, L,
+        lambda b, I, J: [(1 << b, (relays & ~J) << yh, users & ~I & ~(1 << b))],
+        lambda b, I, J: [(1 << (y + b), 1 << (yh + b), 0),
+                         (1 << (yh + b), (users & ~I) | (relays & ~J & ~(1 << b)) << yh, 0)])
 
 
 def _row_rank(rows) -> int:

@@ -484,3 +484,26 @@ def test_seeded_corners_reports_match_json_dumps(monkeypatch, capsys, tmp_path):
         out = capsys.readouterr().out
         assert out == json.dumps(reports[-1], sort_keys=True, indent=2) + "\n", path
     assert len(reports) == 8
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_closed_stdout_ends_the_output_not_the_command(capsys, tmp_path, fmt):
+    """A reader that stops after one line (`| head -1`) gets no traceback, and the
+    command keeps its own exit code.  The report of a K+L = 6 spec is larger
+    than a pipe's 64 KiB buffer, so the write meets the closed pipe."""
+    from conftest import random_uplink_spec
+
+    path = tmp_path / "uplink_k3l3.json"
+    save_spec(random_uplink_spec(np.random.default_rng(6), 3, 3), path)
+    argv = ["corners", str(path), "--format", fmt]
+    want = main(argv)
+    assert len(capsys.readouterr().out) > 1 << 16
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SPECS.parent / "src"), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen([sys.executable, "-m", "cranregions.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+    assert proc.stdout.readline()  # unbuffered: one line read, the rest left in the pipe
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == want and not err

@@ -38,6 +38,14 @@ class TestIstar:
         with pytest.raises(LawError):
             istar(law, ["U1", "X1"])
 
+    def test_singletons_add_left_to_right(self):
+        """The singleton entropies add in order, not compensated as the built-in
+        sum adds them from Python 3.12 on: 1 + 1e-16 + 1e-16 is 1.0."""
+        law = build_downlink_joint(random_downlink_spec(np.random.default_rng(1), 3, 1))
+        law._entropy_cache.update({frozenset({"U1"}): 1.0, frozenset({"U2"}): 1e-16,
+                                   frozenset({"U3"}): 1e-16, frozenset({"U1", "U2", "U3"}): 0.5})
+        assert istar(law, ["U1", "U2", "U3"]) == 0.5
+
     def test_independent_components_vanish(self, rng):
         law = build_downlink_joint(random_downlink_spec(rng))
         # istar over one variable is always zero; over two it is their MI
