@@ -173,19 +173,14 @@ def entropies(law: JointLaw, masks) -> np.ndarray:
     drops, as `entropy` sums it, and kept in the same cache."""
     masks = np.asarray(masks, dtype=np.int64)
     distinct, where = np.unique(masks, return_inverse=True)
-    cache, names, axes = law._entropy_cache, law.names, range(law.probs.ndim)
-    h = np.empty(len(distinct))
-    for j, m in enumerate(distinct.tolist()):
-        key = frozenset(n for i, n in enumerate(names) if m >> i & 1)
-        value = cache.get(key)
-        if value is None:
-            if not key:
-                value = 0.0
-            else:
-                drop = tuple(i for i in axes if not m >> i & 1)
-                value = cache[key] = entropy_of(law.probs.sum(axis=drop) if drop else law.probs)
-        h[j] = value
-    return h[where].reshape(masks.shape)
+    cache, axes = law._entropy_cache, range(law.probs.ndim)
+    h = []
+    for m in distinct.tolist():
+        key = frozenset(law.names[i] for i in axes if m >> i & 1)
+        if key and key not in cache:  # the full mask sums over no axes: the tensor itself
+            cache[key] = entropy_of(law.probs.sum(axis=tuple(i for i in axes if not m >> i & 1)))
+        h.append(cache.get(key, 0.0))
+    return np.array(h)[where].reshape(masks.shape)
 
 
 def mutual_infos(law: JointLaw, a, b, c=0) -> np.ndarray:

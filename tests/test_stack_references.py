@@ -1,6 +1,7 @@
 """The verify suites on whole stacks against the per-order, per-point and
 per-name loops they replace, kept here as references: the greedy corner
-procedure, the successive-decoding and successive-encoding corners, the
+procedure, the closed-form, successive-decoding and successive-encoding
+corners and every entry of their tables, the face-decomposition check, the
 factorization test of the dominant face, the telescope suite, the merge
 check and rates of the splitting map, psi one alpha at a time and the
 inversion's one-column-at-a-time Jacobians.  Every shipped spec and seeded
@@ -667,6 +668,20 @@ def test_face_decomposition_matches_per_query_face_check(case):
                 loop_face_decomposition(spec.law, q, 15, 2, tol), (q, tol)
             faces += bool(df.in_face_FST(spec.law, ul.enumerate_corners(spec.law).points, q).any())
     assert faces  # some query has corners on its face
+
+
+def test_lemma4_draws_once_per_face_size(monkeypatch):
+    """The weights of a face depend only on (seed, samples, face size), and
+    lemma4 takes the queries in order of face size, so it seeds one generator
+    per distinct size."""
+    spec = _spec("uplink", (2, 3))
+    queries = list(df.admissible_queries(spec.K, spec.L))
+    sizes = {len(df.face_corners(spec.law, q)) for q in queries} - {0}
+    seeds, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or
+                        default_rng(seed))
+    assert suites.suite_lemma4(spec, seed=3)[0]
+    assert seeds == [3] * len(sizes) and 1 < len(sizes) < len(queries)
 
 
 @pytest.mark.parametrize("case", UPLINK, ids=_ids)
