@@ -47,6 +47,7 @@ from .uplink import (
     closed_form_table,
     enumerate_orders,
     greedy_corner,
+    pair_terms,
     read_corners,
     slack_region,
 )
@@ -82,10 +83,11 @@ def je_slack(law: JointLaw, x, S, T) -> float:
     at one (K+L,) vector x.
 
     The terms are added left to right in the order the corner procedure
-    of the paper solves them, as in `uplink.jd_slack`.
+    of the paper solves them, and read off the law's one table, as in
+    `uplink.jd_slack`.
     """
     K, L = law.dims("downlink")
-    return add_terms(capacity_minus_rate(x, K, S, T), je_terms(law, K, L, S, T))
+    return add_terms(capacity_minus_rate(x, K, S, T), pair_terms(law, je_terms, K, L, S, T))
 
 
 def je_region(law: JointLaw) -> Region:
@@ -123,7 +125,7 @@ def downlink_corner_iterative(law: JointLaw, orders):
     """Joint-encoding corners solved one coordinate at a time, for a stack of
     solve orders (see `uplink.greedy_corner`)."""
     region, (K, L) = je_region(law), law.dims("downlink")
-    terms = law.memo("je terms", lambda: np.array([je_terms(law, K, L, *r) for r in region.pairs]))
+    terms = np.array([pair_terms(law, je_terms, K, L, *r) for r in region.pairs])
     return greedy_corner(region, terms, orders)
 
 

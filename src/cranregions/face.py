@@ -41,12 +41,12 @@ from .prob import (
 from .uplink import (
     STACK_CHUNK,
     Region,
+    _mask,
     _row_rank,
     dedup_index,
     enumerate_corners,
     in_jd_region,
     jd_region,
-    region_rows,
 )
 
 
@@ -83,6 +83,11 @@ def admissible_queries(K: int, L: int):
         for T in subsets(range(1, L + 1)):
             if 0 < len(S) + len(T) < K + L:
                 yield FaceQuery(S, T)
+
+
+def face_queries(law: JointLaw) -> tuple:
+    """The `admissible_queries` of `law`, in their order, one tuple per law."""
+    return law.memo("face queries", lambda: tuple(admissible_queries(*law.dims("uplink"))))
 
 
 def _face_row(law: JointLaw) -> Region:
@@ -173,18 +178,17 @@ def _face_masks(law: JointLaw) -> tuple:
     User k and relay l are bit k - 1 of a user and of a relay mask, and
     X_k, Y_l and Yh_l are bits k - 1, K + l - 1 and K + L + l - 1 of a
     variable mask of the law.  Returns the pairs (S, T) of the alt region,
-    their normals and user and relay masks, and the admissible queries
-    with their user and relay masks.
+    which are those of the joint-decoding region, their normals and user
+    and relay masks, and the `face_queries` with their user and relay masks.
     """
     def build():
         K, L = law.dims("uplink")
-        pairs, normals = region_rows(K, L, range(1, K + 1), range(1, L + 1))
-        S = (normals[:, :K] < 0) @ (1 << np.arange(K))
-        T = (normals[:, K:] > 0) @ (1 << np.arange(L))
-        queries = tuple(admissible_queries(K, L))
+        jd, queries = jd_region(law), face_queries(law)
+        S = (jd.A[:, :K] < 0) @ (1 << np.arange(K))
+        T = (jd.A[:, K:] > 0) @ (1 << np.arange(L))
         qs = np.array([_mask(q.S) for q in queries], dtype=np.int64)
         qt = np.array([_mask(q.T) for q in queries], dtype=np.int64)
-        return pairs, normals, S, T, queries, qs, qt
+        return jd.pairs, jd.A, S, T, queries, qs, qt
 
     return law.memo("face masks", build)
 
@@ -236,11 +240,6 @@ def _sub_face_bounds(law: JointLaw) -> dict:
             for key, rows, lo, hi in zip(keys, np.split(row, ends),
                                          np.split(lb - lb_cross, ends),
                                          np.split(ub - ub_cross, ends))}
-
-
-def _mask(items) -> int:
-    """The bitmask of a set of 1-based indices."""
-    return sum(1 << (i - 1) for i in items)
 
 
 def sample_face_points(law: JointLaw, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -302,7 +301,7 @@ def face_corners(law: JointLaw, q: FaceQuery, tol: float = FACE_TOL) -> np.ndarr
 
 def _face_corner_rows(law: JointLaw, tol: float) -> dict:
     vertices = enumerate_corners(law).vertices
-    queries = _face_masks(law)[4]
+    queries = face_queries(law)
     caps = [face_bounds(law)["cap", q] for q in queries]
     stacked = Region(tuple(p for cap in caps for p in cap.pairs), np.vstack([cap.A for cap in caps]),
                      np.concatenate([cap.lb for cap in caps]),
@@ -354,10 +353,13 @@ def check_degenerate_factorization(law: JointLaw, q: FaceQuery) -> bool:
 
     def factorizes():
         mat = enumerate_corners(law).vertices  # distinct at DEDUP_TOL = FACE_TOL
+        n = len(mat)  # at least 1: dedup keeps the first corner
         a = dedup_index(mat[:, mask], FACE_TOL)
+        n_a = np.count_nonzero(a == np.arange(n))
+        if n % n_a:  # no product of n_a rows has n vertices
+            return False
         b = dedup_index(mat[:, ~mask], FACE_TOL)
-        n = len(mat)
-        n_a, n_b = np.count_nonzero(a == np.arange(n)), np.count_nonzero(b == np.arange(n))
+        n_b = np.count_nonzero(b == np.arange(n))
         return bool(n == n_a * n_b and len(np.unique(a * n + b)) == n)
 
     return law.memo(("factorizes", mask.tobytes()), factorizes)

@@ -74,7 +74,7 @@ def suite_lemma3(spec: UplinkSpec, seed=0, samples=500):
 
 def suite_lemma4(spec: UplinkSpec, seed=0, samples=200):
     law = spec.law
-    queries = list(df.admissible_queries(spec.K, spec.L))
+    queries = df.face_queries(law)
     # in order of face size, so that the weights of each size are drawn once
     reports = {q: df.check_face_decomposition(law, q, samples=samples, seed=seed)
                for q in sorted(queries, key=lambda q: len(df.face_corners(law, q)))}
@@ -89,7 +89,7 @@ def suite_lemma5(spec: UplinkSpec, seed=0, samples=100):
     law = spec.law
     results = {}
     ok = True
-    for q in df.admissible_queries(spec.K, spec.L):
+    for q in df.face_queries(law):
         degen = df.degeneracy_condition(law, q)
         factor = df.check_degenerate_factorization(law, q)
         key = f"S={sorted(q.S)},T={sorted(q.T)}"
@@ -101,9 +101,7 @@ def suite_lemma5(spec: UplinkSpec, seed=0, samples=100):
 def suite_lemma6(spec: UplinkSpec, seed=0, samples=100):
     law = spec.law
     dim = df.dominant_face_dimension(law)
-    any_degen = any(
-        df.degeneracy_condition(law, q) for q in df.admissible_queries(spec.K, spec.L)
-    )
+    any_degen = any(df.degeneracy_condition(law, q) for q in df.face_queries(law))
     ok = any_degen == (dim < spec.K + spec.L - 1)
     return ok, {"dimension": dim, "full": spec.K + spec.L - 1, "degenerate_pair_exists": any_degen}
 

@@ -21,10 +21,12 @@ the two procedures genuinely disagree.
 The downlink joint-encoding region has the same form with another
 right-hand side, so the direction-free core lives here and serves both:
 a `Region` (0/+-1 normals A of the (S, T) pairs, bounds lb <= A x <= ub)
-is built once per law, `check_corner` reads corner-hood off its tight rows
-(or off the chain of a point's solve order, when it comes with one),
-`greedy_corner` solves the slack for the corners of solve orders, and
-`enumerate_orders` applies a corner procedure to every solve order.
+is built once per law from one table of the signed terms of every pair's
+bound (`pair_terms`), which the greedy corners read too, `check_corner`
+reads corner-hood off its tight rows (or off the chain of a point's solve
+order, when it comes with one), `greedy_corner` solves the slack for the
+corners of solve orders, and `enumerate_orders` applies a corner
+procedure to every solve order.
 
 A solve order is a row of coordinate indices, R_1..R_K, C_1..C_L numbered
 0..K+L-1, and every corner function takes an (n, K+L) stack of such rows
@@ -137,10 +139,22 @@ def jd_slack(law: JointLaw, x, S, T) -> float:
     Nonnegative slack for every (S, T) pair means the point is in the
     joint-decoding region.  The terms are added left to right in the order
     the corner procedure of the paper solves them, and `greedy_corner`
-    adds them in the same order.
+    adds them in the same order; both read them off the law's one table
+    (`pair_terms`).
     """
     K, L = law.dims("uplink")
-    return add_terms(capacity_minus_rate(x, K, S, T), jd_terms(law, K, L, S, T))
+    return add_terms(capacity_minus_rate(x, K, S, T), pair_terms(law, jd_terms, K, L, S, T))
+
+
+def pair_terms(law: JointLaw, terms, K: int, L: int, S, T) -> tuple:
+    """terms(law, K, L, S, T), the signed terms of -f(S, T), computed once per
+    law and pair: the law keeps them in one table keyed by the pair, which
+    the slack, and so the region bounds, and the greedy corners read."""
+    table = law.memo("pair terms", dict)
+    pair = frozenset(S), frozenset(T)
+    if pair not in table:
+        table[pair] = terms(law, K, L, S, T)
+    return table[pair]
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,10 +185,10 @@ class Region:
     def contains(self, points, tol: float):
         """One bool per point of an (n, K+L) stack, STACK_CHUNK points at a time."""
         points = np.asarray(points)
-        inside = np.empty(len(points), dtype=bool)
-        for i in range(0, len(points), STACK_CHUNK):
-            inside[i:i + STACK_CHUNK] = self.slacks(points[i:i + STACK_CHUNK]).min(axis=1) >= -tol
-        return inside
+        if len(points) > STACK_CHUNK:
+            return np.concatenate([self.contains(points[i:i + STACK_CHUNK], tol)
+                                   for i in range(0, len(points), STACK_CHUNK)])
+        return self.slacks(points).min(axis=1) >= -tol
 
     @cached_property
     def row_of_mask(self) -> np.ndarray:
@@ -186,15 +200,21 @@ class Region:
         return row
 
 
+def _mask(items) -> int:
+    """The bitmask of a set of 1-based indices."""
+    return sum(1 << (i - 1) for i in items)
+
+
 def region_rows(K: int, L: int, users, relays) -> tuple:
     """The pairs (S, T) for S a subset of `users` and T of `relays`, S outer and
-    T inner in `subsets` order, and their (rows, K+L) normals."""
-    pairs = tuple((S, T) for S in subsets(users) for T in subsets(relays))
-    A = np.zeros((len(pairs), K + L))
-    for row, (S, T) in zip(A, pairs):
-        row[[i - 1 for i in S]] = -1.0
-        row[[K + j - 1 for j in T]] = 1.0
-    return pairs, A
+    T inner in `subsets` order, and their (rows, K+L) normals, read off the
+    pairs' bitmasks."""
+    user_sets, relay_sets = list(subsets(users)), list(subsets(relays))
+    pairs = tuple((S, T) for S in user_sets for T in relay_sets)
+    masks = (np.array([_mask(S) for S in user_sets])[:, None]
+             | np.array([_mask(T) for T in relay_sets]) << K).ravel()
+    on = (masks[:, None] & (1 << np.arange(K + L))) != 0
+    return pairs, np.where(on, np.repeat([-1.0, 1.0], [K, L]), 0.0)
 
 
 def build_region(K: int, L: int, users, relays, bounds) -> Region:
@@ -274,7 +294,7 @@ def corner_iterative(law: JointLaw, orders):
     """Joint-decoding corners solved one coordinate at a time, for a stack of
     solve orders (see `greedy_corner`)."""
     region, (K, L) = jd_region(law), law.dims("uplink")
-    terms = law.memo("jd terms", lambda: np.array([jd_terms(law, K, L, *r) for r in region.pairs]))
+    terms = np.array([pair_terms(law, jd_terms, K, L, *r) for r in region.pairs])
     return greedy_corner(region, terms, orders)
 
 

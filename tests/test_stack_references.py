@@ -8,8 +8,10 @@ inversion's one-column-at-a-time Jacobians.  Every shipped spec and seeded
 specs up to K+L = 6 are checked.  The face bounds and the decoding order
 of an alpha are checked against the formulas they were first written as:
 one name-keyed bound formula per region, and a walk over the whole
-generalized order.  The solve-order certificate of `check_corner` is
-checked against the exact elimination it skips."""
+generalized order; the normals of the region rows against the per-pair
+loop that first set them, and the greedy corners against the scalar slack
+with its own call of each pair's terms.  The solve-order certificate of
+`check_corner` is checked against the exact elimination it skips."""
 
 import pathlib
 from functools import partial
@@ -83,6 +85,24 @@ def loop_greedy(slack, perm, K, L):
         else:
             vec[c] = -slack(point, I, J | {c - K + 1})
     return vec
+
+
+def scalar_slack(terms, law, K, L):
+    """Reference: the slack of one (S, T) pair at one point, with its own call
+    of the pair's terms."""
+    return lambda x, S, T: ul.add_terms(ul.capacity_minus_rate(x, K, S, T),
+                                        terms(law, K, L, S, T))
+
+
+def loop_region_rows(K, L, users, relays):
+    """Reference: the normal of each (S, T) pair, -1 on R_S and +1 on C_T, set
+    one pair at a time."""
+    pairs = tuple((S, T) for S in prob.subsets(users) for T in prob.subsets(relays))
+    A = np.zeros((len(pairs), K + L))
+    for row, (S, T) in zip(A, pairs):
+        row[[i - 1 for i in S]] = -1.0
+        row[[K + j - 1 for j in T]] = 1.0
+    return pairs, A
 
 
 def loop_sd_corner(law, row, K, L):
@@ -521,6 +541,47 @@ def test_suites_share_one_greedy_pass_per_law(direction, monkeypatch):
     assert calls == [120] and ok and ok2
     fresh = _spec(direction, (2, 3))
     assert suites.run_suites(fresh, pair) == (True, {**results, **results2})
+
+
+@pytest.mark.parametrize("direction, spec_name, names", [
+    ("uplink", "uplink_k2l2", ["all"]),
+    ("downlink", "downlink_k2l2", ["lemma7", "thm3", "lemma8"]),
+])
+def test_verify_computes_each_pair_term_once(direction, spec_name, names, monkeypatch):
+    """The region bounds and the greedy corners read one table of pair terms
+    per law: a verify run calls the terms of each (S, T) pair once, and the
+    greedy corners equal those of the scalar slack with its own terms."""
+    module, name = (ul, "jd_terms") if direction == "uplink" else (dl, "je_terms")
+    terms, calls = getattr(module, name), []
+
+    def counted(law, K, L, S, T):
+        calls.append((tuple(S), tuple(T)))
+        return terms(law, K, L, S, T)
+
+    monkeypatch.setattr(module, name, counted)
+    spec = load_spec(SPECS / f"{spec_name}.json")
+    ok, _ = suites.run_suites(spec, names, seed=0, samples=5)
+    assert ok and len(calls) == len(set(calls)) == 2 ** (spec.K + spec.L)
+    iterative = ul.corner_iterative if direction == "uplink" else dl.downlink_corner_iterative
+    perms = ul.solve_perms(spec.K, spec.L)
+    slack = scalar_slack(terms, spec.law, spec.K, spec.L)
+    ref = np.array([loop_greedy(slack, p, spec.K, spec.L) for p in perms.tolist()])
+    assert np.array_equal(iterative(spec.law, perms), ref)
+    assert len(calls) == 2 ** (spec.K + spec.L)  # the greedy pass read the table
+
+
+@pytest.mark.parametrize("K, L", SHAPES, ids=lambda s: str(s))
+def test_region_rows_match_per_pair_loop(K, L):
+    """The pairs and normals of the full region and of the leading and
+    conditional sub-networks of every admissible query."""
+    users, relays = set(range(1, K + 1)), set(range(1, L + 1))
+    splits = [(users, relays)] + [part for q in df.admissible_queries(K, L)
+                                  for part in ((q.S, q.T), (users - q.S, relays - q.T))]
+    for S, T in splits:
+        pairs, A = ul.region_rows(K, L, sorted(S), sorted(T))
+        want_pairs, want_A = loop_region_rows(K, L, sorted(S), sorted(T))
+        assert pairs == want_pairs
+        assert A.shape == want_A.shape and A.tobytes() == want_A.tobytes()  # no -0.0
 
 
 def _same_region(got, want):
