@@ -8,11 +8,13 @@ decoding order over the 2(K+L)-1 virtual indices, turning the original
 problem into a (2K-1)-user, 2L-relay virtual network whose successive
 decoding rates assemble to a point on the dominant face of the original
 region.  That assembly is the map psi; its numerical inverse recovers a
-parameter vector for any face point.
+parameter vector for any face point.  psi evaluates a stack of parameter
+vectors, whatever their decoding orders, in one pass, each row bit for bit
+as alone.
 
-Binary alphabets only: the constructions are the explicit binary ones,
-whose invariants (pushforward laws, Markov chains, endpoint
-degeneracies) are exactly checkable.
+Binary alphabets only: the constructions are the explicit binary ones, whose
+invariants (pushforward laws, Markov chains, endpoint degeneracies) are
+exactly checkable.
 """
 
 from __future__ import annotations
@@ -24,21 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .face import on_dominant_face
-from .prob import (
-    FACE_TOL,
-    INVERT_TOL,
-    MERGE_TOL,
-    LawError,
-    UplinkSpec,
-    clamp_info,
-    entropy_of,
-)
+from .prob import CLAMP_TOL, FACE_TOL, INVERT_TOL, MERGE_TOL, LawError, UplinkSpec
 from .uplink import MAX_ENUM, RateFronthaulPoint, sd_corner
 
 CORNER_ROWS = 1 << 16  # corner points scored per batch of cells
 CELL_STEPS = 10  # damped Newton steps on one cell before the next is tried
 EPS_MARGIN = 1e-9  # eps stays this far inside (0, 1), so a 12-digit alpha keeps its cell
-STACK_ENTRIES = 1 << 16  # virtual-joint entries per stack that psi builds at once
+STACK_ENTRIES = 1 << 16  # virtual-joint entries that psi builds, or sums, at once
 
 
 @dataclass(frozen=True)
@@ -276,49 +270,75 @@ def beta_rates(vc: VirtualCran, configs):
     beta = I(Y_l; Yh_k | decoded-so-far).  User and relay rates are the
     sums of their two halves.
 
-    The entropies are read off one tensor whose axes are the virtual
-    variables in decoding order, then Y_1..Y_L: the marginal of each prefix
-    of the order, alone or with one Y_l, is one sum away from that of the
-    next longer prefix.  Rows with one decoding order (one cell of alpha)
-    are transposed and summed together, and each row's entropies are taken
-    one marginal at a time, so a row's rates do not depend on its stack.
+    Each marginal is a chain of sums over one binary axis, one addition an
+    entry, so a row has the same bits in any stack: Y_L, Y_L-1, .. summed in
+    the virtual layout, STACK_ENTRIES joint entries at a time, give each
+    (decoded, Y_l); then, in decoding order with the latest decoded first,
+    each step sums the first variable of all marginals of the stack at once,
+    down to each prefix, alone and with each Y_l, and to each input alone.
+    Each entropy is -x log2 x over the positive entries of its segment of one
+    buffer, added as np.add.reduceat adds.  The betas, from the table of the
+    variable each row decodes k-th, are clamped as `clamp_info` clamps.
     """
-    K, L = vc.K, vc.L
-    groups = {}
-    for r, c in enumerate(configs):
-        groups.setdefault(c.order, []).append(r)
-    rates = [None] * len(configs)
-    for order, rows in groups.items():
-        decoded = [f"X{lab}" if lab == "1" or lab[-1] in "ab" else f"Yh{lab}" for lab in order]
-        m = len(decoded)
-        axes = [vc.names.index(v) + 1 for v in decoded + [f"Y{l}" for l in range(1, L + 1)]]
-        p = (vc.probs if len(rows) == len(configs) else vc.probs[rows]).transpose([0] + axes)
-
-        def prefixes(q, stop):  # the marginals of q over decoded[:k] and its axes after the m-th,
-            out = [q]  # for k = stop..m
-            for k in range(m, stop, -1):
-                out.append(out[-1].sum(axis=k))
-            return [None] * stop + out[::-1]
-
-        marginal = prefixes(p.sum(axis=tuple(range(m + 1, m + L + 1))), 1)
-        with_y = [prefixes(p.sum(axis=tuple(m + 1 + j for j in range(L) if j != l)),
-                           order.index(f"{l + 1}c")) for l in range(L)]
-        x_alone = {k: marginal[k + 1].sum(axis=tuple(range(1, k + 1)))  # from the shortest
-                   for k, var in enumerate(decoded) if var[0] == "X"}  # prefix that holds X
-        for g, r in enumerate(rows):
-            h = [0.0] + [entropy_of(q[g]) for q in marginal[1:]]  # H(decoded[:k])
-            betas = {}
-            for k, lab in enumerate(order):
-                if k in x_alone:
-                    val = entropy_of(x_alone[k][g]) + h[k] - h[k + 1]
-                else:
-                    q = with_y[int(lab[:-1]) - 1]
-                    val = entropy_of(q[k][g]) + h[k + 1] - entropy_of(q[k + 1][g]) - h[k]
-                betas[lab] = clamp_info(val)
-            rates[r] = betas
-    points = [[b["1"]] + [b[f"{i}a"] + b[f"{i}b"] for i in range(2, K + 1)]
-              + [b[f"{l}c"] + b[f"{l}d"] for l in range(1, L + 1)] for b in rates]
-    return rates, np.reshape(points, (len(rates), K + L))
+    K, L, rows = vc.K, vc.L, len(configs)
+    n, n_in, m = K + L, 2 * K - 1, 2 * K - 1 + 2 * L
+    # decoding order by `_position`: X1 (1, 1), then row i's first half (X_ia or Yh_lc) at j_i
+    sh, first = n - np.arange(2, n + 1), [2 * i - 3 + L * (i > K) for i in range(2, n + 1)]
+    key = (2 * np.array([[c.j[i] for i in range(2, n + 1)] for c in configs]) - 1) << sh
+    var = np.array([0] + first + [v + 1 for v in first])[np.argsort(np.concatenate(
+        [np.full((rows, 1), 1 << (n - 1)), key, key + (2 << sh)], axis=1))]
+    inp = var < n_in
+    ax, is_x = (var - (L - 1) * ~inp)[:, ::-1].tolist(), inp.any(axis=0).tolist()
+    # the buffer, the decoded from the latest and Y_l last: each (decoded, Y_l); for no Y, then
+    # each Y_l, the levels j = m..1, decoded[:j] or (decoded[:j-1], Y_l); the inputs alone
+    R, B, seg, nx, at_lev = rows << n_in, 1 << 2 * L, (2 << m) - 2, sum(is_x), L * rows << (m + 1)
+    buf = np.empty(at_lev + (L + 1) * rows * seg + 2 * rows * nx)
+    top, lev = buf[:at_lev].reshape(L, rows, 2 << m), buf[at_lev:-2 * rows * nx].reshape(-1, seg)
+    q = vc.probs.reshape((R,) + (2,) * L + (B,))
+    nat = q[None] if L == 1 else buf[at_lev:2 * at_lev].reshape(L, R, 2, B)  # the virtual layout
+    rb, bb = max(1, STACK_ENTRIES >> 3 * L), max(1, min(B, STACK_ENTRIES >> L))
+    for r, s in itertools.product(range(0, R, rb), range(0, B, bb)):
+        p, out = q[r:r + rb, ..., s:s + bb], nat[:, r:r + rb, ..., s:s + bb]
+        for l in range(L, 1, -1):  # p holds Y_1..Y_l; summing Y_1..Y_l-1 leaves Y_l
+            d = p
+            for step in range(l - 1):
+                d = np.add.reduce(d, axis=1, out=out[l - 1] if step == l - 2 else None)
+            p = np.add.reduce(p, axis=l, out=out[0] if l == 2 else None)
+    nat = nat.reshape((L, rows) + (2,) * (m + 1))  # row r's decoded are axes ax[r], Y_l n_in
+    for t, d, a in ([(top, nat, ax[0])] if ax.count(ax[0]) == rows else
+                    zip(top.swapaxes(0, 1), nat.swapaxes(0, 1), ax)):
+        e = d.ndim - m - 1  # leading axes: the relays, and the rows for the whole stack
+        t.reshape(d.shape)[...] = d.transpose([*range(e), *(e + v for v in a + [n_in])])
+    np.add(top[..., :1 << m], top[..., 1 << m:], out=lev[rows:, :1 << m].reshape(L, rows, -1))
+    np.add(top[0, :, 0::2], top[0, :, 1::2], out=lev[:rows, :1 << m])  # level m, and with Y_1
+    xs = np.empty((0, 1))
+    for j in range(m, 0, -1):  # level j at o; its first variable summed gives level j - 1
+        o, hw = seg + 2 - (2 << j), 1 << (j - 1)
+        if is_x[j - 1]:  # the input decoded j-th: each half of its prefix, by that input
+            xs = np.concatenate([xs.reshape(-1, hw), lev[:rows, o:o + 2 * hw].reshape(-1, hw)])
+        if j > 1:
+            np.add(lev[:, o:o + hw], lev[:, o + hw:o + 2 * hw], out=lev[:, o + 2 * hw:o + 3 * hw])
+        if j > 1 and len(xs):
+            xs = xs[:, :hw >> 1] + xs[:, hw >> 1:]
+    buf[-2 * rows * nx:] = xs.ravel()  # the latest decoded input first
+    sizes = [2 << m] * (L * rows) + [1 << j for j in range(m, 0, -1)] * ((L + 1) * rows)
+    pos = buf > 0
+    cnt = np.add.reduceat(pos.view(np.int8), [0, *itertools.accumulate(
+        sizes + [2] * (rows * nx - 1))], dtype=np.int32)  # each segment's positive entries
+    x = buf[pos]
+    h = -np.add.reduceat(x * np.log2(x), np.cumsum(cnt) - cnt)
+    hl = h[L * rows:-rows * nx].reshape(L + 1, rows, m)[:, :, ::-1]  # [.., j - 1]: level j
+    hp = np.concatenate([np.zeros((rows, 1)), hl[0]], axis=1)  # H(decoded[:k]), k = 0..m
+    hy = np.concatenate([hl[1:], h[:L * rows].reshape(L, rows, 1)], axis=2)  # with Y_l
+    hx, b = np.zeros((rows, m)), np.empty((rows, m))  # H(decoded[k]) of the inputs; the betas
+    hx[:, [k for k in range(m - 1, -1, -1) if is_x[k]]] = h[-rows * nx:].reshape(nx, rows).T
+    r, k, relay = np.arange(rows)[:, None], np.arange(m), np.maximum((var - n_in - L) >> 1, 0)
+    val = np.where(inp, hx + hp[:, :-1] - hp[:, 1:],
+                   hy[relay, r, k] + hp[:, 1:] - hy[relay, r, k + 1] - hp[:, :-1])
+    val[(-CLAMP_TOL <= val) & (val < 0)] = 0.0
+    b[r, var - L * ~inp] = val  # by decoded variable: X1, X2a, X2b, .., Yh1c, Yh1d, ..
+    rates = [dict(zip(c.order, v)) for c, v in zip(configs, val.tolist())]
+    return rates, np.concatenate([b[:, :1], b[:, 1::2] + b[:, 2::2]], axis=1)
 
 
 def psi(spec: UplinkSpec, alphas):

@@ -291,8 +291,64 @@ def loop_build_virtual_cran(spec, config):
 
 
 def loop_beta_rates(law, config, K, L):
-    """Reference: one config's rates from its own transposed tensor, and the
-    point they assemble to as a vector."""
+    """Reference: one config's rates by the arithmetic of `beta_rates`, from
+    tensors of its own, and the point they assemble to as a vector.  Each
+    marginal is a chain of sums over one named axis at a time: the other relay
+    outputs from Y_L down to Y_l+1, then from Y_1 up, in the virtual layout;
+    below that the latest decoded variable first.  Each marginal is laid out
+    with the decoded from the latest and Y_l last; a decoded input alone is its
+    shortest prefix with the earlier variables summed from the latest.  Each
+    entropy is -x log2 x over the marginal's positive entries in that layout,
+    added as np.add.reduceat adds one segment."""
+    decoded = [f"X{lab}" if lab == "1" or lab[-1] in "ab" else f"Yh{lab}" for lab in config.order]
+    m, ys = len(decoded), [f"Y{l}" for l in range(1, L + 1)]
+
+    def summed(names, probs, drop):
+        for v in drop:
+            probs = probs.sum(axis=names.index(v))
+            names = [u for u in names if u != v]
+        return names, probs
+
+    def laid_out(names, probs, order):
+        return probs.transpose([names.index(v) for v in order])
+
+    def H(q):
+        t = q[q > 0]
+        return -float(np.add.reduceat(t * np.log2(t), [0])[0])
+
+    hy, hp, prefix = {}, [0.0] * (m + 1), [None] * (m + 1)
+    for l in range(1, L + 1):
+        names, top = summed(list(law.names), law.probs, ys[l:][::-1] + ys[:l - 1])
+        hy[l, m] = H(laid_out(names, top, decoded[::-1] + [ys[l - 1]]))
+        q = laid_out(*summed(names, top, decoded[-1:]), decoded[-2::-1] + [ys[l - 1]])
+        for k in range(m - 1, -1, -1):  # q holds decoded[:k], latest first, and Y_l
+            hy[l, k] = H(q)
+            q = q.sum(axis=0) if k else q
+        if l == 1:
+            q = laid_out(*summed(names, top, ys[:1]), decoded[::-1])
+            for k in range(m, 0, -1):
+                prefix[k], hp[k] = q, H(q)
+                q = q.sum(axis=0)
+    betas = {}
+    for k, (lab, var) in enumerate(zip(config.order, decoded)):
+        if var[0] == "X":
+            q = prefix[k + 1]
+            for _ in range(k):
+                q = q.sum(axis=1)
+            val = H(q) + hp[k] - hp[k + 1]
+        else:
+            l = int(lab[:-1])
+            val = hy[l, k] + hp[k + 1] - hy[l, k + 1] - hp[k]
+        betas[lab] = clamp_info(val)
+    R = [betas["1"]] + [betas[f"{i}a"] + betas[f"{i}b"] for i in range(2, K + 1)]
+    return betas, np.array(R + [betas[f"{l}c"] + betas[f"{l}d"] for l in range(1, L + 1)])
+
+
+def marginal_beta_rates(law, config, K, L):
+    """Reference: one config's rates by the formula psi used before, one
+    `entropy_of` per marginal from one transposed tensor, and the point they
+    assemble to as a vector; within 1e-13 of the entropy pass of
+    `beta_rates`, whose additions run in another order."""
     decoded = [f"X{lab}" if lab == "1" or lab[-1] in "ab" else f"Yh{lab}" for lab in config.order]
     m = len(decoded)
     p = law.probs.transpose(law.axes(decoded + [f"Y{l}" for l in range(1, L + 1)]))
@@ -808,6 +864,8 @@ def test_psi_stacks_match_one_alpha_at_a_time(case, monkeypatch):
         laws = [loop_build_virtual_cran(spec, c) for c in configs]
         assert betas == [loop_beta_rates(law, c, K, L)[0] for law, c in zip(laws, configs)], kind
         assert np.array_equal(points, ref), kind
+        old = np.array([marginal_beta_rates(law, c, K, L)[1] for law, c in zip(laws, configs)])
+        assert np.max(np.abs(points - old), initial=0.0) <= 1e-13, kind
         for a, vec in zip(alphas, ref):
             assert np.array_equal(sp.psi(spec, a).as_vector(), vec), kind
     mixed = stacks["mixed cells"]
@@ -816,6 +874,66 @@ def test_psi_stacks_match_one_alpha_at_a_time(case, monkeypatch):
         monkeypatch.setattr(sp, "STACK_ENTRIES", rows << (2 * K + 3 * L - 1))
         assert np.array_equal(sp.psi(spec, mixed), ref), rows
     assert sp.psi(spec, mixed[:0]).shape == (0, K + L)
+
+
+def _assert_rows_match_references(spec, alphas):
+    """Each row of one beta_rates call on the whole stack, and of psi, equals
+    the one-alpha reference bit for bit and lies within 1e-13 of the
+    per-marginal formula."""
+    K, L = spec.K, spec.L
+    configs = [sp.decode_order_from_alpha(K, L, a) for a in alphas]
+    betas, points = sp.beta_rates(sp.build_virtual_cran(spec, configs), configs)
+    for config, b, point in zip(configs, betas, points):
+        law = loop_build_virtual_cran(spec, config)
+        ref, vec = loop_beta_rates(law, config, K, L)
+        assert b == ref and np.array_equal(point, vec)
+        old, old_vec = marginal_beta_rates(law, config, K, L)
+        assert max(abs(b[k] - old[k]) for k in old) <= 1e-13
+        assert np.max(np.abs(point - old_vec)) <= 1e-13
+    assert np.array_equal(sp.psi(spec, alphas), points)
+
+
+def _spec_with_zeros(K, L):
+    """A seeded spec with exact zeros in its channel, where relay 1 sees the
+    parity of the inputs without noise, and in its last test channel."""
+    f = random_uplink_spec(np.random.default_rng(600 + 10 * K + L), K, L)
+    x = np.indices((2,) * K).sum(axis=0) % 2
+    others = f.channel.sum(axis=K)  # p(y_2.. | x): the relays see the inputs independently
+    chan = np.stack([x == 0, x == 1], axis=K).reshape(x.shape + (2,) + (1,) * (L - 1))
+    tests = f.test_channels[:-1] + (np.array([[1.0, 0.0], [0.3, 0.7]]),)
+    return UplinkSpec(K, L, f.input_pmfs, chan * np.expand_dims(others, K), tests)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)], ids=str)
+def test_entropy_pass_on_exact_zeros(shape, monkeypatch):
+    spec = _spec_with_zeros(*shape)
+    assert (spec.channel == 0).any() and (spec.test_channels[-1] == 0).any()
+    for kind, alphas in _stacks(spec, np.random.default_rng(22)).items():
+        for rows in (4, 0):
+            monkeypatch.setattr(sp, "STACK_ENTRIES", rows << (2 * shape[0] + 3 * shape[1] - 1))
+            _assert_rows_match_references(spec, alphas)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (1, 4)], ids=str)
+def test_cell_ends_with_interior_alphas_over_several_chunks(shape, monkeypatch):
+    """Alphas at cell ends (eps = 0, and eps = 1 at the last cell) among
+    interior ones, three rows a chunk, and one row a chunk summed an entry of
+    the relay outputs at a time."""
+    spec, d = _spec("uplink", shape), sum(shape) - 1
+    rng = np.random.default_rng(23)
+    m = 2 ** np.arange(1, d + 1) - 1
+    ends = (rng.integers(1, m + 1, size=(6, d)) - rng.integers(0, 2, size=(6, d))) / m
+    alphas = np.vstack([ends, np.ones((1, d)), np.zeros((1, d)), rng.uniform(size=(5, d))])
+    rng.shuffle(alphas)
+    for rows in (3, 0):
+        monkeypatch.setattr(sp, "STACK_ENTRIES", rows << (2 * shape[0] + 3 * shape[1] - 1))
+        _assert_rows_match_references(spec, alphas)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (2, 5), (1, 7)], ids=str)
+def test_one_row_at_the_largest_sizes(shape):
+    spec = random_uplink_spec(np.random.default_rng(4100 + 10 * shape[0] + shape[1]), *shape)
+    _assert_rows_match_references(spec, np.random.default_rng(24).uniform(size=(1, sum(shape) - 1)))
 
 
 def _inversion_targets(case):
