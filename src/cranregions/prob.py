@@ -147,6 +147,11 @@ def clamp_info(val: float) -> float:
     return val
 
 
+def clamp_infos(val: np.ndarray) -> np.ndarray:
+    """Information values, each clamped as `clamp_info` clamps it."""
+    return np.where((-CLAMP_TOL <= val) & (val < 0.0), 0.0, val)  # -0.0 stays, as in max
+
+
 def mutual_info(law: JointLaw, a, b, c=()) -> float:
     """Conditional mutual information I(a; b | c) in bits.
 
@@ -193,8 +198,7 @@ def mutual_infos(law: JointLaw, a, b, c=0) -> np.ndarray:
         names = [n for i, n in enumerate(law.names) if int(overlap) >> i & 1]
         raise LawError(f"overlapping variable sets in mutual_infos: {sorted(names)}")
     h = entropies(law, np.stack([a | c, b | c, a | b | c, c]))
-    val = h[0] + h[1] - h[2] - h[3]
-    return np.where((np.abs(val) <= CLAMP_TOL) & (val < 0.0), 0.0, val)  # -0.0 stays, as in max
+    return clamp_infos(h[0] + h[1] - h[2] - h[3])
 
 
 def gather(law: JointLaw, terms) -> list:

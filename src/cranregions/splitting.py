@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .face import on_dominant_face
-from .prob import CLAMP_TOL, FACE_TOL, INVERT_TOL, MERGE_TOL, LawError, UplinkSpec
+from .prob import FACE_TOL, INVERT_TOL, MERGE_TOL, LawError, UplinkSpec, clamp_infos
 from .uplink import MAX_ENUM, RateFronthaulPoint, sd_corner
 
 CORNER_ROWS = 1 << 16  # corner points scored per batch of cells
@@ -260,6 +260,29 @@ def build_virtual_cran(spec: UplinkSpec, configs) -> VirtualCran:
     return vc
 
 
+def _with_each_relay_output(probs, L, out):
+    """Each (inputs, Y_l, descriptions) marginal of a stack of virtual joints,
+    axes (l, rows by inputs, Y_l, descriptions), in `out` unless L = 1.  The
+    other relay outputs are summed in the virtual layout, STACK_ENTRIES joint
+    entries at a time, from Y_L down; Y_1..Y_l share the sums that leave them."""
+    B = 1 << 2 * L
+    q = probs.reshape((-1,) + (2,) * L + (B,))
+    if L == 1:
+        return q[None]
+    each = out.reshape(L, len(q), 2, B)
+    rb = max(1, STACK_ENTRIES >> 3 * L)
+    bb = max(1, min(B, STACK_ENTRIES >> L))
+    for r, s in itertools.product(range(0, len(q), rb), range(0, B, bb)):
+        p = q[r:r + rb, ..., s:s + bb]
+        part = each[:, r:r + rb, ..., s:s + bb]
+        for l in range(L, 1, -1):  # p holds Y_1..Y_l; summing Y_1..Y_l-1 leaves Y_l
+            d = p
+            for step in range(l - 1):
+                d = np.add.reduce(d, axis=1, out=part[l - 1] if step == l - 2 else None)
+            p = np.add.reduce(p, axis=l, out=part[0] if l == 2 else None)
+    return each
+
+
 def beta_rates(vc: VirtualCran, configs):
     """Per-index successive rates and the assembled rate-fronthaul points for
     a list of SplitConfigs, one per row of the stack: a list of rate dicts
@@ -271,74 +294,95 @@ def beta_rates(vc: VirtualCran, configs):
     sums of their two halves.
 
     Each marginal is a chain of sums over one binary axis, one addition an
-    entry, so a row has the same bits in any stack: Y_L, Y_L-1, .. summed in
-    the virtual layout, STACK_ENTRIES joint entries at a time, give each
-    (decoded, Y_l); then, in decoding order with the latest decoded first,
-    each step sums the first variable of all marginals of the stack at once,
-    down to each prefix, alone and with each Y_l, and to each input alone.
-    Each entropy is -x log2 x over the positive entries of its segment of one
-    buffer, added as np.add.reduceat adds.  The betas, from the table of the
-    variable each row decodes k-th, are clamped as `clamp_info` clamps.
+    entry, so a row has the same bits in any stack.  Each row's (decoded, Y_l)
+    of `_with_each_relay_output` is copied into decoding order, the latest
+    decoded first and Y_l last.  From there each step sums the first variable
+    of all marginals of the stack at once, down to each prefix, alone and with
+    each Y_l, and to each input alone from its shortest prefix.  Each entropy
+    a beta reads is -x log2 x over the positive entries of its segment of one
+    buffer, added as np.add.reduceat adds; the other segments are skipped.
+    The betas, from the table of the variable each row decodes k-th, are
+    clamped by `clamp_infos`.
     """
     K, L, rows = vc.K, vc.L, len(configs)
-    n, n_in, m = K + L, 2 * K - 1, 2 * K - 1 + 2 * L
-    # decoding order by `_position`: X1 (1, 1), then row i's first half (X_ia or Yh_lc) at j_i
-    sh, first = n - np.arange(2, n + 1), [2 * i - 3 + L * (i > K) for i in range(2, n + 1)]
-    key = (2 * np.array([[c.j[i] for i in range(2, n + 1)] for c in configs]) - 1) << sh
-    var = np.array([0] + first + [v + 1 for v in first])[np.argsort(np.concatenate(
-        [np.full((rows, 1), 1 << (n - 1)), key, key + (2 << sh)], axis=1))]
+    n = K + L
+    n_in = 2 * K - 1
+    m = n_in + 2 * L
+    # row i decodes its halves at (2 j_i -+ 1) 2^(n-i) of the generalized order, X1 at 2^(n-1);
+    # the first half is X_ia, virtual variable 2i - 3, or Yh_lc, 2i - 3 + L
+    shift = n - np.arange(2, n + 1)
+    key = (2 * np.array([[c.j[i] for i in range(2, n + 1)] for c in configs]) - 1) << shift
+    keys = np.concatenate([np.full((rows, 1), 1 << (n - 1)), key, key + (2 << shift)], axis=1)
+    first = [2 * i - 3 + L * (i > K) for i in range(2, n + 1)]
+    var = np.array([0] + first + [v + 1 for v in first])[np.argsort(keys)]  # decoded k-th
     inp = var < n_in
-    ax, is_x = (var - (L - 1) * ~inp)[:, ::-1].tolist(), inp.any(axis=0).tolist()
-    # the buffer, the decoded from the latest and Y_l last: each (decoded, Y_l); for no Y, then
-    # each Y_l, the levels j = m..1, decoded[:j] or (decoded[:j-1], Y_l); the inputs alone
-    R, B, seg, nx, at_lev = rows << n_in, 1 << 2 * L, (2 << m) - 2, sum(is_x), L * rows << (m + 1)
-    buf = np.empty(at_lev + (L + 1) * rows * seg + 2 * rows * nx)
-    top, lev = buf[:at_lev].reshape(L, rows, 2 << m), buf[at_lev:-2 * rows * nx].reshape(-1, seg)
-    q = vc.probs.reshape((R,) + (2,) * L + (B,))
-    nat = q[None] if L == 1 else buf[at_lev:2 * at_lev].reshape(L, R, 2, B)  # the virtual layout
-    rb, bb = max(1, STACK_ENTRIES >> 3 * L), max(1, min(B, STACK_ENTRIES >> L))
-    for r, s in itertools.product(range(0, R, rb), range(0, B, bb)):
-        p, out = q[r:r + rb, ..., s:s + bb], nat[:, r:r + rb, ..., s:s + bb]
-        for l in range(L, 1, -1):  # p holds Y_1..Y_l; summing Y_1..Y_l-1 leaves Y_l
-            d = p
-            for step in range(l - 1):
-                d = np.add.reduce(d, axis=1, out=out[l - 1] if step == l - 2 else None)
-            p = np.add.reduce(p, axis=l, out=out[0] if l == 2 else None)
-    nat = nat.reshape((L, rows) + (2,) * (m + 1))  # row r's decoded are axes ax[r], Y_l n_in
-    for t, d, a in ([(top, nat, ax[0])] if ax.count(ax[0]) == rows else
-                    zip(top.swapaxes(0, 1), nat.swapaxes(0, 1), ax)):
-        e = d.ndim - m - 1  # leading axes: the relays, and the rows for the whole stack
-        t.reshape(d.shape)[...] = d.transpose([*range(e), *(e + v for v in a + [n_in])])
+    is_x = inp.any(axis=0).tolist()
+    chain = np.array([0] * (n_in + L) + [1 + (v >> 1) for v in range(2 * L)])[var]  # relay, or 0
+    tops = var[:, -1] == n_in + L + 1 + 2 * np.arange(L)[:, None]  # Yh_ld decoded last, by l
+    n_top = np.count_nonzero(tops)
+
+    # the buffer: for each chain (no Y, Y_1, .., Y_L) and row, the levels j = m..1 of width 2^j,
+    # decoded[:j] or (decoded[:j-1], Y_l); the halves of each input alone, the latest decoded
+    # input first; the (decoded, Y_l) of `tops`
+    widths = [1 << j for j in range(m, 0, -1)]
+    at = dict(zip(range(m, 0, -1), itertools.accumulate([0] + widths)))  # level j's column
+    n_lev = (L + 1) * rows * sum(widths)
+    n_x = 2 * rows * sum(is_x)
+    sizes = np.array(widths * ((L + 1) * rows) + [2] * (n_x // 2) + [2 << m] * n_top)
+    buf = np.empty(n_lev + n_x + (2 << m) * n_top)
+    lev = buf[:n_lev].reshape((L + 1) * rows, -1)
+    # the segments a beta reads: every prefix alone, each input alone, each of `tops`, and each
+    # (decoded[:k], Y_l) just before and just after a description of relay l
+    read = np.ones(len(sizes), dtype=bool)
+    with_y = read[:(L + 1) * rows * m].reshape(L + 1, rows, m)  # [.., m - j]: level j
+    with_y[1:] = False
+    r = np.arange(rows)[:, None]
+    k = np.arange(m)
+    with_y[chain, r, m - 1 - k] = with_y[chain, r, m - 2 - k] = True  # k = m - 1 also reads level 1
+
+    nat = _with_each_relay_output(vc.probs, L, buf[:L * rows << (m + 1)])  # in the levels' room
+    nat = nat.reshape((L, rows) + (2,) * (m + 1))
+    top = np.empty(nat.shape)  # each (decoded, Y_l) in decoding order
+    for i, a in enumerate((var - (L - 1) * ~inp)[:, ::-1].tolist()):  # the decoded's axes in nat
+        top[:, i] = nat[:, i].transpose([0, *(v + 1 for v in a), n_in + 1])
+    top = top.reshape(L, rows, 2 << m)
+    buf[n_lev + n_x:] = top[tops].ravel()
+    np.add(top[0, :, 0::2], top[0, :, 1::2], out=lev[:rows, :1 << m])
     np.add(top[..., :1 << m], top[..., 1 << m:], out=lev[rows:, :1 << m].reshape(L, rows, -1))
-    np.add(top[0, :, 0::2], top[0, :, 1::2], out=lev[:rows, :1 << m])  # level m, and with Y_1
-    xs = np.empty((0, 1))
-    for j in range(m, 0, -1):  # level j at o; its first variable summed gives level j - 1
-        o, hw = seg + 2 - (2 << j), 1 << (j - 1)
-        if is_x[j - 1]:  # the input decoded j-th: each half of its prefix, by that input
-            xs = np.concatenate([xs.reshape(-1, hw), lev[:rows, o:o + 2 * hw].reshape(-1, hw)])
+    del top
+    xs = np.empty((0, 1))  # by each input decoded so far, the halves of its prefix
+    for j in range(m, 0, -1):  # level j with its first variable summed is level j - 1
+        half = 1 << (j - 1)
+        block = lev[:, at[j]:at[j] + 2 * half]  # its two halves: the first variable 0, then 1
+        if is_x[j - 1]:
+            xs = np.concatenate([xs.reshape(-1, half), block[:rows].reshape(-1, half)])
         if j > 1:
-            np.add(lev[:, o:o + hw], lev[:, o + hw:o + 2 * hw], out=lev[:, o + 2 * hw:o + 3 * hw])
+            np.add(block[:, :half], block[:, half:], out=lev[:, at[j - 1]:at[j - 1] + half])
         if j > 1 and len(xs):
-            xs = xs[:, :hw >> 1] + xs[:, hw >> 1:]
-    buf[-2 * rows * nx:] = xs.ravel()  # the latest decoded input first
-    sizes = [2 << m] * (L * rows) + [1 << j for j in range(m, 0, -1)] * ((L + 1) * rows)
-    pos = buf > 0
-    cnt = np.add.reduceat(pos.view(np.int8), [0, *itertools.accumulate(
-        sizes + [2] * (rows * nx - 1))], dtype=np.int32)  # each segment's positive entries
+            xs = xs[:, :half >> 1] + xs[:, half >> 1:]
+    buf[n_lev:n_lev + n_x] = xs.ravel()
+
+    pos = np.flatnonzero(np.repeat(read, sizes) & (buf > 0))  # the entries of the read segments
     x = buf[pos]
-    h = -np.add.reduceat(x * np.log2(x), np.cumsum(cnt) - cnt)
-    hl = h[L * rows:-rows * nx].reshape(L + 1, rows, m)[:, :, ::-1]  # [.., j - 1]: level j
-    hp = np.concatenate([np.zeros((rows, 1)), hl[0]], axis=1)  # H(decoded[:k]), k = 0..m
-    hy = np.concatenate([hl[1:], h[:L * rows].reshape(L, rows, 1)], axis=2)  # with Y_l
-    hx, b = np.zeros((rows, m)), np.empty((rows, m))  # H(decoded[k]) of the inputs; the betas
-    hx[:, [k for k in range(m - 1, -1, -1) if is_x[k]]] = h[-rows * nx:].reshape(nx, rows).T
-    r, k, relay = np.arange(rows)[:, None], np.arange(m), np.maximum((var - n_in - L) >> 1, 0)
-    val = np.where(inp, hx + hp[:, :-1] - hp[:, 1:],
-                   hy[relay, r, k] + hp[:, 1:] - hy[relay, r, k + 1] - hp[:, :-1])
-    val[(-CLAMP_TOL <= val) & (val < 0)] = 0.0
+    starts = np.searchsorted(pos, (np.cumsum(sizes) - sizes)[read])
+    h = np.zeros(len(read))
+    h[read] = -np.add.reduceat(x * np.log2(x), starts)
+    n_seg = (L + 1) * rows * m
+    ent = np.zeros((L + 1, rows, m + 2))  # by chain and row, level j at [.., j]
+    ent[..., m:0:-1] = h[:n_seg].reshape(L + 1, rows, m)
+    ent[1:, :, m + 1][tops] = h[n_seg + n_x // 2:]
+    hp = ent[0]  # H(decoded[:k]) at [r, k]; H(decoded[:k], Y_l) is at [l, r, k + 1]
+    hx = np.zeros((rows, m))  # H(decoded[k]) of each input
+    x_at = [i for i in range(m - 1, -1, -1) if is_x[i]]
+    hx[:, x_at] = h[n_seg:n_seg + n_x // 2].reshape(-1, rows).T
+
+    val = clamp_infos(np.where(inp, hx + hp[:, :m] - hp[:, 1:m + 1],
+                               ent[chain, r, k + 1] + hp[:, 1:m + 1] - ent[chain, r, k + 2]
+                               - hp[:, :m]))
+    b = np.empty((rows, m))
     b[r, var - L * ~inp] = val  # by decoded variable: X1, X2a, X2b, .., Yh1c, Yh1d, ..
     rates = [dict(zip(c.order, v)) for c, v in zip(configs, val.tolist())]
-    return rates, np.concatenate([b[:, :1], b[:, 1::2] + b[:, 2::2]], axis=1)
+    return rates, np.add.reduceat(b, [0, *range(1, m, 2)], axis=1)  # each variable's halves
 
 
 def psi(spec: UplinkSpec, alphas):

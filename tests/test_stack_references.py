@@ -840,57 +840,21 @@ def test_merge_and_rates_match_name_based(case, monkeypatch):
 
 def _stacks(spec, rng):
     """Alpha stacks of each kind psi meets: one row, one cell (a Jacobian's
-    columns), rows from mixed cells, and cell ends."""
+    columns), rows from mixed cells, cell ends, and cell ends (eps = 0, and
+    eps = 1 at the last cell) among interior alphas."""
     d = spec.K + spec.L - 1
     m = 2 ** np.arange(1, d + 1) - 1  # the cells of each row
     j = rng.integers(1, m + 1)
     x = rng.uniform(0.02, 0.98, d)
     h = np.where(x < 0.5, 1e-7, -1e-7)
     ends = rng.integers(0, m + 1, size=(5, d)) / m
-    return {"one row": rng.uniform(size=(1, d)), "one cell": (j - 1 + x + h * np.eye(d)) / m,
-            "mixed cells": rng.uniform(size=(9, d)), "cell ends": np.vstack([ends, (j - 1) / m])}
-
-
-@pytest.mark.parametrize("case", UPLINK, ids=_ids)
-def test_psi_stacks_match_one_alpha_at_a_time(case, monkeypatch):
-    spec = _spec("uplink", case)
-    K, L = spec.K, spec.L
-    stacks = _stacks(spec, np.random.default_rng(21))
-    for kind, alphas in stacks.items():
-        ref = loop_psi(spec, alphas)
-        assert np.array_equal(sp.psi(spec, alphas), ref), kind
-        configs = [sp.decode_order_from_alpha(K, L, a) for a in alphas]
-        betas, points = sp.beta_rates(sp.build_virtual_cran(spec, configs), configs)
-        laws = [loop_build_virtual_cran(spec, c) for c in configs]
-        assert betas == [loop_beta_rates(law, c, K, L)[0] for law, c in zip(laws, configs)], kind
-        assert np.array_equal(points, ref), kind
-        old = np.array([marginal_beta_rates(law, c, K, L)[1] for law, c in zip(laws, configs)])
-        assert np.max(np.abs(points - old), initial=0.0) <= 1e-13, kind
-        for a, vec in zip(alphas, ref):
-            assert np.array_equal(sp.psi(spec, a).as_vector(), vec), kind
-    mixed = stacks["mixed cells"]
-    ref = loop_psi(spec, mixed)
-    for rows in (4, 0):  # chunks of 4, 4 and 1 rows; one row at a time when a row passes the cap
-        monkeypatch.setattr(sp, "STACK_ENTRIES", rows << (2 * K + 3 * L - 1))
-        assert np.array_equal(sp.psi(spec, mixed), ref), rows
-    assert sp.psi(spec, mixed[:0]).shape == (0, K + L)
-
-
-def _assert_rows_match_references(spec, alphas):
-    """Each row of one beta_rates call on the whole stack, and of psi, equals
-    the one-alpha reference bit for bit and lies within 1e-13 of the
-    per-marginal formula."""
-    K, L = spec.K, spec.L
-    configs = [sp.decode_order_from_alpha(K, L, a) for a in alphas]
-    betas, points = sp.beta_rates(sp.build_virtual_cran(spec, configs), configs)
-    for config, b, point in zip(configs, betas, points):
-        law = loop_build_virtual_cran(spec, config)
-        ref, vec = loop_beta_rates(law, config, K, L)
-        assert b == ref and np.array_equal(point, vec)
-        old, old_vec = marginal_beta_rates(law, config, K, L)
-        assert max(abs(b[k] - old[k]) for k in old) <= 1e-13
-        assert np.max(np.abs(point - old_vec)) <= 1e-13
-    assert np.array_equal(sp.psi(spec, alphas), points)
+    stacks = {"one row": rng.uniform(size=(1, d)), "one cell": (j - 1 + x + h * np.eye(d)) / m,
+              "mixed cells": rng.uniform(size=(9, d)), "cell ends": np.vstack([ends, (j - 1) / m])}
+    ends = (rng.integers(1, m + 1, size=(6, d)) - rng.integers(0, 2, size=(6, d))) / m
+    among = np.vstack([ends, np.ones((1, d)), np.zeros((1, d)), rng.uniform(size=(5, d))])
+    rng.shuffle(among)
+    stacks["ends among interior"] = among
+    return stacks
 
 
 def _spec_with_zeros(K, L):
@@ -904,36 +868,41 @@ def _spec_with_zeros(K, L):
     return UplinkSpec(K, L, f.input_pmfs, chan * np.expand_dims(others, K), tests)
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)], ids=str)
-def test_entropy_pass_on_exact_zeros(shape, monkeypatch):
-    spec = _spec_with_zeros(*shape)
-    assert (spec.channel == 0).any() and (spec.test_channels[-1] == 0).any()
-    for kind, alphas in _stacks(spec, np.random.default_rng(22)).items():
-        for rows in (4, 0):
-            monkeypatch.setattr(sp, "STACK_ENTRIES", rows << (2 * shape[0] + 3 * shape[1] - 1))
-            _assert_rows_match_references(spec, alphas)
+WITH_ZEROS = {"zeros_k2l2": (2, 2), "zeros_k2l3": (2, 3), "zeros_k3l2": (3, 2)}
+LARGEST = [(4, 4), (2, 5), (1, 7)]  # one row only: 2^19 to 2^22 joint entries
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (1, 4)], ids=str)
-def test_cell_ends_with_interior_alphas_over_several_chunks(shape, monkeypatch):
-    """Alphas at cell ends (eps = 0, and eps = 1 at the last cell) among
-    interior ones, three rows a chunk, and one row a chunk summed an entry of
-    the relay outputs at a time."""
-    spec, d = _spec("uplink", shape), sum(shape) - 1
-    rng = np.random.default_rng(23)
-    m = 2 ** np.arange(1, d + 1) - 1
-    ends = (rng.integers(1, m + 1, size=(6, d)) - rng.integers(0, 2, size=(6, d))) / m
-    alphas = np.vstack([ends, np.ones((1, d)), np.zeros((1, d)), rng.uniform(size=(5, d))])
-    rng.shuffle(alphas)
-    for rows in (3, 0):
-        monkeypatch.setattr(sp, "STACK_ENTRIES", rows << (2 * shape[0] + 3 * shape[1] - 1))
-        _assert_rows_match_references(spec, alphas)
-
-
-@pytest.mark.parametrize("shape", [(4, 4), (2, 5), (1, 7)], ids=str)
-def test_one_row_at_the_largest_sizes(shape):
-    spec = random_uplink_spec(np.random.default_rng(4100 + 10 * shape[0] + shape[1]), *shape)
-    _assert_rows_match_references(spec, np.random.default_rng(24).uniform(size=(1, sum(shape) - 1)))
+@pytest.mark.parametrize("case", UPLINK + list(WITH_ZEROS) + LARGEST, ids=_ids)
+def test_psi_stacks_match_one_alpha_at_a_time(case, monkeypatch):
+    """Each row of a stack, through psi and through one beta_rates call, equals
+    the one-alpha reference bit for bit, lies within 1e-13 of the per-marginal
+    formula, and keeps its bits in chunks of 4 rows and of one row summed an
+    entry of the relay outputs at a time."""
+    spec = _spec_with_zeros(*WITH_ZEROS[case]) if case in WITH_ZEROS else _spec("uplink", case)
+    if case in WITH_ZEROS:
+        assert (spec.channel == 0).any() and (spec.test_channels[-1] == 0).any()
+    K, L = spec.K, spec.L
+    stacks = _stacks(spec, np.random.default_rng(21))
+    if case in LARGEST:
+        stacks = {"one row": stacks["one row"]}
+    for kind, alphas in stacks.items():
+        ref = loop_psi(spec, alphas)
+        assert np.array_equal(sp.psi(spec, alphas), ref), kind
+        configs = [sp.decode_order_from_alpha(K, L, a) for a in alphas]
+        betas, points = sp.beta_rates(sp.build_virtual_cran(spec, configs), configs)
+        laws = [loop_build_virtual_cran(spec, c) for c in configs]
+        assert betas == [loop_beta_rates(law, c, K, L)[0] for law, c in zip(laws, configs)], kind
+        assert np.array_equal(points, ref), kind
+        old = [marginal_beta_rates(law, c, K, L) for law, c in zip(laws, configs)]
+        assert max(abs(b[lab] - o[lab]) for b, (o, _) in zip(betas, old) for lab in o) <= 1e-13
+        assert np.max(np.abs(points - [vec for _, vec in old]), initial=0.0) <= 1e-13, kind
+        for a, vec in zip(alphas, ref):
+            assert np.array_equal(sp.psi(spec, a).as_vector(), vec), kind
+        for rows in (4, 0) if len(alphas) > 1 else ():  # 4 rows a chunk, then one at a time
+            monkeypatch.setattr(sp, "STACK_ENTRIES", rows << (2 * K + 3 * L - 1))
+            assert np.array_equal(sp.psi(spec, alphas), ref), (kind, rows)
+        monkeypatch.undo()
+    assert sp.psi(spec, stacks["one row"][:0]).shape == (0, K + L)
 
 
 def _inversion_targets(case):
