@@ -7,8 +7,10 @@ The joint-encoding region is cut out by
                    + Istar(U_S) + Istar(X_T)
 
 where Istar is the multivariate correlation sum_j H(.) - H(joint).  The
-iterative corner procedure is the uplink's greedy solution
-(`uplink.greedy_corner`) applied to this region's slack `je_slack`.  The
+terms of every pair come from one table per law (`uplink.pair_terms`): the
+informations from one gather on variable bitmasks, Istar from the singleton
+and joint entropies of the same cache.  The iterative corner procedure is
+the uplink's greedy solution (`uplink.greedy_corner`) on that table.  The
 closed-form corner of a solve order is its successive-encoding corner, read
 off one table per law (`se_corner`).  Orders are rows of coordinate
 indices, as in the uplink.  Unlike the uplink, the encoding order achieving
@@ -31,22 +33,21 @@ from .prob import (
     JointLaw,
     LawError,
     clamp_info,
+    clamp_infos,
+    entropies,
     entropy,
-    mutual_info,
-    u_names,
-    x_names,
-    y_names,
+    gather,
 )
 from .uplink import (
     CornerEnumeration,
     CornerReport,
     Region,
     add_terms,
-    capacity_minus_rate,
     check_corner,
     closed_form_table,
     enumerate_orders,
     greedy_corner,
+    pair_slack,
     pair_terms,
     read_corners,
     slack_region,
@@ -67,32 +68,39 @@ def istar(law: JointLaw, names) -> float:
     return clamp_info(add_terms(0.0, (entropy(law, [n]) for n in names)) - entropy(law, names))
 
 
-def je_terms(law: JointLaw, K: int, L: int, S, T) -> tuple:
-    """-f(S, T) of the joint-encoding constraint as the signed terms that
-    `je_slack` adds to C(T) - R(S), in its order."""
-    return (
-        add_terms(0.0, (mutual_info(law, u_names([k]), y_names([k])) for k in sorted(S))),
-        -istar(law, u_names(S)),
-        -istar(law, x_names(T)),
-        -mutual_info(law, u_names(S), x_names(T)),
-    )
+def _member_sums(values: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Per row of a (rows, n) bool array, the sum of its members' `values` added
+    left to right, each non-member adding 0.0: the bits of a loop over members."""
+    return add_terms(0.0, np.where(members, values, 0.0).T)
+
+
+def _je_terms(law: JointLaw, K: int, L: int, S, T) -> np.ndarray:
+    """-f(S, T) of the joint-encoding constraint for arrays of user and relay
+    bitmasks S and T, as the columns sum_{k in S} I(U_k; Y_k), -I*(U_S),
+    -I*(X_T) and -I(U_S; X_T): the informations from one gather, the
+    multivariate correlations from the singleton and joint entropies."""
+    x, y = K, K + L  # the shifts of X and Y
+    users, relays = (S[:, None] >> np.arange(K) & 1) == 1, (T[:, None] >> np.arange(L) & 1) == 1
+    own, cross = gather(law, [(1 << np.arange(K), 1 << (y + np.arange(K)), 0), (S, T << x, 0)])
+    single = entropies(law, 1 << np.arange(K + L))
+    joint_u, joint_x = entropies(law, np.stack([S, T << x]))
+    return np.column_stack([
+        _member_sums(own, users),
+        -clamp_infos(_member_sums(single[:K], users) - joint_u),
+        -clamp_infos(_member_sums(single[K:], relays) - joint_x),
+        -cross,
+    ])
 
 
 def je_slack(law: JointLaw, x, S, T) -> float:
-    """Slack of the joint-encoding constraint for user set S, relay set T,
-    at one (K+L,) vector x.
-
-    The terms are added left to right in the order the corner procedure
-    of the paper solves them, and read off the law's one table, as in
-    `uplink.jd_slack`.
-    """
-    K, L = law.dims("downlink")
-    return add_terms(capacity_minus_rate(x, K, S, T), pair_terms(law, je_terms, K, L, S, T))
+    """Slack of the joint-encoding constraint for user set S, relay set T, at
+    one (K+L,) vector x, read off the law's table as `uplink.jd_slack` is."""
+    return pair_slack(law, je_region(law), _je_terms, x, S, T)
 
 
 def je_region(law: JointLaw) -> Region:
     """The joint-encoding region of `law`, built once per law."""
-    return law.memo("je region", lambda: slack_region(law, je_slack, *law.dims("downlink")))
+    return law.memo("je region", lambda: slack_region(law, _je_terms, *law.dims("downlink")))
 
 
 def in_je_region(law: JointLaw, points, tol: float = MEMBERSHIP_TOL):
@@ -124,9 +132,7 @@ def _se_table(law: JointLaw) -> np.ndarray:
 def downlink_corner_iterative(law: JointLaw, orders):
     """Joint-encoding corners solved one coordinate at a time, for a stack of
     solve orders (see `uplink.greedy_corner`)."""
-    region, (K, L) = je_region(law), law.dims("downlink")
-    terms = np.array([pair_terms(law, je_terms, K, L, *r) for r in region.pairs])
-    return greedy_corner(region, terms, orders)
+    return greedy_corner(je_region(law), pair_terms(law, _je_terms, *law.dims("downlink")), orders)
 
 
 def downlink_corner_closed(law: JointLaw, orders):

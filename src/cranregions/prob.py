@@ -3,7 +3,10 @@
 Joint laws are dense probability tensors over a tuple of named variables.
 All entropies and mutual informations are in bits.  Target scale is small
 (a handful of variables with alphabet sizes <= 4), so exact tensor sums
-are used throughout; there is no sampling or sparsity anywhere.
+are used throughout; there is no sampling or sparsity anywhere.  Each law
+keeps one entropy cache keyed by variable bitmask (bit i for `names[i]`),
+which `entropies`, `mutual_infos` and `gather` read on arrays of masks and
+the name-keyed `entropy` and `mutual_info` on their names' mask.
 
 Every tolerance of the package is defined here and imported from here:
 
@@ -58,8 +61,8 @@ class JointLaw:
     """Dense joint probability tensor over named finite-alphabet variables.
 
     `names[i]` labels axis `i` of `probs`.  Immutable after construction;
-    all queries are pure functions of the tensor, so what is derived from
-    the law alone (entropies, regions, corner enumerations) is cached on it.
+    all queries are pure functions of the tensor, so what is derived from the
+    law alone (entropies by variable bitmask, regions, corners) is cached on it.
     `build_uplink_joint` and `build_downlink_joint` stamp `built` with the
     law's direction, K and L, which `dims` reads.
     """
@@ -113,24 +116,21 @@ class JointLaw:
             idx.append(self.names.index(n))
         return tuple(idx)
 
-    def marginal(self, names) -> np.ndarray:
-        """Marginal tensor over `names`, axes in this law's variable order."""
-        keep = set(self.axes(names))
-        drop = tuple(i for i in range(self.probs.ndim) if i not in keep)
-        return self.probs.sum(axis=drop) if drop else self.probs
-
 
 def entropy(law: JointLaw, names) -> float:
-    """Joint entropy H(names) in bits; H of the empty set is 0."""
-    key = frozenset(names)
-    cached = law._entropy_cache.get(key)
-    if cached is not None:
-        return cached
-    if not key:
-        return 0.0
-    h = entropy_of(law.marginal(key))
-    law._entropy_cache[key] = h
-    return h
+    """Joint entropy H(names) in bits, read from the law's cache under the
+    variable bitmask of `names` (see `entropies`); H of the empty set is 0."""
+    return _mask_entropy(law, sum(1 << i for i in set(law.axes(names))))
+
+
+def _mask_entropy(law: JointLaw, m: int) -> float:
+    """H of the variable bitmask m from the law's cache; on a miss, summed from
+    the full tensor over the axes that m drops, and kept."""
+    cache = law._entropy_cache
+    if m not in cache:
+        drop = tuple(i for i in range(law.probs.ndim) if not m >> i & 1)
+        cache[m] = entropy_of(law.probs.sum(axis=drop)) if m else 0.0
+    return cache[m]
 
 
 def entropy_of(probs: np.ndarray) -> float:
@@ -173,19 +173,13 @@ def mutual_info(law: JointLaw, a, b, c=()) -> float:
 
 def entropies(law: JointLaw, masks) -> np.ndarray:
     """H of each variable bitmask of an integer array, bit i standing for
-    `law.names[i]`, in an array of the masks' shape.  A distinct mask the
-    law's cache misses is summed from the full tensor over the axes it
-    drops, as `entropy` sums it, and kept in the same cache."""
+    `law.names[i]`, in an array of the masks' shape.  Each distinct mask is
+    read once from the law's cache, keyed by the mask itself, which `entropy`
+    shares."""
     masks = np.asarray(masks, dtype=np.int64)
     distinct, where = np.unique(masks, return_inverse=True)
-    cache, axes = law._entropy_cache, range(law.probs.ndim)
-    h = []
-    for m in distinct.tolist():
-        key = frozenset(law.names[i] for i in axes if m >> i & 1)
-        if key and key not in cache:  # the full mask sums over no axes: the tensor itself
-            cache[key] = entropy_of(law.probs.sum(axis=tuple(i for i in axes if not m >> i & 1)))
-        h.append(cache.get(key, 0.0))
-    return np.array(h)[where].reshape(masks.shape)
+    h = np.array([_mask_entropy(law, m) for m in distinct.tolist()])
+    return h[where].reshape(masks.shape)
 
 
 def mutual_infos(law: JointLaw, a, b, c=0) -> np.ndarray:

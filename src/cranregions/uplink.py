@@ -22,7 +22,8 @@ The downlink joint-encoding region has the same form with another
 right-hand side, so the direction-free core lives here and serves both:
 a `Region` (0/+-1 normals A of the (S, T) pairs, bounds lb <= A x <= ub)
 is built once per law from one table of the signed terms of every pair's
-bound (`pair_terms`), which the greedy corners read too, `check_corner`
+bound (`pair_terms`), gathered on the pairs' variable bitmasks at once,
+which the greedy corners and the scalar slack read too, `check_corner`
 reads corner-hood off its tight rows (or off the chain of a point's solve
 order, when it comes with one), `greedy_corner` solves the slack for the
 corners of solve orders, and `enumerate_orders` applies a corner
@@ -57,11 +58,7 @@ from .prob import (
     PIVOT_TOL,
     JointLaw,
     gather,
-    mutual_info,
     subsets,
-    x_names,
-    y_names,
-    yh_names,
 )
 
 MAX_ENUM = 8  # guard: (K+L)! enumeration only up to K+L = 8
@@ -121,40 +118,47 @@ def solve_perms(K: int, L: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(K + L))), dtype=np.intp)
 
 
-def jd_terms(law: JointLaw, K: int, L: int, S, T) -> tuple:
-    """-f(S, T) of the joint-decoding constraint as the signed terms that
-    `jd_slack` adds to C(T) - R(S), in its order."""
-    Sc = set(range(1, K + 1)) - set(S)
-    Tc = set(range(1, L + 1)) - set(T)
-    return (
-        -mutual_info(law, y_names(T), yh_names(T), x_names(range(1, K + 1))),
-        mutual_info(law, x_names(S), yh_names(Tc), x_names(Sc)),
-    )
+def _jd_terms(law: JointLaw, K: int, L: int, S, T) -> np.ndarray:
+    """-f(S, T) of the joint-decoding constraint for arrays of user and relay
+    bitmasks S and T, as the columns -I(Y_T; Yh_T | X_[K]) and
+    I(X_S; Yh_{T^c} | X_{S^c}), from one gather."""
+    users, relays = (1 << K) - 1, (1 << L) - 1
+    y, yh = K, K + L  # the shifts of Y and Yh
+    cap, cross = gather(law, [(T << y, T << yh, users), (S, (relays & ~T) << yh, users & ~S)])
+    return np.column_stack([-cap, cross])
 
 
 def jd_slack(law: JointLaw, x, S, T) -> float:
-    """Slack of the joint-decoding constraint for user set S, relay set T,
-    at one (K+L,) vector x.
-
-    Nonnegative slack for every (S, T) pair means the point is in the
-    joint-decoding region.  The terms are added left to right in the order
-    the corner procedure of the paper solves them, and `greedy_corner`
-    adds them in the same order; both read them off the law's one table
-    (`pair_terms`).
-    """
-    K, L = law.dims("uplink")
-    return add_terms(capacity_minus_rate(x, K, S, T), pair_terms(law, jd_terms, K, L, S, T))
+    """Slack of the joint-decoding constraint for user set S, relay set T, at
+    one (K+L,) vector x: nonnegative for every pair in the region.  Its terms
+    are the pair's row of the law's table (`pair_terms`), added in order."""
+    return pair_slack(law, jd_region(law), _jd_terms, x, S, T)
 
 
-def pair_terms(law: JointLaw, terms, K: int, L: int, S, T) -> tuple:
-    """terms(law, K, L, S, T), the signed terms of -f(S, T), computed once per
-    law and pair: the law keeps them in one table keyed by the pair, which
-    the slack, and so the region bounds, and the greedy corners read."""
-    table = law.memo("pair terms", dict)
-    pair = frozenset(S), frozenset(T)
-    if pair not in table:
-        table[pair] = terms(law, K, L, S, T)
-    return table[pair]
+def pair_terms(law: JointLaw, terms, K: int, L: int) -> np.ndarray:
+    """The law's table of the signed terms of -f(S, T) in `region_rows` order,
+    built once per law by terms(law, K, L, S, T) on the pairs' user and relay
+    bitmasks; the region bounds, the greedy corners and the scalar slack read it."""
+    def build():
+        _, A = region_rows(K, L, range(1, K + 1), range(1, L + 1))
+        S = (A[:, :K] < 0) @ (1 << np.arange(K))
+        T = (A[:, K:] > 0) @ (1 << np.arange(L))
+        table = terms(law, K, L, S, T)
+        table.setflags(write=False)
+        return table
+
+    return law.memo("pair terms", build)
+
+
+def pair_slack(law: JointLaw, region: Region, terms, x, S, T) -> float:
+    """C(T) - R(S) at one (K+L,) vector x plus the terms of the pair's row of
+    `region` in the law's table `pair_terms(law, terms, K, L)`, left to right."""
+    K, L = law.built[1:]
+    S, T = set(S), set(T)
+    if not (S <= set(range(1, K + 1)) and T <= set(range(1, L + 1))):
+        raise ValueError(f"no constraint for S = {sorted(S)}, T = {sorted(T)} at K, L = {K}, {L}")
+    row = region.row_of_mask[_mask(S) | _mask(T) << K]
+    return add_terms(capacity_minus_rate(x, K, S, T), pair_terms(law, terms, K, L)[row].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,24 +221,17 @@ def region_rows(K: int, L: int, users, relays) -> tuple:
     return pairs, np.where(on, np.repeat([-1.0, 1.0], [K, L]), 0.0)
 
 
-def build_region(K: int, L: int, users, relays, bounds) -> Region:
-    """The rows of `region_rows`; bounds(S, T) gives one row's (lb, ub), S and T as sets."""
-    pairs, A = region_rows(K, L, users, relays)
-    lb, ub = np.array([bounds(set(S), set(T)) for S, T in pairs], dtype=float).T
-    return Region(pairs, A, lb, ub)
-
-
-def slack_region(law: JointLaw, slack, K: int, L: int) -> Region:
-    """The region where every slack(law, x, S, T) = C(T) - R(S) - f(S, T) is >= 0;
-    lb = f is minus the slack at the origin, so each f stays written once."""
-    origin = np.zeros(K + L)
-    return build_region(K, L, range(1, K + 1), range(1, L + 1),
-                        lambda S, T: (-slack(law, origin, S, T), np.inf))
+def slack_region(law: JointLaw, terms, K: int, L: int) -> Region:
+    """The region where C(T) - R(S) plus its row of `pair_terms(law, terms, K, L)`
+    is >= 0 for every pair: lb is minus the row's terms, added left to right."""
+    pairs, A = region_rows(K, L, range(1, K + 1), range(1, L + 1))
+    return Region(pairs, A, -add_terms(0.0, pair_terms(law, terms, K, L).T),
+                  np.full(len(pairs), np.inf))
 
 
 def jd_region(law: JointLaw) -> Region:
     """The joint-decoding region of `law`, built once per law."""
-    return law.memo("jd region", lambda: slack_region(law, jd_slack, *law.dims("uplink")))
+    return law.memo("jd region", lambda: slack_region(law, _jd_terms, *law.dims("uplink")))
 
 
 def in_jd_region(law: JointLaw, points, tol: float = MEMBERSHIP_TOL):
@@ -293,9 +290,7 @@ def greedy_corner(region: Region, terms: np.ndarray, orders):
 def corner_iterative(law: JointLaw, orders):
     """Joint-decoding corners solved one coordinate at a time, for a stack of
     solve orders (see `greedy_corner`)."""
-    region, (K, L) = jd_region(law), law.dims("uplink")
-    terms = np.array([pair_terms(law, jd_terms, K, L, *r) for r in region.pairs])
-    return greedy_corner(region, terms, orders)
+    return greedy_corner(jd_region(law), pair_terms(law, _jd_terms, *law.dims("uplink")), orders)
 
 
 def closed_form_table(law: JointLaw, K: int, L: int, user, relay) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cranregions import DownlinkSpec, UplinkSpec
+from cranregions.uplink import Region, region_rows
 
 
 def bsc(p: float) -> np.ndarray:
@@ -99,6 +100,14 @@ def prefix_sets(perm, k: int, K: int) -> tuple[set, set]:
     I = {c + 1 for c in perm[:k - 1] if c < K}
     J = {c - K + 1 for c in perm[:k - 1] if c >= K}
     return I, J
+
+
+def build_region(K: int, L: int, users, relays, bounds) -> Region:
+    """Reference: the rows of `region_rows`, bounds(S, T) giving one row's
+    (lb, ub), S and T as sets, one pair at a time."""
+    pairs, A = region_rows(K, L, users, relays)
+    lb, ub = np.array([bounds(set(S), set(T)) for S, T in pairs], dtype=float).T
+    return Region(pairs, A, lb, ub)
 
 
 @pytest.fixture

@@ -42,8 +42,7 @@ class TestIstar:
         """The singleton entropies add in order, not compensated as the built-in
         sum adds them from Python 3.12 on: 1 + 1e-16 + 1e-16 is 1.0."""
         law = build_downlink_joint(random_downlink_spec(np.random.default_rng(1), 3, 1))
-        law._entropy_cache.update({frozenset({"U1"}): 1.0, frozenset({"U2"}): 1e-16,
-                                   frozenset({"U3"}): 1e-16, frozenset({"U1", "U2", "U3"}): 0.5})
+        law._entropy_cache.update({0b001: 1.0, 0b010: 1e-16, 0b100: 1e-16, 0b111: 0.5})  # U1..U3
         assert istar(law, ["U1", "U2", "U3"]) == 0.5
 
     def test_independent_components_vanish(self, rng):

@@ -134,8 +134,7 @@ class TestMaskGather:
         # ones a rounding below and above zero
         for ha, hab, want in ((-0.0, 0.0, -0.0), (1.0, 2.0 + 1e-13, 0.0), (1.0, 2.0 - 1e-13, None)):
             law._entropy_cache.clear()
-            law._entropy_cache.update({frozenset("A"): ha, frozenset("B"): ha,
-                                       frozenset("AB"): hab})
+            law._entropy_cache.update({0b01: ha, 0b10: ha, 0b11: hab})  # A, B, AB
             one = mutual_info(law, ["A"], ["B"])
             got = mutual_infos(law, [1, 1], [2, 2])
             assert got.tobytes() == np.array([one, one]).tobytes()

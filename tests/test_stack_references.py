@@ -9,8 +9,9 @@ specs up to K+L = 6 are checked.  The face bounds and the decoding order
 of an alpha are checked against the formulas they were first written as:
 one name-keyed bound formula per region, and a walk over the whole
 generalized order; the normals of the region rows against the per-pair
-loop that first set them, and the greedy corners against the scalar slack
-with its own call of each pair's terms.  The solve-order certificate of
+loop that first set them; the table of pair terms, the region bounds, the
+scalar slack and the greedy corners against the per-pair term formulas.
+The solve-order certificate of
 `check_corner` is checked against the exact elimination it skips."""
 
 import pathlib
@@ -45,7 +46,13 @@ from cranregions.prob import (
 )
 from cranregions.specio import load_spec
 
-from conftest import identity_chain_spec, prefix_sets, random_downlink_spec, random_uplink_spec
+from conftest import (
+    build_region,
+    identity_chain_spec,
+    prefix_sets,
+    random_downlink_spec,
+    random_uplink_spec,
+)
 from test_corner_arrays import quadratic_dedup
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -85,6 +92,28 @@ def loop_greedy(slack, perm, K, L):
         else:
             vec[c] = -slack(point, I, J | {c - K + 1})
     return vec
+
+
+def scalar_jd_terms(law, K, L, S, T):
+    """Reference: -f(S, T) of the joint-decoding constraint as the signed terms
+    that the slack adds to C(T) - R(S), in its order, for one pair."""
+    Sc = set(range(1, K + 1)) - set(S)
+    Tc = set(range(1, L + 1)) - set(T)
+    return (
+        -mutual_info(law, y_names(T), yh_names(T), x_names(range(1, K + 1))),
+        mutual_info(law, x_names(S), yh_names(Tc), x_names(Sc)),
+    )
+
+
+def scalar_je_terms(law, K, L, S, T):
+    """Reference: -f(S, T) of the joint-encoding constraint as the signed terms
+    that the slack adds to C(T) - R(S), in its order, for one pair."""
+    return (
+        ul.add_terms(0.0, (mutual_info(law, u_names([k]), y_names([k])) for k in sorted(S))),
+        -dl.istar(law, u_names(S)),
+        -dl.istar(law, x_names(T)),
+        -mutual_info(law, u_names(S), x_names(T)),
+    )
 
 
 def scalar_slack(terms, law, K, L):
@@ -432,7 +461,7 @@ def closure_sub_faces(law, q):
             mutual_info(law, x_names(A), yh_names(T), x_names(S)))
         return lb, ub
 
-    return ul.build_region(K, L, q.S, q.T, leading), ul.build_region(K, L, Sc, Tc, conditional)
+    return build_region(K, L, q.S, q.T, leading), build_region(K, L, Sc, Tc, conditional)
 
 
 def closure_alt(law):
@@ -446,7 +475,7 @@ def closure_alt(law):
             law, x_names(S), yh_names(Tc), x_names(Sc))
         return lb, mutual_info(law, y_names(T), yh_names(T), x_names(S))
 
-    return ul.build_region(K, L, range(1, K + 1), range(1, L + 1), bounds)
+    return build_region(K, L, range(1, K + 1), range(1, L + 1), bounds)
 
 
 def closure_cap(law, q):
@@ -605,25 +634,77 @@ def test_suites_share_one_greedy_pass_per_law(direction, monkeypatch):
 ])
 def test_verify_computes_each_pair_term_once(direction, spec_name, names, monkeypatch):
     """The region bounds and the greedy corners read one table of pair terms
-    per law: a verify run calls the terms of each (S, T) pair once, and the
-    greedy corners equal those of the scalar slack with its own terms."""
-    module, name = (ul, "jd_terms") if direction == "uplink" else (dl, "je_terms")
-    terms, calls = getattr(module, name), []
+    per law: a verify run builds the table once, every row of it equals the
+    pair's terms from their scalar formulas, and the greedy corners equal
+    those of the scalar slack with its own call of each pair's terms."""
+    module, name, terms = ((ul, "_jd_terms", scalar_jd_terms) if direction == "uplink"
+                           else (dl, "_je_terms", scalar_je_terms))
+    build, calls = getattr(module, name), []
 
     def counted(law, K, L, S, T):
-        calls.append((tuple(S), tuple(T)))
-        return terms(law, K, L, S, T)
+        calls.append(len(S))
+        return build(law, K, L, S, T)
 
     monkeypatch.setattr(module, name, counted)
     spec = load_spec(SPECS / f"{spec_name}.json")
     ok, _ = suites.run_suites(spec, names, seed=0, samples=5)
-    assert ok and len(calls) == len(set(calls)) == 2 ** (spec.K + spec.L)
+    K, L, law = spec.K, spec.L, spec.law
+    assert ok and calls == [2 ** (K + L)]
+    region = (ul.jd_region if direction == "uplink" else dl.je_region)(law)
+    want = np.array([terms(law, K, L, S, T) for S, T in region.pairs])
+    assert ul.pair_terms(law, counted, K, L).tobytes() == want.tobytes()
     iterative = ul.corner_iterative if direction == "uplink" else dl.downlink_corner_iterative
-    perms = ul.solve_perms(spec.K, spec.L)
-    slack = scalar_slack(terms, spec.law, spec.K, spec.L)
-    ref = np.array([loop_greedy(slack, p, spec.K, spec.L) for p in perms.tolist()])
-    assert np.array_equal(iterative(spec.law, perms), ref)
-    assert len(calls) == 2 ** (spec.K + spec.L)  # the greedy pass read the table
+    perms = ul.solve_perms(K, L)
+    slack = scalar_slack(terms, law, K, L)
+    ref = np.array([loop_greedy(slack, p, K, L) for p in perms.tolist()])
+    assert iterative(law, perms).tobytes() == ref.tobytes()
+    assert calls == [2 ** (K + L)]  # the greedy pass read the table
+
+
+def _independent_user_spec(rng, K, L):
+    """A random downlink spec whose U_1 is independent of the other auxiliaries
+    and of X, so that its informations vanish up to rounding."""
+    rest = rng.dirichlet(np.ones(2 ** (K + L - 1))).reshape((2,) * (K + L - 1))
+    aux = np.multiply.outer(rng.dirichlet(np.ones(2)), rest)
+    chan = rng.dirichlet(np.ones(2 ** K), size=2 ** L).reshape((2,) * (L + K))
+    return prob.DownlinkSpec(K=K, L=L, aux_joint=aux, channel=chan)
+
+
+PAIR_CASES = [(d, (K, L)) for d in ("uplink", "downlink")
+              for K, L in [(1, 1), (1, 7), (7, 1), (2, 5), (3, 3), (4, 4)]] + [
+    ("uplink", "identity_k1l1"), ("uplink", "product_k2l2"), ("downlink", "independent")]
+
+
+@pytest.mark.parametrize("direction, case", PAIR_CASES, ids=lambda c: _ids(c))
+def test_pair_table_matches_per_pair_terms(direction, case):
+    """The table of pair terms, the region's lower bounds, the scalar slack at
+    random points and the greedy corners of random solve orders against the
+    pair's terms from their scalar formulas, bit for bit, read on a second copy
+    of the law so that neither side reads an entropy the other cached."""
+    rng = np.random.default_rng(7)
+    if case == "independent":
+        spec, fresh = (_independent_user_spec(np.random.default_rng(11), 2, 2) for _ in range(2))
+    else:
+        spec, fresh = _spec(direction, case), _spec(direction, case)
+    K, L, law = spec.K, spec.L, spec.law
+    if direction == "uplink":
+        region, build, terms = ul.jd_region(law), ul._jd_terms, scalar_jd_terms
+        slack, iterative = ul.jd_slack, ul.corner_iterative
+    else:
+        region, build, terms = dl.je_region(law), dl._je_terms, scalar_je_terms
+        slack, iterative = dl.je_slack, dl.downlink_corner_iterative
+    want = np.array([terms(fresh.law, K, L, S, T) for S, T in region.pairs])
+    assert ul.pair_terms(law, build, K, L).tobytes() == want.tobytes()
+    ref = scalar_slack(terms, fresh.law, K, L)
+    origin = np.zeros(K + L)
+    assert region.lb.tobytes() == np.array([-ref(origin, S, T) for S, T in region.pairs]).tobytes()
+    points = rng.uniform(-1.0, 2.0, size=(3, K + L))
+    got = [slack(law, x, S, T) for x in points for S, T in region.pairs]
+    assert np.array(got).tobytes() == np.array(
+        [ref(x, S, T) for x in points for S, T in region.pairs]).tobytes()
+    perms = np.array([rng.permutation(K + L) for _ in range(24)])
+    assert iterative(law, perms).tobytes() == np.array(
+        [loop_greedy(ref, p, K, L) for p in perms.tolist()]).tobytes()
 
 
 @pytest.mark.parametrize("K, L", SHAPES, ids=lambda s: str(s))

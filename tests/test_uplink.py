@@ -18,11 +18,12 @@ from cranregions import (
     verify_corner,
 )
 from cranregions.prob import build_uplink_joint
-from cranregions.uplink import build_region, capacity_minus_rate, greedy_corner, solve_perms
+from cranregions.uplink import capacity_minus_rate, greedy_corner, solve_perms
 
 from conftest import (
     bsc,
     bsc_chain_spec,
+    build_region,
     identity_chain_spec,
     k2l2_bsc_spec,
     random_uplink_spec,
@@ -38,6 +39,12 @@ class TestSlack:
         # Y = X + Bern(0.1), Yh = Y + Bern(0.05); I(Y;Yh|X) = h2(0.14) - h2(0.05)
         expect = -(h2(0.1 * 0.95 + 0.9 * 0.05) - h2(0.05))
         assert jd_slack(law, origin, [], [1]) == pytest.approx(expect, abs=1e-12)
+
+    def test_pair_out_of_range_rejected(self):
+        law = build_uplink_joint(bsc_chain_spec())
+        for S, T in (([2], []), ([0], [1]), ([], [2])):
+            with pytest.raises(ValueError, match="no constraint"):
+                jd_slack(law, np.zeros(2), S, T)
 
     def test_identity_chain_membership(self):
         law = build_uplink_joint(identity_chain_spec())
