@@ -16,12 +16,15 @@ which reads each subset's entropy once into the law's one cache):
 `face_bounds` holds the two-sided rows of `on_dominant_face_alt`, the cap
 row of every admissible query (S, T) and the two cross informations of
 `degeneracy_condition`, all over the entropies of the alt rows, and
-`sub_face_bounds` the two sub-faces of every admissible query.  The
-marginal channels of the two sub-problems are never materialized.
-D_{S,T} and D_{S^c,T^c | S,T} are the faces of the (S, T) sub-network and
-of the (S^c, T^c) one that sees X_S, Yh_T.  Every predicate takes an
-(n, K+L) stack of points and gives one bool per point, from one product
-per region and STACK_CHUNK points; a single point is a stack of one.
+`_sub_face_bounds` the rows and bounds of the two sub-faces of every
+admissible query, as flat arrays.  The marginal channels of the two
+sub-problems are never materialized.  D_{S,T} and D_{S^c,T^c | S,T} are
+the faces of the (S, T) sub-network and of the (S^c, T^c) one that sees
+X_S, Yh_T.  Every predicate takes an (n, K+L) stack of points and gives
+one bool per point, from one product per region and STACK_CHUNK points;
+a single point is a stack of one.  The face-decomposition check takes the
+queries of a law in groups of one face size and one |S| + |T|, and each
+step is one call on a (queries, points, K+L) stack of stacks.
 """
 
 from __future__ import annotations
@@ -124,36 +127,30 @@ def on_dominant_face_alt(law: JointLaw, points, tol: float = MEMBERSHIP_TOL):
     return face_bounds(law)["alt"].contains(points, tol)
 
 
-def _cap_row(law: JointLaw, q: FaceQuery) -> Region:
-    """C(T) - R(S) at its cap: one row with lb = ub = I(Y_T; Yh_T | X_S)."""
-    q.validate(*law.dims("uplink"))
-    return face_bounds(law)[("cap", q)]
-
-
 def in_face_FST(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
-    """Membership in F_{S,T}: on the dominant face with C(T) - R(S) at its cap."""
-    cap = _cap_row(law, q)
-    return on_dominant_face(law, points, tol) & cap.contains(points, tol)
+    """Membership in F_{S,T}: on the dominant face with C(T) - R(S) at its cap,
+    the one row with lb = ub = I(Y_T; Yh_T | X_S)."""
+    q.validate(*law.dims("uplink"))
+    return on_dominant_face(law, points, tol) & face_bounds(law)["cap", q].contains(points, tol)
 
 
 def in_sub_face_DST(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
     """Membership of the (S, T) coordinates in the leading sub-face factor, the
-    face of the (S, T) sub-network alone.
+    face of the (S, T) sub-network alone, a region made on demand (`_sub_face`).
 
     Only the R_S and C_T coordinates of `points` are read.
     """
-    q.validate(*law.dims("uplink"))
-    return sub_face_bounds(law)[("DST", q)].contains(points, tol)
+    return _sub_face(law, q, "DST").contains(points, tol)
 
 
 def in_sub_face_cond(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
-    """Membership of the complement coordinates in the conditional sub-face.
+    """Membership of the complement coordinates in the conditional sub-face,
+    a region made on demand (`_sub_face`).
 
     The conditional sub-problem sees (X_S, Yh_T) as decoder side
     information; only the R_{S^c} and C_{T^c} coordinates are read.
     """
-    q.validate(*law.dims("uplink"))
-    return sub_face_bounds(law)[("cond", q)].contains(points, tol)
+    return _sub_face(law, q, "cond").contains(points, tol)
 
 
 def face_bounds(law: JointLaw) -> dict:
@@ -166,9 +163,18 @@ def face_bounds(law: JointLaw) -> dict:
 
 
 def sub_face_bounds(law: JointLaw) -> dict:
-    """The regions of the sub-faces ("DST", q) and ("cond", q) of every
-    admissible query q, built once per law from one gather (`prob.gather`)."""
-    return law.memo("sub-face bounds", lambda: _sub_face_bounds(law))
+    """The sub-face regions ("DST", q) and ("cond", q) of every query q (`_sub_face`)."""
+    return {(s, q): _sub_face(law, q, s) for s in ("DST", "cond") for q in face_queries(law)}
+
+
+def _sub_face(law: JointLaw, q: FaceQuery, side: str) -> Region:
+    """Sub-face "DST" or "cond" of q: its segment of the arrays of `_sub_face_bounds`."""
+    q.validate(*law.dims("uplink"))
+    queries, jd = face_queries(law), jd_region(law)
+    face, row, lb, ub = law.memo("sub-face bounds", lambda: _sub_face_bounds(law))
+    k = queries.index(q) + (side == "cond") * len(queries)  # every D_{S,T} comes first
+    seg = slice(*np.searchsorted(face, [k, k + 1]))
+    return Region(tuple(jd.pairs[r] for r in row[seg].tolist()), jd.A[row[seg]], lb[seg], ub[seg])
 
 
 def _face_masks(law: JointLaw) -> tuple:
@@ -213,13 +219,14 @@ def _face_bounds(law: JointLaw) -> dict:
     return out
 
 
-def _sub_face_bounds(law: JointLaw) -> dict:
+def _sub_face_bounds(law: JointLaw) -> tuple:
     """D_{S,T} of each query, then D_{S^c,T^c | S,T} of each query: the face of
     the sub-network of `users` and `relays` whose decoder sees X_zs and Yh_zt.
     A sub-face keeps, in their order, the rows of the alt region whose pair
-    lies within its users and relays."""
+    lies within its users and relays.  The gather arrays: each row's sub-face
+    (query i's D_{S,T} is i, its conditional one Q + i), alt row and bounds."""
     K, L = law.dims("uplink")
-    pairs, normals, S, T, queries, qs, qt = _face_masks(law)
+    _, _, S, T, _, qs, qt = _face_masks(law)
     y, yh = K, K + L  # the shifts of Y and Yh
     users = np.concatenate([qs, ((1 << K) - 1) & ~qs])
     relays = np.concatenate([qt, ((1 << L) - 1) & ~qt])
@@ -234,12 +241,7 @@ def _sub_face_bounds(law: JointLaw) -> dict:
         (B << y, B << yh, U | zs | side), (A, side, U & ~A | zs),
         (B << y, B << yh, A | zs | zt << yh), (A, zt << yh, zs),
     ])
-    keys = [("DST", q) for q in queries] + [("cond", q) for q in queries]
-    ends = np.cumsum(np.bincount(face, minlength=len(keys)))[:-1]
-    return {key: Region(tuple(pairs[r] for r in rows.tolist()), normals[rows], lo, hi)
-            for key, rows, lo, hi in zip(keys, np.split(row, ends),
-                                         np.split(lb - lb_cross, ends),
-                                         np.split(ub - ub_cross, ends))}
+    return face, row, lb - lb_cross, ub - ub_cross
 
 
 def sample_face_points(law: JointLaw, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -261,30 +263,70 @@ class FaceDecompositionReport:
         return self.forward_failures == 0 and self.converse_failures == 0
 
 
-def check_face_decomposition(
-    law: JointLaw,
-    q: FaceQuery,
-    samples: int = 200,
-    seed: int = 0,
-    tol: float = FACE_TOL,
-) -> FaceDecompositionReport:
+def check_face_decomposition(law: JointLaw, q: FaceQuery, samples: int = 200, seed: int = 0,
+                             tol: float = FACE_TOL) -> FaceDecompositionReport:
     """Numerical check of F_{S,T} = D_{S,T} x D_{S^c,T^c | S,T}.
 
     Forward: every corner on F_{S,T} and random convex combinations of
     them satisfy both sub-face predicates.  Converse: recombining the
     (S,T) half of one face sample with the complement half of another
-    (a generic member of the product) lands back on F_{S,T}.
+    (a generic member of the product) lands back on F_{S,T}.  This is the
+    stacked pass of `face_decomposition_failures` on the one query q.
     """
-    K, L = law.dims("uplink")
-    mat = face_corners(law, q, tol)
-    if not len(mat):
-        return FaceDecompositionReport(0, 0)
-    forward_w, converse_w = _face_weights(law, seed, samples, len(mat))
-    points = np.vstack([mat, forward_w @ mat])
-    forward = in_sub_face_DST(law, points, q, tol) & in_sub_face_cond(law, points, q, tol)
-    converse = in_face_FST(
-        law, np.where(q.mask(K, L), converse_w[:, 0] @ mat, converse_w[:, 1] @ mat), q, tol)
-    return FaceDecompositionReport(int(np.sum(~forward)), int(np.sum(~converse)))
+    q.validate(*law.dims("uplink"))
+    failures = face_decomposition_failures(law, (q,), samples, seed, tol)
+    return FaceDecompositionReport(*failures[:, face_queries(law).index(q)].tolist())
+
+
+def face_decomposition_failures(law: JointLaw, queries, samples: int = 200, seed: int = 0,
+                                tol: float = FACE_TOL) -> np.ndarray:
+    """The forward and converse failure counts of `check_face_decomposition` for
+    `queries`, a (2, Q) array over `face_queries`, in one stacked pass: per group
+    of `_face_plan` a call on its D_{S,T} rows and one on its conditional rows, and
+    for all the converse points one on the dominant face and one on their caps."""
+    (groups, cap), wanted = law.memo(("face plan", tol), lambda: _face_plan(law, tol)), set(queries)
+    picked = np.array([q in wanted for q in face_queries(law)])
+    failures, drawn, done = np.zeros((2, len(picked)), int), 0, []
+    for at, corners, subs, mask in groups:
+        n, sel = corners.shape[1], np.flatnonzero(picked[at])
+        if n != drawn and len(sel):  # forward, then converse, as each query drew them
+            rng, ones, drawn = np.random.default_rng(seed), np.ones(n), n
+            forward_w, converse_w = rng.dirichlet(ones, samples), rng.dirichlet(ones, (samples, 2))
+        step = max(1, STACK_CHUNK // 4 // (n + samples))  # a quarter keeps the slacks in cache
+        for j in (sel[i:i + step] for i in range(0, len(sel), step)):
+            mat = enumerate_corners(law).vertices[corners[j]]
+            points = np.concatenate([mat, forward_w @ mat], axis=1)
+            forward = np.all([Region((), *(a[j] for a in sub)).contains(points, tol)
+                              for sub in subs], axis=0)
+            failures[0, at[j]] = np.count_nonzero(~forward, axis=1)
+            points = np.where(mask[j, None], converse_w[:, 0] @ mat, converse_w[:, 1] @ mat)
+            done.append((at[j], points))
+    at, points = (np.concatenate(x) for x in zip(*done)) if done else (np.zeros(0, int), None)
+    step = max(1, STACK_CHUNK // 4 // max(samples, 1))
+    for c in (slice(i, i + step) for i in range(0, len(at), step)):
+        on = on_dominant_face(law, points[c], tol)
+        failures[1, at[c]] = np.count_nonzero(
+            ~(on & Region((), *(a[at[c]] for a in cap)).contains(points[c], tol)), axis=1)
+    return failures
+
+
+def _face_plan(law: JointLaw, tol: float) -> tuple:
+    """The queries with a nonempty face at `tol` in groups of one face size n and
+    one m = |S| + |T|: their positions, (G, n) face corners, the normals and
+    (G, 1, rows) bounds of their 2^m D_{S,T} rows and 2^(K+L-m) conditional
+    rows, and their coordinate masks; and the stacked caps of all the queries."""
+    face, row, lb, ub = law.memo("sub-face bounds", lambda: _sub_face_bounds(law))
+    rows, caps = law.memo(("face corners", tol), lambda: _face_corner_rows(law, tol))
+    queries, masks = face_queries(law), caps.A != 0
+    start, m, groups = np.searchsorted(face, np.arange(2 * len(queries))), masks.sum(axis=1), []
+    size = np.array([len(rows[q]) for q in queries])
+    for n, k in sorted({(n, k) for n, k in zip(size.tolist(), m.tolist()) if n}):
+        at = np.flatnonzero((size == n) & (m == k))
+        blocks = (at, 1 << k), (len(queries) + at, 1 << (masks.shape[1] - k))  # D_{S,T}, cond
+        subs = [(jd_region(law).A[row[i]], lb[i][:, None], ub[i][:, None])
+                for i in (start[f, None] + np.arange(r) for f, r in blocks)]
+        groups.append((at, np.array([rows[queries[a]] for a in at]), subs, masks[at]))
+    return groups, (caps.A[:, None], caps.lb[:, None, None], caps.ub[:, None, None])
 
 
 def face_corners(law: JointLaw, q: FaceQuery, tol: float = FACE_TOL) -> np.ndarray:
@@ -296,10 +338,11 @@ def face_corners(law: JointLaw, q: FaceQuery, tol: float = FACE_TOL) -> np.ndarr
     """
     q.validate(*law.dims("uplink"))
     vertices = enumerate_corners(law).vertices
-    return vertices[law.memo(("face corners", tol), lambda: _face_corner_rows(law, tol))[q]]
+    return vertices[law.memo(("face corners", tol), lambda: _face_corner_rows(law, tol))[0][q]]
 
 
-def _face_corner_rows(law: JointLaw, tol: float) -> dict:
+def _face_corner_rows(law: JointLaw, tol: float) -> tuple:
+    """The vertex rows of each query's face, and the cap rows of the queries as one region."""
     vertices = enumerate_corners(law).vertices
     queries = face_queries(law)
     caps = [face_bounds(law)["cap", q] for q in queries]
@@ -310,22 +353,7 @@ def _face_corner_rows(law: JointLaw, tol: float) -> dict:
     at_cap = np.empty((len(on), len(caps)), dtype=bool)
     for i in range(0, len(on), STACK_CHUNK):
         at_cap[i:i + STACK_CHUNK] = stacked.slacks(vertices[on[i:i + STACK_CHUNK]]) >= -tol
-    return {q: on[rows] for q, rows in zip(queries, at_cap.T)}
-
-
-def _face_weights(law: JointLaw, seed: int, samples: int, n: int) -> tuple:
-    """The Dirichlet weights of `check_face_decomposition` on a face of n
-    vertices: the forward draws, then the converse pairs, of a fresh
-    default_rng(seed).  They depend on (seed, samples, n) alone, and the law
-    keeps the last ones drawn (one face's, to bound the memory), so queries
-    taken in order of face size draw once per size."""
-    key = (seed, samples, n)
-    last = law._memo.get("face weights")
-    if last is None or last[0] != key:
-        rng, ones = np.random.default_rng(seed), np.ones(n)
-        last = law._memo["face weights"] = (
-            key, rng.dirichlet(ones, size=samples), rng.dirichlet(ones, size=(samples, 2)))
-    return last[1:]
+    return {q: on[rows] for q, rows in zip(queries, at_cap.T)}, stacked
 
 
 def degeneracy_condition(law: JointLaw, q: FaceQuery) -> bool:

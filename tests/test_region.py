@@ -218,14 +218,15 @@ def scalar_on_dominant_face(law, point):
         jd_slack(law, point, range(1, K + 1), range(1, L + 1))) <= MEMBERSHIP_TOL
 
 
-def per_point_face_decomposition(law, q, samples, seed, tol=FACE_TOL):
+def per_point_face_decomposition(law, q, samples, seed, tol=FACE_TOL, corners=None):
     """Reference: `check_face_decomposition` with one predicate call per point,
-    on a stack of one."""
+    on a stack of one, on the face's `corners`, by default the vertices that
+    `in_face_FST` admits."""
     K, L = law.dims("uplink")
     q.validate(K, L)
     rng = np.random.default_rng(seed)
     face_corners = [v for v in enumerate_corners(law).vertices
-                    if df.in_face_FST(law, v[None], q, tol)[0]]
+                    if df.in_face_FST(law, v[None], q, tol)[0]] if corners is None else list(corners)
     if not face_corners:
         return FaceDecompositionReport(0, 0)
     mat = np.array(face_corners)
@@ -287,30 +288,28 @@ def test_face_families_match_scalar_loops(K, L):
     assert set(sub) == {True, False} and fst == {True, False}
 
 
-def test_face_decomposition_draws_the_reference_points(monkeypatch):
-    """With predicates that also reject the points inside a band of one coordinate,
-    there are failures to count, and the stacked check counts the reference's:
-    it draws the same points and gives each to the same predicates."""
+def test_face_decomposition_draws_the_reference_points():
+    """With bounds tightened on the law's memo there are failures to count, and
+    the stacked check counts the reference's: it draws the same points and reads
+    the same bounds, which the reference reads through the per-query predicates.
+    R_1 at least its second least distinct vertex value in every D_{S,T} with
+    the ({1}, {}) row fails the corners below it, and samples near them,
+    forward; C_1 at most its second greatest distinct vertex value on the
+    dominant face, once the face corners are found, fails the converse points
+    above it.  Some faces fail in part, so the counts are checked point by point."""
     law = _case("uplink", 2, 2)[0]
-    # the middle half between two middle distinct vertex values: no corner, and no
-    # point of a face on which the coordinate is constant, comes near its edges
-    bands = []
-    for column in enumerate_corners(law).vertices.T:
-        values = np.unique(np.round(column, 9))
-        lo, hi = values[len(values) // 2 - 1], values[len(values) // 2]
-        bands.append((lo + (hi - lo) / 4, hi - (hi - lo) / 4))
-
-    def rejecting(predicate, i):
-        def patched(law, x, q, tol=FACE_TOL):
-            xi = x[:, i]
-            return predicate(law, x, q, tol) & ~((bands[i][0] < xi) & (xi < bands[i][1]))
-        return patched
-
-    for name, i in (("in_sub_face_DST", 0), ("in_sub_face_cond", 3), ("in_face_FST", 2)):
-        monkeypatch.setattr(df, name, rejecting(getattr(df, name), i))
-    reports = [check_face_decomposition(law, q, 50, seed=1) for q in _queries(2, 2)]
-    assert reports == [per_point_face_decomposition(law, q, 50, seed=1) for q in _queries(2, 2)]
+    vertices, jd, queries = enumerate_corners(law).vertices, jd_region(law), df.face_queries(law)
+    corners = {q: df.face_corners(law, q) for q in queries}
+    face, row, lb, ub = law.memo("sub-face bounds", lambda: df._sub_face_bounds(law))
+    r1, c1 = (np.unique(np.round(vertices[:, i], 9)) for i in (0, 2))
+    ub[(face < len(queries)) & (row == jd.pairs.index(((1,), ())))] = -r1[1]
+    jd.ub[jd.pairs.index(((), (1,)))] = c1[-2]
+    reports = [check_face_decomposition(law, q, 50, seed=1) for q in queries]
+    assert reports == [per_point_face_decomposition(law, q, 50, seed=1, corners=corners[q])
+                       for q in queries]
     assert any(r.forward_failures for r in reports) and any(r.converse_failures for r in reports)
+    assert any(0 < r.forward_failures < 50 for r in reports) and any(
+        0 < r.converse_failures < 50 for r in reports)
 
 
 # --- the per-law cache ---

@@ -855,17 +855,31 @@ def test_factorization_count_on_a_product_of_point_sets():
     assert verdicts(repeat) == (False, False)
 
 
-@pytest.mark.parametrize("case", UPLINK, ids=_ids)
+@pytest.mark.parametrize("case", UPLINK + ["zeros_k2l2", "zeros_k2l3"], ids=_ids)
 def test_face_decomposition_matches_per_query_face_check(case):
-    spec = _spec("uplink", case)
-    faces = 0
-    for tol in (FACE_TOL, 0.05):  # the face mask of the vertices is kept per tolerance
-        for q in df.admissible_queries(spec.K, spec.L):
-            rep = df.check_face_decomposition(spec.law, q, samples=15, seed=2, tol=tol)
-            assert (rep.forward_failures, rep.converse_failures) == \
-                loop_face_decomposition(spec.law, q, 15, 2, tol), (q, tol)
-            faces += bool(df.in_face_FST(spec.law, ul.enumerate_corners(spec.law).points, q).any())
-    assert faces  # some query has corners on its face
+    """Every query, one at a time and all in one stacked pass (lemma4's call),
+    against the per-query reference.  At tolerance 0 the faces of every case
+    but identity_k1l1, whose corners are exact, lose some or all of their
+    vertices, and a face with no vertex gives (0, 0)."""
+    spec = _spec_with_zeros(*WITH_ZEROS[case]) if case in WITH_ZEROS else _spec("uplink", case)
+    queries = df.face_queries(spec.law)
+    faces = empty = 0
+    for tol in (FACE_TOL, 0.05, 0.0):  # the face mask of the vertices is kept per tolerance
+        for samples in (1, 15):
+            ref = [loop_face_decomposition(spec.law, q, samples, 2, tol) for q in queries]
+            stacked = df.face_decomposition_failures(spec.law, queries, samples, 2, tol)
+            assert list(zip(*stacked.tolist())) == ref, (tol, samples)
+            if tol == FACE_TOL:
+                details = suites.suite_lemma4(spec, seed=2, samples=samples)[1]
+                assert [tuple(d.values()) for d in details.values()] == ref, samples
+            for q, want in zip(queries, ref):
+                rep = df.check_face_decomposition(spec.law, q, samples=samples, seed=2, tol=tol)
+                assert (rep.forward_failures, rep.converse_failures) == want, (q, tol)
+            sizes = [len(df.face_corners(spec.law, q, tol)) for q in queries]
+            faces += any(sizes)  # some query has corners on its face
+            assert all(r == (0, 0) for n, r in zip(sizes, ref) if n == 0)
+            empty += sizes.count(0)
+    assert faces and (empty > 0) == (case != "identity_k1l1")
 
 
 def test_lemma4_draws_once_per_face_size(monkeypatch):
