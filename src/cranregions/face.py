@@ -13,18 +13,22 @@ Every bound here is a signed sum of entropies of variable subsets, so the
 bounds are built per law as gathers of conditional mutual informations
 on variable bitmasks over the single master joint law (`prob.gather`,
 which reads each subset's entropy once into the law's one cache):
-`face_bounds` holds the two-sided rows of `on_dominant_face_alt`, the cap
-row of every admissible query (S, T) and the two cross informations of
-`degeneracy_condition`, all over the entropies of the alt rows, and
-`_sub_face_bounds` the rows and bounds of the two sub-faces of every
-admissible query, as flat arrays.  The marginal channels of the two
-sub-problems are never materialized.  D_{S,T} and D_{S^c,T^c | S,T} are
-the faces of the (S, T) sub-network and of the (S^c, T^c) one that sees
-X_S, Yh_T.  Every predicate takes an (n, K+L) stack of points and gives
-one bool per point, from one product per region and STACK_CHUNK points;
-a single point is a stack of one.  The face-decomposition check takes the
-queries of a law in groups of one face size and one |S| + |T|, and each
-step is one call on a (queries, points, K+L) stack of stacks.
+`face_bounds` holds the two-sided rows of `on_dominant_face_alt`, and,
+as the admissible queries (S, T) are the alt rows but the first and the
+last, in order, the caps of the queries as one region of those rows held
+at their upper bound and the two cross informations of
+`degeneracy_condition`, the first of them the alt rows' own; all read the
+entropies of the alt rows.  `_sub_face_bounds` holds the rows and bounds
+of the two sub-faces of every admissible query, as flat arrays.  A query
+is found by the row of its bitmask (`Region.row_of_mask`).  The marginal
+channels of the two sub-problems are never materialized.  D_{S,T} and
+D_{S^c,T^c | S,T} are the faces of the (S, T) sub-network and of the
+(S^c, T^c) one that sees X_S, Yh_T.  Every predicate takes an (n, K+L)
+stack of points and gives one bool per point, from one product per region
+and STACK_CHUNK points; a single point is a stack of one.  The
+face-decomposition check takes the queries of a law in groups of one face
+size and one |S| + |T|, and each step is one call on a (queries, points,
+K+L) stack of stacks.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .uplink import (
     enumerate_corners,
     in_jd_region,
     jd_region,
+    pair_masks,
 )
 
 
@@ -93,6 +98,15 @@ def face_queries(law: JointLaw) -> tuple:
     return law.memo("face queries", lambda: tuple(admissible_queries(*law.dims("uplink"))))
 
 
+def _query_index(law: JointLaw, q: FaceQuery) -> int:
+    """The position of q in `face_queries`, found by bitmask: the queries are the
+    pairs of the joint-decoding rows but the first, (empty, empty), and the
+    last, ([K], [L]), in their order, so query i is row i + 1."""
+    K, L = law.dims("uplink")
+    q.validate(K, L)
+    return int(jd_region(law).row_of_mask[_mask(q.S) | _mask(q.T) << K]) - 1
+
+
 def _face_row(law: JointLaw) -> Region:
     """The ([K], [L]) row, the last of the joint-decoding region, held at its bound."""
     jd = jd_region(law)
@@ -124,14 +138,15 @@ def on_dominant_face_alt(law: JointLaw, points, tol: float = MEMBERSHIP_TOL):
     I(Y_T;Yh_T|X_[K]) - I(X_S;Yh_{T^c}|X_{S^c}) and I(Y_T;Yh_T|X_S).
     Agrees with `on_dominant_face` everywhere (verified numerically).
     """
-    return face_bounds(law)["alt"].contains(points, tol)
+    return face_bounds(law)[0].contains(points, tol)
 
 
 def in_face_FST(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
     """Membership in F_{S,T}: on the dominant face with C(T) - R(S) at its cap,
     the one row with lb = ub = I(Y_T; Yh_T | X_S)."""
-    q.validate(*law.dims("uplink"))
-    return on_dominant_face(law, points, tol) & face_bounds(law)["cap", q].contains(points, tol)
+    i, caps = _query_index(law, q), face_bounds(law)[1]
+    cap = Region(caps.pairs[i:i + 1], caps.A[i:i + 1], caps.lb[i:i + 1], caps.ub[i:i + 1])
+    return on_dominant_face(law, points, tol) & cap.contains(points, tol)
 
 
 def in_sub_face_DST(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
@@ -153,70 +168,50 @@ def in_sub_face_cond(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL)
     return _sub_face(law, q, "cond").contains(points, tol)
 
 
-def face_bounds(law: JointLaw) -> dict:
+def face_bounds(law: JointLaw) -> tuple:
     """The bounds of the faces, built once per law from one gather
-    (`prob.gather`): the region of `on_dominant_face_alt` under "alt" and, for
-    each admissible query q, the cap row ("cap", q) and the two cross
-    informations ("cross", q) of `degeneracy_condition`, as Python floats.
-    All of them read the entropies of the alt rows."""
+    (`prob.gather`): (alt, caps, cross).  `alt` is the region of
+    `on_dominant_face_alt`.  Query i of `face_queries` is alt row i + 1, so
+    the caps are one region of the alt rows but the first and the last, each
+    held at its upper bound, and cross is the (Q, 2) array of the two cross
+    informations of `degeneracy_condition`, the first of them alt's."""
     return law.memo("face bounds", lambda: _face_bounds(law))
 
 
-def sub_face_bounds(law: JointLaw) -> dict:
-    """The sub-face regions ("DST", q) and ("cond", q) of every query q (`_sub_face`)."""
-    return {(s, q): _sub_face(law, q, s) for s in ("DST", "cond") for q in face_queries(law)}
+def sub_face_bounds(law: JointLaw) -> tuple:
+    """The sub-face regions of the queries (`_sub_face`), in `face_queries`
+    order: a list of their D_{S,T} and a list of their conditional sub-faces."""
+    return tuple([_sub_face(law, q, s) for q in face_queries(law)] for s in ("DST", "cond"))
 
 
 def _sub_face(law: JointLaw, q: FaceQuery, side: str) -> Region:
     """Sub-face "DST" or "cond" of q: its segment of the arrays of `_sub_face_bounds`."""
-    q.validate(*law.dims("uplink"))
-    queries, jd = face_queries(law), jd_region(law)
+    i, jd = _query_index(law, q), jd_region(law)
     face, row, lb, ub = law.memo("sub-face bounds", lambda: _sub_face_bounds(law))
-    k = queries.index(q) + (side == "cond") * len(queries)  # every D_{S,T} comes first
+    k = i + (side == "cond") * len(face_queries(law))  # every D_{S,T} comes first
     seg = slice(*np.searchsorted(face, [k, k + 1]))
     return Region(tuple(jd.pairs[r] for r in row[seg].tolist()), jd.A[row[seg]], lb[seg], ub[seg])
 
 
-def _face_masks(law: JointLaw) -> tuple:
-    """The rows and queries of the face bounds of `law`, as bitmasks, built
-    once per law.
+def _face_bounds(law: JointLaw) -> tuple:
+    """The alt region, caps and cross informations, from one gather.
 
-    User k and relay l are bit k - 1 of a user and of a relay mask, and
+    User k and relay l are bit k - 1 of a user and of a relay mask
+    (`pair_masks` of the alt rows, which are the joint-decoding rows), and
     X_k, Y_l and Yh_l are bits k - 1, K + l - 1 and K + L + l - 1 of a
-    variable mask of the law.  Returns the pairs (S, T) of the alt region,
-    which are those of the joint-decoding region, their normals and user
-    and relay masks, and the `face_queries` with their user and relay masks.
-    """
-    def build():
-        K, L = law.dims("uplink")
-        jd, queries = jd_region(law), face_queries(law)
-        S = (jd.A[:, :K] < 0) @ (1 << np.arange(K))
-        T = (jd.A[:, K:] > 0) @ (1 << np.arange(L))
-        qs = np.array([_mask(q.S) for q in queries], dtype=np.int64)
-        qt = np.array([_mask(q.T) for q in queries], dtype=np.int64)
-        return jd.pairs, jd.A, S, T, queries, qs, qt
-
-    return law.memo("face masks", build)
-
-
-def _face_bounds(law: JointLaw) -> dict:
-    """The alt rows, caps and cross informations, from one gather."""
+    variable mask of the law.  The queries are the alt rows 1..-2."""
     K, L = law.dims("uplink")
-    pairs, normals, S, T, queries, qs, qt = _face_masks(law)
+    jd = jd_region(law)
+    S, T = pair_masks(jd.A, K)
+    qs, qt = S[1:-1], T[1:-1]
     users, relays = (1 << K) - 1, (1 << L) - 1
     y, yh = K, K + L  # the shifts of Y and Yh
-    lb, cross, ub, cap, cross_a, cross_b = gather(law, [
+    lb, cross, ub, cross_b = gather(law, [
         (T << y, T << yh, users), (S, (relays & ~T) << yh, users & ~S), (T << y, T << yh, S),
-        (qt << y, qt << yh, qs),
-        (qs, (relays & ~qt) << yh, users & ~qs), (users & ~qs, qt << yh, qs),
+        (users & ~qs, qt << yh, qs),
     ])
-    out = {"alt": Region(pairs, normals, lb - cross, ub)}
-    normal = np.repeat([-1.0, 1.0], [K, L])
-    for q, level, ab in zip(queries, cap, np.column_stack([cross_a, cross_b]).tolist()):
-        level = np.array([level])
-        out["cap", q] = Region(((q.S, q.T),), (q.mask(K, L) * normal)[None], level, level)
-        out["cross", q] = tuple(ab)
-    return out
+    caps = Region(jd.pairs[1:-1], jd.A[1:-1], ub[1:-1], ub[1:-1])
+    return Region(jd.pairs, jd.A, lb - cross, ub), caps, np.column_stack([cross[1:-1], cross_b])
 
 
 def _sub_face_bounds(law: JointLaw) -> tuple:
@@ -226,7 +221,8 @@ def _sub_face_bounds(law: JointLaw) -> tuple:
     lies within its users and relays.  The gather arrays: each row's sub-face
     (query i's D_{S,T} is i, its conditional one Q + i), alt row and bounds."""
     K, L = law.dims("uplink")
-    _, _, S, T, _, qs, qt = _face_masks(law)
+    S, T = pair_masks(jd_region(law).A, K)
+    qs, qt = S[1:-1], T[1:-1]  # the queries are the rows but the first and the last
     y, yh = K, K + L  # the shifts of Y and Yh
     users = np.concatenate([qs, ((1 << K) - 1) & ~qs])
     relays = np.concatenate([qt, ((1 << L) - 1) & ~qt])
@@ -273,9 +269,9 @@ def check_face_decomposition(law: JointLaw, q: FaceQuery, samples: int = 200, se
     (a generic member of the product) lands back on F_{S,T}.  This is the
     stacked pass of `face_decomposition_failures` on the one query q.
     """
-    q.validate(*law.dims("uplink"))
+    i = _query_index(law, q)
     failures = face_decomposition_failures(law, (q,), samples, seed, tol)
-    return FaceDecompositionReport(*failures[:, face_queries(law).index(q)].tolist())
+    return FaceDecompositionReport(*failures[:, i].tolist())
 
 
 def face_decomposition_failures(law: JointLaw, queries, samples: int = 200, seed: int = 0,
@@ -314,18 +310,20 @@ def _face_plan(law: JointLaw, tol: float) -> tuple:
     """The queries with a nonempty face at `tol` in groups of one face size n and
     one m = |S| + |T|: their positions, (G, n) face corners, the normals and
     (G, 1, rows) bounds of their 2^m D_{S,T} rows and 2^(K+L-m) conditional
-    rows, and their coordinate masks; and the stacked caps of all the queries."""
+    rows, and their coordinate masks; and the `face_bounds` caps of all the
+    queries as (Q, 1, K+L) normals and (Q, 1, 1) bounds."""
     face, row, lb, ub = law.memo("sub-face bounds", lambda: _sub_face_bounds(law))
-    rows, caps = law.memo(("face corners", tol), lambda: _face_corner_rows(law, tol))
-    queries, masks = face_queries(law), caps.A != 0
-    start, m, groups = np.searchsorted(face, np.arange(2 * len(queries))), masks.sum(axis=1), []
-    size = np.array([len(rows[q]) for q in queries])
+    rows = law.memo(("face corners", tol), lambda: _face_corner_rows(law, tol))
+    caps = face_bounds(law)[1]
+    masks = caps.A != 0
+    start, m, groups = np.searchsorted(face, np.arange(2 * len(rows))), masks.sum(axis=1), []
+    size = np.array([len(r) for r in rows])
     for n, k in sorted({(n, k) for n, k in zip(size.tolist(), m.tolist()) if n}):
         at = np.flatnonzero((size == n) & (m == k))
-        blocks = (at, 1 << k), (len(queries) + at, 1 << (masks.shape[1] - k))  # D_{S,T}, cond
+        blocks = (at, 1 << k), (len(rows) + at, 1 << (masks.shape[1] - k))  # D_{S,T}, cond
         subs = [(jd_region(law).A[row[i]], lb[i][:, None], ub[i][:, None])
                 for i in (start[f, None] + np.arange(r) for f, r in blocks)]
-        groups.append((at, np.array([rows[queries[a]] for a in at]), subs, masks[at]))
+        groups.append((at, np.array([rows[a] for a in at]), subs, masks[at]))
     return groups, (caps.A[:, None], caps.lb[:, None, None], caps.ub[:, None, None])
 
 
@@ -333,35 +331,30 @@ def face_corners(law: JointLaw, q: FaceQuery, tol: float = FACE_TOL) -> np.ndarr
     """The vertices of the region on F_{S,T}: those `in_face_FST` admits.
 
     The vertices of every admissible query are found at once, once per law
-    and `tol`, from the dominant-face mask and one product over the stacked
-    cap rows, STACK_CHUNK vertices at a time.
+    and `tol`, from the dominant-face mask and one product over the caps of
+    `face_bounds`, STACK_CHUNK vertices at a time.
     """
-    q.validate(*law.dims("uplink"))
-    vertices = enumerate_corners(law).vertices
-    return vertices[law.memo(("face corners", tol), lambda: _face_corner_rows(law, tol))[0][q]]
+    i, vertices = _query_index(law, q), enumerate_corners(law).vertices
+    return vertices[law.memo(("face corners", tol), lambda: _face_corner_rows(law, tol))[i]]
 
 
-def _face_corner_rows(law: JointLaw, tol: float) -> tuple:
-    """The vertex rows of each query's face, and the cap rows of the queries as one region."""
-    vertices = enumerate_corners(law).vertices
-    queries = face_queries(law)
-    caps = [face_bounds(law)["cap", q] for q in queries]
-    stacked = Region(tuple(p for cap in caps for p in cap.pairs), np.vstack([cap.A for cap in caps]),
-                     np.concatenate([cap.lb for cap in caps]),
-                     np.concatenate([cap.ub for cap in caps]))
+def _face_corner_rows(law: JointLaw, tol: float) -> list:
+    """The vertex rows of the face of each query, in `face_queries` order."""
+    vertices, caps = enumerate_corners(law).vertices, face_bounds(law)[1]
     on = np.flatnonzero(on_dominant_face(law, vertices, tol))
-    at_cap = np.empty((len(on), len(caps)), dtype=bool)
+    at_cap = np.empty((len(on), len(caps.A)), dtype=bool)
     for i in range(0, len(on), STACK_CHUNK):
-        at_cap[i:i + STACK_CHUNK] = stacked.slacks(vertices[on[i:i + STACK_CHUNK]]) >= -tol
-    return {q: on[rows] for q, rows in zip(queries, at_cap.T)}, stacked
+        at_cap[i:i + STACK_CHUNK] = caps.slacks(vertices[on[i:i + STACK_CHUNK]]) >= -tol
+    return [on[rows] for rows in at_cap.T]
 
 
 def degeneracy_condition(law: JointLaw, q: FaceQuery) -> bool:
     """True iff the (S, T) block decouples: both cross informations
-    I(X_S; Yh_{T^c} | X_{S^c}) and I(X_{S^c}; Yh_T | X_S) vanish."""
-    q.validate(*law.dims("uplink"))
-    a, b = face_bounds(law)[("cross", q)]
-    return a <= MI_ZERO_TOL and b <= MI_ZERO_TOL
+    I(X_S; Yh_{T^c} | X_{S^c}) and I(X_{S^c}; Yh_T | X_S) vanish.  The verdicts
+    of all the queries are one list of Python bools per law."""
+    degenerate = law.memo("degenerate", lambda: (
+        face_bounds(law)[2] <= MI_ZERO_TOL).all(axis=1).tolist())
+    return degenerate[_query_index(law, q)]
 
 
 def check_degenerate_factorization(law: JointLaw, q: FaceQuery) -> bool:

@@ -141,13 +141,17 @@ def pair_terms(law: JointLaw, terms, K: int, L: int) -> np.ndarray:
     bitmasks; the region bounds, the greedy corners and the scalar slack read it."""
     def build():
         _, A = region_rows(K, L, range(1, K + 1), range(1, L + 1))
-        S = (A[:, :K] < 0) @ (1 << np.arange(K))
-        T = (A[:, K:] > 0) @ (1 << np.arange(L))
-        table = terms(law, K, L, S, T)
+        table = terms(law, K, L, *pair_masks(A, K))
         table.setflags(write=False)
         return table
 
     return law.memo("pair terms", build)
+
+
+def pair_masks(A: np.ndarray, K: int) -> tuple:
+    """The user and relay bitmasks S and T of the pair of each row of (rows, K+L)
+    normals A: bit k - 1 for user k, bit l - 1 for relay l."""
+    return (A[:, :K] < 0) @ (1 << np.arange(K)), (A[:, K:] > 0) @ (1 << np.arange(A.shape[1] - K))
 
 
 def pair_slack(law: JointLaw, region: Region, terms, x, S, T) -> float:

@@ -17,8 +17,10 @@ from cranregions import (
     on_dominant_face_alt,
     sample_face_points,
 )
+from cranregions import face as df
 from cranregions.prob import build_uplink_joint
 from cranregions.face import in_sub_face_DST, in_sub_face_cond
+from cranregions.uplink import region_rows
 
 from conftest import identity_chain_spec, k2l2_bsc_spec, product_spec, random_uplink_spec
 
@@ -137,3 +139,36 @@ class TestFaceQueryValidation:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             FaceQuery(frozenset({3}), frozenset()).validate(2, 2)
+
+
+class TestQueryLookup:
+    """Query i of `face_queries` is joint-decoding row i + 1: the face bounds
+    are gathered over those rows, and the face functions find a query by the
+    row of its bitmask."""
+
+    def test_queries_are_the_rows_but_the_first_and_last(self):
+        for K in range(1, 8):
+            for L in range(1, 9 - K):
+                pairs, _ = region_rows(K, L, range(1, K + 1), range(1, L + 1))
+                assert list(df.admissible_queries(K, L)) == [
+                    FaceQuery(S, T) for S, T in pairs[1:-1]], (K, L)
+
+    @pytest.mark.parametrize("K, L", [(2, 2), (3, 3)])
+    def test_lookup_gives_the_position_in_face_queries(self, K, L):
+        law = build_uplink_joint(random_uplink_spec(np.random.default_rng(K), K, L))
+        queries = df.face_queries(law)
+        assert [df._query_index(law, q) for q in queries] == list(range(len(queries)))
+
+    @pytest.mark.parametrize("S, T", [({3}, ()), ((), {3}), ({0}, ()), ((), ()), ({1, 2}, {1, 2})])
+    def test_lookup_rejects_what_validate_rejects(self, S, T):
+        law = build_uplink_joint(k2l2_bsc_spec())
+        q = FaceQuery(frozenset(S), frozenset(T))
+        with pytest.raises(ValueError):
+            q.validate(2, 2)
+        point = np.zeros((1, 4))
+        for lookup in (lambda: df._query_index(law, q), lambda: degeneracy_condition(law, q),
+                       lambda: df.face_corners(law, q), lambda: check_face_decomposition(law, q),
+                       lambda: in_face_FST(law, point, q), lambda: in_sub_face_DST(law, point, q),
+                       lambda: in_sub_face_cond(law, point, q)):
+            with pytest.raises(ValueError):
+                lookup()

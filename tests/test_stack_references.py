@@ -732,20 +732,24 @@ def test_sub_face_regions_match_their_own_formulas(case):
     """Every region and value of the per-law gathers `sub_face_bounds` and
     `face_bounds` against its name-keyed formula: the sub-faces, the cap
     rows, the alt region and the cross informations of the degeneracy
-    condition."""
+    condition.  The caps are alt rows, with +0.0 where the reference's
+    q.mask * normal has -0.0, so their pairs and normals compare by value."""
     spec = _spec("uplink", case)
     law, K, L = spec.law, spec.K, spec.L
-    sub, bounds = df.sub_face_bounds(law), df.face_bounds(law)
-    _same_region(bounds["alt"], closure_alt(law))
+    (dst, cond), (alt, caps, cross) = df.sub_face_bounds(law), df.face_bounds(law)
+    _same_region(alt, closure_alt(law))
     queries = list(df.admissible_queries(K, L))
-    assert (len(sub), len(bounds)) == (2 * len(queries), 1 + 2 * len(queries))
-    for q in queries:
-        for got, want in zip((sub[("DST", q)], sub[("cond", q)], bounds[("cap", q)]),
-                             closure_sub_faces(law, q) + (closure_cap(law, q),)):
+    assert len(dst) == len(cond) == len(caps.pairs) == len(cross) == len(queries)
+    for i, q in enumerate(queries):
+        for got, want in zip((dst[i], cond[i]), closure_sub_faces(law, q)):
             _same_region(got, want)
-        assert np.array(bounds[("cross", q)]).tobytes() == \
-            np.array(closure_cross(law, q)).tobytes(), q
-        assert all(type(v) is float for v in bounds[("cross", q)])  # reports hold Python bools
+        want = closure_cap(law, q)
+        assert [tuple(map(frozenset, p)) for p in caps.pairs[i:i + 1]] == list(want.pairs)
+        assert caps.A[i:i + 1].shape == want.A.shape and np.array_equal(caps.A[i:i + 1], want.A)
+        for got, b in ((caps.lb, want.lb), (caps.ub, want.ub)):
+            assert got[i:i + 1].tobytes() == b.tobytes(), q  # equal bits
+        assert cross[i].tobytes() == np.array(closure_cross(law, q)).tobytes(), q
+        assert type(df.degeneracy_condition(law, q)) is bool  # reports hold Python bools
 
 
 def _correlated_uplink_spec(rng, K, L):
