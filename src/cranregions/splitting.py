@@ -19,6 +19,8 @@ exactly checkable.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,6 +35,7 @@ CORNER_ROWS = 1 << 16  # corner points scored per batch of cells
 CELL_STEPS = 10  # damped Newton steps on one cell before the next is tried
 EPS_MARGIN = 1e-9  # eps stays this far inside (0, 1), so a 12-digit alpha keeps its cell
 STACK_ENTRIES = 1 << 16  # virtual-joint entries that psi builds, or sums, at once
+PLANS = 64  # decoding-order plans kept by beta_rates, the least recently used dropped first
 
 
 @dataclass(frozen=True)
@@ -80,16 +83,20 @@ class QuantSplit:
 
 
 def make_quant_split(test_channel, epsilon) -> QuantSplit:
+    """The split conditionals of test channel w.  Each entry of p(u, v | y) =
+    sum_yh w[y, yh] p(u, v | yh) has one nonzero term, yh = max(u, v), so it
+    is that product alone: the bits of the sum in any order."""
     w = np.asarray(test_channel, dtype=float)
     if w.shape != (2, 2):
         raise LawError("quantization split requires binary source and quantizer alphabets")
     e = np.asarray(epsilon, dtype=float)
     if not (0.0 <= e.min(initial=0.0) and e.max(initial=1.0) <= 1.0):
         raise LawError(f"epsilon={epsilon} outside [0,1]")
-    z = np.zeros_like(e)  # T = 0: (U, V) = (0, Yh); T = 1: (U, V) = (Yh, 0)
-    p_uv_yh = np.array([[[(1.0 - e) + e, z], [z, z]], [[z, 1.0 - e], [e, z]]])
-    # each entry has one nonzero term, so the sum is exact in any order
-    p_uv_y = np.einsum("yh,huv...->...yuv", w, p_uv_yh)
+    p_uv_yh = np.zeros((2, 2, 2) + e.shape)  # T = 0: (U, V) = (0, Yh); T = 1: (U, V) = (Yh, 0)
+    p_uv_yh[0, 0, 0], p_uv_yh[1, 0, 1], p_uv_yh[1, 1, 0] = (1.0 - e) + e, 1.0 - e, e
+    p_uv_y = np.zeros(e.shape + (2, 2, 2))
+    for u, v in ((0, 0), (0, 1), (1, 0)):
+        p_uv_y[..., u, v] = w[:, u | v] * p_uv_yh[u | v, u, v][..., None]
     return QuantSplit(p_uv_given_yhat=p_uv_yh, p_uv_given_y=p_uv_y)
 
 
@@ -113,24 +120,37 @@ def _position(n: int, i, c):
     return (2 * c - 1) * 2 ** (n - i) - 1
 
 
-def alpha_to_indices(alpha_i: float, i: int) -> tuple[int, float]:
-    """Active subinterval index j_i and split parameter epsilon_i for row i.
+def alpha_to_indices(alpha_i, i):
+    """Active subinterval index j_i and split parameter epsilon_i for row i,
+    or arrays of them for arrays of alpha_i and i that broadcast.
 
     The interval [0, m_i] with m_i = 2^{i-1} - 1 is cut into m_i unit
     subintervals; j_i is the subinterval containing alpha_i * m_i and
     epsilon_i its normalized position inside it.
     """
-    if i < 2:
+    i, a = np.asarray(i), np.asarray(alpha_i, dtype=float)
+    if i.min(initial=2) < 2:
         raise ValueError("row 1 is never split; alpha indices start at 2")
-    if not 0.0 <= alpha_i <= 1.0:
-        raise ValueError(f"alpha={alpha_i} outside [0,1]")
-    m = 2 ** (i - 1) - 1
-    if alpha_i == 1.0:
-        j = m
-    else:
-        j = int(math.floor(alpha_i * m)) + 1
-    eps = alpha_i * m - j + 1
-    return j, float(eps)
+    bad = ~((0.0 <= a) & (a <= 1.0))
+    if bad.any():
+        raise ValueError(f"alpha={float(a[bad][0])} outside [0,1]")
+    m = (1 << (i - 1)) - 1
+    am = a * m
+    j = np.where(a == 1.0, m, np.floor(am).astype(np.int64) + 1)
+    eps = am - j + 1
+    return (int(j), float(eps)) if j.ndim == 0 else (j, eps)
+
+
+def _split_params(K: int, L: int, alphas):
+    """(j, eps) of an (n, K+L-1) stack of parameter vectors, rows 2..K+L of
+    the generalized order on the columns."""
+    a = np.asarray(alphas, dtype=float)
+    if a.shape[-1] != K + L - 1:
+        raise ValueError(f"alpha must have length K+L-1 = {K + L - 1}, got {a.shape[-1]}")
+    j, eps = alpha_to_indices(a, np.arange(2, K + L + 1))
+    if K + L > MAX_ENUM:
+        raise ValueError(f"generalized order supports 1 <= n <= {MAX_ENUM}, got {K + L}")
+    return j, eps
 
 
 @dataclass(frozen=True)
@@ -154,18 +174,13 @@ def decode_order_from_alpha(K: int, L: int, alpha) -> SplitConfig:
     second the "b"/"d" half, which keeps the order well-formed (coarse half
     decoded first).  The order is that of the active elements' positions.
     """
-    alpha = tuple(float(a) for a in alpha)
-    if len(alpha) != K + L - 1:
-        raise ValueError(f"alpha must have length K+L-1 = {K + L - 1}, got {len(alpha)}")
-    js, eps, halves = {}, {}, {(1, 1): "1"}
-    for i, a in zip(range(2, K + L + 1), alpha):
-        js[i], eps[i] = alpha_to_indices(a, i)
-        name, h = (str(i), "ab") if i <= K else (str(i - K), "cd")
-        halves[i, js[i]], halves[i, js[i] + 1] = name + h[0], name + h[1]
-    if K + L > MAX_ENUM:
-        raise ValueError(f"generalized order supports 1 <= n <= {MAX_ENUM}, got {K + L}")
-    order = tuple(halves[e] for e in sorted(halves, key=lambda e: _position(K + L, *e)))
-    return SplitConfig(K=K, L=L, j=js, epsilon=eps, order=order)
+    j, eps = _split_params(K, L, np.reshape(alpha, (1, -1)))
+    labels = ["1"] + [f"{i}{h}" for i in range(2, K + 1) for h in "ab"]
+    labels += [f"{l}{h}" for l in range(1, L + 1) for h in "cd"]
+    rows = range(2, K + L + 1)
+    return SplitConfig(K=K, L=L, j=dict(zip(rows, j[0].tolist())),
+                       epsilon=dict(zip(rows, eps[0].tolist())),
+                       order=tuple(labels[v] for v in _order_plan(K, L, j.tobytes()).col[0]))
 
 
 @dataclass(frozen=True)
@@ -220,18 +235,20 @@ def _virtual_parts(spec: UplinkSpec):
     return names, spec.channel[tuple(merged + axis[n_in:n_in + L])], shapes
 
 
-def build_virtual_cran(spec: UplinkSpec, configs) -> VirtualCran:
+def build_virtual_cran(spec: UplinkSpec, eps) -> VirtualCran:
     """Assemble the virtual joints from the per-variable splits, one row of
-    the stack per SplitConfig of the list `configs`.
+    the stack per row of the (n, K+L-1) array `eps` of split parameters.
 
     The channel only sees the merged inputs; each relay's two virtual
     descriptions are generated jointly from its output through the
-    quantization-split conditional.  The alpha-free parts are built once
-    per law; a stack multiplies its factors in the order that one config
-    alone would, so each row is bit for bit the joint of its config.
+    quantization-split conditional, whose entries are single products
+    (`make_quant_split`).  The alpha-free parts are built once per law; a
+    stack multiplies its factors in the order that one row alone would, so
+    each row is bit for bit the joint of its eps.
     """
     K, L = spec.K, spec.L
-    if any(c.K != K or c.L != L for c in configs):
+    eps = np.asarray(eps, dtype=float)
+    if eps.ndim != 2 or eps.shape[1] != K + L - 1:
         raise ValueError("split config dimensions do not match spec")
     if any(len(p) != 2 for p in spec.input_pmfs) or any(
         t.shape != (2, 2) for t in spec.test_channels
@@ -239,13 +256,11 @@ def build_virtual_cran(spec: UplinkSpec, configs) -> VirtualCran:
         raise LawError("virtual C-RAN construction requires binary alphabets")
 
     names, vchan, shapes = spec.law.memo("virtual parts", lambda: _virtual_parts(spec))
-    eps = np.reshape([[c.epsilon[i] for i in range(2, K + L + 1)] for c in configs],
-                     (len(configs), K + L - 1))
     factors = [np.asarray(spec.input_pmfs[0], dtype=float)]
     for i in range(2, K + 1):
         rs = make_rate_split(float(spec.input_pmfs[i - 1][1]), eps[:, i - 2])
         factors += [rs.p_u, rs.p_v]
-    px = np.ones(len(configs))
+    px = np.ones(len(eps))
     for p in factors:  # the outer product of the input pmfs, per row
         px = px[..., None] * p.reshape(p.shape[:-1] + (1,) * (px.ndim - 1) + (2,))
 
@@ -283,54 +298,38 @@ def _with_each_relay_output(probs, L, out):
     return each
 
 
-def beta_rates(vc: VirtualCran, configs):
-    """Per-index successive rates and the assembled rate-fronthaul points for
-    a list of SplitConfigs, one per row of the stack: a list of rate dicts
-    and an (n, K+L) array of points.
+OrderPlan = collections.namedtuple(
+    "OrderPlan", "inp y_at tops is_x x_at sizes read starts col groups")
 
-    The k-th decoded virtual input gets beta = I(X_k; decoded-so-far);
-    the k-th decoded virtual description of relay l gets
-    beta = I(Y_l; Yh_k | decoded-so-far).  User and relay rates are the
-    sums of their two halves.
 
-    Each marginal is a chain of sums over one binary axis, one addition an
-    entry, so a row has the same bits in any stack.  Each row's (decoded, Y_l)
-    of `_with_each_relay_output` is copied into decoding order, the latest
-    decoded first and Y_l last.  From there each step sums the first variable
-    of all marginals of the stack at once, down to each prefix, alone and with
-    each Y_l, and to each input alone from its shortest prefix.  Each entropy
-    a beta reads is -x log2 x over the positive entries of its segment of one
-    buffer, added as np.add.reduceat adds; the other segments are skipped.
-    The betas, from the table of the variable each row decodes k-th, are
-    clamped by `clamp_infos`.
-    """
-    K, L, rows = vc.K, vc.L, len(configs)
+@functools.lru_cache(maxsize=PLANS)
+def _order_plan(K: int, L: int, j: bytes) -> OrderPlan:
+    """The index arrays of `beta_rates` for the int64 (rows, K+L-1) j matrix with these bytes:
+    what depends on the decoding orders alone, O((L+1) rows m) entries.  `y_at` and `col` are
+    flat indices into ent and b; `groups` holds the rows of each order and its transpose."""
     n = K + L
     n_in = 2 * K - 1
     m = n_in + 2 * L
+    j = np.frombuffer(j, dtype=np.int64).reshape(-1, n - 1)
+    rows = len(j)
     # row i decodes its halves at (2 j_i -+ 1) 2^(n-i) of the generalized order, X1 at 2^(n-1);
     # the first half is X_ia, virtual variable 2i - 3, or Yh_lc, 2i - 3 + L
     shift = n - np.arange(2, n + 1)
-    key = (2 * np.array([[c.j[i] for i in range(2, n + 1)] for c in configs]) - 1) << shift
+    key = (2 * j - 1) << shift
     keys = np.concatenate([np.full((rows, 1), 1 << (n - 1)), key, key + (2 << shift)], axis=1)
     first = [2 * i - 3 + L * (i > K) for i in range(2, n + 1)]
     var = np.array([0] + first + [v + 1 for v in first])[np.argsort(keys)]  # decoded k-th
     inp = var < n_in
-    is_x = inp.any(axis=0).tolist()
+    is_x = tuple(inp.any(axis=0).tolist())
     chain = np.array([0] * (n_in + L) + [1 + (v >> 1) for v in range(2 * L)])[var]  # relay, or 0
     tops = var[:, -1] == n_in + L + 1 + 2 * np.arange(L)[:, None]  # Yh_ld decoded last, by l
-    n_top = np.count_nonzero(tops)
 
     # the buffer: for each chain (no Y, Y_1, .., Y_L) and row, the levels j = m..1 of width 2^j,
     # decoded[:j] or (decoded[:j-1], Y_l); the halves of each input alone, the latest decoded
     # input first; the (decoded, Y_l) of `tops`
     widths = [1 << j for j in range(m, 0, -1)]
-    at = dict(zip(range(m, 0, -1), itertools.accumulate([0] + widths)))  # level j's column
-    n_lev = (L + 1) * rows * sum(widths)
-    n_x = 2 * rows * sum(is_x)
-    sizes = np.array(widths * ((L + 1) * rows) + [2] * (n_x // 2) + [2 << m] * n_top)
-    buf = np.empty(n_lev + n_x + (2 << m) * n_top)
-    lev = buf[:n_lev].reshape((L + 1) * rows, -1)
+    sizes = np.array(widths * ((L + 1) * rows) + [2] * (rows * sum(is_x))
+                     + [2 << m] * np.count_nonzero(tops))
     # the segments a beta reads: every prefix alone, each input alone, each of `tops`, and each
     # (decoded[:k], Y_l) just before and just after a description of relay l
     read = np.ones(len(sizes), dtype=bool)
@@ -339,14 +338,63 @@ def beta_rates(vc: VirtualCran, configs):
     r = np.arange(rows)[:, None]
     k = np.arange(m)
     with_y[chain, r, m - 1 - k] = with_y[chain, r, m - 2 - k] = True  # k = m - 1 also reads level 1
+    groups = {}
+    for row, a in enumerate((var - (L - 1) * ~inp)[:, ::-1].tolist()):  # the decoded's axes in nat
+        groups.setdefault((0, 1, *(v + 2 for v in a), n_in + 2), []).append(row)
+    plan = OrderPlan(
+        inp=inp, y_at=np.ravel_multi_index((chain, r, k + 1), (L + 1, rows, m + 2)), tops=tops,
+        is_x=is_x, x_at=tuple(i for i in range(m - 1, -1, -1) if is_x[i]), sizes=sizes, read=read,
+        starts=(np.cumsum(sizes) - sizes)[read], col=r * m + var - L * ~inp,
+        groups=tuple((slice(g[0], g[-1] + 1) if g[-1] - g[0] < len(g) else np.array(g), axes)
+                     for axes, g in groups.items()))
+    for a in plan:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False  # one plan serves every caller
+    return plan
+
+
+def beta_rates(vc: VirtualCran, j):
+    """Per-index successive rates and the assembled rate-fronthaul points of
+    the rows of a stack, whose subinterval indices are the (n, K+L-1) array
+    `j`: an (n, 2(K+L)-1) array of betas in decoding order and an (n, K+L)
+    array of points.
+
+    The k-th decoded virtual input gets beta = I(X_k; decoded-so-far);
+    the k-th decoded virtual description of relay l gets
+    beta = I(Y_l; Yh_k | decoded-so-far).  User and relay rates are the
+    sums of their two halves.
+
+    What depends on the decoding orders alone (the variable decoded k-th,
+    the buffer's layout, the transposes) is the cached `OrderPlan` of
+    (K, L, j), built once per order stack.  Each marginal is a chain of sums
+    over one binary axis, one addition an entry, so a row has the same bits
+    in any stack.  The (decoded, Y_l) of `_with_each_relay_output` are copied
+    into decoding order, the latest decoded first and Y_l last, one transpose
+    for all rows of one order.  From there each step sums the first variable
+    of all marginals of the stack at once, down to each prefix, alone and with
+    each Y_l, and to each input alone from its shortest prefix.  Each entropy
+    a beta reads is -x log2 x over the positive entries of its segment of one
+    buffer, added as np.add.reduceat adds; the other segments are skipped.
+    The betas, from the table of the variable each row decodes k-th, are
+    clamped by `clamp_infos`.
+    """
+    K, L = vc.K, vc.L
+    p = _order_plan(K, L, np.ascontiguousarray(j, dtype=np.int64).tobytes())
+    rows, m = p.inp.shape
+    widths = [1 << j for j in range(m, 0, -1)]
+    at = dict(zip(range(m, 0, -1), itertools.accumulate([0] + widths)))  # level j's column
+    n_lev = (L + 1) * rows * sum(widths)
+    n_x = 2 * rows * sum(p.is_x)
+    buf = np.empty(p.sizes.sum())
+    lev = buf[:n_lev].reshape((L + 1) * rows, -1)
 
     nat = _with_each_relay_output(vc.probs, L, buf[:L * rows << (m + 1)])  # in the levels' room
     nat = nat.reshape((L, rows) + (2,) * (m + 1))
     top = np.empty(nat.shape)  # each (decoded, Y_l) in decoding order
-    for i, a in enumerate((var - (L - 1) * ~inp)[:, ::-1].tolist()):  # the decoded's axes in nat
-        top[:, i] = nat[:, i].transpose([0, *(v + 1 for v in a), n_in + 1])
+    for sel, axes in p.groups:
+        top[:, sel] = nat[:, sel].transpose(axes)
     top = top.reshape(L, rows, 2 << m)
-    buf[n_lev + n_x:] = top[tops].ravel()
+    buf[n_lev + n_x:] = top[p.tops].ravel()
     np.add(top[0, :, 0::2], top[0, :, 1::2], out=lev[:rows, :1 << m])
     np.add(top[..., :1 << m], top[..., 1 << m:], out=lev[rows:, :1 << m].reshape(L, rows, -1))
     del top
@@ -354,7 +402,7 @@ def beta_rates(vc: VirtualCran, configs):
     for j in range(m, 0, -1):  # level j with its first variable summed is level j - 1
         half = 1 << (j - 1)
         block = lev[:, at[j]:at[j] + 2 * half]  # its two halves: the first variable 0, then 1
-        if is_x[j - 1]:
+        if p.is_x[j - 1]:
             xs = np.concatenate([xs.reshape(-1, half), block[:rows].reshape(-1, half)])
         if j > 1:
             np.add(block[:, :half], block[:, half:], out=lev[:, at[j - 1]:at[j - 1] + half])
@@ -362,53 +410,57 @@ def beta_rates(vc: VirtualCran, configs):
             xs = xs[:, :half >> 1] + xs[:, half >> 1:]
     buf[n_lev:n_lev + n_x] = xs.ravel()
 
-    pos = np.flatnonzero(np.repeat(read, sizes) & (buf > 0))  # the entries of the read segments
+    pos = np.flatnonzero(np.repeat(p.read, p.sizes) & (buf > 0))  # the entries read
     x = buf[pos]
-    starts = np.searchsorted(pos, (np.cumsum(sizes) - sizes)[read])
-    h = np.zeros(len(read))
-    h[read] = -np.add.reduceat(x * np.log2(x), starts)
+    h = np.zeros(len(p.read))
+    h[p.read] = -np.add.reduceat(x * np.log2(x), np.searchsorted(pos, p.starts))
     n_seg = (L + 1) * rows * m
     ent = np.zeros((L + 1, rows, m + 2))  # by chain and row, level j at [.., j]
     ent[..., m:0:-1] = h[:n_seg].reshape(L + 1, rows, m)
-    ent[1:, :, m + 1][tops] = h[n_seg + n_x // 2:]
+    ent[1:, :, m + 1][p.tops] = h[n_seg + n_x // 2:]
     hp = ent[0]  # H(decoded[:k]) at [r, k]; H(decoded[:k], Y_l) is at [l, r, k + 1]
     hx = np.zeros((rows, m))  # H(decoded[k]) of each input
-    x_at = [i for i in range(m - 1, -1, -1) if is_x[i]]
-    hx[:, x_at] = h[n_seg:n_seg + n_x // 2].reshape(-1, rows).T
+    hx[:, p.x_at] = h[n_seg:n_seg + n_x // 2].reshape(-1, rows).T
 
-    val = clamp_infos(np.where(inp, hx + hp[:, :m] - hp[:, 1:m + 1],
-                               ent[chain, r, k + 1] + hp[:, 1:m + 1] - ent[chain, r, k + 2]
-                               - hp[:, :m]))
+    e = ent.reshape(-1)
+    val = clamp_infos(np.where(p.inp, hx + hp[:, :m] - hp[:, 1:m + 1],
+                               e[p.y_at] + hp[:, 1:m + 1] - e[p.y_at + 1] - hp[:, :m]))
     b = np.empty((rows, m))
-    b[r, var - L * ~inp] = val  # by decoded variable: X1, X2a, X2b, .., Yh1c, Yh1d, ..
-    rates = [dict(zip(c.order, v)) for c, v in zip(configs, val.tolist())]
-    return rates, np.add.reduceat(b, [0, *range(1, m, 2)], axis=1)  # each variable's halves
+    b.reshape(-1)[p.col] = val  # by decoded variable: X1, X2a, X2b, .., Yh1c, Yh1d, ..
+    return val, np.add.reduceat(b, [0, *range(1, m, 2)], axis=1)  # each variable's halves
 
 
 def psi(spec: UplinkSpec, alphas):
     """Map a parameter vector to a dominant-face point via splitting, or an
     (n, K+L-1) stack of them to an (n, K+L) array of points.
 
-    A stack builds its virtual joints together, STACK_ENTRIES entries at a
-    time (one row at a time once a row alone is larger), and each row is bit
-    for bit the point of its alpha alone: `invert_psi` takes a different
-    path on last-digit changes of psi, so psi must not move by an ulp.
+    The stack becomes arrays of subinterval indices j and split parameters
+    eps, with no per-row objects, and `beta_rates` builds the plan of each
+    order stack once.  It builds its virtual joints together,
+    STACK_ENTRIES entries at a time (one row at a time once a row alone is
+    larger).  Each row is bit for bit the point of its alpha alone:
+    `invert_psi` takes a different path on last-digit changes of psi, so psi
+    must not move by an ulp.
     """
+    K, L = spec.K, spec.L
     if np.ndim(alphas) < 2:
-        return psi_detail(spec, alphas)[2]
-    configs = [decode_order_from_alpha(spec.K, spec.L, a) for a in alphas]
-    rows = max(1, STACK_ENTRIES >> (2 * spec.K + 3 * spec.L - 1))  # 2^vars entries a row
-    chunks = (configs[i:i + rows] for i in range(0, len(configs), rows))
-    return np.concatenate([np.empty((0, spec.K + spec.L))] + [
-        beta_rates(build_virtual_cran(spec, c), c)[1] for c in chunks])
+        (point,) = psi(spec, np.reshape(alphas, (1, -1)))
+        return RateFronthaulPoint(point[:K], point[K:])
+    j, eps = _split_params(K, L, alphas)
+    rows = max(1, STACK_ENTRIES >> (2 * K + 3 * L - 1))  # 2^vars entries a row
+    return np.concatenate([np.empty((0, K + L))] + [
+        beta_rates(build_virtual_cran(spec, eps[i:i + rows]), j[i:i + rows])[1]
+        for i in range(0, len(j), rows)])
 
 
 def psi_detail(spec: UplinkSpec, alpha):
     """(SplitConfig, per-index rates, RateFronthaulPoint) for one parameter
     vector, computed as a stack of one."""
     config = decode_order_from_alpha(spec.K, spec.L, alpha)
-    (betas,), (point,) = beta_rates(build_virtual_cran(spec, [config]), [config])
-    return config, betas, RateFronthaulPoint(point[:spec.K], point[spec.K:])
+    j, eps = ([list(d.values())] for d in (config.j, config.epsilon))
+    (betas,), (point,) = beta_rates(build_virtual_cran(spec, eps), j)
+    return (config, dict(zip(config.order, betas.tolist())),
+            RateFronthaulPoint(point[:spec.K], point[spec.K:]))
 
 
 class NotOnDominantFaceError(ValueError):

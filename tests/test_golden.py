@@ -32,6 +32,12 @@ POINTS = {
     "downlink_k1l1": ("0.1,0.5", "0.5"),
     "downlink_k2l2": ("0.1,0.2,0.5,0.5", "0.3,0.6,0.9"),
 }
+# an inversion target per spec: the smoke targets of CI, each printed to 12 digits, and the
+# face points of the downlink specs, which psi refuses
+TARGETS = {
+    **{name: point for name, (point, _) in POINTS.items()},
+    "product_k2l2": "0.415761188357,0.042678437463,0.713603042884,0.301559379086",
+}
 
 
 def _cases():
@@ -45,6 +51,7 @@ def _cases():
         yield f"slice-{name}", ["slice", spec, "--vary", "R1,C1", *fixed, "--max", "1",
                                 "--steps", "5"]
         yield f"psi-alpha-{name}", ["psi", spec, "--alpha", alpha]
+        yield f"psi-invert-{name}", ["psi", spec, "--invert", TARGETS[name]]
         yield f"verify-{name}", ["verify", spec, "--suite", "all", "--samples", "5"]
 
 

@@ -1,7 +1,6 @@
 """Rate/quantization splits, the generalized decoding order, the virtual
 network assembly, and the forward/inverse parameter map."""
 
-import dataclasses
 import itertools
 import pathlib
 
@@ -187,12 +186,12 @@ class TestVirtualCran:
         orig = build_uplink_joint(spec)
         for _ in range(5):
             cfg = decode_order_from_alpha(2, 2, rng.uniform(0, 1, 3))
-            vc = build_virtual_cran(spec, [cfg])
+            vc = build_virtual_cran(spec, [list(cfg.epsilon.values())])
             assert np.max(np.abs(vc.merged_joint() - orig.probs)) <= 1e-12
 
     def test_variable_names(self):
         cfg = decode_order_from_alpha(2, 2, [0.5, 0.5, 0.5])
-        vc = build_virtual_cran(k2l2_bsc_spec(), [cfg])
+        vc = build_virtual_cran(k2l2_bsc_spec(), [list(cfg.epsilon.values())])
         assert vc.names == (
             "X1", "X2a", "X2b", "Y1", "Y2", "Yh1c", "Yh1d", "Yh2c", "Yh2d",
         )
@@ -203,8 +202,8 @@ class TestVirtualCran:
         law = build_uplink_joint(spec)
         for _ in range(10):
             cfg = decode_order_from_alpha(2, 2, rng.uniform(0, 1, 3))
-            vc = build_virtual_cran(spec, [cfg])
-            _, points = beta_rates(vc, [cfg])
+            vc = build_virtual_cran(spec, [list(cfg.epsilon.values())])
+            _, points = beta_rates(vc, [list(cfg.j.values())])
             assert abs(face_gap(law, points)[0]) <= 1e-9
 
 
@@ -259,11 +258,9 @@ class TestPsi:
         if n_cells is not None:
             cells = [cells[i] for i in rng.choice(len(cells), n_cells, replace=False)]
         for j in cells:
-            cell = decode_order_from_alpha(K, L, [(ji - 0.5) / mi for ji, mi in zip(j, m)])
             read = _corner_points(spec, np.array([j]), np.array(corners))[0]
             for e, g in zip(corners, read):
-                config = dataclasses.replace(cell, epsilon=dict(zip(range(2, n + 1), e)))
-                (point,) = beta_rates(build_virtual_cran(spec, [config]), [config])[1]
+                (point,) = beta_rates(build_virtual_cran(spec, [e]), [j])[1]
                 cols = [1] + [ji + 1 - ei for ji, ei in zip(j, e)]
                 # row v is X_{v+1} for v < K, else Yh_{v-K+1}, as in a decode order
                 order = sorted(range(n), key=lambda v: position[(v + 1, cols[v])])

@@ -14,6 +14,7 @@ scalar slack and the greedy corners against the per-pair term formulas.
 The solve-order certificate of
 `check_corner` is checked against the exact elimination it skips."""
 
+import math
 import pathlib
 from functools import partial
 
@@ -404,9 +405,10 @@ def marginal_beta_rates(law, config, K, L):
 
 
 def loop_psi(spec, alphas):
-    """Reference: psi of one alpha, or of each row of a stack, one at a time."""
+    """Reference: psi of one alpha, or of each row of a stack, one at a time, each
+    configuration from the walk over the generalized order."""
     def one(alpha):
-        config = sp.decode_order_from_alpha(spec.K, spec.L, alpha)
+        config = walk_decode_order(spec.K, spec.L, alpha)
         return loop_beta_rates(loop_build_virtual_cran(spec, config), config, spec.K, spec.L)[1]
 
     if np.ndim(alphas) < 2:
@@ -503,13 +505,23 @@ def interleaved_order(n):
     return tuple(order)
 
 
+def scalar_alpha_to_indices(alpha_i, i):
+    """Reference: the subinterval index and split parameter of one alpha of row
+    i, by the scalar formula."""
+    if not 0.0 <= alpha_i <= 1.0:
+        raise ValueError(f"alpha={alpha_i} outside [0,1]")
+    m = 2 ** (i - 1) - 1
+    j = m if alpha_i == 1.0 else int(math.floor(alpha_i * m)) + 1
+    return j, float(alpha_i * m - j + 1)
+
+
 def walk_decode_order(K, L, alpha):
     """Reference: the split configuration of one alpha, its order found by a walk
     over the whole generalized order; the first active element met in a row is
     that row's "a"/"c" half."""
     js, eps = {}, {}
     for i, a in zip(range(2, K + L + 1), alpha):
-        js[i], eps[i] = sp.alpha_to_indices(float(a), i)
+        js[i], eps[i] = scalar_alpha_to_indices(float(a), i)
     active = {(1, 1)} | {(i, js[i] + h) for i in js for h in (0, 1)}
     order, seen = [], set()
     for row, col in interleaved_order(K + L):
@@ -925,13 +937,14 @@ def test_merge_and_rates_match_name_based(case, monkeypatch):
 
     for alpha in rng.uniform(0.0, 1.0, size=(6, spec.K + spec.L - 1)):
         config = sp.decode_order_from_alpha(spec.K, spec.L, alpha)
-        vc = sp.build_virtual_cran(spec, [config])
+        vc = sp.build_virtual_cran(spec, [list(config.epsilon.values())])
         assert np.max(np.abs(vc.merged_joint() - add_at_merge(vc))) <= 1e-13
         with monkeypatch.context() as m:  # the virtual law stays lazy
             for module in (prob, sp):
                 for name in ("entropy", "mutual_info"):
                     m.setattr(module, name, refuse, raising=module is prob)
-            (betas,), _ = sp.beta_rates(vc, [config])
+            (betas,), _ = sp.beta_rates(vc, [list(config.j.values())])
+        betas = dict(zip(config.order, betas.tolist()))
         ref = name_beta_rates(vc, config)
         assert betas.keys() == ref.keys()
         assert max(abs(betas[k] - ref[k]) for k in ref) <= 1e-13
@@ -988,7 +1001,10 @@ def test_psi_stacks_match_one_alpha_at_a_time(case, monkeypatch):
         ref = loop_psi(spec, alphas)
         assert np.array_equal(sp.psi(spec, alphas), ref), kind
         configs = [sp.decode_order_from_alpha(K, L, a) for a in alphas]
-        betas, points = sp.beta_rates(sp.build_virtual_cran(spec, configs), configs)
+        j, eps = (np.reshape([list(getattr(c, f).values()) for c in configs], alphas.shape)
+                  for f in ("j", "epsilon"))
+        betas, points = sp.beta_rates(sp.build_virtual_cran(spec, eps), j)
+        betas = [dict(zip(c.order, b)) for c, b in zip(configs, betas.tolist())]
         laws = [loop_build_virtual_cran(spec, c) for c in configs]
         assert betas == [loop_beta_rates(law, c, K, L)[0] for law, c in zip(laws, configs)], kind
         assert np.array_equal(points, ref), kind
@@ -1035,6 +1051,88 @@ def test_inversion_matches_one_column_at_a_time(case, monkeypatch):
     assert got == [sp.invert_psi(spec, t) for t in targets]  # alpha, residual, n_evals, converged
 
 
+@pytest.mark.parametrize("case", SHAPES + [(4, 4)], ids=_ids)
+def test_psi_array_path_keeps_the_bytes_of_the_one_alpha_loops(case):
+    """psi's index arrays and cached order plans against the one-alpha loops,
+    byte for byte: rows sharing one
+    order (a Jacobian's columns), one order on rows far apart, mixed orders,
+    alphas of exactly 0, exactly 1 and at subinterval ends j/m, and the empty
+    stack.  At K = L = 4 one row only (2^19 joint entries)."""
+    K, L = case
+    spec = random_uplink_spec(np.random.default_rng(700 + 10 * K + L), K, L)
+    rng = np.random.default_rng(71)
+    d = K + L - 1
+    m = 2 ** np.arange(1, d + 1) - 1
+    j, x = rng.integers(1, m + 1), rng.uniform(0.02, 0.98, d)
+    jac = (j - 1 + x + np.where(x < 0.5, 1e-7, -1e-7) * np.eye(d)) / m
+    apart = np.vstack([jac[:1], rng.uniform(size=(1, d))] * 2)  # orders A, B, A, B
+    ends = np.vstack([rng.integers(0, m + 1, size=(6, d)) / m, np.zeros(d), np.ones(d)])
+    stacks = {"one row": rng.uniform(size=(1, d)), "empty": np.empty((0, d))}
+    if (K, L) != (4, 4):
+        stacks |= {"one order": jac, "one order apart": apart, "ends": ends,
+                   "mixed": rng.uniform(size=(9, d))}
+    for kind, alphas in stacks.items():
+        got = sp.psi(spec, alphas)
+        assert got.shape == (len(alphas), K + L) and got.dtype == np.float64, kind
+        assert got.tobytes() == loop_psi(spec, alphas).tobytes(), kind
+    if (K, L) != (4, 4) and d > 1:  # the rows of one order share a transpose
+        plan = sp._order_plan(K, L, sp._split_params(K, L, apart)[0].tobytes())
+        assert any(isinstance(sel, np.ndarray) for sel, _ in plan.groups)
+        plan = sp._order_plan(K, L, sp._split_params(K, L, jac)[0].tobytes())
+        assert [sel for sel, _ in plan.groups] == [slice(0, d)]
+
+
+def test_alpha_indices_of_arrays_match_one_alpha_at_a_time():
+    """The array form of alpha_to_indices, element by element, against the scalar
+    formula and against one-alpha calls, and its refusals against theirs."""
+    rng = np.random.default_rng(72)
+    rows = np.arange(2, 9)
+    m = 2 ** (rows - 1) - 1
+    alphas = np.vstack([rng.uniform(size=(40, 7)), rng.integers(0, m + 1, size=(20, 7)) / m,
+                        np.zeros(7), np.ones(7), np.full(7, 5e-324), np.full(7, 1 - 2 ** -53)])
+    j, eps = sp.alpha_to_indices(alphas, rows)
+    assert j.dtype == np.int64 and eps.dtype == np.float64
+    for (r, c), a in np.ndenumerate(alphas):
+        want = scalar_alpha_to_indices(float(a), int(rows[c]))
+        assert sp.alpha_to_indices(float(a), int(rows[c])) == want
+        assert (int(j[r, c]), eps[r, c].tobytes()) == (want[0], np.float64(want[1]).tobytes())
+    spec = random_uplink_spec(np.random.default_rng(73), 3, 3)
+    for bad in (np.nan, -0.25, -5e-324, 1.0 + 2 ** -52, np.inf):
+        stack = alphas[:3, :5].copy()
+        stack[1, 3], stack[2, 0] = bad, 2.0  # the first in C order is named
+        with pytest.raises(ValueError) as want:
+            scalar_alpha_to_indices(bad, 5)
+        for call in (lambda: sp.alpha_to_indices(stack, rows[:5]),
+                     lambda: sp.psi(spec, stack), lambda: sp.psi(spec, stack[1]),
+                     lambda: sp.decode_order_from_alpha(3, 3, stack[1])):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(want.value), bad
+
+
+def test_order_plans_are_few_small_and_shared_by_laws():
+    """The plan cache holds at most PLANS plans; the arrays of a 7-row plan at
+    K = L = 4 take under 64 KB; a second law of the same (K, L) and orders
+    reuses the plans of the first."""
+    sp._order_plan.cache_clear()
+    for rows in range(1, sp.PLANS + 11):
+        sp._order_plan(2, 2, np.ones((rows, 3), dtype=np.int64).tobytes())
+    info = sp._order_plan.cache_info()
+    assert info.currsize == info.maxsize == sp.PLANS and info.misses == sp.PLANS + 10
+    rng = np.random.default_rng(74)
+    plan = sp._order_plan(4, 4, sp._split_params(4, 4, rng.uniform(size=(7, 7)))[0].tobytes())
+    arrays = [v for v in plan if isinstance(v, np.ndarray)]
+    arrays += [sel for sel, _ in plan.groups if isinstance(sel, np.ndarray)]
+    assert len(plan.inp) == 7 and sum(a.nbytes for a in arrays) < 64 << 10
+    alphas = rng.uniform(size=(3, 3))
+    first, second = (random_uplink_spec(rng, 2, 2) for _ in range(2))
+    sp.psi(first, alphas)
+    before = sp._order_plan.cache_info()
+    sp.psi(second, alphas)
+    after = sp._order_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def test_specs_made_in_turn_get_their_own_virtual_parts():
     """Each spec is made right after the last one is dropped, so that it can
     take the dead spec's object id."""
@@ -1057,9 +1155,8 @@ def test_merge_check_refuses_a_nan_in_one_row(monkeypatch):
         return qs
 
     monkeypatch.setattr(sp, "make_quant_split", poisoned)
-    configs = [sp.decode_order_from_alpha(2, 2, a) for a in (0.2, 0.4, 0.6) * np.ones((3, 3))]
     with pytest.raises(LawError, match="merge back"):
-        sp.build_virtual_cran(spec, configs)
+        sp.build_virtual_cran(spec, (0.2, 0.4, 0.6) * np.ones((3, 3)))
 
 
 def test_direction_functions_refuse_the_other_direction():
