@@ -83,9 +83,8 @@ class QuantSplit:
 
 
 def make_quant_split(test_channel, epsilon) -> QuantSplit:
-    """The split conditionals of test channel w.  Each entry of p(u, v | y) =
-    sum_yh w[y, yh] p(u, v | yh) has one nonzero term, yh = max(u, v), so it
-    is that product alone: the bits of the sum in any order."""
+    """The split conditionals of test channel w.  Each entry of p(u, v | y) has one nonzero
+    term, w[y, yh] p(u, v | yh) at yh = max(u, v), so it is that product, exactly."""
     w = np.asarray(test_channel, dtype=float)
     if w.shape != (2, 2):
         raise LawError("quantization split requires binary source and quantizer alphabets")
@@ -135,15 +134,13 @@ def alpha_to_indices(alpha_i, i):
     if bad.any():
         raise ValueError(f"alpha={float(a[bad][0])} outside [0,1]")
     m = (1 << (i - 1)) - 1
-    am = a * m
-    j = np.where(a == 1.0, m, np.floor(am).astype(np.int64) + 1)
-    eps = am - j + 1
+    j = np.where(a == 1.0, m, np.floor(a * m).astype(np.int64) + 1)
+    eps = a * m - j + 1
     return (int(j), float(eps)) if j.ndim == 0 else (j, eps)
 
 
 def _split_params(K: int, L: int, alphas):
-    """(j, eps) of an (n, K+L-1) stack of parameter vectors, rows 2..K+L of
-    the generalized order on the columns."""
+    """(j, eps) of an (n, K+L-1) stack of parameter vectors, rows 2..K+L on the columns."""
     a = np.asarray(alphas, dtype=float)
     if a.shape[-1] != K + L - 1:
         raise ValueError(f"alpha must have length K+L-1 = {K + L - 1}, got {a.shape[-1]}")
@@ -178,9 +175,8 @@ def decode_order_from_alpha(K: int, L: int, alpha) -> SplitConfig:
     labels = ["1"] + [f"{i}{h}" for i in range(2, K + 1) for h in "ab"]
     labels += [f"{l}{h}" for l in range(1, L + 1) for h in "cd"]
     rows = range(2, K + L + 1)
-    return SplitConfig(K=K, L=L, j=dict(zip(rows, j[0].tolist())),
-                       epsilon=dict(zip(rows, eps[0].tolist())),
-                       order=tuple(labels[v] for v in _order_plan(K, L, j.tobytes()).col[0]))
+    return SplitConfig(K, L, dict(zip(rows, j[0].tolist())), dict(zip(rows, eps[0].tolist())),
+                       tuple(labels[v] for v in _order_plan(K, L, j.tobytes()).col[0]))
 
 
 @dataclass(frozen=True)
@@ -298,8 +294,7 @@ def _with_each_relay_output(probs, L, out):
     return each
 
 
-OrderPlan = collections.namedtuple(
-    "OrderPlan", "inp y_at tops is_x x_at sizes read starts col groups")
+OrderPlan = collections.namedtuple("OrderPlan", "inp y_at tops is_x sizes read starts col groups")
 
 
 @functools.lru_cache(maxsize=PLANS)
@@ -342,11 +337,10 @@ def _order_plan(K: int, L: int, j: bytes) -> OrderPlan:
     for row, a in enumerate((var - (L - 1) * ~inp)[:, ::-1].tolist()):  # the decoded's axes in nat
         groups.setdefault((0, 1, *(v + 2 for v in a), n_in + 2), []).append(row)
     plan = OrderPlan(
-        inp=inp, y_at=np.ravel_multi_index((chain, r, k + 1), (L + 1, rows, m + 2)), tops=tops,
-        is_x=is_x, x_at=tuple(i for i in range(m - 1, -1, -1) if is_x[i]), sizes=sizes, read=read,
-        starts=(np.cumsum(sizes) - sizes)[read], col=r * m + var - L * ~inp,
-        groups=tuple((slice(g[0], g[-1] + 1) if g[-1] - g[0] < len(g) else np.array(g), axes)
-                     for axes, g in groups.items()))
+        inp, np.ravel_multi_index((chain, r, k + 1), (L + 1, rows, m + 2)), tops, is_x, sizes,
+        read, (np.cumsum(sizes) - sizes)[read], r * m + var - L * ~inp,
+        tuple((slice(g[0], g[-1] + 1) if g[-1] - g[0] < len(g) else np.array(g), axes)
+              for axes, g in groups.items()))
     for a in plan:
         if isinstance(a, np.ndarray):
             a.flags.writeable = False  # one plan serves every caller
@@ -364,19 +358,17 @@ def beta_rates(vc: VirtualCran, j):
     beta = I(Y_l; Yh_k | decoded-so-far).  User and relay rates are the
     sums of their two halves.
 
-    What depends on the decoding orders alone (the variable decoded k-th,
-    the buffer's layout, the transposes) is the cached `OrderPlan` of
-    (K, L, j), built once per order stack.  Each marginal is a chain of sums
-    over one binary axis, one addition an entry, so a row has the same bits
-    in any stack.  The (decoded, Y_l) of `_with_each_relay_output` are copied
-    into decoding order, the latest decoded first and Y_l last, one transpose
-    for all rows of one order.  From there each step sums the first variable
-    of all marginals of the stack at once, down to each prefix, alone and with
-    each Y_l, and to each input alone from its shortest prefix.  Each entropy
-    a beta reads is -x log2 x over the positive entries of its segment of one
-    buffer, added as np.add.reduceat adds; the other segments are skipped.
-    The betas, from the table of the variable each row decodes k-th, are
-    clamped by `clamp_infos`.
+    What depends on the orders alone is the cached `OrderPlan` of (K, L, j).
+    Each marginal is a chain of sums over one binary axis, one addition an
+    entry, so a row has the same bits in any stack.  The (decoded, Y_l) of
+    `_with_each_relay_output` are copied into decoding order, the latest
+    decoded first and Y_l last, one transpose per order.  From there each
+    step sums the first variable of all marginals of the stack at once, down
+    to each prefix, alone and with each Y_l, and to each input alone from its
+    shortest prefix.  Each entropy a beta reads is -x log2 x over the positive
+    entries of its segment of one buffer, added as np.add.reduceat adds; the
+    other segments are skipped.  The betas, from the table of the variable
+    each row decodes k-th, are clamped by `clamp_infos`.
     """
     K, L = vc.K, vc.L
     p = _order_plan(K, L, np.ascontiguousarray(j, dtype=np.int64).tobytes())
@@ -420,7 +412,7 @@ def beta_rates(vc: VirtualCran, j):
     ent[1:, :, m + 1][p.tops] = h[n_seg + n_x // 2:]
     hp = ent[0]  # H(decoded[:k]) at [r, k]; H(decoded[:k], Y_l) is at [l, r, k + 1]
     hx = np.zeros((rows, m))  # H(decoded[k]) of each input
-    hx[:, p.x_at] = h[n_seg:n_seg + n_x // 2].reshape(-1, rows).T
+    hx[:, np.flatnonzero(p.is_x)[::-1]] = h[n_seg:n_seg + n_x // 2].reshape(-1, rows).T
 
     e = ent.reshape(-1)
     val = clamp_infos(np.where(p.inp, hx + hp[:, :m] - hp[:, 1:m + 1],
@@ -434,13 +426,12 @@ def psi(spec: UplinkSpec, alphas):
     """Map a parameter vector to a dominant-face point via splitting, or an
     (n, K+L-1) stack of them to an (n, K+L) array of points.
 
-    The stack becomes arrays of subinterval indices j and split parameters
-    eps, with no per-row objects, and `beta_rates` builds the plan of each
-    order stack once.  It builds its virtual joints together,
-    STACK_ENTRIES entries at a time (one row at a time once a row alone is
-    larger).  Each row is bit for bit the point of its alpha alone:
-    `invert_psi` takes a different path on last-digit changes of psi, so psi
-    must not move by an ulp.
+    A stack becomes arrays of indices j and split parameters eps, with no
+    per-row object, and `beta_rates` builds the plan of each order stack
+    once.  The virtual joints are built together, STACK_ENTRIES entries at a
+    time (one row at a time once a row alone is larger).  Each row is bit for bit the point of
+    its alpha alone: `invert_psi` takes a different path on last-digit
+    changes of psi, so psi must not move by an ulp.
     """
     K, L = spec.K, spec.L
     if np.ndim(alphas) < 2:
@@ -457,7 +448,7 @@ def psi_detail(spec: UplinkSpec, alpha):
     """(SplitConfig, per-index rates, RateFronthaulPoint) for one parameter
     vector, computed as a stack of one."""
     config = decode_order_from_alpha(spec.K, spec.L, alpha)
-    j, eps = ([list(d.values())] for d in (config.j, config.epsilon))
+    j, eps = _split_params(spec.K, spec.L, np.reshape(alpha, (1, -1)))
     (betas,), (point,) = beta_rates(build_virtual_cran(spec, eps), j)
     return (config, dict(zip(config.order, betas.tolist())),
             RateFronthaulPoint(point[:spec.K], point[spec.K:]))

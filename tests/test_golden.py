@@ -4,8 +4,11 @@ Each golden file holds the argv, exit code, stdout and stderr of one
 command.  Reports and CSV rows are compared field by field: keys,
 strings, ints and bools exactly, floats within 1e-12 (the printed values
 are rounded to 12 digits, and a BLAS may move the last one); the JSON
-field wall_time_s is left out.  Regenerate the files, after a change
-meant to alter outputs, by running this module from the repository root:
+field wall_time_s is left out.  A solved `psi --invert` report is checked
+by what its alpha, residual and evaluation count promise, not by their
+values: the solve's path turns on last digits of psi and of J.T @ J.
+Regenerate the files, after a change meant to alter outputs, by running
+this module from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,6 +19,7 @@ import io
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -56,6 +60,9 @@ def _cases():
 
 
 CASES = dict(_cases())
+# the fields of a solved psi --invert report that a CPU's log2 or a BLAS can move: one
+# target converged after 6 or after 17 evaluations, at different alphas (splitting.invert_psi)
+SOLVER_PATH = ("alpha", "residual", "n_evals")
 
 
 def run_cli(argv) -> dict:
@@ -104,6 +111,19 @@ def assert_same(got, want, where="output"):
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 
 
+def assert_inverted(report):
+    """The solver-path fields of a solved psi --invert report keep their promises: psi at
+    the printed alpha is within tol of the target, as is the residual, in at most
+    max_iters evaluations."""
+    from cranregions.specio import load_spec
+    from cranregions.splitting import psi
+
+    args, res = report["args"], report["results"]
+    point = psi(load_spec(args["spec"]), res["alpha"])
+    assert np.max(np.abs(np.concatenate([point.R, point.C]) - res["target"])) <= args["tol"]
+    assert res["residual"] <= args["tol"] and 1 <= res["n_evals"] <= args["max_iters"]
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, monkeypatch):
     monkeypatch.chdir(ROOT)  # the reports name their spec by the path given
@@ -111,7 +131,13 @@ def test_cli_output_matches_golden(case, monkeypatch):
     got = run_cli(CASES[case])
     assert got["argv"] == want["argv"]
     assert (got["exit_code"], got["stderr"]) == (want["exit_code"], want["stderr"])
-    assert_same(_parse(got["stdout"]), _parse(want["stdout"]), case)
+    got_out, want_out = _parse(got["stdout"]), _parse(want["stdout"])
+    if case.startswith("psi-invert-") and got["exit_code"] == 0:
+        assert_inverted(got_out)
+        for report in (got_out, want_out):
+            for field in SOLVER_PATH:
+                report["results"].pop(field)
+    assert_same(got_out, want_out, case)
 
 
 def test_comparison_sees_a_moved_digit_and_a_changed_type():
@@ -120,6 +146,17 @@ def test_comparison_sees_a_moved_digit_and_a_changed_type():
                 {"a": [1.0, "R2", True]}, {"b": [1.0, "R1", True]}):
         with pytest.raises(AssertionError):
             assert_same(got, {"a": [1.0, "R1", True]})
+
+
+def test_inversion_check_sees_a_wrong_alpha_and_a_large_residual(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    want = json.loads((GOLDEN / "psi-invert-uplink_k2l2.json").read_text())
+    assert_inverted(_parse(want["stdout"]))
+    for field, value in (("alpha", [0.3, 0.6, 0.5]), ("residual", 2e-4), ("n_evals", 0)):
+        report = _parse(want["stdout"])
+        report["results"][field] = value
+        with pytest.raises(AssertionError):
+            assert_inverted(report)
 
 
 if __name__ == "__main__":
