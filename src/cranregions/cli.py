@@ -504,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated suite names, or 'all' (choices: %s)"
                         % ",".join(SUITES))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, default=None,
+                   help="random draws of the sampled suites, lemma3 and telescope")
 
     p = sub.add_parser("psi", help="evaluate or invert the splitting map")
     p.add_argument("spec")

@@ -5,30 +5,18 @@ C([L]) - R([K]) = I(Y_1..Y_L; Yh_1..Yh_L | X_1..X_K); every region point
 is dominated by a face point, so splitting schemes only ever target the
 face.  This module provides the two equivalent face descriptions, the
 faces F_{S,T} cut out by tight (S, T) constraints, their product
-decomposition into sub-face factors, and the degeneracy/dimension
-predicates that detect when the network factors into independent
-sub-networks.
+decomposition into the sub-faces D_{S,T} and D_{S^c,T^c | S,T} (the faces
+of the (S, T) sub-network and of the (S^c, T^c) one that sees X_S, Yh_T),
+and the degeneracy/dimension predicates that detect when the network
+factors into independent sub-networks.  Every bound is a signed sum of
+entropies, built per law as one gather (`face_bounds`, `_sub_face_bounds`),
+and every predicate takes an (n, K+L) stack of points.
 
-Every bound here is a signed sum of entropies of variable subsets, so the
-bounds are built per law as gathers of conditional mutual informations
-on variable bitmasks over the single master joint law (`prob.gather`,
-which reads each subset's entropy once into the law's one cache):
-`face_bounds` holds the two-sided rows of `on_dominant_face_alt`, and,
-as the admissible queries (S, T) are the alt rows but the first and the
-last, in order, the caps of the queries as one region of those rows held
-at their upper bound and the two cross informations of
-`degeneracy_condition`, the first of them the alt rows' own; all read the
-entropies of the alt rows.  `_sub_face_bounds` holds the rows and bounds
-of the two sub-faces of every admissible query, as flat arrays.  A query
-is found by the row of its bitmask (`Region.row_of_mask`).  The marginal
-channels of the two sub-problems are never materialized.  D_{S,T} and
-D_{S^c,T^c | S,T} are the faces of the (S, T) sub-network and of the
-(S^c, T^c) one that sees X_S, Yh_T.  Every predicate takes an (n, K+L)
-stack of points and gives one bool per point, from one product per region
-and STACK_CHUNK points; a single point is a stack of one.  The
-face-decomposition check takes the queries of a law in groups of one face
-size and one |S| + |T|, and each step is one call on a (queries, points,
-K+L) stack of stacks.
+The face checks are exact on the enumerated vertices, with no draws:
+`lemma4` counts per query the vertices of F_{S,T} outside a sub-face and
+the pairs of distinct projections of F's vertices that no vertex has, and
+`lemma5` asks per split whether the whole vertex set is the product of its
+two projections, both from one `dedup_index` call on many projections.
 """
 
 from __future__ import annotations
@@ -41,6 +29,7 @@ from .prob import (
     FACE_TOL,
     MEMBERSHIP_TOL,
     MI_ZERO_TOL,
+    PIVOT_TOL,
     JointLaw,
     gather,
     subsets,
@@ -56,6 +45,8 @@ from .uplink import (
     jd_region,
     pair_masks,
 )
+
+PRODUCT_BUDGET = 1 << 14  # entries (rows x columns) per dedup_index call of _projection_classes
 
 
 @dataclass(frozen=True)
@@ -150,21 +141,14 @@ def in_face_FST(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
 
 
 def in_sub_face_DST(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
-    """Membership of the (S, T) coordinates in the leading sub-face factor, the
-    face of the (S, T) sub-network alone, a region made on demand (`_sub_face`).
-
-    Only the R_S and C_T coordinates of `points` are read.
-    """
+    """Membership of the R_S and C_T coordinates in D_{S,T}, the face of the
+    (S, T) sub-network alone, a region made on demand (`_sub_face`)."""
     return _sub_face(law, q, "DST").contains(points, tol)
 
 
 def in_sub_face_cond(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
-    """Membership of the complement coordinates in the conditional sub-face,
-    a region made on demand (`_sub_face`).
-
-    The conditional sub-problem sees (X_S, Yh_T) as decoder side
-    information; only the R_{S^c} and C_{T^c} coordinates are read.
-    """
+    """Membership of the R_{S^c} and C_{T^c} coordinates in the conditional
+    sub-face, whose decoder sees (X_S, Yh_T), made on demand (`_sub_face`)."""
     return _sub_face(law, q, "cond").contains(points, tol)
 
 
@@ -176,12 +160,6 @@ def face_bounds(law: JointLaw) -> tuple:
     held at its upper bound, and cross is the (Q, 2) array of the two cross
     informations of `degeneracy_condition`, the first of them alt's."""
     return law.memo("face bounds", lambda: _face_bounds(law))
-
-
-def sub_face_bounds(law: JointLaw) -> tuple:
-    """The sub-face regions of the queries (`_sub_face`), in `face_queries`
-    order: a list of their D_{S,T} and a list of their conditional sub-faces."""
-    return tuple([_sub_face(law, q, s) for q in face_queries(law)] for s in ("DST", "cond"))
 
 
 def _sub_face(law: JointLaw, q: FaceQuery, side: str) -> Region:
@@ -259,81 +237,96 @@ class FaceDecompositionReport:
         return self.forward_failures == 0 and self.converse_failures == 0
 
 
-def check_face_decomposition(law: JointLaw, q: FaceQuery, samples: int = 200, seed: int = 0,
+def check_face_decomposition(law: JointLaw, q: FaceQuery,
                              tol: float = FACE_TOL) -> FaceDecompositionReport:
-    """Numerical check of F_{S,T} = D_{S,T} x D_{S^c,T^c | S,T}.
-
-    Forward: every corner on F_{S,T} and random convex combinations of
-    them satisfy both sub-face predicates.  Converse: recombining the
-    (S,T) half of one face sample with the complement half of another
-    (a generic member of the product) lands back on F_{S,T}.  This is the
-    stacked pass of `face_decomposition_failures` on the one query q.
-    """
+    """Exact check of F_{S,T} = D_{S,T} x D_{S^c,T^c | S,T} on the vertices of F:
+    the stacked pass of `face_decomposition_failures` on the one query q."""
     i = _query_index(law, q)
-    failures = face_decomposition_failures(law, (q,), samples, seed, tol)
-    return FaceDecompositionReport(*failures[:, i].tolist())
+    return FaceDecompositionReport(*face_decomposition_failures(law, (q,), tol)[:, i].tolist())
 
 
-def face_decomposition_failures(law: JointLaw, queries, samples: int = 200, seed: int = 0,
-                                tol: float = FACE_TOL) -> np.ndarray:
+def face_decomposition_failures(law: JointLaw, queries, tol: float = FACE_TOL) -> np.ndarray:
     """The forward and converse failure counts of `check_face_decomposition` for
-    `queries`, a (2, Q) array over `face_queries`, in one stacked pass: per group
-    of `_face_plan` a call on its D_{S,T} rows and one on its conditional rows, and
-    for all the converse points one on the dominant face and one on their caps."""
-    (groups, cap), wanted = law.memo(("face plan", tol), lambda: _face_plan(law, tol)), set(queries)
-    picked = np.array([q in wanted for q in face_queries(law)])
-    failures, drawn, done = np.zeros((2, len(picked)), int), 0, []
-    for at, corners, subs, mask in groups:
-        n, sel = corners.shape[1], np.flatnonzero(picked[at])
-        if n != drawn and len(sel):  # forward, then converse, as each query drew them
-            rng, ones, drawn = np.random.default_rng(seed), np.ones(n), n
-            forward_w, converse_w = rng.dirichlet(ones, samples), rng.dirichlet(ones, (samples, 2))
-        step = max(1, STACK_CHUNK // 4 // (n + samples))  # a quarter keeps the slacks in cache
-        for j in (sel[i:i + step] for i in range(0, len(sel), step)):
-            mat = enumerate_corners(law).vertices[corners[j]]
-            points = np.concatenate([mat, forward_w @ mat], axis=1)
-            forward = np.all([Region((), *(a[j] for a in sub)).contains(points, tol)
-                              for sub in subs], axis=0)
-            failures[0, at[j]] = np.count_nonzero(~forward, axis=1)
-            points = np.where(mask[j, None], converse_w[:, 0] @ mat, converse_w[:, 1] @ mat)
-            done.append((at[j], points))
-    at, points = (np.concatenate(x) for x in zip(*done)) if done else (np.zeros(0, int), None)
-    step = max(1, STACK_CHUNK // 4 // max(samples, 1))
-    for c in (slice(i, i + step) for i in range(0, len(at), step)):
-        on = on_dominant_face(law, points[c], tol)
-        failures[1, at[c]] = np.count_nonzero(
-            ~(on & Region((), *(a[at[c]] for a in cap)).contains(points[c], tol)), axis=1)
+    `queries`, a (2, Q) array over `face_queries`, in one stacked pass.
+
+    Forward: the vertices of F outside D_{S,T} or the conditional sub-face,
+    none exactly when the convex F lies in their product; each (query,
+    vertex) pair reads its slacks off a product of the vertices with every
+    normal.  Converse: n_a * n_b - pairs of `_product_counts`, the pairs of
+    distinct projections of F's vertices that no vertex has.  Projections
+    within PIVOT_TOL, which the rank test reads as one point, are one:
+    vertices that close can be merged, or left off the face, at FACE_TOL."""
+    rows = law.memo(("face corners", tol), lambda: _face_corner_rows(law, tol))
+    wanted, failures, n = set(queries), np.zeros((2, len(rows)), int), len(rows)
+    picked = np.array([q in wanted and len(r) > 0 for q, r in zip(face_queries(law), rows)])
+    face, row, lb, ub = law.memo("sub-face bounds", lambda: _sub_face_bounds(law))
+    start = np.searchsorted(face, np.arange(2 * n + 1))
+    width, groups = np.diff(start), []
+    for w in sorted(set(width[:n].tolist())):  # the queries of one |S| + |T| = m: 2^m D_{S,T} rows
+        group = np.flatnonzero(width[:n] == w)
+        seg = np.hstack([start[group, None] + np.arange(w),
+                         start[n + group, None] + np.arange(width[n + group[0]])])
+        j = np.flatnonzero(picked[group])  # the group's wanted queries with a face
+        vertex = np.concatenate([rows[i] for i in group[j]] + [np.zeros(0, np.intp)])
+        order = np.argsort(vertex, kind="stable")  # pairs by vertex, for the products below
+        j = np.repeat(j, [len(rows[i]) for i in group[j]])[order]
+        groups.append((group, row[seg], lb[seg], ub[seg], j, vertex[order]))
+    vertices, normals = enumerate_corners(law).vertices, jd_region(law).A
+    step = max(1, 64 * STACK_CHUNK // len(normals))
+    for v in range(0, len(vertices), step):
+        ax = vertices[v:v + step] @ normals.T  # C(T) - R(S) of each vertex and row
+        for group, cols, lo, hi, j, vertex in groups:
+            c = slice(*np.searchsorted(vertex, [v, v + step]))
+            s = ax[vertex[c, None] - v, cols[j[c]]]
+            outside = np.fmin(s - lo[j[c]], hi[j[c]] - s).min(axis=1) < -tol
+            failures[0] += np.bincount(group[j[c][outside]], minlength=n)
+    at, masks = np.flatnonzero(picked), face_bounds(law)[1].A != 0  # R_S and C_T of each query
+    n_a, n_b, pairs = _product_counts([(vertices[rows[i]], masks[i]) for i in at],
+                                      max(tol, PIVOT_TOL))
+    failures[1, at] = n_a * n_b - pairs
     return failures
 
 
-def _face_plan(law: JointLaw, tol: float) -> tuple:
-    """The queries with a nonempty face at `tol` in groups of one face size n and
-    one m = |S| + |T|: their positions, (G, n) face corners, the normals and
-    (G, 1, rows) bounds of their 2^m D_{S,T} rows and 2^(K+L-m) conditional
-    rows, and their coordinate masks; and the `face_bounds` caps of all the
-    queries as (Q, 1, K+L) normals and (Q, 1, 1) bounds."""
-    face, row, lb, ub = law.memo("sub-face bounds", lambda: _sub_face_bounds(law))
-    rows = law.memo(("face corners", tol), lambda: _face_corner_rows(law, tol))
-    caps = face_bounds(law)[1]
-    masks = caps.A != 0
-    start, m, groups = np.searchsorted(face, np.arange(2 * len(rows))), masks.sum(axis=1), []
-    size = np.array([len(r) for r in rows])
-    for n, k in sorted({(n, k) for n, k in zip(size.tolist(), m.tolist()) if n}):
-        at = np.flatnonzero((size == n) & (m == k))
-        blocks = (at, 1 << k), (len(rows) + at, 1 << (masks.shape[1] - k))  # D_{S,T}, cond
-        subs = [(jd_region(law).A[row[i]], lb[i][:, None], ub[i][:, None])
-                for i in (start[f, None] + np.arange(r) for f, r in blocks)]
-        groups.append((at, np.array([rows[a] for a in at]), subs, masks[at]))
-    return groups, (caps.A[:, None], caps.lb[:, None, None], caps.ub[:, None, None])
+def _product_counts(items, tol: float) -> tuple:
+    """For (vertices, mask) items, an (n, d) stack and a (d,) bool mask each: the
+    distinct counts n_a and n_b of the masked and the complement projections
+    at `tol`, and the number of distinct (a, b) pairs of them among the n
+    vertices, which are their product exactly when n_a * n_b - pairs is 0.
+    Both projections of every item go through one `_projection_classes` call."""
+    size = np.array([len(v) for v, _ in items], int)
+    item = np.repeat(np.arange(len(items)), size)
+    local = np.arange(len(item)) - np.repeat(np.cumsum(size) - size, size)  # row in its item
+    a, b = np.split(_projection_classes(items + [(v, ~m) for v, m in items], tol), 2)
+    keys = np.sort((np.arange(len(item)) - local + a) * len(item) + b)  # (a row, b class)
+    pairs = keys[np.diff(keys, prepend=-1) != 0] // len(item)  # the a row of each distinct pair
+    return tuple(np.bincount(item[x], minlength=len(size)) for x in (a == local, b == local, pairs))
+
+
+def _projection_classes(items, tol: float) -> np.ndarray:
+    """`dedup_index` of each (vertices, mask) item's projection at `tol`, counted
+    from the item's first row, for all rows in order.  One call per run of
+    items within PRODUCT_BUDGET entries: the coordinates off each mask are
+    zeroed and the item's place is one more column, so two items' rows lie
+    at least 1 apart; a lone item is its masked columns."""
+    size = [len(v) * (len(m) + 1) for v, m in items]
+    kept, start = [np.zeros(0, np.intp)], 0
+    while start < len(items):
+        stop, entries = start + 1, size[start]
+        while stop < len(items) and entries + size[stop] <= PRODUCT_BUDGET:
+            stop, entries = stop + 1, entries + size[stop]
+        vertices, masks = zip(*items[start:stop])
+        rows = np.array([len(v) for v in vertices])
+        stack = vertices[0][:, masks[0]] if stop - start == 1 else np.column_stack([
+            np.where(np.repeat(masks, rows, axis=0), np.concatenate(vertices), 0.0),
+            np.repeat(np.arange(stop - start), rows)])
+        kept.append(dedup_index(stack, tol) - np.repeat(rows.cumsum() - rows, rows))
+        start = stop
+    return kept[1] if len(kept) == 2 else np.concatenate(kept)  # one run: no copy
 
 
 def face_corners(law: JointLaw, q: FaceQuery, tol: float = FACE_TOL) -> np.ndarray:
-    """The vertices of the region on F_{S,T}: those `in_face_FST` admits.
-
-    The vertices of every admissible query are found at once, once per law
-    and `tol`, from the dominant-face mask and one product over the caps of
-    `face_bounds`, STACK_CHUNK vertices at a time.
-    """
+    """The vertices on F_{S,T}, those `in_face_FST` admits, found for every query
+    at once per law and `tol` (`_face_corner_rows`)."""
     i, vertices = _query_index(law, q), enumerate_corners(law).vertices
     return vertices[law.memo(("face corners", tol), lambda: _face_corner_rows(law, tol))[i]]
 
@@ -358,32 +351,38 @@ def degeneracy_condition(law: JointLaw, q: FaceQuery) -> bool:
 
 
 def check_degenerate_factorization(law: JointLaw, q: FaceQuery) -> bool:
-    """Check D = D_{S,T} x D_{S^c,T^c} via corner sets.
-
-    Under factorization the corner set of D equals the Cartesian product
-    of its coordinate projections, which are exactly the corner sets of
-    the two independent sub-problems.  Each vertex reads as the pair of
-    its projections' kept rows, so the set is that product when the pairs
-    are distinct and as many as the product has.
-    """
+    """Check D = D_{S,T} x D_{S^c,T^c} via corner sets: under factorization the
+    corner set of D is the product of its two coordinate projections, the
+    corner sets of the sub-problems.  All splits at once per law."""
     K, L = law.dims("uplink")
     q.validate(K, L)
-    mask = q.mask(K, L)
-    if not mask[0]:
-        mask = ~mask  # the complement query splits the coordinates the same way
+    split = _mask(q.S) | _mask(q.T) << K
+    if not split & 1:
+        split ^= (1 << K + L) - 1  # the complement query splits the coordinates the same way
+    return law.memo("factorizes", lambda: _factorizations(law))[split >> 1]
 
-    def factorizes():
-        mat = enumerate_corners(law).vertices  # distinct at DEDUP_TOL = FACE_TOL
-        n = len(mat)  # at least 1: dedup keeps the first corner
-        a = dedup_index(mat[:, mask], FACE_TOL)
-        n_a = np.count_nonzero(a == np.arange(n))
-        if n % n_a:  # no product of n_a rows has n vertices
-            return False
-        b = dedup_index(mat[:, ~mask], FACE_TOL)
-        n_b = np.count_nonzero(b == np.arange(n))
-        return bool(n == n_a * n_b and len(np.unique(a * n + b)) == n)
 
-    return law.memo(("factorizes", mask.tobytes()), factorizes)
+def _factorizations(law: JointLaw) -> list:
+    """Whether the vertex set is the product of its two projections, one bool per
+    split into the coordinates of the odd bitmask 2i + 1 and the rest: when
+    its (a, b) pairs are distinct and n_a * n_b.  Per run of splits within
+    PRODUCT_BUDGET, one `_projection_classes` call on the first projections,
+    and one on the second of the splits whose n_a divides n."""
+    mat = enumerate_corners(law).vertices  # distinct at DEDUP_TOL = FACE_TOL
+    n, d = mat.shape  # n >= 1: dedup keeps the first corner
+    masks = (np.arange(1, (1 << d) - 1, 2)[:, None] >> np.arange(d) & 1).astype(bool)
+    verdicts, step = np.zeros(len(masks), bool), max(1, PRODUCT_BUDGET // (n * (d + 1)))
+    for i in range(0, len(masks), step):
+        split = masks[i:i + step]
+        a = _projection_classes([(mat, m) for m in split], FACE_TOL).reshape(len(split), n)
+        n_a = np.count_nonzero(a == np.arange(n), axis=1)
+        even = np.flatnonzero(n % n_a == 0)  # no product of n_a rows has n vertices otherwise
+        if len(even):
+            b = _projection_classes([(mat, ~split[s]) for s in even], FACE_TOL).reshape(-1, n)
+            full = np.flatnonzero(n_a[even] * np.count_nonzero(b == np.arange(n), axis=1) == n)
+            keys = np.sort(a[even[full]] * n + b[full], axis=1)  # n distinct pairs, or fewer
+            verdicts[i + even[full]] = np.count_nonzero(np.diff(keys, axis=1), axis=1) == n - 1
+    return verdicts.tolist()
 
 
 def dominant_face_dimension(law: JointLaw) -> int:

@@ -18,9 +18,10 @@ from cranregions import (
     sample_face_points,
 )
 from cranregions import face as df
-from cranregions.prob import build_uplink_joint
+from cranregions import suites
+from cranregions.prob import FACE_TOL, PIVOT_TOL, build_uplink_joint
 from cranregions.face import in_sub_face_DST, in_sub_face_cond
-from cranregions.uplink import region_rows
+from cranregions.uplink import dedup_index, region_rows
 
 from conftest import identity_chain_spec, k2l2_bsc_spec, product_spec, random_uplink_spec
 
@@ -88,7 +89,7 @@ class TestFaceFST:
     def test_decomposition_forward_and_converse(self, rng):
         law = build_uplink_joint(k2l2_bsc_spec())
         for q in admissible_queries(2, 2):
-            rep = check_face_decomposition(law, q, samples=50, seed=3)
+            rep = check_face_decomposition(law, q)
             assert rep.passed, (sorted(q.S), sorted(q.T))
 
     def test_perturbed_point_violates_sub_face(self):
@@ -106,6 +107,72 @@ class TestFaceFST:
             and in_sub_face_cond(law, bad, q)[0]
             and in_face_FST(law, bad, q)[0]
         )
+
+
+class TestExactFaceCheck:
+    """lemma4 counts on the face vertices, with no draws: a vertex missing from a
+    product face is one missing pair of projections, and a sub-face bound that
+    cuts off one vertex is one forward failure, whatever the seed and sample
+    count."""
+
+    @staticmethod
+    def _product_face(law):
+        """A query whose face is the product of n_a >= 2 and n_b >= 2 projections."""
+        K, L = law.dims("uplink")
+        for i, q in enumerate(df.face_queries(law)):
+            face, mask = df.face_corners(law, q), q.mask(K, L)
+            n_a, n_b = (len(np.unique(dedup_index(face[:, m], FACE_TOL))) for m in (mask, ~mask))
+            if n_a >= 2 and n_b >= 2 and n_a * n_b == len(face):
+                return i, q
+        raise AssertionError("no product face with two projections of two or more rows")
+
+    @staticmethod
+    def _reports(spec, i):
+        return {suites.suite_lemma4(spec, seed=seed, samples=n)[1][
+            "S=%s,T=%s" % (sorted(df.face_queries(spec.law)[i].S),
+                           sorted(df.face_queries(spec.law)[i].T))]["converse_failures"]
+            for seed, n in ((0, 1), (5, 200), (9, 20))}
+
+    def test_a_vertex_dropped_from_a_product_face_is_one_missing_pair(self):
+        spec = k2l2_bsc_spec()
+        law = spec.law
+        i, q = self._product_face(law)
+        assert check_face_decomposition(law, q) == df.FaceDecompositionReport(0, 0)
+        rows = law.memo(("face corners", FACE_TOL), lambda: df._face_corner_rows(law, FACE_TOL))
+        rows[i] = rows[i][1:]  # the face loses its first vertex, and with it one pair
+        face, mask = df.face_corners(law, q), q.mask(2, 2)
+        a, b = (dedup_index(face[:, m], PIVOT_TOL).tolist() for m in (mask, ~mask))
+        missing = len(set(a)) * len(set(b)) - len(set(zip(a, b)))
+        assert missing == 1 and check_face_decomposition(law, q).converse_failures == missing
+        assert self._reports(spec, i) == {missing}
+
+    def test_a_sub_face_bound_cutting_off_one_vertex_is_one_forward_failure(self):
+        law = build_uplink_joint(k2l2_bsc_spec())
+        queries = df.face_queries(law)
+        face, row, lb, ub = law.memo("sub-face bounds", lambda: df._sub_face_bounds(law))
+        for k in range(len(face)):  # a sub-face row with one least face vertex
+            q = queries[face[k] % len(queries)]
+            values = np.sort(df.face_corners(law, q) @ df.jd_region(law).A[row[k]])
+            if len(values) > 1 and values[1] - values[0] > 4 * FACE_TOL:
+                lb[k] = (values[0] + values[1]) / 2
+                break
+        else:
+            raise AssertionError("no sub-face row with one least face vertex")
+        assert check_face_decomposition(law, q) == df.FaceDecompositionReport(1, 0)
+
+    def test_pairs_merged_at_the_tolerance_scale_count_as_vertices(self):
+        """On this seeded (1, 4) spec, with projections told apart at FACE_TOL,
+        four pairs of them are no face vertex's: vertices about FACE_TOL apart
+        were merged or left off the face.  At PIVOT_TOL, where lemma4 tells
+        them apart, every face is a product, as the sampled check found."""
+        law = build_uplink_joint(random_uplink_spec(np.random.default_rng(1014), 1, 4))
+        rows = law.memo(("face corners", FACE_TOL), lambda: df._face_corner_rows(law, FACE_TOL))
+        missing, vertices = 0, enumerate_corners(law).vertices
+        for r, m in zip(rows, df.face_bounds(law)[1].A != 0):
+            a, b = (dedup_index(vertices[r][:, x], FACE_TOL) for x in (m, ~m))
+            missing += len(set(a)) * len(set(b)) - len(set(zip(a, b)))
+        assert missing == 4
+        assert not df.face_decomposition_failures(law, df.face_queries(law)).any()
 
 
 class TestDegeneracy:

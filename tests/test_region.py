@@ -34,13 +34,21 @@ from cranregions import face as df
 from cranregions.cli import main
 from cranregions.downlink import je_region
 from cranregions.face import FaceDecompositionReport, in_sub_face_cond, in_sub_face_DST
-from cranregions.prob import ACTIVE_TOL, FACE_TOL, MEMBERSHIP_TOL, NEGATIVE_RATE_TOL, subsets
+from cranregions.prob import (
+    ACTIVE_TOL,
+    FACE_TOL,
+    MEMBERSHIP_TOL,
+    NEGATIVE_RATE_TOL,
+    PIVOT_TOL,
+    subsets,
+)
 from cranregions.uplink import (
     STACK_CHUNK,
     _row_rank,
     capacity_minus_rate,
     check_corner,
     coord_labels,
+    dedup_index,
     jd_region,
 )
 
@@ -218,35 +226,33 @@ def scalar_on_dominant_face(law, point):
         jd_slack(law, point, range(1, K + 1), range(1, L + 1))) <= MEMBERSHIP_TOL
 
 
-def per_point_face_decomposition(law, q, samples, seed, tol=FACE_TOL, corners=None):
-    """Reference: `check_face_decomposition` with one predicate call per point,
-    on a stack of one, on the face's `corners`, by default the vertices that
-    `in_face_FST` admits."""
+def per_point_face_decomposition(law, q, tol=FACE_TOL, corners=None):
+    """Reference: `check_face_decomposition` by brute force on the face's
+    `corners`, by default the vertices that `in_face_FST` admits one at a time.
+    Forward: the corners outside `in_sub_face_DST` or `in_sub_face_cond`, one
+    predicate call per corner.  Converse: every pair of a kept row of the
+    (S, T) projection and one of the complement projection (one `dedup_index`
+    call per projection at max(tol, PIVOT_TOL)) whose joined point has no
+    corner within that distance."""
     K, L = law.dims("uplink")
     q.validate(K, L)
-    rng = np.random.default_rng(seed)
     face_corners = [v for v in enumerate_corners(law).vertices
                     if df.in_face_FST(law, v[None], q, tol)[0]] if corners is None else list(corners)
     if not face_corners:
         return FaceDecompositionReport(0, 0)
-    mat = np.array(face_corners)
-    points = list(face_corners)
-    for _ in range(samples):
-        w = rng.dirichlet(np.ones(len(face_corners)))
-        points.append(w @ mat)
     forward_failures = 0
-    for p in points:
+    for p in face_corners:
         if not (df.in_sub_face_DST(law, p[None], q, tol)[0]
                 and df.in_sub_face_cond(law, p[None], q, tol)[0]):
             forward_failures += 1
-    mask = q.mask(K, L)
+    mat, mask, near = np.array(face_corners), q.mask(K, L), max(tol, PIVOT_TOL)
+    kept_a, kept_b = (np.unique(dedup_index(mat[:, m], near)) for m in (mask, ~mask))
     converse_failures = 0
-    for _ in range(samples):
-        w1 = rng.dirichlet(np.ones(len(face_corners)))
-        w2 = rng.dirichlet(np.ones(len(face_corners)))
-        vec = np.where(mask, w1 @ mat, w2 @ mat)
-        if not df.in_face_FST(law, vec[None], q, tol)[0]:
-            converse_failures += 1
+    for i in kept_a:
+        for j in kept_b:
+            vec = np.where(mask, mat[i], mat[j])
+            if not any(np.max(np.abs(v - vec)) <= near for v in mat):
+                converse_failures += 1
     return FaceDecompositionReport(forward_failures, converse_failures)
 
 
@@ -282,34 +288,32 @@ def test_face_families_match_scalar_loops(K, L):
             assert_stacked_matches(lambda x: predicate(law, x, q), points, ref)
         sub += dst + cond
         fst.update(per_point)
-        for samples in (20, 200):
-            assert check_face_decomposition(law, q, samples, seed=0) == (
-                per_point_face_decomposition(law, q, samples, seed=0))
+        assert check_face_decomposition(law, q) == per_point_face_decomposition(law, q)
     assert set(sub) == {True, False} and fst == {True, False}
 
 
 def test_face_decomposition_draws_the_reference_points():
     """With bounds tightened on the law's memo there are failures to count, and
-    the stacked check counts the reference's: it draws the same points and reads
-    the same bounds, which the reference reads through the per-query predicates.
+    the stacked check counts the brute-force reference's: it reads the same
+    bounds, which the reference reads through the per-query predicates.
     R_1 at least its second least distinct vertex value in every D_{S,T} with
-    the ({1}, {}) row fails the corners below it, and samples near them,
-    forward; C_1 at most its second greatest distinct vertex value on the
-    dominant face, once the face corners are found, fails the converse points
-    above it.  Some faces fail in part, so the counts are checked point by point."""
+    the ({1}, {}) row fails the vertices below it, forward.  C_1 - R_1 at most
+    its third greatest distinct vertex value takes the vertices above it off
+    the dominant face before the face vertices are found, so a face that was
+    the product of its projections, with R_1 and C_1 on two sides, misses
+    their pairs, converse.  Some faces fail in part."""
     law = _case("uplink", 2, 2)[0]
     vertices, jd, queries = enumerate_corners(law).vertices, jd_region(law), df.face_queries(law)
-    corners = {q: df.face_corners(law, q) for q in queries}
     face, row, lb, ub = law.memo("sub-face bounds", lambda: df._sub_face_bounds(law))
-    r1, c1 = (np.unique(np.round(vertices[:, i], 9)) for i in (0, 2))
+    r1 = np.unique(np.round(vertices[:, 0], 9))
+    gap = np.unique(np.round(vertices[:, 2] - vertices[:, 0], 9))
     ub[(face < len(queries)) & (row == jd.pairs.index(((1,), ())))] = -r1[1]
-    jd.ub[jd.pairs.index(((), (1,)))] = c1[-2]
-    reports = [check_face_decomposition(law, q, 50, seed=1) for q in queries]
-    assert reports == [per_point_face_decomposition(law, q, 50, seed=1, corners=corners[q])
-                       for q in queries]
-    assert any(r.forward_failures for r in reports) and any(r.converse_failures for r in reports)
-    assert any(0 < r.forward_failures < 50 for r in reports) and any(
-        0 < r.converse_failures < 50 for r in reports)
+    jd.ub[jd.pairs.index(((1,), (1,)))] = gap[-3]
+    reports = [check_face_decomposition(law, q) for q in queries]
+    assert reports == [per_point_face_decomposition(law, q) for q in queries]
+    sizes = [len(df.face_corners(law, q)) for q in queries]
+    assert any(0 < r.forward_failures < n for r, n in zip(reports, sizes))
+    assert any(r.converse_failures for r in reports)
 
 
 # --- the per-law cache ---

@@ -36,6 +36,7 @@ from cranregions import suites
 from cranregions import uplink as ul
 from cranregions.prob import (
     FACE_TOL,
+    PIVOT_TOL,
     LawError,
     UplinkSpec,
     clamp_info,
@@ -228,22 +229,41 @@ def scan_factorization(law, q):
     return True
 
 
-def loop_face_decomposition(law, q, samples, seed, tol):
-    """Reference: the face decomposition check with the face corners found by
-    in_face_FST, which checks the dominant face again for every query."""
+def split_factorization(law, q):
+    """Reference: the factorization verdict of one split, from one `dedup_index`
+    call per projection: the vertex set is their product when n_a divides n
+    and the pairs of kept rows are distinct and n_a * n_b."""
     K, L = law.dims("uplink")
-    rng = np.random.default_rng(seed)
+    mask = q.mask(K, L)
+    if not mask[0]:
+        mask = ~mask  # the complement query splits the coordinates the same way
+    mat = ul.enumerate_corners(law).vertices
+    n = len(mat)
+    a = ul.dedup_index(mat[:, mask], FACE_TOL)
+    n_a = np.count_nonzero(a == np.arange(n))
+    if n % n_a:  # no product of n_a rows has n vertices
+        return False
+    b = ul.dedup_index(mat[:, ~mask], FACE_TOL)
+    n_b = np.count_nonzero(b == np.arange(n))
+    return bool(n == n_a * n_b and len(np.unique(a * n + b)) == n)
+
+
+def loop_face_decomposition(law, q, tol):
+    """Reference: the exact face decomposition check of one query, with the face
+    corners found by in_face_FST, which checks the dominant face again for
+    every query.  Forward: the corners outside a sub-face.  Converse: the
+    pairs of kept rows of the two projections (one `dedup_index` call each,
+    at max(tol, PIVOT_TOL)) that are no corner's pair of kept rows."""
+    K, L = law.dims("uplink")
     enum = ul.enumerate_corners(law)
     vertices = enum.points[enum.kept]
     mat = vertices[df.in_face_FST(law, vertices, q, tol)]
     if not len(mat):
         return 0, 0
-    ones = np.ones(len(mat))
-    points = np.vstack([mat, rng.dirichlet(ones, size=samples) @ mat])
-    forward = df.in_sub_face_DST(law, points, q, tol) & df.in_sub_face_cond(law, points, q, tol)
-    w = rng.dirichlet(ones, size=(samples, 2))
-    converse = df.in_face_FST(law, np.where(q.mask(K, L), w[:, 0] @ mat, w[:, 1] @ mat), q, tol)
-    return int(np.sum(~forward)), int(np.sum(~converse))
+    forward = df.in_sub_face_DST(law, mat, q, tol) & df.in_sub_face_cond(law, mat, q, tol)
+    mask = q.mask(K, L)
+    a, b = (ul.dedup_index(mat[:, m], max(tol, PIVOT_TOL)).tolist() for m in (mask, ~mask))
+    return int(np.sum(~forward)), len(set(a)) * len(set(b)) - len(set(zip(a, b)))
 
 
 def loop_telescope(spec, seed, samples):
@@ -739,16 +759,23 @@ def _same_region(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()  # equal bits
 
 
+def sub_face_regions(law):
+    """The sub-face regions of the queries (`face._sub_face`), in `face_queries`
+    order: a list of their D_{S,T} and a list of their conditional sub-faces."""
+    return tuple([df._sub_face(law, q, s) for q in df.face_queries(law)] for s in ("DST", "cond"))
+
+
 @pytest.mark.parametrize("case", UPLINK, ids=_ids)
 def test_sub_face_regions_match_their_own_formulas(case):
-    """Every region and value of the per-law gathers `sub_face_bounds` and
-    `face_bounds` against its name-keyed formula: the sub-faces, the cap
-    rows, the alt region and the cross informations of the degeneracy
-    condition.  The caps are alt rows, with +0.0 where the reference's
-    q.mask * normal has -0.0, so their pairs and normals compare by value."""
+    """Every region and value of the per-law gathers of the sub-faces
+    (`sub_face_regions`) and `face_bounds` against its name-keyed formula:
+    the sub-faces, the cap rows, the alt region and the cross informations
+    of the degeneracy condition.  The caps are alt rows, with +0.0 where the
+    reference's q.mask * normal has -0.0, so their pairs and normals compare
+    by value."""
     spec = _spec("uplink", case)
     law, K, L = spec.law, spec.K, spec.L
-    (dst, cond), (alt, caps, cross) = df.sub_face_bounds(law), df.face_bounds(law)
+    (dst, cond), (alt, caps, cross) = sub_face_regions(law), df.face_bounds(law)
     _same_region(alt, closure_alt(law))
     queries = list(df.admissible_queries(K, L))
     assert len(dst) == len(cond) == len(caps.pairs) == len(cross) == len(queries)
@@ -881,35 +908,55 @@ def test_face_decomposition_matches_per_query_face_check(case):
     queries = df.face_queries(spec.law)
     faces = empty = 0
     for tol in (FACE_TOL, 0.05, 0.0):  # the face mask of the vertices is kept per tolerance
-        for samples in (1, 15):
-            ref = [loop_face_decomposition(spec.law, q, samples, 2, tol) for q in queries]
-            stacked = df.face_decomposition_failures(spec.law, queries, samples, 2, tol)
-            assert list(zip(*stacked.tolist())) == ref, (tol, samples)
-            if tol == FACE_TOL:
-                details = suites.suite_lemma4(spec, seed=2, samples=samples)[1]
-                assert [tuple(d.values()) for d in details.values()] == ref, samples
-            for q, want in zip(queries, ref):
-                rep = df.check_face_decomposition(spec.law, q, samples=samples, seed=2, tol=tol)
-                assert (rep.forward_failures, rep.converse_failures) == want, (q, tol)
-            sizes = [len(df.face_corners(spec.law, q, tol)) for q in queries]
-            faces += any(sizes)  # some query has corners on its face
-            assert all(r == (0, 0) for n, r in zip(sizes, ref) if n == 0)
-            empty += sizes.count(0)
+        ref = [loop_face_decomposition(spec.law, q, tol) for q in queries]
+        stacked = df.face_decomposition_failures(spec.law, queries, tol)
+        assert list(zip(*stacked.tolist())) == ref, tol
+        if tol == FACE_TOL:
+            details = suites.suite_lemma4(spec)[1]
+            assert [tuple(d.values()) for d in details.values()] == ref
+        for q, want in zip(queries, ref):
+            rep = df.check_face_decomposition(spec.law, q, tol=tol)
+            assert (rep.forward_failures, rep.converse_failures) == want, (q, tol)
+        sizes = [len(df.face_corners(spec.law, q, tol)) for q in queries]
+        faces += any(sizes)  # some query has corners on its face
+        assert all(r == (0, 0) for n, r in zip(sizes, ref) if n == 0)
+        empty += sizes.count(0)
     assert faces and (empty > 0) == (case != "identity_k1l1")
 
 
-def test_lemma4_draws_once_per_face_size(monkeypatch):
-    """The weights of a face depend only on (seed, samples, face size), and
-    lemma4 takes the queries in order of face size, so it seeds one generator
-    per distinct size."""
+@pytest.mark.parametrize("case", UPLINK + ["zeros_k2l2", "zeros_k2l3"], ids=_ids)
+def test_stacked_product_pass_keeps_the_rows_of_one_call_per_projection(case, monkeypatch):
+    """The stacked product test of lemma4 and lemma5, in one run, in runs of a
+    few items, and with every item a run of its own, against one `dedup_index`
+    call per projection: the kept rows of each face's two projections, at
+    FACE_TOL, at lemma4's PIVOT_TOL and at 0.05, and lemma5's verdict of every
+    split, which is the one-split reference's."""
+    spec = _spec_with_zeros(*WITH_ZEROS[case]) if case in WITH_ZEROS else _spec("uplink", case)
+    law = spec.law
+    vertices, masks = ul.enumerate_corners(law).vertices, df.face_bounds(law)[1].A != 0
+    for budget in (1, 200, 1 << 30):
+        monkeypatch.setattr(df, "PRODUCT_BUDGET", budget)
+        for tol in (FACE_TOL, PIVOT_TOL, 0.05):
+            rows = law.memo(("face corners", tol), lambda: df._face_corner_rows(law, tol))
+            items = [(vertices[r], m) for r, mask in zip(rows, masks) if len(r)
+                     for m in (mask, ~mask)]
+            assert items
+            kept = np.split(df._projection_classes(items, tol),
+                            np.cumsum([len(v) for v, _ in items])[:-1])
+            for (v, m), got in zip(items, kept):
+                assert np.array_equal(got, ul.dedup_index(v[:, m], tol)), (budget, tol)
+        law._memo.pop("factorizes", None)
+        verdicts = [df.check_degenerate_factorization(law, q) for q in df.face_queries(law)]
+        assert verdicts == [split_factorization(law, q) for q in df.face_queries(law)], budget
+
+
+def test_lemma4_draws_nothing(monkeypatch):
+    """lemma4 is exact on the face vertices: it seeds no generator, and its
+    report is the same for every seed and sample count."""
     spec = _spec("uplink", (2, 3))
-    queries = list(df.admissible_queries(spec.K, spec.L))
-    sizes = {len(df.face_corners(spec.law, q)) for q in queries} - {0}
-    seeds, default_rng = [], np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or
-                        default_rng(seed))
-    assert suites.suite_lemma4(spec, seed=3)[0]
-    assert seeds == [3] * len(sizes) and 1 < len(sizes) < len(queries)
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("lemma4 drew"))
+    runs = [suites.suite_lemma4(spec, seed=seed, samples=n) for seed, n in ((0, 1), (3, 200))]
+    assert runs[0] == runs[1] and runs[0][0]
 
 
 @pytest.mark.parametrize("case", UPLINK, ids=_ids)
