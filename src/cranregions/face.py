@@ -16,7 +16,7 @@ The face checks are exact on the enumerated vertices, with no draws:
 `lemma4` counts per query the vertices of F_{S,T} outside a sub-face and
 the pairs of distinct projections of F's vertices that no vertex has, and
 `lemma5` asks per split whether the whole vertex set is the product of its
-two projections, both from one `dedup_index` call on many projections.
+two projections.  Both read one product test, `_product_counts`.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def _sub_face(law: JointLaw, q: FaceQuery, side: str) -> Region:
     """Sub-face "DST" or "cond" of q: its segment of the arrays of `_sub_face_bounds`."""
     i, jd = _query_index(law, q), jd_region(law)
     face, row, lb, ub = law.memo("sub-face bounds", lambda: _sub_face_bounds(law))
-    k = i + (side == "cond") * len(face_queries(law))  # every D_{S,T} comes first
+    k = 2 * i + (side == "cond")
     seg = slice(*np.searchsorted(face, [k, k + 1]))
     return Region(tuple(jd.pairs[r] for r in row[seg].tolist()), jd.A[row[seg]], lb[seg], ub[seg])
 
@@ -193,18 +193,19 @@ def _face_bounds(law: JointLaw) -> tuple:
 
 
 def _sub_face_bounds(law: JointLaw) -> tuple:
-    """D_{S,T} of each query, then D_{S^c,T^c | S,T} of each query: the face of
-    the sub-network of `users` and `relays` whose decoder sees X_zs and Yh_zt.
-    A sub-face keeps, in their order, the rows of the alt region whose pair
-    lies within its users and relays.  The gather arrays: each row's sub-face
-    (query i's D_{S,T} is i, its conditional one Q + i), alt row and bounds."""
+    """D_{S,T} and D_{S^c,T^c | S,T} of each query: the face of the sub-network
+    of `users` and `relays` whose decoder sees X_zs and Yh_zt.  A sub-face
+    keeps, in their order, the rows of the alt region whose pair lies within
+    its users and relays.  The gather arrays: each row's sub-face, alt row
+    and bounds.  Query i's D_{S,T} is sub-face 2i and its conditional one
+    2i + 1, so the rows of a query are one run, D_{S,T} first."""
     K, L = law.dims("uplink")
     S, T = pair_masks(jd_region(law).A, K)
     qs, qt = S[1:-1], T[1:-1]  # the queries are the rows but the first and the last
     y, yh = K, K + L  # the shifts of Y and Yh
-    users = np.concatenate([qs, ((1 << K) - 1) & ~qs])
-    relays = np.concatenate([qt, ((1 << L) - 1) & ~qt])
-    zs, zt = np.concatenate([0 * qs, qs]), np.concatenate([0 * qt, qt])
+    users = np.column_stack([qs, ((1 << K) - 1) & ~qs]).ravel()
+    relays = np.column_stack([qt, ((1 << L) - 1) & ~qt]).ravel()
+    zs, zt = np.column_stack([0 * qs, qs]).ravel(), np.column_stack([0 * qt, qt]).ravel()
     face, row = np.nonzero(((S & ~users[:, None]) == 0) & ((T & ~relays[:, None]) == 0))
     U, R, zs, zt, A, B = users[face], relays[face], zs[face], zt[face], S[row], T[row]
     side = (R & ~B | zt) << yh
@@ -250,37 +251,23 @@ def face_decomposition_failures(law: JointLaw, queries, tol: float = FACE_TOL) -
     `queries`, a (2, Q) array over `face_queries`, in one stacked pass.
 
     Forward: the vertices of F outside D_{S,T} or the conditional sub-face,
-    none exactly when the convex F lies in their product; each (query,
-    vertex) pair reads its slacks off a product of the vertices with every
-    normal.  Converse: n_a * n_b - pairs of `_product_counts`, the pairs of
-    distinct projections of F's vertices that no vertex has.  Projections
-    within PIVOT_TOL, which the rank test reads as one point, are one:
-    vertices that close can be merged, or left off the face, at FACE_TOL."""
+    none exactly when the convex F lies in their product; each query reads
+    the slacks of its face vertices on its run of sub-face rows, D_{S,T}'s
+    and the conditional one's.  Converse: n_a * n_b - pairs of
+    `_product_counts`, the pairs of distinct projections of F's vertices
+    that no vertex has.  Projections within PIVOT_TOL, which the rank test
+    reads as one point, are one: vertices that close can be merged, or left
+    off the face, at FACE_TOL."""
     rows = law.memo(("face corners", tol), lambda: _face_corner_rows(law, tol))
-    wanted, failures, n = set(queries), np.zeros((2, len(rows)), int), len(rows)
-    picked = np.array([q in wanted and len(r) > 0 for q, r in zip(face_queries(law), rows)])
+    wanted, failures = set(queries), np.zeros((2, len(rows)), int)
+    at = [i for i, (q, r) in enumerate(zip(face_queries(law), rows)) if q in wanted and len(r)]
     face, row, lb, ub = law.memo("sub-face bounds", lambda: _sub_face_bounds(law))
-    start = np.searchsorted(face, np.arange(2 * n + 1))
-    width, groups = np.diff(start), []
-    for w in sorted(set(width[:n].tolist())):  # the queries of one |S| + |T| = m: 2^m D_{S,T} rows
-        group = np.flatnonzero(width[:n] == w)
-        seg = np.hstack([start[group, None] + np.arange(w),
-                         start[n + group, None] + np.arange(width[n + group[0]])])
-        j = np.flatnonzero(picked[group])  # the group's wanted queries with a face
-        vertex = np.concatenate([rows[i] for i in group[j]] + [np.zeros(0, np.intp)])
-        order = np.argsort(vertex, kind="stable")  # pairs by vertex, for the products below
-        j = np.repeat(j, [len(rows[i]) for i in group[j]])[order]
-        groups.append((group, row[seg], lb[seg], ub[seg], j, vertex[order]))
     vertices, normals = enumerate_corners(law).vertices, jd_region(law).A
-    step = max(1, 64 * STACK_CHUNK // len(normals))
-    for v in range(0, len(vertices), step):
-        ax = vertices[v:v + step] @ normals.T  # C(T) - R(S) of each vertex and row
-        for group, cols, lo, hi, j, vertex in groups:
-            c = slice(*np.searchsorted(vertex, [v, v + step]))
-            s = ax[vertex[c, None] - v, cols[j[c]]]
-            outside = np.fmin(s - lo[j[c]], hi[j[c]] - s).min(axis=1) < -tol
-            failures[0] += np.bincount(group[j[c][outside]], minlength=n)
-    at, masks = np.flatnonzero(picked), face_bounds(law)[1].A != 0  # R_S and C_T of each query
+    for i in at:
+        run = slice(*np.searchsorted(face, [2 * i, 2 * i + 2]))
+        s = vertices[rows[i]] @ normals[row[run]].T  # C(T) - R(S) of each face vertex and row
+        failures[0, i] = np.count_nonzero(np.fmin(s - lb[run], ub[run] - s).min(axis=1) < -tol)
+    masks = face_bounds(law)[1].A != 0  # R_S and C_T of each query
     n_a, n_b, pairs = _product_counts([(vertices[rows[i]], masks[i]) for i in at],
                                       max(tol, PIVOT_TOL))
     failures[1, at] = n_a * n_b - pairs
@@ -365,23 +352,19 @@ def check_degenerate_factorization(law: JointLaw, q: FaceQuery) -> bool:
 def _factorizations(law: JointLaw) -> list:
     """Whether the vertex set is the product of its two projections, one bool per
     split into the coordinates of the odd bitmask 2i + 1 and the rest: when
-    its (a, b) pairs are distinct and n_a * n_b.  Per run of splits within
-    PRODUCT_BUDGET, one `_projection_classes` call on the first projections,
-    and one on the second of the splits whose n_a divides n."""
+    n_a * n_b, the distinct (a, b) pairs and the n vertices are as many.
+    Per run of splits within PRODUCT_BUDGET, one `_projection_classes` call
+    on the first projections, then `_product_counts` on the splits whose n_a
+    divides n; no product of n_a rows has n vertices otherwise."""
     mat = enumerate_corners(law).vertices  # distinct at DEDUP_TOL = FACE_TOL
     n, d = mat.shape  # n >= 1: dedup keeps the first corner
     masks = (np.arange(1, (1 << d) - 1, 2)[:, None] >> np.arange(d) & 1).astype(bool)
     verdicts, step = np.zeros(len(masks), bool), max(1, PRODUCT_BUDGET // (n * (d + 1)))
     for i in range(0, len(masks), step):
-        split = masks[i:i + step]
-        a = _projection_classes([(mat, m) for m in split], FACE_TOL).reshape(len(split), n)
-        n_a = np.count_nonzero(a == np.arange(n), axis=1)
-        even = np.flatnonzero(n % n_a == 0)  # no product of n_a rows has n vertices otherwise
-        if len(even):
-            b = _projection_classes([(mat, ~split[s]) for s in even], FACE_TOL).reshape(-1, n)
-            full = np.flatnonzero(n_a[even] * np.count_nonzero(b == np.arange(n), axis=1) == n)
-            keys = np.sort(a[even[full]] * n + b[full], axis=1)  # n distinct pairs, or fewer
-            verdicts[i + even[full]] = np.count_nonzero(np.diff(keys, axis=1), axis=1) == n - 1
+        a = _projection_classes([(mat, m) for m in masks[i:i + step]], FACE_TOL).reshape(-1, n)
+        even = i + np.flatnonzero(n % np.count_nonzero(a == np.arange(n), axis=1) == 0)
+        n_a, n_b, pairs = _product_counts([(mat, m) for m in masks[even]], FACE_TOL)
+        verdicts[even] = (n_a * n_b == pairs) & (pairs == n)
     return verdicts.tolist()
 
 

@@ -170,9 +170,7 @@ class Region:
     """The points x = (R_1..R_K, C_1..C_L) with lb <= A x <= ub.
 
     Row i of A is the normal of the pair (S, T) = pairs[i]: -1 on the rates
-    in S and +1 on the capacities in T, so (A x)_i = C(T) - R(S).  A
-    (g, n, K+L) stack of stacks meets (rows, K+L) normals, or (g, rows, K+L)
-    normals with (g, 1, rows) bounds, one product per stack.
+    in S and +1 on the capacities in T, so (A x)_i = C(T) - R(S).
     """
 
     pairs: tuple
@@ -181,12 +179,12 @@ class Region:
     ub: np.ndarray  # +inf for a one-sided region
 
     def slacks(self, points) -> np.ndarray:
-        """min(A x - lb, ub - A x) per row and per point of an (n, K+L) stack;
+        """min(A x - lb, ub - A x), an (n, rows) array for an (n, K+L) stack;
         a NaN slack (inf - inf) reads as -inf.  Computed in place, in two
         (points, rows) arrays: fresh large temporaries cost more than the
         arithmetic."""
         with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates overflow
-            ax = np.swapaxes(self.A @ np.swapaxes(points, -1, -2), -1, -2)  # one per stack
+            ax = (self.A @ points.T).T
             s = ax - self.lb
             np.fmin(s, np.subtract(self.ub, ax, out=ax), out=s)  # fmin skips the NaN of inf - inf
         s[np.isnan(s)] = -np.inf
@@ -198,7 +196,7 @@ class Region:
         if len(points) > STACK_CHUNK:
             return np.concatenate([self.contains(points[i:i + STACK_CHUNK], tol)
                                    for i in range(0, len(points), STACK_CHUNK)])
-        return self.slacks(points).min(axis=-1) >= -tol
+        return self.slacks(points).min(axis=1) >= -tol
 
     @cached_property
     def row_of_mask(self) -> np.ndarray:

@@ -151,7 +151,7 @@ class TestExactFaceCheck:
         queries = df.face_queries(law)
         face, row, lb, ub = law.memo("sub-face bounds", lambda: df._sub_face_bounds(law))
         for k in range(len(face)):  # a sub-face row with one least face vertex
-            q = queries[face[k] % len(queries)]
+            q = queries[face[k] // 2]
             values = np.sort(df.face_corners(law, q) @ df.jd_region(law).A[row[k]])
             if len(values) > 1 and values[1] - values[0] > 4 * FACE_TOL:
                 lb[k] = (values[0] + values[1]) / 2

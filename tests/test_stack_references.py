@@ -791,6 +791,26 @@ def test_sub_face_regions_match_their_own_formulas(case):
         assert type(df.degeneracy_condition(law, q)) is bool  # reports hold Python bools
 
 
+@pytest.mark.parametrize("case", UPLINK, ids=_ids)
+def test_each_query_reads_its_sub_face_rows_as_one_run(case):
+    """Query i's D_{S,T} is sub-face 2i of the per-law table and its
+    conditional sub-face 2i + 1, so the rows of the query are the run
+    start[2i]:start[2i+2], D_{S,T} first, and each half is, bit for bit, the
+    region that `in_sub_face_DST` / `in_sub_face_cond` read (`face._sub_face`)."""
+    law = _spec("uplink", case).law
+    face, row, lb, ub = law.memo("sub-face bounds", lambda: df._sub_face_bounds(law))
+    queries, jd = df.face_queries(law), ul.jd_region(law)
+    start = np.searchsorted(face, np.arange(2 * len(queries) + 1))
+    assert np.all(np.diff(face) >= 0) and start[-1] == len(face)
+    assert np.all(np.diff(start) > 0)  # every sub-face has rows: the (empty, empty) pair
+    for i, q in enumerate(queries):
+        for k, side in ((2 * i, "DST"), (2 * i + 1, "cond")):
+            seg = slice(start[k], start[k + 1])
+            got = ul.Region(tuple(jd.pairs[r] for r in row[seg].tolist()), jd.A[row[seg]],
+                            lb[seg], ub[seg])
+            _same_region(got, df._sub_face(law, q, side))
+
+
 def _correlated_uplink_spec(rng, K, L):
     """A random uplink spec whose relay outputs are correlated given X, where
     the closed-form corners leave some chains short of tight."""
@@ -948,6 +968,22 @@ def test_stacked_product_pass_keeps_the_rows_of_one_call_per_projection(case, mo
         law._memo.pop("factorizes", None)
         verdicts = [df.check_degenerate_factorization(law, q) for q in df.face_queries(law)]
         assert verdicts == [split_factorization(law, q) for q in df.face_queries(law)], budget
+
+
+def test_factorizations_match_the_per_split_reference_in_runs_of_one_split(monkeypatch):
+    """At (4, 3) the 3,913 vertices fill a PRODUCT_BUDGET run of their own per
+    split at the real budget, and six of the 63 splits have an n_a that
+    divides n, so they reach `_product_counts`: lemma5's verdict of every
+    query is the one-split reference's."""
+    law = build_uplink_joint(random_uplink_spec(np.random.default_rng(5), 4, 3))
+    n, d = ul.enumerate_corners(law).vertices.shape
+    assert n * (d + 1) > df.PRODUCT_BUDGET
+    seen, counts = [], df._product_counts
+    monkeypatch.setattr(df, "_product_counts",
+                        lambda items, tol: seen.extend(items) or counts(items, tol))
+    verdicts = [df.check_degenerate_factorization(law, q) for q in df.face_queries(law)]
+    assert len(seen) == 6
+    assert verdicts == [split_factorization(law, q) for q in df.face_queries(law)]
 
 
 def test_lemma4_draws_nothing(monkeypatch):
