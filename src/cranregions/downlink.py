@@ -95,7 +95,7 @@ def _je_terms(law: JointLaw, K: int, L: int, S, T) -> np.ndarray:
 def je_slack(law: JointLaw, x, S, T) -> float:
     """Slack of the joint-encoding constraint for user set S, relay set T, at
     one (K+L,) vector x, read off the law's table as `uplink.jd_slack` is."""
-    return pair_slack(law, je_region(law), _je_terms, x, S, T)
+    return pair_slack(law, _je_terms, x, S, T)
 
 
 def je_region(law: JointLaw) -> Region:

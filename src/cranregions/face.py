@@ -32,7 +32,6 @@ from .prob import (
     PIVOT_TOL,
     JointLaw,
     gather,
-    subsets,
 )
 from .uplink import (
     STACK_CHUNK,
@@ -77,11 +76,11 @@ class FaceQuery:
 
 
 def admissible_queries(K: int, L: int):
-    """Every (S, T) with S u T and S^c u T^c nonempty."""
-    for S in subsets(range(1, K + 1)):
-        for T in subsets(range(1, L + 1)):
-            if 0 < len(S) + len(T) < K + L:
-                yield FaceQuery(S, T)
+    """Every (S, T) with S u T and S^c u T^c nonempty: the pairs of the
+    coordinate bitmasks 1..2^(K+L) - 2, in that order."""
+    for m in range(1, (1 << K + L) - 1):
+        yield FaceQuery({k + 1 for k in range(K) if m >> k & 1},
+                        {l + 1 for l in range(L) if m >> K + l & 1})
 
 
 def face_queries(law: JointLaw) -> tuple:
@@ -90,18 +89,18 @@ def face_queries(law: JointLaw) -> tuple:
 
 
 def _query_index(law: JointLaw, q: FaceQuery) -> int:
-    """The position of q in `face_queries`, found by bitmask: the queries are the
-    pairs of the joint-decoding rows but the first, (empty, empty), and the
-    last, ([K], [L]), in their order, so query i is row i + 1."""
+    """The position of q in `face_queries`: its coordinate bitmask minus 1, as
+    the queries are the bitmasks but the first, (empty, empty), and the last,
+    ([K], [L]); so query i is joint-decoding row i + 1."""
     K, L = law.dims("uplink")
     q.validate(K, L)
-    return int(jd_region(law).row_of_mask[_mask(q.S) | _mask(q.T) << K]) - 1
+    return (_mask(q.S) | _mask(q.T) << K) - 1
 
 
 def _face_row(law: JointLaw) -> Region:
     """The ([K], [L]) row, the last of the joint-decoding region, held at its bound."""
     jd = jd_region(law)
-    return Region(jd.pairs[-1:], jd.A[-1:], jd.lb[-1:], jd.lb[-1:])
+    return Region(jd.A[-1:], jd.lb[-1:], jd.lb[-1:])
 
 
 def face_gap(law: JointLaw, points) -> np.ndarray:
@@ -136,7 +135,7 @@ def in_face_FST(law: JointLaw, points, q: FaceQuery, tol: float = FACE_TOL):
     """Membership in F_{S,T}: on the dominant face with C(T) - R(S) at its cap,
     the one row with lb = ub = I(Y_T; Yh_T | X_S)."""
     i, caps = _query_index(law, q), face_bounds(law)[1]
-    cap = Region(caps.pairs[i:i + 1], caps.A[i:i + 1], caps.lb[i:i + 1], caps.ub[i:i + 1])
+    cap = Region(caps.A[i:i + 1], caps.lb[i:i + 1], caps.ub[i:i + 1])
     return on_dominant_face(law, points, tol) & cap.contains(points, tol)
 
 
@@ -168,19 +167,19 @@ def _sub_face(law: JointLaw, q: FaceQuery, side: str) -> Region:
     face, row, lb, ub = law.memo("sub-face bounds", lambda: _sub_face_bounds(law))
     k = 2 * i + (side == "cond")
     seg = slice(*np.searchsorted(face, [k, k + 1]))
-    return Region(tuple(jd.pairs[r] for r in row[seg].tolist()), jd.A[row[seg]], lb[seg], ub[seg])
+    return Region(jd.A[row[seg]], lb[seg], ub[seg])
 
 
 def _face_bounds(law: JointLaw) -> tuple:
     """The alt region, caps and cross informations, from one gather.
 
     User k and relay l are bit k - 1 of a user and of a relay mask
-    (`pair_masks` of the alt rows, which are the joint-decoding rows), and
+    (`pair_masks`, of the alt rows, which are the joint-decoding rows), and
     X_k, Y_l and Yh_l are bits k - 1, K + l - 1 and K + L + l - 1 of a
     variable mask of the law.  The queries are the alt rows 1..-2."""
     K, L = law.dims("uplink")
     jd = jd_region(law)
-    S, T = pair_masks(jd.A, K)
+    S, T = pair_masks(K, L)
     qs, qt = S[1:-1], T[1:-1]
     users, relays = (1 << K) - 1, (1 << L) - 1
     y, yh = K, K + L  # the shifts of Y and Yh
@@ -188,19 +187,19 @@ def _face_bounds(law: JointLaw) -> tuple:
         (T << y, T << yh, users), (S, (relays & ~T) << yh, users & ~S), (T << y, T << yh, S),
         (users & ~qs, qt << yh, qs),
     ])
-    caps = Region(jd.pairs[1:-1], jd.A[1:-1], ub[1:-1], ub[1:-1])
-    return Region(jd.pairs, jd.A, lb - cross, ub), caps, np.column_stack([cross[1:-1], cross_b])
+    caps = Region(jd.A[1:-1], ub[1:-1], ub[1:-1])
+    return Region(jd.A, lb - cross, ub), caps, np.column_stack([cross[1:-1], cross_b])
 
 
 def _sub_face_bounds(law: JointLaw) -> tuple:
     """D_{S,T} and D_{S^c,T^c | S,T} of each query: the face of the sub-network
     of `users` and `relays` whose decoder sees X_zs and Yh_zt.  A sub-face
-    keeps, in their order, the rows of the alt region whose pair lies within
-    its users and relays.  The gather arrays: each row's sub-face, alt row
-    and bounds.  Query i's D_{S,T} is sub-face 2i and its conditional one
-    2i + 1, so the rows of a query are one run, D_{S,T} first."""
+    keeps, in bitmask order, the rows of the alt region whose pair lies within
+    its users and relays (`pair_masks`).  The gather arrays: each row's
+    sub-face, alt row and bounds.  Query i's D_{S,T} is sub-face 2i and its
+    conditional one 2i + 1, so the rows of a query are one run, D_{S,T} first."""
     K, L = law.dims("uplink")
-    S, T = pair_masks(jd_region(law).A, K)
+    S, T = pair_masks(K, L)
     qs, qt = S[1:-1], T[1:-1]  # the queries are the rows but the first and the last
     y, yh = K, K + L  # the shifts of Y and Yh
     users = np.column_stack([qs, ((1 << K) - 1) & ~qs]).ravel()
@@ -355,7 +354,7 @@ def _factorizations(law: JointLaw) -> list:
     n_a * n_b, the distinct (a, b) pairs and the n vertices are as many.
     Per run of splits within PRODUCT_BUDGET, one `_projection_classes` call
     on the first projections, then `_product_counts` on the splits whose n_a
-    divides n; no product of n_a rows has n vertices otherwise."""
+    divides n, if any; no product of n_a rows has n vertices otherwise."""
     mat = enumerate_corners(law).vertices  # distinct at DEDUP_TOL = FACE_TOL
     n, d = mat.shape  # n >= 1: dedup keeps the first corner
     masks = (np.arange(1, (1 << d) - 1, 2)[:, None] >> np.arange(d) & 1).astype(bool)
@@ -363,8 +362,9 @@ def _factorizations(law: JointLaw) -> list:
     for i in range(0, len(masks), step):
         a = _projection_classes([(mat, m) for m in masks[i:i + step]], FACE_TOL).reshape(-1, n)
         even = i + np.flatnonzero(n % np.count_nonzero(a == np.arange(n), axis=1) == 0)
-        n_a, n_b, pairs = _product_counts([(mat, m) for m in masks[even]], FACE_TOL)
-        verdicts[even] = (n_a * n_b == pairs) & (pairs == n)
+        if len(even):
+            n_a, n_b, pairs = _product_counts([(mat, m) for m in masks[even]], FACE_TOL)
+            verdicts[even] = (n_a * n_b == pairs) & (pairs == n)
     return verdicts.tolist()
 
 

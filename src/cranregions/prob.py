@@ -27,7 +27,6 @@ Every tolerance of the package is defined here and imported from here:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -389,10 +388,3 @@ def yh_names(idx) -> list[str]:
 def u_names(idx) -> list[str]:
     """U_k in increasing order (downlink auxiliary codewords)."""
     return [f"U{k}" for k in sorted(idx)]
-
-
-def subsets(items):
-    """All subsets of `items` (as tuples), smallest first."""
-    items = tuple(items)
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)

@@ -27,7 +27,9 @@ which the greedy corners and the scalar slack read too, `check_corner`
 reads corner-hood off its tight rows (or off the chain of a point's solve
 order, when it comes with one), `greedy_corner` solves the slack for the
 corners of solve orders, and `enumerate_orders` applies a corner
-procedure to every solve order.
+procedure to every solve order.  Row i of a full region, and of its
+table, is the pair whose coordinate bitmask is i (R_1..R_K, C_1..C_L
+numbered 0..K+L-1), so a set of coordinates is its own row index.
 
 A solve order is a row of coordinate indices, R_1..R_K, C_1..C_L numbered
 0..K+L-1, and every corner function takes an (n, K+L) stack of such rows
@@ -58,7 +60,6 @@ from .prob import (
     PIVOT_TOL,
     JointLaw,
     gather,
-    subsets,
 )
 
 MAX_ENUM = 8  # guard: (K+L)! enumeration only up to K+L = 8
@@ -132,36 +133,37 @@ def jd_slack(law: JointLaw, x, S, T) -> float:
     """Slack of the joint-decoding constraint for user set S, relay set T, at
     one (K+L,) vector x: nonnegative for every pair in the region.  Its terms
     are the pair's row of the law's table (`pair_terms`), added in order."""
-    return pair_slack(law, jd_region(law), _jd_terms, x, S, T)
+    return pair_slack(law, _jd_terms, x, S, T)
 
 
 def pair_terms(law: JointLaw, terms, K: int, L: int) -> np.ndarray:
-    """The law's table of the signed terms of -f(S, T) in `region_rows` order,
-    built once per law by terms(law, K, L, S, T) on the pairs' user and relay
-    bitmasks; the region bounds, the greedy corners and the scalar slack read it."""
+    """The law's table of the signed terms of -f(S, T), row i for the pair of
+    bitmask i, built once per law by terms(law, K, L, S, T) on the user and
+    relay bitmasks of `pair_masks`; the region bounds, the greedy corners and
+    the scalar slack read it."""
     def build():
-        _, A = region_rows(K, L, range(1, K + 1), range(1, L + 1))
-        table = terms(law, K, L, *pair_masks(A, K))
+        table = terms(law, K, L, *pair_masks(K, L))
         table.setflags(write=False)
         return table
 
     return law.memo("pair terms", build)
 
 
-def pair_masks(A: np.ndarray, K: int) -> tuple:
-    """The user and relay bitmasks S and T of the pair of each row of (rows, K+L)
-    normals A: bit k - 1 for user k, bit l - 1 for relay l."""
-    return (A[:, :K] < 0) @ (1 << np.arange(K)), (A[:, K:] > 0) @ (1 << np.arange(A.shape[1] - K))
+def pair_masks(K: int, L: int) -> tuple:
+    """The user and relay bitmasks S and T of the pair of each of the 2^(K+L)
+    rows: row i has bit k - 1 of i for user k and bit K + l - 1 for relay l."""
+    i = np.arange(1 << (K + L))
+    return i & ((1 << K) - 1), i >> K
 
 
-def pair_slack(law: JointLaw, region: Region, terms, x, S, T) -> float:
+def pair_slack(law: JointLaw, terms, x, S, T) -> float:
     """C(T) - R(S) at one (K+L,) vector x plus the terms of the pair's row of
-    `region` in the law's table `pair_terms(law, terms, K, L)`, left to right."""
+    the law's table `pair_terms(law, terms, K, L)`, left to right."""
     K, L = law.built[1:]
     S, T = set(S), set(T)
     if not (S <= set(range(1, K + 1)) and T <= set(range(1, L + 1))):
         raise ValueError(f"no constraint for S = {sorted(S)}, T = {sorted(T)} at K, L = {K}, {L}")
-    row = region.row_of_mask[_mask(S) | _mask(T) << K]
+    row = _mask(S) | _mask(T) << K
     return add_terms(capacity_minus_rate(x, K, S, T), pair_terms(law, terms, K, L)[row].tolist())
 
 
@@ -169,11 +171,11 @@ def pair_slack(law: JointLaw, region: Region, terms, x, S, T) -> float:
 class Region:
     """The points x = (R_1..R_K, C_1..C_L) with lb <= A x <= ub.
 
-    Row i of A is the normal of the pair (S, T) = pairs[i]: -1 on the rates
-    in S and +1 on the capacities in T, so (A x)_i = C(T) - R(S).
+    Each row of A is the normal of a pair (S, T): -1 on the rates in S and
+    +1 on the capacities in T, so (A x)_i = C(T) - R(S).  In a full region
+    (`region_rows`) row i is the pair of coordinate bitmask i.
     """
 
-    pairs: tuple
     A: np.ndarray
     lb: np.ndarray
     ub: np.ndarray  # +inf for a one-sided region
@@ -198,39 +200,24 @@ class Region:
                                    for i in range(0, len(points), STACK_CHUNK)])
         return self.slacks(points).min(axis=1) >= -tol
 
-    @cached_property
-    def row_of_mask(self) -> np.ndarray:
-        """The row of each (S, T) bitmask, bit c for coordinate c (R_1..R_K,
-        C_1..C_L numbered 0..K+L-1), or -1 for a mask with no row."""
-        d = self.A.shape[1]
-        row = np.full(1 << d, -1, dtype=np.intp)
-        row[(self.A != 0) @ (1 << np.arange(d))] = np.arange(len(self.A))
-        return row
-
 
 def _mask(items) -> int:
     """The bitmask of a set of 1-based indices."""
     return sum(1 << (i - 1) for i in items)
 
 
-def region_rows(K: int, L: int, users, relays) -> tuple:
-    """The pairs (S, T) for S a subset of `users` and T of `relays`, S outer and
-    T inner in `subsets` order, and their (rows, K+L) normals, read off the
-    pairs' bitmasks."""
-    user_sets, relay_sets = list(subsets(users)), list(subsets(relays))
-    pairs = tuple((S, T) for S in user_sets for T in relay_sets)
-    masks = (np.array([_mask(S) for S in user_sets])[:, None]
-             | np.array([_mask(T) for T in relay_sets]) << K).ravel()
-    on = (masks[:, None] & (1 << np.arange(K + L))) != 0
-    return pairs, np.where(on, np.repeat([-1.0, 1.0], [K, L]), 0.0)
+def region_rows(K: int, L: int) -> np.ndarray:
+    """The (2^(K+L), K+L) normals of all pairs, row i that of the pair whose
+    coordinate bitmask is i: -1 on its rates, +1 on its capacities."""
+    on = (np.arange(1 << (K + L))[:, None] >> np.arange(K + L) & 1) == 1
+    return np.where(on, np.repeat([-1.0, 1.0], [K, L]), 0.0)
 
 
 def slack_region(law: JointLaw, terms, K: int, L: int) -> Region:
     """The region where C(T) - R(S) plus its row of `pair_terms(law, terms, K, L)`
     is >= 0 for every pair: lb is minus the row's terms, added left to right."""
-    pairs, A = region_rows(K, L, range(1, K + 1), range(1, L + 1))
-    return Region(pairs, A, -add_terms(0.0, pair_terms(law, terms, K, L).T),
-                  np.full(len(pairs), np.inf))
+    return Region(region_rows(K, L), -add_terms(0.0, pair_terms(law, terms, K, L).T),
+                  np.full(1 << (K + L), np.inf))
 
 
 def jd_region(law: JointLaw) -> Region:
@@ -270,23 +257,23 @@ def _sd_table(law: JointLaw) -> np.ndarray:
 def greedy_corner(region: Region, terms: np.ndarray, orders):
     """The (n, K+L) corners of a slack region for an (n, K+L) stack of solve
     orders; row i of `terms` holds the signed terms of -f that the slack of
-    region row i adds, in its order.
+    region row i, the pair of bitmask i, adds, in its order.
 
     Step k sets to equality the row (S, T) of the coordinates solved before
-    plus perm[k], found by bitmask: its slack C(T) - R(S) + terms, read at
-    the point solved so far with the new coordinate still 0, is the new rate,
-    or minus it the new capacity.  C(T) and R(S) are added in index order
+    plus perm[k], whose bitmask is its index: its slack C(T) - R(S) + terms,
+    read at the point solved so far with the new coordinate still 0, is the
+    new rate, or minus it the new capacity.  C(T) and R(S) are added in index order
     and the terms in the slack's order, so each coordinate is bit for bit
     the one the scalar slack gives.
     """
     perms = np.asarray(orders)
-    rate, bit, row = (region.A < 0).any(axis=0), 1 << np.arange(perms.shape[1]), region.row_of_mask
+    rate, bit = (region.A < 0).any(axis=0), 1 << np.arange(perms.shape[1])
     solved = np.cumsum(1 << perms, axis=1)  # the bitmask after each step
     x = np.zeros(perms.shape)
     for k in range(perms.shape[1]):
         part = np.where(solved[:, k, None] & bit, x, 0.0).T  # S and T, in index order
         s = add_terms(add_terms(0.0, part[~rate]) - add_terms(0.0, part[rate]),
-                      terms[row[solved[:, k]]].T)
+                      terms[solved[:, k]].T)
         x[np.arange(len(x)), perms[:, k]] = np.where(rate[perms[:, k]], s, -s)
     return x
 
@@ -432,8 +419,10 @@ def check_corner(region: Region, points, orders=None) -> CornerReport:
     chain is tight: step k of the order makes the row of the coordinates
     solved so far tight, nonzero on perm[k] and zero on those solved later,
     so the K+L chain rows are triangular and have rank K+L (a greedy point
-    of a polymatroid is a vertex).  The other points get the exact rank of
-    `_tight_ranks`.  Negative coordinates are flagged, not clamped.  The
+    of a polymatroid is a vertex).  The chain reads row m for the bitmask m
+    of each prefix, so `orders` need a full region, one row per bitmask
+    (`region_rows`), and any other is refused.  The other points get the
+    exact rank of `_tight_ranks`.  Negative coordinates are flagged, not clamped.  The
     slacks come from one product per STACK_CHUNK points.
     """
     x = np.asarray(points, dtype=float)
@@ -445,7 +434,10 @@ def check_corner(region: Region, points, orders=None) -> CornerReport:
         perms = np.asarray(orders)
         if perms.shape != x.shape:
             raise ValueError(f"orders of shape {perms.shape} for points of shape {x.shape}")
-        chains = region.row_of_mask[np.cumsum(1 << perms, axis=1)]  # the row of each step
+        if len(region.A) != 1 << d:
+            raise ValueError(f"orders need normals of shape {(1 << d, d)}, one row per "
+                             f"bitmask, not {region.A.shape}")
+        chains = np.cumsum(1 << perms, axis=1)  # the row of each step is its bitmask
     in_region = np.empty(n, dtype=bool)
     rank = np.empty(n, dtype=int)
     for i in range(0, n, STACK_CHUNK):
@@ -454,9 +446,7 @@ def check_corner(region: Region, points, orders=None) -> CornerReport:
         tight = (np.abs(s) <= ACTIVE_TOL) & nonzero
         certified = np.zeros(len(s), dtype=bool)
         if chains is not None:
-            chain = chains[i:i + STACK_CHUNK]
-            certified = (chain >= 0).all(axis=1) & np.take_along_axis(
-                tight, chain, axis=1).all(axis=1)
+            certified = np.take_along_axis(tight, chains[i:i + STACK_CHUNK], axis=1).all(axis=1)
         part = rank[i:i + STACK_CHUNK]
         part[certified] = d
         part[~certified] = _tight_ranks(normals, tight[~certified])

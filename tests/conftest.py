@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -102,12 +104,29 @@ def prefix_sets(perm, k: int, K: int) -> tuple[set, set]:
     return I, J
 
 
+def subsets(items):
+    """All subsets of `items` (as tuples), smallest first."""
+    items = tuple(items)
+    for r in range(len(items) + 1):
+        yield from itertools.combinations(items, r)
+
+
+def pair_of_row(i: int, K: int, L: int) -> tuple[set, set]:
+    """The (S, T) sets of row i of a full region, read off its coordinate
+    bitmask i: user k is bit k - 1, relay l bit K + l - 1."""
+    return ({k + 1 for k in range(K) if i >> k & 1},
+            {l + 1 for l in range(L) if i >> (K + l) & 1})
+
+
 def build_region(K: int, L: int, users, relays, bounds) -> Region:
-    """Reference: the rows of `region_rows`, bounds(S, T) giving one row's
+    """Reference: the rows of `region_rows` whose pair lies within `users` and
+    `relays`, picked by bitmask in row order, bounds(S, T) giving one row's
     (lb, ub), S and T as sets, one pair at a time."""
-    pairs, A = region_rows(K, L, users, relays)
-    lb, ub = np.array([bounds(set(S), set(T)) for S, T in pairs], dtype=float).T
-    return Region(pairs, A, lb, ub)
+    A = region_rows(K, L)
+    pairs = [pair_of_row(i, K, L) for i in range(len(A))]
+    rows = [i for i, (S, T) in enumerate(pairs) if S <= set(users) and T <= set(relays)]
+    lb, ub = np.array([bounds(*pairs[i]) for i in rows], dtype=float).T
+    return Region(A[rows], lb, ub)
 
 
 @pytest.fixture

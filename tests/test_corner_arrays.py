@@ -21,6 +21,7 @@ from cranregions import (
     verify_downlink_corner,
 )
 from cranregions.downlink import je_region
+from cranregions.face import face_bounds
 from cranregions.prob import ACTIVE_TOL, DEDUP_TOL, MEMBERSHIP_TOL, NEGATIVE_RATE_TOL, PIVOT_TOL
 from cranregions.specio import load_spec
 from cranregions.uplink import (
@@ -222,15 +223,32 @@ def test_degenerate_spec_has_rank_deficient_tight_sets():
     assert {rank for _, rank, _, _ in got} >= {2, 3, 4}
 
 
+def _twice(region):
+    """The region with every row repeated."""
+    return Region(*(np.concatenate([a, a]) for a in (region.A, region.lb, region.ub)))
+
+
 def test_duplicated_tight_rows_count_once():
     law = _law("uplink", 2, 2)
     region = jd_region(law)
-    twice = Region(region.pairs * 2, np.vstack([region.A, region.A]),
-                   np.concatenate([region.lb, region.lb]), np.concatenate([region.ub, region.ub]))
+    twice = _twice(region)
     points = _probe_points(enumerate_corners(law), np.random.default_rng(2))
     got = _stack_reports(check_corner(twice, points))
     assert got == _stack_reports(check_corner(region, points))
     assert got == [point_check(twice, p) for p in points]
+
+
+def test_orders_need_one_row_per_bitmask():
+    """The chain of a solve order reads row m for the bitmask m of each prefix,
+    so `check_corner` refuses orders with a region of other rows, naming both
+    shapes: the face caps, which lack the first and last pair, and a region
+    with every row twice.  Without orders they get the exact rank."""
+    law = _law("uplink", 2, 2)
+    enum = enumerate_corners(law)
+    for other in (face_bounds(law)[1], _twice(jd_region(law))):
+        with pytest.raises(ValueError, match=rf"\(16, 4\).*\({len(other.A)}, 4\)"):
+            check_corner(other, enum.points, enum.perms)
+        assert check_corner(other, enum.points).rank.max() == 4
 
 
 def test_exact_rank_matches_float_rank_on_random_sign_rows():

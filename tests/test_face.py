@@ -21,9 +21,15 @@ from cranregions import face as df
 from cranregions import suites
 from cranregions.prob import FACE_TOL, PIVOT_TOL, build_uplink_joint
 from cranregions.face import in_sub_face_DST, in_sub_face_cond
-from cranregions.uplink import dedup_index, region_rows
+from cranregions.uplink import dedup_index
 
-from conftest import identity_chain_spec, k2l2_bsc_spec, product_spec, random_uplink_spec
+from conftest import (
+    identity_chain_spec,
+    k2l2_bsc_spec,
+    pair_of_row,
+    product_spec,
+    random_uplink_spec,
+)
 
 
 def admissible_queries(K, L):
@@ -210,13 +216,13 @@ class TestFaceQueryValidation:
 
 class TestQueryLookup:
     """Query i of `face_queries` is joint-decoding row i + 1: the face bounds
-    are gathered over those rows, and the face functions find a query by the
-    row of its bitmask."""
+    are gathered over those rows, and the face functions find a query by its
+    bitmask, which is that row."""
 
     def test_queries_are_the_rows_but_the_first_and_last(self):
         for K in range(1, 8):
             for L in range(1, 9 - K):
-                pairs, _ = region_rows(K, L, range(1, K + 1), range(1, L + 1))
+                pairs = [pair_of_row(i, K, L) for i in range(1 << (K + L))]
                 assert list(df.admissible_queries(K, L)) == [
                     FaceQuery(S, T) for S, T in pairs[1:-1]], (K, L)
 

@@ -40,7 +40,6 @@ from cranregions.prob import (
     MEMBERSHIP_TOL,
     NEGATIVE_RATE_TOL,
     PIVOT_TOL,
-    subsets,
 )
 from cranregions.uplink import (
     STACK_CHUNK,
@@ -55,9 +54,11 @@ from cranregions.uplink import (
 from conftest import (
     downlink_k1l1_spec,
     k2l2_bsc_spec,
+    pair_of_row,
     product_spec,
     random_downlink_spec,
     random_uplink_spec,
+    subsets,
 )
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -82,11 +83,13 @@ def _box_points(enum, n, rng):
 
 
 def _pairs(K, L):
-    return [(S, T) for S in subsets(range(1, K + 1)) for T in subsets(range(1, L + 1))]
+    """The (S, T) pairs in the row order of a full region, by bitmask."""
+    return [pair_of_row(i, K, L) for i in range(1 << (K + L))]
 
 
 def scalar_min_slack(law, slack, point):
-    """Reference: the first (S, T) pair of least slack, one slack call per pair."""
+    """Reference: the first (S, T) pair of least slack in row order, one slack
+    call per pair."""
     best, arg = math.inf, None
     for S, T in _pairs(*law.built[1:]):
         s = slack(law, point, S, T)
@@ -119,7 +122,7 @@ def test_min_slack_matches_scalar_loop(direction, K, L):
     for point in _box_points(enum, 50, rng):
         s = region.slacks(point[None])[0]  # one point, as a stack of one
         i = int(np.argmin(s))
-        best, arg = s[i], tuple(set(x) for x in region.pairs[i])
+        best, arg = s[i], pair_of_row(i, K, L)
         ref_best, ref_arg = scalar_min_slack(law, slack, point)
         assert best == pytest.approx(ref_best, abs=1e-12)
         assert arg == ref_arg
@@ -307,8 +310,8 @@ def test_face_decomposition_draws_the_reference_points():
     face, row, lb, ub = law.memo("sub-face bounds", lambda: df._sub_face_bounds(law))
     r1 = np.unique(np.round(vertices[:, 0], 9))
     gap = np.unique(np.round(vertices[:, 2] - vertices[:, 0], 9))
-    ub[(face % 2 == 0) & (row == jd.pairs.index(((1,), ())))] = -r1[1]
-    jd.ub[jd.pairs.index(((1,), (1,)))] = gap[-3]
+    ub[(face % 2 == 0) & (row == 0b0001)] = -r1[1]  # the ({1}, {}) row is bitmask 1
+    jd.ub[0b0101] = gap[-3]  # ({1}, {1}): R_1 is bit 0, C_1 bit K = 2
     reports = [check_face_decomposition(law, q) for q in queries]
     assert reports == [per_point_face_decomposition(law, q) for q in queries]
     sizes = [len(df.face_corners(law, q)) for q in queries]

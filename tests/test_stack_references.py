@@ -51,6 +51,7 @@ from cranregions.specio import load_spec
 from conftest import (
     build_region,
     identity_chain_spec,
+    pair_of_row,
     prefix_sets,
     random_downlink_spec,
     random_uplink_spec,
@@ -125,15 +126,20 @@ def scalar_slack(terms, law, K, L):
                                         terms(law, K, L, S, T))
 
 
-def loop_region_rows(K, L, users, relays):
-    """Reference: the normal of each (S, T) pair, -1 on R_S and +1 on C_T, set
-    one pair at a time."""
-    pairs = tuple((S, T) for S in prob.subsets(users) for T in prob.subsets(relays))
-    A = np.zeros((len(pairs), K + L))
-    for row, (S, T) in zip(A, pairs):
-        row[[i - 1 for i in S]] = -1.0
-        row[[K + j - 1 for j in T]] = 1.0
-    return pairs, A
+def loop_region_rows(K, L):
+    """Reference: the normal of the (S, T) pair of each bitmask, -1 on R_S and
+    +1 on C_T, set one pair at a time."""
+    A = np.zeros((1 << (K + L), K + L))
+    for i, row in enumerate(A):
+        S, T = pair_of_row(i, K, L)
+        row[[k - 1 for k in S]] = -1.0
+        row[[K + l - 1 for l in T]] = 1.0
+    return A
+
+
+def row_pairs(K, L):
+    """The (S, T) sets of every row of a full region, in row order."""
+    return [pair_of_row(i, K, L) for i in range(1 << (K + L))]
 
 
 def loop_sd_corner(law, row, K, L):
@@ -505,7 +511,7 @@ def closure_cap(law, q):
     K, L = law.dims("uplink")
     normal = q.mask(K, L) * np.repeat([-1.0, 1.0], [K, L])
     cap = np.array([mutual_info(law, y_names(q.T), yh_names(q.T), x_names(q.S))])
-    return ul.Region(((q.S, q.T),), normal[None], cap, cap)
+    return ul.Region(normal[None], cap, cap)
 
 
 def closure_cross(law, q):
@@ -682,8 +688,7 @@ def test_verify_computes_each_pair_term_once(direction, spec_name, names, monkey
     ok, _ = suites.run_suites(spec, names, seed=0, samples=5)
     K, L, law = spec.K, spec.L, spec.law
     assert ok and calls == [2 ** (K + L)]
-    region = (ul.jd_region if direction == "uplink" else dl.je_region)(law)
-    want = np.array([terms(law, K, L, S, T) for S, T in region.pairs])
+    want = np.array([terms(law, K, L, S, T) for S, T in row_pairs(K, L)])
     assert ul.pair_terms(law, counted, K, L).tobytes() == want.tobytes()
     iterative = ul.corner_iterative if direction == "uplink" else dl.downlink_corner_iterative
     perms = ul.solve_perms(K, L)
@@ -725,15 +730,16 @@ def test_pair_table_matches_per_pair_terms(direction, case):
     else:
         region, build, terms = dl.je_region(law), dl._je_terms, scalar_je_terms
         slack, iterative = dl.je_slack, dl.downlink_corner_iterative
-    want = np.array([terms(fresh.law, K, L, S, T) for S, T in region.pairs])
+    pairs = row_pairs(K, L)
+    want = np.array([terms(fresh.law, K, L, S, T) for S, T in pairs])
     assert ul.pair_terms(law, build, K, L).tobytes() == want.tobytes()
     ref = scalar_slack(terms, fresh.law, K, L)
     origin = np.zeros(K + L)
-    assert region.lb.tobytes() == np.array([-ref(origin, S, T) for S, T in region.pairs]).tobytes()
+    assert region.lb.tobytes() == np.array([-ref(origin, S, T) for S, T in pairs]).tobytes()
     points = rng.uniform(-1.0, 2.0, size=(3, K + L))
-    got = [slack(law, x, S, T) for x in points for S, T in region.pairs]
+    got = [slack(law, x, S, T) for x in points for S, T in pairs]
     assert np.array(got).tobytes() == np.array(
-        [ref(x, S, T) for x in points for S, T in region.pairs]).tobytes()
+        [ref(x, S, T) for x in points for S, T in pairs]).tobytes()
     perms = np.array([rng.permutation(K + L) for _ in range(24)])
     assert iterative(law, perms).tobytes() == np.array(
         [loop_greedy(ref, p, K, L) for p in perms.tolist()]).tobytes()
@@ -741,20 +747,16 @@ def test_pair_table_matches_per_pair_terms(direction, case):
 
 @pytest.mark.parametrize("K, L", SHAPES, ids=lambda s: str(s))
 def test_region_rows_match_per_pair_loop(K, L):
-    """The pairs and normals of the full region and of the leading and
-    conditional sub-networks of every admissible query."""
-    users, relays = set(range(1, K + 1)), set(range(1, L + 1))
-    splits = [(users, relays)] + [part for q in df.admissible_queries(K, L)
-                                  for part in ((q.S, q.T), (users - q.S, relays - q.T))]
-    for S, T in splits:
-        pairs, A = ul.region_rows(K, L, sorted(S), sorted(T))
-        want_pairs, want_A = loop_region_rows(K, L, sorted(S), sorted(T))
-        assert pairs == want_pairs
-        assert A.shape == want_A.shape and A.tobytes() == want_A.tobytes()  # no -0.0
+    """The normals of the full region, and the user and relay bitmasks of each
+    row (`uplink.pair_masks`), against the per-mask loop."""
+    A, want = ul.region_rows(K, L), loop_region_rows(K, L)
+    assert A.shape == want.shape and A.tobytes() == want.tobytes()  # no -0.0
+    masks = [(sum(1 << (k - 1) for k in S), sum(1 << (l - 1) for l in T))
+             for S, T in row_pairs(K, L)]
+    assert list(zip(*(m.tolist() for m in ul.pair_masks(K, L)))) == masks
 
 
 def _same_region(got, want):
-    assert got.pairs == want.pairs
     for a, b in ((got.A, want.A), (got.lb, want.lb), (got.ub, want.ub)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()  # equal bits
 
@@ -771,19 +773,17 @@ def test_sub_face_regions_match_their_own_formulas(case):
     (`sub_face_regions`) and `face_bounds` against its name-keyed formula:
     the sub-faces, the cap rows, the alt region and the cross informations
     of the degeneracy condition.  The caps are alt rows, with +0.0 where the
-    reference's q.mask * normal has -0.0, so their pairs and normals compare
-    by value."""
+    reference's q.mask * normal has -0.0, so their normals compare by value."""
     spec = _spec("uplink", case)
     law, K, L = spec.law, spec.K, spec.L
     (dst, cond), (alt, caps, cross) = sub_face_regions(law), df.face_bounds(law)
     _same_region(alt, closure_alt(law))
     queries = list(df.admissible_queries(K, L))
-    assert len(dst) == len(cond) == len(caps.pairs) == len(cross) == len(queries)
+    assert len(dst) == len(cond) == len(caps.A) == len(cross) == len(queries)
     for i, q in enumerate(queries):
         for got, want in zip((dst[i], cond[i]), closure_sub_faces(law, q)):
             _same_region(got, want)
         want = closure_cap(law, q)
-        assert [tuple(map(frozenset, p)) for p in caps.pairs[i:i + 1]] == list(want.pairs)
         assert caps.A[i:i + 1].shape == want.A.shape and np.array_equal(caps.A[i:i + 1], want.A)
         for got, b in ((caps.lb, want.lb), (caps.ub, want.ub)):
             assert got[i:i + 1].tobytes() == b.tobytes(), q  # equal bits
@@ -806,8 +806,7 @@ def test_each_query_reads_its_sub_face_rows_as_one_run(case):
     for i, q in enumerate(queries):
         for k, side in ((2 * i, "DST"), (2 * i + 1, "cond")):
             seg = slice(start[k], start[k + 1])
-            got = ul.Region(tuple(jd.pairs[r] for r in row[seg].tolist()), jd.A[row[seg]],
-                            lb[seg], ub[seg])
+            got = ul.Region(jd.A[row[seg]], lb[seg], ub[seg])
             _same_region(got, df._sub_face(law, q, side))
 
 

@@ -26,6 +26,7 @@ from conftest import (
     build_region,
     identity_chain_spec,
     k2l2_bsc_spec,
+    pair_of_row,
     random_uplink_spec,
 )
 from test_prob import h2
@@ -64,7 +65,7 @@ class TestGreedyCorner:
             return capacity_minus_rate(star, 2, S, T)
 
         region = build_region(2, 2, range(1, 3), range(1, 3), lambda S, T: (f(S, T), np.inf))
-        terms = np.array([[-f(S, T)] for S, T in region.pairs])
+        terms = np.array([[-f(*pair_of_row(i, 2, 2))] for i in range(len(region.A))])
         perms = solve_perms(2, 2)
         corners = greedy_corner(region, terms, perms)
         assert corners.tolist() == [star.tolist()] * len(perms)
