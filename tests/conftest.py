@@ -95,6 +95,20 @@ def downlink_k1l1_spec() -> DownlinkSpec:
     return DownlinkSpec(K=1, L=1, aux_joint=aux, channel=bsc(0.1))
 
 
+def entropy_of(probs: np.ndarray) -> float:
+    """Entropy in bits of a probability tensor, over all its entries."""
+    p = probs.ravel()
+    p = p[p > 0]
+    return float(-(p @ np.log2(p)))
+
+
+def mask_entropy(law, m: int) -> float:
+    """Reference: H of the variable bitmask m of a law, summed from the full
+    tensor over the axes that m drops, one mask at a time."""
+    drop = tuple(i for i in range(law.probs.ndim) if not m >> i & 1)
+    return entropy_of(law.probs.sum(axis=drop)) if m else 0.0
+
+
 def prefix_sets(perm, k: int, K: int) -> tuple[set, set]:
     """(I_k, J_k): the users and relays (1-based) solved strictly before step k
     (1-based) of a solve-order row, whose entries number R_1..R_K, C_1..C_L

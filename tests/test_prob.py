@@ -13,7 +13,7 @@ from cranregions import DownlinkSpec, JointLaw, LawError, UplinkSpec, entropy, m
 from cranregions.prob import build_uplink_joint, entropies, mutual_infos
 from cranregions.specio import load_spec
 
-from conftest import bsc, bsc_chain_spec, identity_chain_spec, random_uplink_spec
+from conftest import bsc, bsc_chain_spec, identity_chain_spec, mask_entropy, random_uplink_spec
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 
@@ -110,14 +110,39 @@ def _names(law, mask):
     return [n for i, n in enumerate(law.names) if mask >> i & 1]
 
 
+def random_law(seed: int, n: int) -> JointLaw:
+    """A law over n variables of 1 to 4 values, one of them (for n >= 2) of a
+    single value, and about a third of its entries zero."""
+    rng = np.random.default_rng(seed)
+    shape = rng.integers(1, 5, size=n)
+    if n >= 2:
+        shape[rng.integers(n)] = 1
+    p = np.array(rng.random(shape) * (rng.random(shape) > 0.3))
+    p.flat[-1] += 0.1  # not all zero
+    return JointLaw(tuple(f"V{i}" for i in range(n)), p / p.sum())
+
+
+# (seed, n) of the random laws; n is at most 6 where every disjoint triple is read
+RANDOM_LAWS = [(seed, n) for seed, n in enumerate((0, 1, 2, 3, 4, 5, 6, 6, 7, 8, 8))]
+
+
+def _law(name):
+    if name.startswith("random"):
+        return random_law(*RANDOM_LAWS[int(name[len("random"):])])
+    return load_spec(SPECS / f"{name}.json").law
+
+
 class TestMaskGather:
     """`entropies` and `mutual_infos` on variable bitmasks against the
-    name-keyed `entropy` and `mutual_info`, bit for bit."""
+    name-keyed `entropy` and `mutual_info`, bit for bit, and the entropy
+    vector against one marginal sum per mask."""
 
     @pytest.mark.parametrize("spec", ["identity_k1l1", "uplink_k2l2", "product_k2l2",
-                                      "downlink_k1l1", "downlink_k2l2"])
+                                      "downlink_k1l1", "downlink_k2l2",
+                                      *(f"random{i}" for i, (_, n) in enumerate(RANDOM_LAWS)
+                                        if n <= 6)])
     def test_every_disjoint_triple_matches_mutual_info(self, spec):
-        law = load_spec(SPECS / f"{spec}.json").law
+        law = _law(spec)
         n = len(law.names)
         # each variable in a, b, c or in none of them: every disjoint triple once
         place = np.array(list(itertools.product(range(4), repeat=n))).T
@@ -128,13 +153,21 @@ class TestMaskGather:
         h = np.array([entropy(law, _names(law, m)) for m in range(1 << n)])
         assert entropies(law, np.arange(1 << n)[::-1]).tobytes() == h[::-1].tobytes()
 
+    @pytest.mark.parametrize("i", range(len(RANDOM_LAWS)))
+    def test_entropy_vector_matches_per_mask_sums(self, i):
+        law = _law(f"random{i}")
+        h = law.H
+        want = np.array([mask_entropy(law, m) for m in range(1 << len(law.names))])
+        assert h.shape == want.shape and not h.flags.writeable
+        assert h[0] == 0.0 and math.copysign(1.0, h[0]) == 1.0
+        assert np.all(np.abs(h - want) <= 1e-12 * np.maximum(1.0, want))
+
     def test_clamp_keeps_negative_zero_as_max_does(self):
         law = JointLaw(("A", "B"), np.full((2, 2), 0.25))
-        # cached entropies that make I(A; B) = (-0.0 + -0.0) - 0.0 - 0.0 = -0.0, then
+        # entropy vectors that make I(A; B) = (-0.0 + -0.0) - 0.0 - 0.0 = -0.0, then
         # ones a rounding below and above zero
         for ha, hab, want in ((-0.0, 0.0, -0.0), (1.0, 2.0 + 1e-13, 0.0), (1.0, 2.0 - 1e-13, None)):
-            law._entropy_cache.clear()
-            law._entropy_cache.update({0b01: ha, 0b10: ha, 0b11: hab})  # A, B, AB
+            vars(law)["H"] = np.array([0.0, ha, ha, hab])  # {}, A, B, AB
             one = mutual_info(law, ["A"], ["B"])
             got = mutual_infos(law, [1, 1], [2, 2])
             assert got.tobytes() == np.array([one, one]).tobytes()

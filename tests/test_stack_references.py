@@ -40,7 +40,6 @@ from cranregions.prob import (
     LawError,
     UplinkSpec,
     clamp_info,
-    entropy_of,
     u_names,
     x_names,
     y_names,
@@ -50,6 +49,7 @@ from cranregions.specio import load_spec
 
 from conftest import (
     build_region,
+    entropy_of,
     identity_chain_spec,
     pair_of_row,
     prefix_sets,
