@@ -267,22 +267,23 @@ def face_decomposition_failures(law: JointLaw, queries, tol: float = FACE_TOL) -
         s = vertices[rows[i]] @ normals[row[run]].T  # C(T) - R(S) of each face vertex and row
         failures[0, i] = np.count_nonzero(np.fmin(s - lb[run], ub[run] - s).min(axis=1) < -tol)
     masks = face_bounds(law)[1].A != 0  # R_S and C_T of each query
-    n_a, n_b, pairs = _product_counts([(vertices[rows[i]], masks[i]) for i in at],
-                                      max(tol, PIVOT_TOL))
+    items, near = [(vertices[rows[i]], masks[i]) for i in at], max(tol, PIVOT_TOL)
+    n_a, n_b, pairs = _product_counts(items, _projection_classes(items, near), near)
     failures[1, at] = n_a * n_b - pairs
     return failures
 
 
-def _product_counts(items, tol: float) -> tuple:
-    """For (vertices, mask) items, an (n, d) stack and a (d,) bool mask each: the
-    distinct counts n_a and n_b of the masked and the complement projections
-    at `tol`, and the number of distinct (a, b) pairs of them among the n
-    vertices, which are their product exactly when n_a * n_b - pairs is 0.
-    Both projections of every item go through one `_projection_classes` call."""
+def _product_counts(items, a: np.ndarray, tol: float) -> tuple:
+    """For (vertices, mask) items, an (n, d) stack and a (d,) bool mask each, and
+    `a`, the `_projection_classes` of the items at `tol`: the distinct counts
+    n_a and n_b of the masked and the complement projections, and the number
+    of distinct (a, b) pairs of them among the n vertices, which are their
+    product exactly when n_a * n_b - pairs is 0.  The complement projections
+    go through one `_projection_classes` call."""
     size = np.array([len(v) for v, _ in items], int)
     item = np.repeat(np.arange(len(items)), size)
     local = np.arange(len(item)) - np.repeat(np.cumsum(size) - size, size)  # row in its item
-    a, b = np.split(_projection_classes(items + [(v, ~m) for v, m in items], tol), 2)
+    b = _projection_classes([(v, ~m) for v, m in items], tol)
     keys = np.sort((np.arange(len(item)) - local + a) * len(item) + b)  # (a row, b class)
     pairs = keys[np.diff(keys, prepend=-1) != 0] // len(item)  # the a row of each distinct pair
     return tuple(np.bincount(item[x], minlength=len(size)) for x in (a == local, b == local, pairs))
@@ -354,7 +355,8 @@ def _factorizations(law: JointLaw) -> list:
     n_a * n_b, the distinct (a, b) pairs and the n vertices are as many.
     Per run of splits within PRODUCT_BUDGET, one `_projection_classes` call
     on the first projections, then `_product_counts` on the splits whose n_a
-    divides n, if any; no product of n_a rows has n vertices otherwise."""
+    divides n, if any, with their classes; no product of n_a rows has n
+    vertices otherwise."""
     mat = enumerate_corners(law).vertices  # distinct at DEDUP_TOL = FACE_TOL
     n, d = mat.shape  # n >= 1: dedup keeps the first corner
     masks = (np.arange(1, (1 << d) - 1, 2)[:, None] >> np.arange(d) & 1).astype(bool)
@@ -363,7 +365,8 @@ def _factorizations(law: JointLaw) -> list:
         a = _projection_classes([(mat, m) for m in masks[i:i + step]], FACE_TOL).reshape(-1, n)
         even = i + np.flatnonzero(n % np.count_nonzero(a == np.arange(n), axis=1) == 0)
         if len(even):
-            n_a, n_b, pairs = _product_counts([(mat, m) for m in masks[even]], FACE_TOL)
+            n_a, n_b, pairs = _product_counts([(mat, m) for m in masks[even]],
+                                              a[even - i].ravel(), FACE_TOL)
             verdicts[even] = (n_a * n_b == pairs) & (pairs == n)
     return verdicts.tolist()
 

@@ -473,9 +473,15 @@ def _corner_points(spec: UplinkSpec, cells: np.ndarray, corners: np.ndarray) -> 
     n = spec.K + spec.L
     cols = _position(n, np.arange(2, n + 1), cells[:, None, :] + 1 - corners)
     keys = np.concatenate([np.full(cols.shape[:2] + (1,), _position(n, 1, 1)), cols], axis=2)
-    codes, inv = np.unique(np.argsort(keys, axis=2) @ n ** np.arange(n), return_inverse=True)
-    orders = codes[:, None] // n ** np.arange(n) % n  # the base-n digits of each code
-    return sd_corner(spec.law, orders)[inv.ravel()].reshape(cols.shape[:2] + (n,))
+    code = (np.argsort(keys, axis=2) @ n ** np.arange(n)).ravel()
+    # the distinct codes, ascending, and each corner's place among them, from one sort of
+    # code and row packed in one int64 (codes are below n^n <= 8^8, rows below 2^16)
+    code, row = np.divmod(np.sort(code * len(code) + np.arange(len(code))), len(code))
+    first = np.diff(code, prepend=-1) != 0
+    inv = np.empty(len(code), np.intp)
+    inv[row] = np.cumsum(first) - 1
+    orders = code[first, None] // n ** np.arange(n) % n  # the base-n digits of each code
+    return sd_corner(spec.law, orders)[inv].reshape(cols.shape[:2] + (n,))
 
 
 def _multilinear(G: np.ndarray, corners: np.ndarray, x: np.ndarray):

@@ -979,7 +979,7 @@ def test_factorizations_match_the_per_split_reference_in_runs_of_one_split(monke
     assert n * (d + 1) > df.PRODUCT_BUDGET
     seen, counts = [], df._product_counts
     monkeypatch.setattr(df, "_product_counts",
-                        lambda items, tol: seen.extend(items) or counts(items, tol))
+                        lambda items, a, tol: seen.extend(items) or counts(items, a, tol))
     verdicts = [df.check_degenerate_factorization(law, q) for q in df.face_queries(law)]
     assert len(seen) == 6
     assert verdicts == [split_factorization(law, q) for q in df.face_queries(law)]
