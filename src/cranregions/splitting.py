@@ -475,7 +475,7 @@ def _corner_points(spec: UplinkSpec, cells: np.ndarray, corners: np.ndarray) -> 
     keys = np.concatenate([np.full(cols.shape[:2] + (1,), _position(n, 1, 1)), cols], axis=2)
     code = (np.argsort(keys, axis=2) @ n ** np.arange(n)).ravel()
     # the distinct codes, ascending, and each corner's place among them, from one sort of
-    # code and row packed in one int64 (codes are below n^n <= 8^8, rows below 2^16)
+    # code * rows + row, which fits an int64: codes are below n^n <= 8^8 = 2^24
     code, row = np.divmod(np.sort(code * len(code) + np.arange(len(code))), len(code))
     first = np.diff(code, prepend=-1) != 0
     inv = np.empty(len(code), np.intp)
