@@ -137,35 +137,37 @@ def _entropy_lattice(probs: np.ndarray) -> np.ndarray:
     """H of every variable bitmask of a probability tensor, bit i for axis i.
 
     Each axis in turn, axis 0 first, gets a state after its a values that
-    holds their sum, and moves to the back.  After all of them, entry
-    (s_0, ..., s_{n-1}) of one array is the marginal of the axes whose s_i is
-    below a_i, summed over the others.  x log2 x over that array, zeros giving
-    0, is then folded per axis, the last first, into two states that move to
-    the front: 0 holds the summed state (the axis dropped) and 1 the sum over
-    its values (kept)."""
+    holds their sum, and joins the extended axes at the back, ahead of them.
+    After all of them, entry (s_{n-1}, ..., s_0) of one array is the marginal
+    of the axes whose s_i is below a_i, summed over the others.  x log2 x over
+    that array, zeros giving 0, is then folded per axis, the last first, into
+    two states that join the folded axes at the front, behind them: 0 holds
+    the summed state (the axis dropped) and 1 the sum over its values (kept).
+    So bit i of the index is axis i, and the steps on the largest arrays copy
+    and add whole runs of the extended axes or of the axes left to fold."""
     shape = probs.shape
-    t = probs
+    t, e = probs, 1  # e: entries of the extended axes
     for a in shape:
-        t = t.reshape(a, -1)
-        out = np.empty((t.shape[1], a + 1))
-        out[:, :a] = t.T
+        t = t.reshape(a, -1, e)
+        out = np.empty((t.shape[1], a + 1, e))
+        out[:, :a] = t.transpose(1, 0, 2)
         out[:, a] = t[0]
         for j in range(1, a):
             out[:, a] += t[j]
-        t = out
+        t, e = out, e * (a + 1)
     t = t.ravel()
     x = np.log2(t, out=np.zeros_like(t), where=t > 0)
     x *= t
+    f = 1  # entries of the folded axes
     for a in shape[::-1]:
-        x = x.reshape(-1, a + 1)
-        out = np.empty((2, len(x)))
-        out[0] = x[:, a]
-        out[1] = x[:, 0]
+        x = x.reshape(f, a + 1, -1)
+        out = np.empty((f, 2, x.shape[2]))
+        out[:, 0] = x[:, a]
+        out[:, 1] = x[:, 0]
         for j in range(1, a):
-            out[1] += x[:, j]
-        x = out
-    # bit i of the index is axis i: the reverse of the axes' C order
-    h = -x.reshape((2,) * len(shape)).transpose(range(len(shape))[::-1]).ravel()
+            out[:, 1] += x[:, j]
+        x, f = out, f * 2
+    h = -x.ravel()
     h[0] = 0.0
     h.setflags(write=False)
     return h
