@@ -4,15 +4,21 @@ Joint laws are dense probability tensors over a tuple of named variables.
 All entropies and mutual informations are in bits.  Target scale is small
 (a handful of variables with alphabet sizes <= 4), so exact tensor sums
 are used throughout; there is no sampling or sparsity anywhere.  Each law
-keeps one entropy vector `law.H` of length 2^n: entry m is the joint entropy
-of the variables of bitmask m (bit i for `names[i]`).  `entropies`,
-`mutual_infos` and `gather` index it with arrays of masks, and the name-keyed
-`entropy` and `mutual_info` with their names' mask.  The vector is built on
-first read by one pass over the subset lattice (Yates's algorithm, the fast
-zeta transform applied per axis): every marginal at once in one array of
-prod(a_i + 1) entries, then x log x over it, then per axis a fold into the
-axis dropped or kept.  That transient is at most 1.5^n times the tensor when
-every axis has two or more values (a size-1 axis doubles it).
+keeps one entropy vector of length 2^n (`law.H` reads it whole): entry m is
+the joint entropy of the variables of bitmask m (bit i for `names[i]`).
+`entropies`, `mutual_infos` and `gather` index it with arrays of masks, and
+the name-keyed `entropy` and `mutual_info` with their names' mask.  The
+vector is filled on demand, a block at a time, by passes over the subset
+lattice (Yates's algorithm, the fast zeta transform applied per axis).  The
+low axes, those whose lattice has at most LATTICE_BLOCK entries (all nine
+axes of a binary law of nine variables), are summed into every marginal at
+once in one array of prod(a_i + 1) entries over them, x log x is taken over
+it and it is folded per axis into the axis dropped or kept.  Each pattern of
+the high axes that a read mask has is one block: its kept high axes ride
+along as a batch, and its dropped ones are summed out first.  A law of at
+most nine binary variables is one block, filled on its first read; a larger
+one fills only the blocks its masks fall in, and no transient is larger than
+LATTICE_BLOCK / prod(a_i) times the tensor, over the low axes.
 
 Every tolerance of the package is defined here and imported from here:
 
@@ -35,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-
 import numpy as np
 
 INPUT_NORM_TOL = 1e-9
@@ -51,6 +56,8 @@ MI_ZERO_TOL = 1e-10
 MERGE_TOL = 1e-12
 TELESCOPE_TOL = 1e-9
 INVERT_TOL = 1e-4
+
+LATTICE_BLOCK = 3 ** 9  # entries of the largest lattice of low axes one block builds
 
 
 class LawError(ValueError):
@@ -106,11 +113,15 @@ class JointLaw:
             raise LawError(f"not {_BUILT_OVER[direction]}: {self.names}")
         return self.built[1:]
 
-    @cached_property
+    @property
     def H(self) -> np.ndarray:
         """Read-only joint entropies in bits of every variable subset: H[m] is
-        that of the variables of bitmask m, and H[0] is 0."""
-        return _entropy_lattice(self.probs)
+        that of the variables of bitmask m, and H[0] is 0.  Reading it fills
+        every block of the entropy vector; `entropies` fills only those of
+        the masks it reads."""
+        h = entropies(self, np.arange(1 << self.probs.ndim))
+        h.setflags(write=False)
+        return h
 
     def memo(self, key, build):
         """build(), computed once per `key` for this law and kept."""
@@ -128,26 +139,27 @@ class JointLaw:
 
 
 def entropy(law: JointLaw, names) -> float:
-    """Joint entropy H(names) in bits, the entry of `law.H` at the variable
-    bitmask of `names`; H of the empty set is 0."""
-    return float(law.H[sum(1 << i for i in set(law.axes(names)))])
+    """Joint entropy H(names) in bits, the entry of the entropy vector at the
+    variable bitmask of `names`; H of the empty set is 0."""
+    return float(entropies(law, sum(1 << i for i in set(law.axes(names)))))
 
 
-def _entropy_lattice(probs: np.ndarray) -> np.ndarray:
-    """H of every variable bitmask of a probability tensor, bit i for axis i.
+def _fill_blocks(probs: np.ndarray, h: np.ndarray, masks: np.ndarray):
+    """Write into `h` the entropies of every block that one of `masks` falls
+    in, each entry with the bits one pass over the whole lattice gives it.
 
-    Each axis in turn, axis 0 first, gets a state after its a values that
-    holds their sum, and joins the extended axes at the back, ahead of them.
-    After all of them, entry (s_{n-1}, ..., s_0) of one array is the marginal
-    of the axes whose s_i is below a_i, summed over the others.  x log2 x over
-    that array, zeros giving 0, is then folded per axis, the last first, into
-    two states that join the folded axes at the front, behind them: 0 holds
-    the summed state (the axis dropped) and 1 the sum over its values (kept).
-    So bit i of the index is axis i, and the steps on the largest arrays copy
-    and add whole runs of the extended axes or of the axes left to fold."""
-    shape = probs.shape
+    The low axes are the first b, the most whose lattice has at most
+    LATTICE_BLOCK entries; block T holds the masks T << b | m, m < 2^b.  Each
+    low axis in turn, axis 0 first, gets a state after its a values that
+    holds their sum, and joins the extended axes at the back, ahead of them,
+    so entry (high values, s_{b-1}, ..., s_0) of one array is the marginal
+    of the high axes and of the low axes whose s_i is below a_i, summed over
+    the others.  `_fill_high` then sums out the high axes each block drops."""
+    b = int(np.searchsorted(np.cumprod(np.add(probs.shape, 1)), LATTICE_BLOCK, side="right"))
+    hit = np.zeros(len(h) >> b, dtype=bool)
+    hit[masks >> b] = True
     t, e = probs, 1  # e: entries of the extended axes
-    for a in shape:
+    for a in probs.shape[:b]:
         t = t.reshape(a, -1, e)
         out = np.empty((t.shape[1], a + 1, e))
         out[:, :a] = t.transpose(1, 0, 2)
@@ -155,11 +167,50 @@ def _entropy_lattice(probs: np.ndarray) -> np.ndarray:
         for j in range(1, a):
             out[:, a] += t[j]
         t, e = out, e * (a + 1)
-    t = t.ravel()
+    high = probs.ndim - b
+    _fill_high(h, t.reshape(probs.shape[b:] + (e,)),
+               hit.reshape((2,) * high).transpose(range(high - 1, -1, -1)), probs.shape[:b])
+    if hit[0]:
+        h[0] = 0.0
+    if not np.isnan(h).any():
+        h.setflags(write=False)
+
+
+def _fill_high(h, t, hit, low, k=0, T=0, kept=0):
+    """Decide the high axes from the first, k of them decided (those T keeps),
+    and fill the blocks `hit[d_k, d_{k+1}, ...]` marks, d_j = 1 where block
+    T keeps high axis j.  `t` holds the `kept` high axes kept so far, then
+    those not yet decided, then the extended low axes; a dropped one is
+    summed out in the order the whole lattice sums it."""
+    if hit.ndim == 0:
+        b = len(low)
+        h[T << b:(T + 1) << b] = _fold(t, kept, low)
+        return
+    if hit[0].any():
+        s = t.take(0, axis=kept)
+        for j in range(1, t.shape[kept]):
+            s += t.take(j, axis=kept)
+        _fill_high(h, s, hit[0], low, k + 1, T, kept)
+    if hit[1].any():
+        _fill_high(h, t, hit[1], low, k + 1, T | 1 << k, kept + 1)
+
+
+def _fold(t: np.ndarray, kept: int, low: tuple) -> np.ndarray:
+    """H of one block from its marginals `t` (the `kept` high axes, then the
+    extended low axes of sizes `low`): x log2 x over them, zeros giving 0,
+    is summed over the kept high axes, the last first, then folded per low
+    axis, the last first, into two states that join the folded axes at the
+    front, behind them: 0 holds the summed state (the axis dropped) and 1
+    the sum over its values (kept).  So bit i of the index is low axis i."""
     x = np.log2(t, out=np.zeros_like(t), where=t > 0)
     x *= t
+    for d in range(kept - 1, -1, -1):
+        s = x.take(0, axis=d)
+        for j in range(1, x.shape[d]):
+            s += x.take(j, axis=d)
+        x = s
     f = 1  # entries of the folded axes
-    for a in shape[::-1]:
+    for a in low[::-1]:
         x = x.reshape(f, a + 1, -1)
         out = np.empty((f, 2, x.shape[2]))
         out[:, 0] = x[:, a]
@@ -167,10 +218,7 @@ def _entropy_lattice(probs: np.ndarray) -> np.ndarray:
         for j in range(1, a):
             out[:, 1] += x[:, j]
         x, f = out, f * 2
-    h = -x.ravel()
-    h[0] = 0.0
-    h.setflags(write=False)
-    return h
+    return -x.ravel()
 
 
 def clamp_info(val: float) -> float:
@@ -206,9 +254,16 @@ def mutual_info(law: JointLaw, a, b, c=()) -> float:
 
 def entropies(law: JointLaw, masks) -> np.ndarray:
     """H of each variable bitmask of an integer array, bit i standing for
-    `law.names[i]`, in an array of the masks' shape: `law.H` indexed by the
-    masks, the entries `entropy` reads."""
-    return law.H[np.asarray(masks, dtype=np.int64)]
+    `law.names[i]`, in an array of the masks' shape: the law's entropy vector
+    (NaN where not yet filled, read-only once full) indexed by the masks,
+    after the blocks of those it lacks are filled."""
+    masks = np.asarray(masks, dtype=np.int64)
+    h = law.memo("entropy vector", lambda: np.full(1 << law.probs.ndim, np.nan))
+    v = h[masks]
+    if h.flags.writeable and np.isnan(v).any():
+        _fill_blocks(law.probs, h, masks[np.isnan(v)])
+        v = h[masks]
+    return v
 
 
 def mutual_infos(law: JointLaw, a, b, c=0) -> np.ndarray:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cranregions import DownlinkSpec, JointLaw, LawError, UplinkSpec, entropy, mutual_info
+from cranregions import prob
 from cranregions.prob import build_uplink_joint, entropies, mutual_infos
 from cranregions.specio import load_spec
 
@@ -162,12 +163,34 @@ class TestMaskGather:
         assert h[0] == 0.0 and math.copysign(1.0, h[0]) == 1.0
         assert np.all(np.abs(h - want) <= 1e-12 * np.maximum(1.0, want))
 
+    @pytest.mark.parametrize("i", range(len(RANDOM_LAWS)))
+    @pytest.mark.parametrize("block", [1, 2, 30, 200])
+    def test_blocks_fill_with_the_whole_lattice_bits(self, i, block, monkeypatch):
+        """Low lattices of at most `block` entries: a read fills only the
+        blocks of its masks, and every entry has the bits of the one-block
+        vector, whatever blocks were filled before it."""
+        whole = _law(f"random{i}").H
+        law = _law(f"random{i}")
+        monkeypatch.setattr(prob, "LATTICE_BLOCK", block)
+        n = len(law.names)
+        b = int(np.sum(np.cumprod(np.add(law.probs.shape, 1)) <= block))
+        rng = np.random.default_rng(i)
+        for _ in range(3):
+            masks = rng.integers(0, 1 << n, size=3)
+            assert entropies(law, masks).tobytes() == whole[masks].tobytes()
+        filled = ~np.isnan(law.memo("entropy vector", None))
+        blocks = np.zeros(1 << (n - b), dtype=bool)
+        blocks[np.flatnonzero(filled) >> b] = True
+        assert filled.sum() == blocks.sum() << b
+        assert law.H.tobytes() == whole.tobytes()
+        assert not law.memo("entropy vector", None).flags.writeable  # full, so never checked again
+
     def test_clamp_keeps_negative_zero_as_max_does(self):
         law = JointLaw(("A", "B"), np.full((2, 2), 0.25))
         # entropy vectors that make I(A; B) = (-0.0 + -0.0) - 0.0 - 0.0 = -0.0, then
         # ones a rounding below and above zero
         for ha, hab, want in ((-0.0, 0.0, -0.0), (1.0, 2.0 + 1e-13, 0.0), (1.0, 2.0 - 1e-13, None)):
-            vars(law)["H"] = np.array([0.0, ha, ha, hab])  # {}, A, B, AB
+            law._memo["entropy vector"] = np.array([0.0, ha, ha, hab])  # {}, A, B, AB
             one = mutual_info(law, ["A"], ["B"])
             got = mutual_infos(law, [1, 1], [2, 2])
             assert got.tobytes() == np.array([one, one]).tobytes()
