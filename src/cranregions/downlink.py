@@ -9,10 +9,10 @@ The joint-encoding region is cut out by
 where Istar is the multivariate correlation sum_j H(.) - H(joint).  The
 terms of every pair come from one table per law (`uplink.pair_terms`): the
 informations from one gather on variable bitmasks, Istar from the singleton
-and joint entropies of the same cache.  The iterative corner procedure is
-the uplink's greedy solution (`uplink.greedy_corner`) on that table.  The
-closed-form corner of a solve order is its successive-encoding corner, read
-off one table per law (`se_corner`).  Orders are rows of coordinate
+and joint entropies of the law's entropy vector.  The iterative corner
+procedure is the uplink's greedy solution (`uplink.greedy_corner`) on that
+table.  The closed-form corner of a solve order is its successive-encoding
+corner, read off one table per law (`se_corner`).  Orders are rows of coordinate
 indices, as in the uplink.  Unlike the uplink, the encoding order achieving
 a corner is the solve order itself (no reversal).
 

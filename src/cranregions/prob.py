@@ -8,17 +8,19 @@ keeps one entropy vector of length 2^n (`law.H` reads it whole): entry m is
 the joint entropy of the variables of bitmask m (bit i for `names[i]`).
 `entropies`, `mutual_infos` and `gather` index it with arrays of masks, and
 the name-keyed `entropy` and `mutual_info` with their names' mask.  The
-vector is filled on demand, a block at a time, by passes over the subset
-lattice (Yates's algorithm, the fast zeta transform applied per axis).  The
-low axes, those whose lattice has at most LATTICE_BLOCK entries (all nine
-axes of a binary law of nine variables), are summed into every marginal at
-once in one array of prod(a_i + 1) entries over them, x log x is taken over
-it and it is folded per axis into the axis dropped or kept.  Each pattern of
-the high axes that a read mask has is one block: its kept high axes ride
-along as a batch, and its dropped ones are summed out first.  A law of at
-most nine binary variables is one block, filled on its first read; a larger
-one fills only the blocks its masks fall in, and no transient is larger than
-LATTICE_BLOCK / prod(a_i) times the tensor, over the low axes.
+vector is filled on demand by passes over the subset lattice (Yates's
+algorithm, the fast zeta transform applied per axis): each axis gets a state
+that holds the sum over its values, so one array of prod(a_i + 1) entries
+holds every marginal; x log2 x is taken over it once, and each axis is then
+folded into the axis dropped or kept.  The low axes, the most whose lattice
+has at most LATTICE_BLOCK entries, are extended once per fill, with the
+high axes alongside; each pattern of the high axes that a read mask has is
+one block, summed out and folded in the order the whole lattice adds it, so
+an entry has the same bits whichever blocks are filled.  A law of up to nine
+binary variables is one block, filled on its first read.  A larger law fills
+only the blocks its masks fall in, and its largest transient is the low
+lattice times the high axes' values: prod(1 + 1/a_i) over the low axes, at
+most 1.5^9 when they have two or more values each, times the tensor.
 
 Every tolerance of the package is defined here and imported from here:
 
