@@ -13,14 +13,14 @@ algorithm, the fast zeta transform applied per axis): each axis gets a state
 that holds the sum over its values, so one array of prod(a_i + 1) entries
 holds every marginal; x log2 x is taken over it once, and each axis is then
 folded into the axis dropped or kept.  The low axes, the most whose lattice
-has at most LATTICE_BLOCK entries, are extended once per fill, with the
-high axes alongside; each pattern of the high axes that a read mask has is
-one block, summed out and folded in the order the whole lattice adds it, so
-an entry has the same bits whichever blocks are filled.  A law of up to nine
-binary variables is one block, filled on its first read.  A larger law fills
-only the blocks its masks fall in, and its largest transient is the low
-lattice times the high axes' values: prod(1 + 1/a_i) over the low axes, at
-most 1.5^9 when they have two or more values each, times the tensor.
+has at most LATTICE_BLOCK entries and at most LATTICE_ARRAY over all values
+of the high axes, are extended once per fill, with the high axes alongside;
+each pattern of the high axes that a read mask has is one block, summed out
+and folded in the order the whole lattice adds it, so an entry has the same
+bits whichever blocks are filled.  A law of up to nine binary variables is
+one block, filled on its first read.  A larger law fills only the blocks its
+masks fall in, and no transient is larger than that extended array (the
+tensor itself, when the tensor has more than LATTICE_ARRAY entries).
 
 Every tolerance of the package is defined here and imported from here:
 
@@ -59,7 +59,8 @@ MERGE_TOL = 1e-12
 TELESCOPE_TOL = 1e-9
 INVERT_TOL = 1e-4
 
-LATTICE_BLOCK = 3 ** 9  # entries of the largest lattice of low axes one block builds
+LATTICE_BLOCK = 3 ** 9  # most entries of the low axes' lattice
+LATTICE_ARRAY = 1 << 20  # most entries of that lattice over all values of the high axes
 
 
 class LawError(ValueError):
@@ -151,13 +152,17 @@ def _fill_blocks(probs: np.ndarray, h: np.ndarray, masks: np.ndarray):
     in, each entry with the bits one pass over the whole lattice gives it.
 
     The low axes are the first b, the most whose lattice has at most
-    LATTICE_BLOCK entries; block T holds the masks T << b | m, m < 2^b.  Each
-    low axis in turn, axis 0 first, gets a state after its a values that
-    holds their sum, and joins the extended axes at the back, ahead of them,
-    so entry (high values, s_{b-1}, ..., s_0) of one array is the marginal
-    of the high axes and of the low axes whose s_i is below a_i, summed over
-    the others.  `_fill_high` then sums out the high axes each block drops."""
-    b = int(np.searchsorted(np.cumprod(np.add(probs.shape, 1)), LATTICE_BLOCK, side="right"))
+    LATTICE_BLOCK entries and, over all values of the high axes, at most
+    LATTICE_ARRAY (b is 0 if the tensor alone is larger); block T holds the
+    masks T << b | m, m < 2^b.  Each low axis in turn, axis 0 first, gets a
+    state after its a values that holds their sum, and joins the extended
+    axes at the back, ahead of them, so entry (high values, s_{b-1}, ...,
+    s_0) of one array is the marginal of the high axes and of the low axes
+    whose s_i is below a_i, summed over the others.  `_fill_high` then sums
+    out the high axes each block drops."""
+    lattice = np.cumprod(np.add(probs.shape, 1))  # of the first 1, 2, ... axes
+    array = lattice * (probs.size // np.cumprod(probs.shape))
+    b = int(np.count_nonzero((lattice <= LATTICE_BLOCK) & (array <= LATTICE_ARRAY)))
     hit = np.zeros(len(h) >> b, dtype=bool)
     hit[masks >> b] = True
     t, e = probs, 1  # e: entries of the extended axes
@@ -188,13 +193,19 @@ def _fill_high(h, t, hit, low, k=0, T=0, kept=0):
         b = len(low)
         h[T << b:(T + 1) << b] = _fold(t, kept, low)
         return
-    if hit[0].any():
-        s = t.take(0, axis=kept)
-        for j in range(1, t.shape[kept]):
-            s += t.take(j, axis=kept)
-        _fill_high(h, s, hit[0], low, k + 1, T, kept)
+    if hit[0].any():  # the sum is let go before the blocks that keep axis k
+        _fill_high(h, _sum_values(t, kept), hit[0], low, k + 1, T, kept)
     if hit[1].any():
         _fill_high(h, t, hit[1], low, k + 1, T | 1 << k, kept + 1)
+
+
+def _sum_values(t: np.ndarray, axis: int) -> np.ndarray:
+    """The sum over one axis of `t`, its values added in order."""
+    v = np.moveaxis(t, axis, 0)
+    s = v[0].copy()
+    for j in range(1, len(v)):
+        s += v[j]
+    return s
 
 
 def _fold(t: np.ndarray, kept: int, low: tuple) -> np.ndarray:
@@ -207,10 +218,7 @@ def _fold(t: np.ndarray, kept: int, low: tuple) -> np.ndarray:
     x = np.log2(t, out=np.zeros_like(t), where=t > 0)
     x *= t
     for d in range(kept - 1, -1, -1):
-        s = x.take(0, axis=d)
-        for j in range(1, x.shape[d]):
-            s += x.take(j, axis=d)
-        x = s
+        x = _sum_values(x, d)
     f = 1  # entries of the folded axes
     for a in low[::-1]:
         x = x.reshape(f, a + 1, -1)

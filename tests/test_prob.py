@@ -164,16 +164,24 @@ class TestMaskGather:
         assert np.all(np.abs(h - want) <= 1e-12 * np.maximum(1.0, want))
 
     @pytest.mark.parametrize("i", range(len(RANDOM_LAWS)))
-    @pytest.mark.parametrize("block", [1, 2, 30, 200])
-    def test_blocks_fill_with_the_whole_lattice_bits(self, i, block, monkeypatch):
-        """Low lattices of at most `block` entries: a read fills only the
-        blocks of its masks, and every entry has the bits of the one-block
-        vector, whatever blocks were filled before it."""
+    @pytest.mark.parametrize("block, array", [(1, 1 << 20), (2, 1 << 20), (30, 1 << 20),
+                                              (200, 1 << 20), (3 ** 9, 40)])
+    def test_blocks_fill_with_the_whole_lattice_bits(self, i, block, array, monkeypatch):
+        """Low lattices of at most `block` entries, and of at most `array`
+        over the high axes' values: a read fills only the blocks of its
+        masks, and every entry has the bits of the one-block vector, whatever
+        blocks were filled before it."""
         whole = _law(f"random{i}").H
         law = _law(f"random{i}")
         monkeypatch.setattr(prob, "LATTICE_BLOCK", block)
-        n = len(law.names)
-        b = int(np.sum(np.cumprod(np.add(law.probs.shape, 1)) <= block))
+        monkeypatch.setattr(prob, "LATTICE_ARRAY", array)
+        n, shape = len(law.names), law.probs.shape
+
+        def fits(b):  # b low axes
+            low = math.prod(a + 1 for a in shape[:b])
+            return low <= block and low * math.prod(shape[b:]) <= array
+
+        b = max(b for b in range(n + 1) if b == 0 or fits(b))
         rng = np.random.default_rng(i)
         for _ in range(3):
             masks = rng.integers(0, 1 << n, size=3)
