@@ -383,6 +383,11 @@ def cmd_face(args) -> int:
     if args.S is not None or args.T is not None:
         S = _parse_int_set(args.S or "", "--S")
         T = _parse_int_set(args.T or "", "--T")
+        for option, text, got, n in (("--S", args.S, S, spec.K), ("--T", args.T, T, spec.L)):
+            if not got <= set(range(1, n + 1)):
+                raise UsageError(f"{option} must list indices in 1..{n}, got {text!r}")
+        if not (S or T):
+            raise UsageError("--S and --T are both empty: the face query needs S u T nonempty")
         results["S"] = sorted(S)
         results["T"] = sorted(T)
         if S == set(range(1, spec.K + 1)) and T == set(range(1, spec.L + 1)):
@@ -390,11 +395,7 @@ def cmd_face(args) -> int:
             results["in_face"] = results["on_dominant_face"]
             results["degenerate"] = False
         else:
-            try:
-                q = df.FaceQuery(frozenset(S), frozenset(T))
-                q.validate(spec.K, spec.L)
-            except ValueError as e:
-                raise UsageError(str(e)) from e
+            q = df.FaceQuery(frozenset(S), frozenset(T))
             results["in_face"] = bool(df.in_face_FST(law, point, q)[0])
             results["degenerate"] = df.degeneracy_condition(law, q)
     _emit(

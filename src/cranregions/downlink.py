@@ -94,8 +94,9 @@ def _je_terms(law: JointLaw, K: int, L: int, S, T) -> np.ndarray:
 
 def je_slack(law: JointLaw, x, S, T) -> float:
     """Slack of the joint-encoding constraint for user set S, relay set T, at
-    one (K+L,) vector x, read off the law's table as `uplink.jd_slack` is."""
-    return pair_slack(law, _je_terms, x, S, T)
+    one (K+L,) vector x, read off the law's table as `uplink.jd_slack` is;
+    LawError for a law that is not a downlink law."""
+    return pair_slack(law, _je_terms, *law.dims("downlink"), x, S, T)
 
 
 def je_region(law: JointLaw) -> Region:

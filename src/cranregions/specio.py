@@ -8,13 +8,17 @@ A spec file is a JSON document:
       "alphabets": {"X": [...], "Y": [...], "Yhat": [...]}    (uplink)
                    {"U": [...], "X": [...], "Y": [...]}       (downlink)
       "input_pmfs": [[...], ...],          (uplink)
-      "test_channels": [nested, ...],      (uplink)
       "aux_joint": nested,                 (downlink)
-      "channel": nested
+      "channel": nested,
+      "test_channels": [nested, ...]       (uplink)
     }
 
 Tensors are nested arrays with inputs outermost and outputs innermost
-(the same axis order as the in-memory tensors).
+(the same axis order as the in-memory tensors).  `_FORMATS` states the
+format of each direction once, and `parse_spec` and `spec_to_dict` both
+read it.  A declared alphabet group is optional; one that disagrees with
+the tensors is refused as
+`field 'alphabets.X' declares sizes (3,) but tensors have sizes (2,)`.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
-def _tensor(doc: dict, field: str, per_entry: bool = False):
+def _tensor(doc: dict, field: str, per_entry: bool):
     """The field's nested numbers as one float array, or one array per entry."""
     value = _require(doc, field)
     try:
@@ -47,10 +51,26 @@ def _tensor(doc: dict, field: str, per_entry: bool = False):
         raise SpecFileError(f"field {field!r}: {e}") from e
 
 
+# The spec document format of each direction: the spec class, its tensor fields
+# in document order (each True for one array per entry, False for one array),
+# and the alphabet sizes of each variable group of a built spec.
+_FORMATS = {
+    "uplink": (UplinkSpec, {"input_pmfs": True, "channel": False, "test_channels": True},
+               {"X": lambda s: [len(p) for p in s.input_pmfs],
+                "Y": lambda s: s.channel.shape[s.K:],
+                "Yhat": lambda s: s.quantizer_sizes}),
+    "downlink": (DownlinkSpec, {"aux_joint": False, "channel": False},
+                 {"U": lambda s: s.aux_joint.shape[:s.K],
+                  "X": lambda s: s.aux_joint.shape[s.K:],
+                  "Y": lambda s: s.channel.shape[s.L:]}),
+}
+
+
 def parse_spec(doc: dict):
     direction = _require(doc, "direction")
-    if direction not in ("uplink", "downlink"):
+    if direction not in ("uplink", "downlink"):  # compared, not hashed: any JSON value may come
         raise SpecFileError(f"field 'direction' must be 'uplink' or 'downlink', got {direction!r}")
+    cls, tensors, groups = _FORMATS[direction]
     K = _require(doc, "K")
     L = _require(doc, "L")
     if not (type(K) is int and type(L) is int and K >= 1 and L >= 1):  # a bool is an int too
@@ -59,71 +79,34 @@ def parse_spec(doc: dict):
     if not isinstance(alphabets, dict):
         raise SpecFileError("field 'alphabets' must be an object")
     try:
-        if direction == "uplink":
-            spec = UplinkSpec(K=K, L=L, input_pmfs=_tensor(doc, "input_pmfs", per_entry=True),
-                              channel=_tensor(doc, "channel"),
-                              test_channels=_tensor(doc, "test_channels", per_entry=True))
-            groups = ("X", "Y", "Yhat")
-            actual = (
-                tuple(len(p) for p in spec.input_pmfs),
-                spec.channel.shape[K:],
-                spec.quantizer_sizes,
-            )
-        else:
-            spec = DownlinkSpec(K=K, L=L, aux_joint=_tensor(doc, "aux_joint"),
-                                channel=_tensor(doc, "channel"))
-            groups = ("U", "X", "Y")
-            actual = (
-                spec.aux_joint.shape[:K],
-                spec.aux_joint.shape[K:],
-                spec.channel.shape[L:],
-            )
+        spec = cls(K=K, L=L, **{f: _tensor(doc, f, per_entry) for f, per_entry in tensors.items()})
     except LawError as e:
         raise SpecFileError(str(e)) from e
     except (TypeError, ValueError) as e:
         # a SpecFileError of _tensor or _require is a ValueError too
         raise SpecFileError(f"malformed tensor data: {e}") from e
-    for name, group, a in zip(("first", "second", "third"), groups, actual):
+    for group, sizes in groups.items():
         try:
             d = tuple(alphabets.get(group, ()))
         except TypeError as e:
             raise SpecFileError(f"field 'alphabets.{group}' must be a list of sizes") from e
-        if d and d != tuple(a):
+        actual = tuple(sizes(spec))
+        if d and d != actual:
             raise SpecFileError(
-                f"field 'alphabets' ({name} group) declares sizes {tuple(d)} "
-                f"but tensors have sizes {tuple(a)}"
+                f"field 'alphabets.{group}' declares sizes {d} but tensors have sizes {actual}"
             )
     return spec
 
 
 def spec_to_dict(spec) -> dict:
-    if isinstance(spec, UplinkSpec):
-        return {
-            "direction": "uplink",
-            "K": spec.K,
-            "L": spec.L,
-            "alphabets": {
-                "X": [len(p) for p in spec.input_pmfs],
-                "Y": list(spec.channel.shape[spec.K:]),
-                "Yhat": list(spec.quantizer_sizes),
-            },
-            "input_pmfs": [p.tolist() for p in spec.input_pmfs],
-            "channel": spec.channel.tolist(),
-            "test_channels": [t.tolist() for t in spec.test_channels],
-        }
-    if isinstance(spec, DownlinkSpec):
-        return {
-            "direction": "downlink",
-            "K": spec.K,
-            "L": spec.L,
-            "alphabets": {
-                "U": list(spec.aux_joint.shape[: spec.K]),
-                "X": list(spec.aux_joint.shape[spec.K:]),
-                "Y": list(spec.channel.shape[spec.L:]),
-            },
-            "aux_joint": spec.aux_joint.tolist(),
-            "channel": spec.channel.tolist(),
-        }
+    for direction, (cls, tensors, groups) in _FORMATS.items():
+        if isinstance(spec, cls):
+            doc = {"direction": direction, "K": spec.K, "L": spec.L,
+                   "alphabets": {group: list(sizes(spec)) for group, sizes in groups.items()}}
+            for f, per_entry in tensors.items():
+                value = getattr(spec, f)
+                doc[f] = [a.tolist() for a in value] if per_entry else value.tolist()
+            return doc
     raise TypeError(f"not a spec: {type(spec)}")
 
 

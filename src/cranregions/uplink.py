@@ -132,15 +132,18 @@ def _jd_terms(law: JointLaw, K: int, L: int, S, T) -> np.ndarray:
 def jd_slack(law: JointLaw, x, S, T) -> float:
     """Slack of the joint-decoding constraint for user set S, relay set T, at
     one (K+L,) vector x: nonnegative for every pair in the region.  Its terms
-    are the pair's row of the law's table (`pair_terms`), added in order."""
-    return pair_slack(law, _jd_terms, x, S, T)
+    are the pair's row of the law's table (`pair_terms`), added in order;
+    LawError for a law that is not an uplink law."""
+    return pair_slack(law, _jd_terms, *law.dims("uplink"), x, S, T)
 
 
 def pair_terms(law: JointLaw, terms, K: int, L: int) -> np.ndarray:
     """The law's table of the signed terms of -f(S, T), row i for the pair of
     bitmask i, built once per law by terms(law, K, L, S, T) on the user and
     relay bitmasks of `pair_masks`; the region bounds, the greedy corners and
-    the scalar slack read it."""
+    the scalar slack read it.  The table is kept under one key, so `terms`
+    must be the one of the law's direction: callers pass K, L from
+    `law.dims` of that direction."""
     def build():
         table = terms(law, K, L, *pair_masks(K, L))
         table.setflags(write=False)
@@ -156,10 +159,9 @@ def pair_masks(K: int, L: int) -> tuple:
     return i & ((1 << K) - 1), i >> K
 
 
-def pair_slack(law: JointLaw, terms, x, S, T) -> float:
+def pair_slack(law: JointLaw, terms, K: int, L: int, x, S, T) -> float:
     """C(T) - R(S) at one (K+L,) vector x plus the terms of the pair's row of
     the law's table `pair_terms(law, terms, K, L)`, left to right."""
-    K, L = law.built[1:]
     S, T = set(S), set(T)
     if not (S <= set(range(1, K + 1)) and T <= set(range(1, L + 1))):
         raise ValueError(f"no constraint for S = {sorted(S)}, T = {sorted(T)} at K, L = {K}, {L}")

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -17,9 +18,10 @@ from cranregions import DownlinkSpec, UplinkSpec
 from cranregions import cli
 from cranregions import uplink as ul
 from cranregions.cli import build_parser, main
-from cranregions.specio import SpecFileError, load_spec, save_spec, spec_to_dict
+from cranregions.specio import SpecFileError, load_spec, parse_spec, save_spec, spec_to_dict
 
-from conftest import downlink_k1l1_spec, identity_chain_spec, k2l2_bsc_spec
+from conftest import (downlink_k1l1_spec, identity_chain_spec, k2l2_bsc_spec,
+                      random_downlink_spec, random_uplink_spec)
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 IDENT = str(SPECS / "identity_k1l1.json")
@@ -226,6 +228,8 @@ def _bad_spec_docs():
     bool_dims["K"] = bool_dims["L"] = True
     bool_K = spec_to_dict(k2l2_bsc_spec())
     bool_K["K"] = True
+    alphabet_mismatch = spec_to_dict(identity_chain_spec())
+    alphabet_mismatch["alphabets"]["X"] = [3]
     # K+L = 9, one above the (K+L)! enumeration guard
     above_guard = spec_to_dict(
         DownlinkSpec(K=5, L=4, aux_joint=np.full((2,) * 9, 2.0**-9),
@@ -240,7 +244,7 @@ def _bad_spec_docs():
             "{above_guard_up}": above_guard_up, "{number_alphabets}": number_alphabets,
             "{number_alphabet_sizes}": number_alphabet_sizes,
             "{number_input_pmfs}": number_input_pmfs, "{bool_dims}": bool_dims,
-            "{bool_K}": bool_K}
+            "{bool_K}": bool_K, "{alphabet_mismatch}": alphabet_mismatch}
 
 
 @pytest.mark.parametrize(
@@ -269,6 +273,9 @@ def _bad_spec_docs():
         (["corners", "{bool_dims}"], "fields 'K' and 'L' must be positive integers"),
         (["corners", "{bool_K}"], "fields 'K' and 'L' must be positive integers"),
         (["slice", K2L2, "--vary", "R1,C1", "--fixed", "R2=0,C2=2,C2=3"], "'C2' twice"),
+        (["face", K2L2, "--point", "0,0,0,0", "--T", "3"], "--T"),
+        (["face", K2L2, "--point", "0,0,0,0", "--S", "", "--T", ""], "--S and --T"),
+        (["corners", "{alphabet_mismatch}"], "alphabets.X"),
     ],
     ids=["fixed-not-a-number", "negative-steps", "nan-invert-target", "zero-max-iters",
          "negative-invert-tol", "nan-invert-tol", "negative-verify-samples",
@@ -276,7 +283,8 @@ def _bad_spec_docs():
          "inf-dedup-tol", "negative-verify-seed",
          "psi-above-enumeration-guard", "overflowing-slice-span", "number-alphabets",
          "nan-input-pmf", "inf-channel", "nan-aux-joint", "number-alphabet-sizes",
-         "number-input-pmfs", "bool-K-and-L", "bool-K", "repeated-fixed"],
+         "number-input-pmfs", "bool-K-and-L", "bool-K", "repeated-fixed",
+         "face-T-out-of-range", "face-S-and-T-empty", "alphabet-mismatch"],
 )
 def test_bad_input_exits_2_without_traceback(capsys, tmp_path, argv, named):
     argv = list(argv)
@@ -332,6 +340,31 @@ def test_negative_option_values_reach_the_checks(capsys, argv, named):
     assert "usage:" not in err  # the program's own check, not argparse
 
 
+def _mixed_alphabet_specs():
+    """An uplink spec with a ternary X1 and a 4-ary Y2, and a downlink spec with a
+    single-valued U1, as the CI smoke run builds them."""
+    rng = np.random.default_rng(3)
+    # p(y1, y2 | x1, x2) = p(y1 | x) p(y2 | x), |X1| = 3, |Y2| = 4, quantizers of 2 and 3 values
+    chan = (rng.dirichlet(np.ones(2), size=(3, 2))[..., :, None]
+            * rng.dirichlet(np.ones(4), size=(3, 2))[..., None, :])
+    up = UplinkSpec(K=2, L=2, input_pmfs=(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(2))),
+                    channel=chan, test_channels=(rng.dirichlet(np.ones(2), size=2),
+                                                 rng.dirichlet(np.ones(3), size=4)))
+    # U1 of one value, U2 and X2 ternary, X1 binary; Y1 binary, Y2 ternary
+    down = DownlinkSpec(K=2, L=2, aux_joint=rng.dirichlet(np.ones(18)).reshape(1, 3, 2, 3),
+                        channel=rng.dirichlet(np.ones(6), size=(2, 3)).reshape(2, 3, 2, 3))
+    return up, down
+
+
+# seeded random specs of both directions, and the mixed-alphabet ones, by test id
+ROUND_TRIP = {
+    **{f"{d}-k{K}l{L}": make(np.random.default_rng(7), K, L)
+       for d, make in (("uplink", random_uplink_spec), ("downlink", random_downlink_spec))
+       for K, L in [(1, 1), (2, 3), (3, 2), (3, 3)]},
+    **dict(zip(("uplink-mixed", "downlink-mixed"), _mixed_alphabet_specs())),
+}
+
+
 class TestSpecRoundTrip:
     @pytest.mark.parametrize(
         "spec", [identity_chain_spec(), k2l2_bsc_spec(), downlink_k1l1_spec()]
@@ -347,8 +380,31 @@ class TestSpecRoundTrip:
         doc["alphabets"]["X"] = [3]
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(SpecFileError, match="alphabets"):
+        with pytest.raises(SpecFileError, match=re.escape(
+                "field 'alphabets.X' declares sizes (3,) but tensors have sizes (2,)")):
             load_spec(path)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
+    def test_shipped_spec_rewrites_byte_for_byte(self, name, tmp_path):
+        path = tmp_path / name
+        save_spec(load_spec(SPECS / name), path)
+        assert path.read_bytes() == (SPECS / name).read_bytes()
+
+    @pytest.mark.parametrize("spec", list(ROUND_TRIP.values()), ids=list(ROUND_TRIP))
+    def test_dict_round_trip(self, spec):
+        doc = spec_to_dict(spec)
+        assert spec_to_dict(parse_spec(doc)) == doc
+
+    def test_spec_to_dict_refuses_a_non_spec(self):
+        with pytest.raises(TypeError, match="not a spec"):
+            spec_to_dict({"direction": "uplink"})
+
+    @pytest.mark.parametrize("direction", [[], {}, None, 1, "Uplink"])
+    def test_direction_of_any_json_value_is_refused(self, direction):
+        doc = spec_to_dict(identity_chain_spec())
+        doc["direction"] = direction
+        with pytest.raises(SpecFileError, match="field 'direction'"):
+            parse_spec(doc)
 
 
 # --- the report encoder against json.dumps(sort_keys=True, indent=2) ---

@@ -1242,19 +1242,24 @@ def test_merge_check_refuses_a_nan_in_one_row(monkeypatch):
 
 
 def test_direction_functions_refuse_the_other_direction():
-    up = build_uplink_joint(random_uplink_spec(np.random.default_rng(1), 3, 2))
-    down = build_downlink_joint(random_downlink_spec(np.random.default_rng(1), 2, 3))
+    up_spec = random_uplink_spec(np.random.default_rng(1), 3, 2)
+    down_spec = random_downlink_spec(np.random.default_rng(1), 2, 3)
+    up, down = build_uplink_joint(up_spec), build_downlink_joint(down_spec)
     by_hand = JointLaw(up.names, up.probs)  # uplink names, but no builder's stamp
+    pair = {"x": np.full(5, 0.5), "S": {1}, "T": {1}}  # K+L = 5 for all three laws
     for fn in (partial(JointLaw.dims, direction="uplink"), ul.enumerate_corners, ul.jd_region,
-               df.dominant_face_dimension):
+               df.dominant_face_dimension, partial(ul.jd_slack, **pair)):
         for law in (down, by_hand):
             with pytest.raises(LawError, match="not an uplink law"):
                 fn(law)
     for fn in (partial(JointLaw.dims, direction="downlink"), dl.downlink_enumerate_corners,
-               dl.je_region):
+               dl.je_region, partial(dl.je_slack, **pair)):
         with pytest.raises(LawError, match="not a downlink law"):
             fn(up)
     assert up.dims("uplink") == (3, 2) and down.dims("downlink") == (2, 3)
+    # a refused slack keeps no table of the other direction's terms on the law
+    assert np.array_equal(dl.je_region(down).lb, dl.je_region(build_downlink_joint(down_spec)).lb)
+    assert np.array_equal(ul.jd_region(up).lb, ul.jd_region(build_uplink_joint(up_spec)).lb)
 
 
 @pytest.mark.parametrize("work", [0, 10**12])
