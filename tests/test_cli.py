@@ -27,6 +27,7 @@ SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 IDENT = str(SPECS / "identity_k1l1.json")
 K2L2 = str(SPECS / "uplink_k2l2.json")
 DOWN = str(SPECS / "downlink_k1l1.json")
+SHIPPED = sorted(p.name for p in SPECS.glob("*.json"))
 
 
 def run(capsys, *argv):
@@ -384,7 +385,7 @@ class TestSpecRoundTrip:
                 "field 'alphabets.X' declares sizes (3,) but tensors have sizes (2,)")):
             load_spec(path)
 
-    @pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
+    @pytest.mark.parametrize("name", SHIPPED)
     def test_shipped_spec_rewrites_byte_for_byte(self, name, tmp_path):
         path = tmp_path / name
         save_spec(load_spec(SPECS / name), path)
@@ -408,8 +409,6 @@ class TestSpecRoundTrip:
 
 
 # --- the report encoder against json.dumps(sort_keys=True, indent=2) ---
-
-SHIPPED = sorted(p.name for p in SPECS.glob("*.json"))
 
 
 def _commands(name):
